@@ -88,14 +88,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_exp_poly(medium: modal.MediumSpec, what: str) -> bool:
+    """Report the first kernel without a finite closure; the modal commands need one."""
+    for which, kernel in (("nu_e", medium.nu_e), ("nu_h", medium.nu_h)):
+        if not isinstance(kernel, kernels.ExpPolyKernel):
+            print(f"medium.{which}: {what} requires an exp_poly kernel", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     doc, base_dir = io.load_config(args.config)
     config = io.parse_simulate_config(doc, base_dir)
-    for which, kernel in (("nu_e", config.medium.nu_e), ("nu_h", config.medium.nu_h)):
-        if not isinstance(kernel, kernels.ExpPolyKernel):
-            print(f"medium.{which}: simulation requires an exp_poly kernel",
-                  file=sys.stderr)
-            return EXIT_UNSUPPORTED
+    if not _require_exp_poly(config.medium, "simulation"):
+        return EXIT_UNSUPPORTED
     trace = modal.run_multimode(
         config.medium,
         list(config.modes),
@@ -114,14 +120,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     doc, base_dir = io.load_config(args.config)
     config = io.parse_spectrum_config(doc, base_dir)
-    for which, kernel in (("nu_e", config.medium.nu_e), ("nu_h", config.medium.nu_h)):
-        if not isinstance(kernel, kernels.ExpPolyKernel):
-            print(f"medium.{which}: spectrum requires an exp_poly kernel",
-                  file=sys.stderr)
-            return EXIT_UNSUPPORTED
+    if not _require_exp_poly(config.medium, "spectrum"):
+        return EXIT_UNSUPPORTED
     lines = ["k,abscissa,n_eigs"]
-    for k in config.k_values:
-        system = modal.build_mode(config.medium, k)
+    for k, system in zip(config.k_values, modal.build_modes(config.medium, config.k_values)):
         abscissa, eigs = modal.spectral_abscissa(system)
         lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
     text = "\n".join(lines) + "\n"
@@ -162,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the modal system, write a trace")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored; all modes are "
+                        "advanced together and traces are byte-identical for any value")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral abscissa over a wavenumber grid")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -263,9 +264,6 @@ class ClassKCertificate:
     delta: float
     checked_horizon: float
     max_violation: float
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=1024)

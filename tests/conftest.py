@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from dispersia import DampedTerm, ExpPolyKernel
+from dispersia import DampedTerm, ExpPolyKernel, MediumSpec, debye, drude, lorentz
+
+
+def mixed_medium():
+    """Lorentz + Debye terms in nu_e, a Drude term in nu_h."""
+    nu_e = ExpPolyKernel(lorentz(0.8, 1.3, 0.6).terms + debye(0.5, 2.0).terms)
+    return MediumSpec(1.5, 0.7, nu_e, drude(0.4, 0.9))
 
 
 def random_class_k_kernel(rng, max_terms=2, max_degree=2):

@@ -7,6 +7,8 @@ from dispersia import ExpPolyKernel, GAUSSIAN, debye, drude, fit_decay, lorentz
 from dispersia import io as dio
 from dispersia.cli import main
 
+from conftest import mixed_medium
+
 
 def kernel_doc(kernel):
     return dio.kernel_to_doc(kernel)
@@ -199,6 +201,22 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert abs(float(lines[1].split(",")[1])) <= 1e-12
+
+    def test_matches_per_k_build_mode_byte_for_byte(self, tmp_path, capsys):
+        from dispersia import build_mode, spectral_abscissa
+
+        medium = mixed_medium()
+        ks = [float(k) for k in np.random.default_rng(3).uniform(0.1, 50.0, 12)]
+        doc = {"medium": {"eps": medium.eps, "mu": medium.mu,
+                          "nu_e": kernel_doc(medium.nu_e), "nu_h": kernel_doc(medium.nu_h)},
+               "k_values": ks}
+        cfg = write_config(tmp_path, doc)
+        assert main(["spectrum", "--config", cfg]) == 0
+        lines = ["k,abscissa,n_eigs"]
+        for k in ks:
+            abscissa, eigs = spectral_abscissa(build_mode(medium, k))
+            lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_k_range(self, tmp_path, capsys):
         doc = {"medium": debye_sim_config()["medium"],

@@ -6,6 +6,7 @@ from dispersia import (
     GAUSSIAN,
     MediumSpec,
     build_mode,
+    build_modes,
     cavity_modes,
     debye,
     dispersion_roots,
@@ -17,9 +18,10 @@ from dispersia import (
     step_exact,
     step_history,
 )
+from dispersia import modal
 from dispersia.modal import HistoryTruncationError, ModalError
 
-from conftest import random_passive_kernel
+from conftest import mixed_medium, random_passive_kernel
 
 ZERO = ExpPolyKernel.zero()
 
@@ -63,6 +65,18 @@ class TestBuildMode:
     def test_negative_k_rejected(self):
         with pytest.raises(ModalError):
             build_mode(vacuum(), -1.0)
+
+    def test_build_modes_bit_identical_to_build_mode(self):
+        medium = mixed_medium()
+        ks = [0.0] + list(np.random.default_rng(3).uniform(0.0, 50.0, 12))
+        for k, system in zip(ks, build_modes(medium, ks)):
+            single = build_mode(medium, k)
+            assert system.k == single.k
+            assert system.A.tobytes() == single.A.tobytes()
+
+    def test_build_modes_negative_k_rejected(self):
+        with pytest.raises(ModalError):
+            build_modes(vacuum(), [1.0, -1.0])
 
     def test_energy_of_initial_state(self):
         system = build_mode(MediumSpec(2.0, 3.0, debye(), ZERO), 1.0)
@@ -218,3 +232,41 @@ class TestMultimode:
         first = run_multimode(medium, [(1.0, 1.0)], dt=0.05, T=5.0)
         second = run_multimode(medium, [(2.0, 0.5)], dt=0.05, T=5.0)
         assert np.allclose(both.energy, first.energy + second.energy, rtol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_batched_matches_per_mode_step_exact(self, stride):
+        medium = mixed_medium()
+        modes = [(0.0, 0.8)] + cavity_modes(1.0, 5)
+        dt, T = 0.05, 10.0
+        n_steps = int(round(T / dt))
+        assert n_steps % 7 != 0
+        expected = np.zeros(n_steps // stride + 1)
+        for k, amp in modes:
+            system = build_mode(medium, k)
+            state = system.initial_state(amp)
+            expected[0] += system.energy(state)
+            for i in range(1, n_steps + 1):
+                state = step_exact(system, state, dt)
+                if i % stride == 0:
+                    expected[i // stride] += system.energy(state)
+        trace = run_multimode(medium, modes, dt=dt, T=T, output_stride=stride)
+        assert np.array_equal(trace.times, np.arange(0, n_steps + 1, stride) * dt)
+        np.testing.assert_allclose(trace.energy, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 40])
+    def test_one_expm_call_per_run(self, monkeypatch, n_modes):
+        calls = []
+        real = modal.expm
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(modal, "expm", counting)
+        run_multimode(mixed_medium(), cavity_modes(1.0, n_modes), dt=0.1, T=2.0, output_stride=3)
+        assert len(calls) == 1
+        assert calls[0][0] == n_modes
+
+    def test_nonpositive_stride_rejected(self):
+        with pytest.raises(ModalError):
+            run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=1.0, output_stride=0)
