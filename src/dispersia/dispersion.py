@@ -3,7 +3,14 @@
 For exponential-polynomial kernels every decision is made on exact polynomial
 data: nonnegativity on the real axis is decided from companion-matrix roots
 with sign evaluation between them, never from grid sampling alone.  Sampled
-kernels get a dense-grid check labelled as such.
+kernels get a dense-grid check labelled as such.  On the imaginary axis
+Re(i w L nu(i w)) = nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, so each
+sampled frequency costs one sine quadrature (``kernels.sampled_iw_real_part``).
+
+Each call computes what it needs of a kernel once, either the omega_form or
+the sampled real part on the 600-point grid (plus the 25-point tail grid of
+the exponent fit), and shares it between the passivity, strict-passivity and
+exponent steps.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from .kernels import (
     SampledKernel,
     _trim,
     lambda_laplace_rational,
-    laplace,
+    laplace,  # not used here; kept importable as dispersion.laplace
+    sampled_iw_real_part,
 )
 
 
@@ -50,6 +58,9 @@ class OmegaRational:
     @property
     def is_zero(self) -> bool:
         return not any(self.pr) and not any(self.pi)
+
+
+_ZERO_FORM = OmegaRational((0.0,), (1.0,), (0.0,), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError("omega_form needs an exponential-polynomial kernel")
     if kernel.is_zero:
-        return OmegaRational((0.0,), (1.0,), (0.0,), (1.0,))
+        return _ZERO_FORM
     num, den = lambda_laplace_rational(kernel)
     ar, ai = _poly_iw_split(num)
     br, bi = _poly_iw_split(den)
@@ -204,80 +215,104 @@ def _root_radius(coeffs: np.ndarray) -> float:
 
 
 def _sampled_real_part(kernel: SampledKernel, wgrid: np.ndarray) -> np.ndarray:
-    return np.array([(1j * w * laplace(kernel, 1j * w)).real for w in wgrid])
+    return np.array([sampled_iw_real_part(kernel, w) for w in wgrid])
 
 
 _SAMPLED_GRID = np.geomspace(1e-2, 1e3, 600)
 
 
-def check_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
-    """Re(i w L nu(i w)) >= 0 for every real w, for both kernels."""
+def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
+    """What the decisions need of each kernel, computed once per call.
+
+    An exponential-polynomial kernel gives its omega_form (the zero kernel the
+    constant ``_ZERO_FORM``, without a call); a sampled kernel gives its real
+    part on ``_SAMPLED_GRID``.
+    """
+    data = []
+    for kernel in (nu_e, nu_h):
+        if isinstance(kernel, ExpPolyKernel):
+            data.append(_ZERO_FORM if kernel.is_zero else omega_form(kernel))
+        else:
+            data.append(_sampled_real_part(kernel, _SAMPLED_GRID))
+    return tuple(data)
+
+
+def _passivity(data: tuple) -> PassivityReport:
     witnesses: list[float] = []
     passive = True
     certified = True
-    for kernel in (nu_e, nu_h):
-        if isinstance(kernel, ExpPolyKernel):
-            form = omega_form(kernel)
-            ok, witness = _poly_nonneg(np.asarray(form.pr))
+    for item in data:
+        if isinstance(item, OmegaRational):
+            ok, witness = _poly_nonneg(np.asarray(item.pr))
             if not ok:
                 passive = False
                 witnesses.append(float(witness))
         else:
             certified = False
-            vals = _sampled_real_part(kernel, _SAMPLED_GRID)
-            bad = vals < -1e-9
+            bad = item < -1e-9
             if np.any(bad):
                 passive = False
                 witnesses.append(float(_SAMPLED_GRID[np.argmax(bad)]))
     return PassivityReport(passive=passive, witnesses=tuple(witnesses), certified=certified)
 
 
-def _combined_numerator(nu_e: Kernel, nu_h: Kernel):
-    fe = omega_form(nu_e) if isinstance(nu_e, ExpPolyKernel) else None
-    fh = omega_form(nu_h) if isinstance(nu_h, ExpPolyKernel) else None
-    if fe is None or fh is None:
-        return None, None, fe, fh
+def check_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
+    """Re(i w L nu(i w)) >= 0 for every real w, for both kernels."""
+    return _passivity(_kernel_data(nu_e, nu_h))
+
+
+def _combined_numerator(fe: OmegaRational, fh: OmegaRational):
     num = npoly.polyadd(
         npoly.polymul(np.asarray(fe.pr), np.asarray(fh.qr)),
         npoly.polymul(np.asarray(fh.pr), np.asarray(fe.qr)),
     )
     den = npoly.polymul(np.asarray(fe.qr), np.asarray(fh.qr))
-    return _trim(num, 1e-10), _trim(den, 1e-10), fe, fh
+    return _trim(num, 1e-10), _trim(den, 1e-10)
 
 
-def check_strict_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
-    """R(w) = Re(i w L nu_E) + Re(i w L nu_H) > 0 for all w != 0."""
-    base = check_passivity(nu_e, nu_h)
-    num, den, _, _ = _combined_numerator(nu_e, nu_h)
-    if num is None:
-        wgrid = _SAMPLED_GRID
-        vals = np.zeros_like(wgrid)
-        for kernel in (nu_e, nu_h):
-            if isinstance(kernel, ExpPolyKernel):
-                if not kernel.is_zero:
-                    vals += omega_form(kernel).real_part(wgrid)
-            else:
-                vals += _sampled_real_part(kernel, wgrid)
+def _strict_passivity(data: tuple) -> PassivityReport:
+    base = _passivity(data)
+    fe, fh = data
+    if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
+        vals = np.zeros_like(_SAMPLED_GRID)
+        for item in data:
+            if not isinstance(item, OmegaRational):
+                vals += item
+            elif item is not _ZERO_FORM:
+                vals += item.real_part(_SAMPLED_GRID)
         strict = bool(np.all(vals > 0.0))
-        witness = () if strict else (float(wgrid[np.argmin(vals)]),)
+        witness = () if strict else (float(_SAMPLED_GRID[np.argmin(vals)]),)
         return replace(base, strictly_passive=strict and base.passive,
                        witnesses=base.witnesses + witness, certified=False)
+    num, _ = _combined_numerator(fe, fh)
     ok, witness = _poly_positive_off_zero(num)
     strict = bool(ok and base.passive)
     extra = () if ok else (float(witness),)
     return replace(base, strictly_passive=strict, witnesses=base.witnesses + extra)
 
 
+def check_strict_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
+    """R(w) = Re(i w L nu_E) + Re(i w L nu_H) > 0 for all w != 0."""
+    return _strict_passivity(_kernel_data(nu_e, nu_h))
+
+
 def decay_exponent(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     """Extract m, sigma_E, sigma_H, omega0 realizing the quantified bound
     |w|^m Re(i w L nu(i w)) >= sigma for |w| >= omega0."""
-    report = check_strict_passivity(nu_e, nu_h)
+    data = _kernel_data(nu_e, nu_h)
+    report = _strict_passivity(data)
     if not report.strictly_passive:
         raise PassivityError("decay exponent requires strict passivity")
-    if not (isinstance(nu_e, ExpPolyKernel) and isinstance(nu_h, ExpPolyKernel)):
-        return _decay_exponent_sampled(nu_e, nu_h, report)
+    return _decay_exponent((nu_e, nu_h), data, report)
 
-    num, den, fe, fh = _combined_numerator(nu_e, nu_h)
+
+def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> PassivityReport:
+    """decay_exponent on the kernel data and strict-passivity report of one call."""
+    fe, fh = data
+    if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
+        return _decay_exponent_sampled(kernels, data, report)
+
+    num, den = _combined_numerator(fe, fh)
     deficit = (den.size - 1) - (num.size - 1)
     ratio = num[-1] / den[-1]
     if deficit % 2 != 0:
@@ -304,16 +339,16 @@ def decay_exponent(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     return replace(report, m=m, sigma_E=sig["E"], sigma_H=sig["H"], omega0=omega0)
 
 
-def _decay_exponent_sampled(nu_e: Kernel, nu_h: Kernel, report: PassivityReport) -> PassivityReport:
+def _decay_exponent_sampled(kernels: tuple, data: tuple,
+                            report: PassivityReport) -> PassivityReport:
     """Asymptotic sampling fallback when no rational structure is available."""
     wgrid = np.geomspace(10.0, 60.0, 25)
     vals = np.zeros_like(wgrid)
-    for kernel in (nu_e, nu_h):
-        if isinstance(kernel, ExpPolyKernel):
-            if not kernel.is_zero:
-                vals += omega_form(kernel).real_part(wgrid)
-        else:
+    for kernel, item in zip(kernels, data):
+        if not isinstance(item, OmegaRational):
             vals += _sampled_real_part(kernel, wgrid)
+        elif item is not _ZERO_FORM:
+            vals += item.real_part(wgrid)
     if np.any(vals <= 0):
         raise PassivityError("sampled real part not positive at large frequency")
     slope = np.polyfit(np.log(wgrid), np.log(vals), 1)[0]
@@ -324,11 +359,16 @@ def _decay_exponent_sampled(nu_e: Kernel, nu_h: Kernel, report: PassivityReport)
 
 
 def analyze(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
-    """Full chain: passivity, strict passivity and (when it exists) the exponent."""
-    report = check_strict_passivity(nu_e, nu_h)
+    """Full chain: passivity, strict passivity and (when it exists) the exponent.
+
+    Each kernel's omega_form or sampled real part is computed once and shared
+    by the three steps.
+    """
+    data = _kernel_data(nu_e, nu_h)
+    report = _strict_passivity(data)
     if not report.strictly_passive:
         return report
     try:
-        return decay_exponent(nu_e, nu_h)
+        return _decay_exponent((nu_e, nu_h), data, report)
     except PassivityError:
         return report

@@ -358,7 +358,10 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
 
     ExpPolyKernel uses the exact partial-fraction sum; SampledKernel uses
     adaptive quadrature, routed through L nu'' on and near the imaginary axis
-    because nu itself need not be integrable there.
+    because nu itself need not be integrable there.  On the axis that route
+    reads i w L nu(i w) = nu(0) + (nu'(0) + L nu''(i w)) / (i w), so its real
+    part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
+    transform of nu''; ``sampled_iw_real_part`` evaluates that one integral.
     """
     lam = complex(lam)
     if lam.real < 0:
@@ -389,6 +392,22 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
     nu0 = float(kernel(np.asarray(0.0), 0))
     nup0 = float(kernel(np.asarray(0.0), 1))
     return (nu0 + (nup0 + lap2) / lam) / lam
+
+
+def sampled_iw_real_part(kernel: SampledKernel, w: float) -> float:
+    """Re(i w L nu(i w)) = nu(0) - (1/w) int_0^{60/delta} sin(w s) nu''(s) ds.
+
+    The same nu'' route, horizon and quadrature settings as ``laplace`` on the
+    imaginary axis, with the cosine transform (which only feeds the imaginary
+    part) left out: one adaptive quadrature per frequency instead of two.
+    """
+    w = float(w)
+    if w == 0.0:
+        raise UnsupportedPoint("w = 0 is not supported on the quadrature path")
+    upper = 60.0 / kernel.delta
+    sine, _ = integrate.quad(lambda s: float(kernel(np.asarray(s), 2)), 0.0, upper,
+                             weight="sin", wvar=w, epsabs=1e-11, limit=400)
+    return float(kernel(np.asarray(0.0), 0)) - sine / w
 
 
 def _oscillatory_laplace(f, lam: complex, upper: float) -> complex:

@@ -251,13 +251,18 @@ class _GrowBuf:
 
 @dataclass
 class HistoryState:
-    """Field history on the uniform step grid, for the reference integrator."""
+    """Field history on the uniform step grid, for the reference integrator.
+
+    The kernel values cached here (lag weights, nu(0)) belong to the medium of
+    the first step; a history is advanced in one medium only.
+    """
 
     dt: float
     s_max: float
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     _weights: dict = field(default_factory=dict, repr=False)
+    _nu0: tuple[float, float] | None = field(default=None, repr=False)
 
     @property
     def t(self) -> float:
@@ -296,16 +301,20 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
 
 
 def _lag_weights(state: HistoryState, kernel: Kernel, key: str, c: float, n: int) -> np.ndarray:
-    """Cached nu'((m + c) dt) for m = 0..n."""
-    buf = state._weights.get((key, c))
-    if buf is None:
-        buf = _GrowBuf(float(eval_kernel(kernel, c * state.dt, 1)))
+    """Cached nu'((m + c) dt) for m = 0..n.
+
+    A short cache doubles, up to the last lag the history horizon allows, in
+    one vectorized kernel evaluation; nothing is allocated for lags that the
+    run has not reached.
+    """
+    buf = state._weights.get((key, c), np.empty(0))
+    if buf.size <= n:
+        horizon = int((state.s_max + 1e-12) / state.dt) + 1
+        size = max(n + 1, min(2 * buf.size, horizon))
+        t_new = (np.arange(buf.size, size) + c) * state.dt
+        buf = np.concatenate([buf, np.atleast_1d(eval_kernel(kernel, t_new, 1))])
         state._weights[(key, c)] = buf
-    if buf.n <= n:
-        t_new = (np.arange(buf.n, n + 1) + c) * state.dt
-        for v in np.atleast_1d(eval_kernel(kernel, t_new, 1)):
-            buf.append(float(v))
-    return buf.view()[: n + 1]
+    return buf[: n + 1]
 
 
 def _convolution(state, kernel, key, samples, c, stage_value):
@@ -340,8 +349,10 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
         )
     eps, mu = medium.eps, medium.mu
-    nue0 = float(eval_kernel(medium.nu_e, 0.0, 0))
-    nuh0 = float(eval_kernel(medium.nu_h, 0.0, 0))
+    if state._nu0 is None:
+        state._nu0 = (float(eval_kernel(medium.nu_e, 0.0, 0)),
+                      float(eval_kernel(medium.nu_h, 0.0, 0)))
+    nue0, nuh0 = state._nu0
     e_samples = state.e_past.view()
     h_samples = state.h_past.view()
 

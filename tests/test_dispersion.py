@@ -15,6 +15,7 @@ from dispersia import (
     lorentz,
     omega_form,
 )
+from dispersia import dispersion, kernels
 from dispersia.dispersion import PassivityError
 
 from conftest import (
@@ -187,3 +188,45 @@ class TestSampledPath:
     def test_gaussian_real_part_positive(self):
         for w in np.geomspace(0.01, 100, 60):
             assert (1j * w * laplace(GAUSSIAN, 1j * w)).real > 0
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestEvaluationCounts:
+    def test_gaussian_analyze_samples_each_frequency_once(self, monkeypatch):
+        sampled = _count_calls(monkeypatch, dispersion, "sampled_iw_real_part")
+        lap = _count_calls(monkeypatch, dispersion, "laplace")
+        lap_kernels = _count_calls(monkeypatch, kernels, "laplace")
+        report = analyze(GAUSSIAN, ZERO)
+        assert report.strictly_passive and report.m == 0
+        # the 600-point decision grid plus the 25-point tail grid of the exponent fit
+        assert len(sampled) == 625
+        assert len(lap) == 0 and len(lap_kernels) == 0
+
+    @pytest.mark.parametrize("nu_e, nu_h", [
+        (debye(), ZERO),
+        (lorentz(), drude()),
+        (negative_debye(), debye()),
+        (ZERO, ZERO),
+        (ExpPolyKernel(debye().terms + lorentz(2.0, 3.0, 0.5).terms), lorentz()),
+    ])
+    def test_exp_poly_analyze_one_omega_form_per_kernel(self, monkeypatch, nu_e, nu_h):
+        expected = analyze(nu_e, nu_h)
+        calls = _count_calls(monkeypatch, dispersion, "omega_form")
+        assert analyze(nu_e, nu_h) == expected
+        assert len(calls) <= sum(not k.is_zero for k in (nu_e, nu_h))
+
+    def test_public_decay_exponent_on_sampled_kernel(self):
+        report = decay_exponent(GAUSSIAN, ZERO)
+        assert report.m == 0
+        assert report.certified is False

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import erfi
+from scipy.special import dawsn, erfi
 
 from dispersia import (
     GAUSSIAN,
@@ -19,7 +19,8 @@ from dispersia import (
     laplace,
     lorentz,
 )
-from dispersia.kernels import _gaussian_eval
+from dispersia.dispersion import _SAMPLED_GRID
+from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
 from conftest import random_class_k_kernel
 
@@ -158,6 +159,27 @@ class TestLaplace:
                 tail = quad(lambda y: eval_kernel(kern, y, 2), t, t + 120.0,
                             limit=400, epsabs=1e-12)[0]
                 assert abs(eval_kernel(kern, t, 1) + tail) <= 1e-9
+
+
+class TestSampledRealPart:
+    def test_matches_laplace_on_the_decision_grid(self):
+        got = np.array([sampled_iw_real_part(GAUSSIAN, w) for w in _SAMPLED_GRID])
+        via_laplace = np.array([(1j * w * laplace(GAUSSIAN, 1j * w)).real for w in _SAMPLED_GRID])
+        assert np.max(np.abs(got - via_laplace)) <= 1e-13
+
+    def test_matches_erfi_closed_form(self):
+        # (sqrt(pi)/2) w e^{-w^2/4} erfi(w/2); written as w D(w/2) with Dawson's
+        # D(x) = (sqrt(pi)/2) e^{-x^2} erfi(x) wherever erfi overflows
+        got = np.array([sampled_iw_real_part(GAUSSIAN, w) for w in _SAMPLED_GRID])
+        small = _SAMPLED_GRID <= 40.0
+        w = _SAMPLED_GRID[small]
+        erfi_form = np.sqrt(np.pi) / 2 * w * np.exp(-w**2 / 4) * erfi(w / 2)
+        assert np.max(np.abs(got[small] - erfi_form)) <= 1e-8
+        assert np.max(np.abs(got - _SAMPLED_GRID * dawsn(_SAMPLED_GRID / 2))) <= 1e-8
+
+    def test_zero_frequency_unsupported(self):
+        with pytest.raises(UnsupportedPoint):
+            sampled_iw_real_part(GAUSSIAN, 0.0)
 
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)

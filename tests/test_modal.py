@@ -188,6 +188,38 @@ class TestHistoryIntegrator:
         with pytest.raises(ModalError):
             step_history(vacuum(), 1.0, hist, 0.05)
 
+    def _run(self, medium, s_max, steps, dt=0.02):
+        hist = initial_history(dt, s_max=s_max)
+        for _ in range(steps):
+            hist = step_history(medium, 1.3, hist, dt)
+        return hist
+
+    def test_horizon_does_not_change_values(self):
+        # the lag-weight cache stops at the horizon for s_max = 6 and grows
+        # freely for s_max = 600; the weights, and so the fields, must agree
+        medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
+        short = self._run(medium, 6.0, 300)
+        long = self._run(medium, 600.0, 300)
+        assert short.e_past.view().tobytes() == long.e_past.view().tobytes()
+        assert short.h_past.view().tobytes() == long.h_past.view().tobytes()
+        steps = 300
+        assert all(w.size <= 2 * (steps + 1) for w in long._weights.values())
+        assert all(w.size <= 2 * (steps + 1) for w in short._weights.values())
+
+    def test_kernel_evaluations_grow_logarithmically(self, monkeypatch):
+        calls = []
+        original = modal.eval_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modal, "eval_kernel", counting)
+        steps = 3000
+        hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
+        assert len(calls) <= 60
+        assert all(w.size <= 2 * (steps + 1) for w in hist._weights.values())
+
     def test_eta_boundary_conditions(self):
         hist = initial_history(0.1, s_max=2.0)
         for _ in range(10):
