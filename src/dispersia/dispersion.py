@@ -322,13 +322,11 @@ def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> Pas
     m = deficit
 
     roots: list[float] = []
-    per_field: dict[str, Optional[int]] = {"E": None, "H": None}
+    per_field: dict[str, Optional[int]] = {}
     for label, form in (("E", fe), ("H", fh)):
-        pr = _trim(np.asarray(form.pr), 1e-12)
-        if form.is_zero or (pr.size == 1 and pr[0] == 0.0):
-            continue
-        per_field[label] = (len(_trim(np.asarray(form.qr), 1e-12)) - 1) - (pr.size - 1)
-        roots.extend(np.abs(_real_roots(pr)))
+        per_field[label] = _form_exponent(form)
+        if per_field[label] is not None:
+            roots.extend(np.abs(_real_roots(np.asarray(form.pr))))
     omega0 = 2.0 * (max(roots) if roots else 0.0) + 1.0
 
     wgrid = np.geomspace(omega0, 1e4, 4000)
@@ -341,21 +339,46 @@ def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> Pas
 
 def _decay_exponent_sampled(kernels: tuple, data: tuple,
                             report: PassivityReport) -> PassivityReport:
-    """Asymptotic sampling fallback when no rational structure is available."""
+    """Asymptotic sampling fallback when no rational structure is available.
+
+    m is fitted to the summed tail; each field's sigma follows the exact
+    path's rule, nonzero only when that field's own exponent (its degree
+    deficit, or for a sampled kernel the fit to its own tail) equals m.
+    """
     wgrid = np.geomspace(10.0, 60.0, 25)
-    vals = np.zeros_like(wgrid)
+    tails, own = [], []
     for kernel, item in zip(kernels, data):
         if not isinstance(item, OmegaRational):
-            vals += _sampled_real_part(kernel, wgrid)
-        elif item is not _ZERO_FORM:
-            vals += item.real_part(wgrid)
-    if np.any(vals <= 0):
+            vals = _sampled_real_part(kernel, wgrid)
+            own.append(_fitted_exponent(wgrid, vals) if np.all(vals > 0) else None)
+        elif item is _ZERO_FORM:
+            vals = np.zeros_like(wgrid)
+            own.append(None)
+        else:
+            vals = item.real_part(wgrid)
+            own.append(_form_exponent(item))
+        tails.append(vals)
+    total = tails[0] + tails[1]
+    if np.any(total <= 0):
         raise PassivityError("sampled real part not positive at large frequency")
+    m = _fitted_exponent(wgrid, total)
+    sig_e, sig_h = (float(np.min(np.abs(wgrid) ** m * vals)) if field_m == m else 0.0
+                    for vals, field_m in zip(tails, own))
+    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=10.0, certified=False)
+
+
+def _fitted_exponent(wgrid: np.ndarray, vals: np.ndarray) -> int:
+    """m from the log-log slope of a positive tail, vals ~ |w|^-m."""
     slope = np.polyfit(np.log(wgrid), np.log(vals), 1)[0]
-    m = max(0, int(round(-slope)))
-    omega0 = 10.0
-    sigma = float(np.min(np.abs(wgrid) ** m * vals))
-    return replace(report, m=m, sigma_E=sigma, sigma_H=0.0, omega0=omega0, certified=False)
+    return max(0, int(round(-slope)))
+
+
+def _form_exponent(form: OmegaRational) -> Optional[int]:
+    """Degree deficit of Re(i w L nu(i w)) = pr/qr; None when pr vanishes."""
+    pr = _trim(np.asarray(form.pr), 1e-12)
+    if form.is_zero or (pr.size == 1 and pr[0] == 0.0):
+        return None
+    return (len(_trim(np.asarray(form.qr), 1e-12)) - 1) - (pr.size - 1)
 
 
 def analyze(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:

@@ -254,7 +254,7 @@ class HistoryState:
     """Field history on the uniform step grid, for the reference integrator.
 
     The kernel values cached here (lag weights, nu(0)) belong to the medium of
-    the first step; a history is advanced in one medium only.
+    the first step, which is recorded; a history is advanced in one medium only.
     """
 
     dt: float
@@ -262,6 +262,7 @@ class HistoryState:
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     _weights: dict = field(default_factory=dict, repr=False)
+    _medium: MediumSpec | None = field(default=None, repr=False)
     _nu0: tuple[float, float] | None = field(default=None, repr=False)
 
     @property
@@ -339,6 +340,8 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  Serves as the oracle for
     step_exact and is the only integrator available for sampled kernels.
+    Every step of one history takes the medium of its first step (that object
+    or an equal one); another medium raises ModalError.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
@@ -348,10 +351,14 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         raise HistoryTruncationError(
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
         )
-    eps, mu = medium.eps, medium.mu
-    if state._nu0 is None:
+    if state._medium is None:
+        state._medium = medium
         state._nu0 = (float(eval_kernel(medium.nu_e, 0.0, 0)),
                       float(eval_kernel(medium.nu_h, 0.0, 0)))
+    elif medium is not state._medium and medium != state._medium:
+        raise ModalError("this history was started in another medium; a history "
+                         "is advanced in one medium only")
+    eps, mu = medium.eps, medium.mu
     nue0, nuh0 = state._nu0
     e_samples = state.e_past.view()
     h_samples = state.h_past.view()

@@ -11,6 +11,16 @@ def mixed_medium():
     return MediumSpec(1.5, 0.7, nu_e, drude(0.4, 0.9))
 
 
+def lorentz_sum6():
+    """Six slowly damped Lorentz terms, x_j = -0.05 j and y_j = 3 j."""
+    return ExpPolyKernel(tuple(t for j in range(1, 7) for t in lorentz(1.0, 3.0 * j, 0.1 * j).terms))
+
+
+def debye_sum6():
+    """Six unit Debye terms with rates 10^(j/3), j = 0..5."""
+    return ExpPolyKernel(tuple(t for j in range(6) for t in debye(1.0, 10.0 ** (-j / 3)).terms))
+
+
 def random_class_k_kernel(rng, max_terms=2, max_degree=2):
     """A random real kernel with all exponents strictly damped.
 

@@ -185,6 +185,22 @@ class TestSampledPath:
         assert report.m == 0
         assert not report.certified
 
+    def test_sigma_belongs_to_the_sampled_field(self):
+        # each field's sigma comes from its own tail; a zero kernel has none
+        alone = analyze(GAUSSIAN, ZERO)
+        assert alone.sigma_E == pytest.approx(1.0005564840635506, rel=1e-9)
+        assert alone.sigma_H == 0.0
+        swapped = analyze(ZERO, GAUSSIAN)
+        assert swapped.m == 0
+        assert (swapped.sigma_E, swapped.sigma_H) == (0.0, alone.sigma_E)
+
+    def test_sigma_per_field_with_exp_poly_partner(self):
+        report = analyze(GAUSSIAN, debye())
+        assert report.m == 0 and not report.certified
+        assert report.sigma_E == pytest.approx(1.0005564840635506, rel=1e-9)
+        # Re(i w L nu(i w)) = w^2 / (1 + w^2) for the unit Debye kernel, least at w = 10
+        assert report.sigma_H == pytest.approx(100.0 / 101.0, rel=1e-12)
+
     def test_gaussian_real_part_positive(self):
         for w in np.geomspace(0.01, 100, 60):
             assert (1j * w * laplace(GAUSSIAN, 1j * w)).real > 0

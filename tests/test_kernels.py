@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +21,11 @@ from dispersia import (
     laplace,
     lorentz,
 )
+from dispersia import kernels
 from dispersia.dispersion import _SAMPLED_GRID
 from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
-from conftest import random_class_k_kernel
+from conftest import debye_sum6, lorentz_sum6, random_class_k_kernel
 
 
 class TestEval:
@@ -84,6 +87,87 @@ class TestCertify:
         bad = ExpPolyKernel((DampedTerm((1.0,), (0.0,), 0.1, 0.0),))
         with pytest.raises(NotInClassK):
             certify_class_K(bad)
+
+    @staticmethod
+    def _tail_kernels():
+        rng = np.random.default_rng(41)
+        draws = [random_class_k_kernel(rng, max_terms=3, max_degree=3) for _ in range(12)]
+        return draws + [lorentz_sum6(), debye_sum6()]
+
+    def test_gauss_legendre_rule_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(kernels._GL_NODES, nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kernels._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
+
+    def test_exp_poly_certificate_makes_no_quad_call(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("adaptive quad called")
+
+        monkeypatch.setattr(kernels.integrate, "quad", no_quad)
+        for kern in [debye(), lorentz(), drude()] + self._tail_kernels():
+            certify_class_K(kern)
+
+    def test_tail_identity_residual(self):
+        # nu'(t0) + int_{t0}^{t0 + 60/delta} nu'' vanishes up to rounding, and
+        # the panel integrals agree with adaptive quad within its 1e-8 check
+        for kern in self._tail_kernels():
+            delta = certify_class_K(kern).delta
+            nup, nupp = kernels._nth_derivative(kern, 1), kernels._nth_derivative(kern, 2)
+            scale = max(1.0, abs(nup(0.0)))
+            integrals, errors = kernels._tail_integrals(kern, delta, 1e-10 * scale)
+            assert np.all(errors <= 1e-10 * scale)
+            for t0, val in zip(kernels._TAIL_STARTS, integrals):
+                assert abs(nup(t0) + val) <= 1e-12 * scale
+                ref, _ = quad(lambda y: nupp(np.asarray(y)), t0, t0 + 60.0 / delta,
+                              epsabs=1e-12, limit=400)
+                assert abs(val - ref) <= 1e-8 * scale
+
+    def test_inconsistent_second_derivative_rejected(self, monkeypatch):
+        exact = kernels._nth_derivative
+
+        def perturbed(kern, order):
+            d = exact(kern, order)
+            if order != 2:
+                return d
+            return ExpPolyKernel(tuple(
+                DampedTerm(tuple(np.multiply(t.p, 1 + 1e-6)), tuple(np.multiply(t.q, 1 + 1e-6)),
+                           t.x, t.y) for t in d.terms))
+
+        monkeypatch.setattr(kernels, "_nth_derivative", perturbed)
+        for kern in (debye(), lorentz(), lorentz_sum6()):
+            with pytest.raises(CertificationFailure):
+                certify_class_K(kern)
+
+    def test_unconverged_tail_quadrature_rejected(self, monkeypatch):
+        # panels 16x too wide: four halvings recover them, one does not
+        monkeypatch.setattr(kernels, "_PANEL_SCALE", 64.0)
+        assert certify_class_K(lorentz_sum6()).C == pytest.approx(785.5268236661974, rel=1e-12)
+        monkeypatch.setattr(kernels, "_MAX_HALVINGS", 1)
+        with pytest.raises(CertificationFailure, match="did not converge"):
+            certify_class_K(lorentz_sum6())
+
+    @pytest.mark.parametrize("kern, C, delta, horizon, violation", [
+        (debye(), 1.05, 0.9, 22.22222222222222, -1.9408481599401692e-09),
+        (lorentz(), 1.2725312095672017, 0.45, 44.44444444444444, -2.348257210362758e-09),
+        (drude(), 1.05, 0.9, 22.22222222222222, -1.9408481599401692e-09),
+        (lorentz_sum6(), 785.5268236661974, 0.045000000000000005, 444.4444444444444,
+         -1.6171379878706361e-06),
+    ])
+    def test_certificates_unchanged(self, kern, C, delta, horizon, violation):
+        cert = certify_class_K(kern)
+        assert cert.delta == delta and cert.checked_horizon == horizon
+        assert cert.C == pytest.approx(C, rel=1e-12)
+        assert cert.max_violation == pytest.approx(violation, rel=1e-9, abs=1e-15 * C)
+
+    def test_certificate_heap_peak_bounded(self):
+        certify_class_K(lorentz_sum6())  # derivatives cached outside the measurement
+        tracemalloc.start()
+        try:
+            certify_class_K(lorentz_sum6())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _quadrature_laplace(kernel, lam, upper=80.0):

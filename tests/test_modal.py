@@ -220,6 +220,14 @@ class TestHistoryIntegrator:
         assert len(calls) <= 60
         assert all(w.size <= 2 * (steps + 1) for w in hist._weights.values())
 
+    def test_second_medium_rejected(self):
+        hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
+        # an equal medium built anew is the same medium
+        hist = step_history(debye_medium(), 1.0, hist, 0.1)
+        with pytest.raises(ModalError, match="another medium"):
+            step_history(MediumSpec(1.0, 1.0, lorentz(), ZERO), 1.0, hist, 0.1)
+        assert hist.t == pytest.approx(0.2)
+
     def test_eta_boundary_conditions(self):
         hist = initial_history(0.1, s_max=2.0)
         for _ in range(10):
