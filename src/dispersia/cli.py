@@ -15,7 +15,6 @@ import argparse
 import logging
 import os
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 from . import decay, dispersion, io, kernels, modal
@@ -184,19 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built once per process.
-
-    A parser is a reference cycle that only the cyclic collector frees, so a
-    parser built per call leaves garbage behind every in-process call.
-    """
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except io.ParseError as exc:

@@ -302,10 +302,11 @@ _GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.1691565193950026
                     0.062253523938647456, 0.027152459411754176)
 _GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
 _GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
-_PANEL_SCALE = 4.0  # panel width <= _PANEL_SCALE / (max_j |z_j| + degree + 1)
+_PANEL_SCALE = 4.0  # panel width <= _PANEL_SCALE / (|z_j| + (degree_j + 1) delta)
 _BLOCK_PANELS = 128  # panels per kernel evaluation, so memory stays bounded
 _MAX_HALVINGS = 4  # panel halvings before an unconverged estimate fails
 _QUAD_TOL = 1e-10  # accepted halving estimate, relative to the check scale
+_FADE_TOL = 1e-3  # share of the accepted estimate left to all faded terms
 _TAIL_STARTS = (0.0, 1.0, 10.0)  # t0 of the identity nu'(t0) = -int_{t0}^inf nu''
 
 
@@ -320,25 +321,56 @@ def _panel_sum(f, a: float, width: float, count: int) -> float:
     return 0.5 * width * total
 
 
+def _fade_time(term: DampedTerm, delta: float, eps: float) -> float:
+    """A time T after which the term's share of the panel sums is below eps.
+
+    With a = -x, d = degree and B = sum |p_k| + |q_k|, the term is bounded by
+    b(t) = B (1 + t)^d e^{-a t}, which for 1 + t >= 2 d / a decays at rate
+    a / 2 or faster.  Past such a T, Gauss-Legendre panels no wider than
+    _PANEL_SCALE / delta and the exact integral of the term differ by at most
+    (_PANEL_SCALE / delta + 4 / a) b(T), however coarse the panels are for
+    the term itself.  T solves that bound = eps by fixed-point iteration,
+    which contracts by 1/2 or better.
+    """
+    a, d = -term.x, term.degree
+    weight = (_PANEL_SCALE / delta + 4.0 / a) * (sum(map(abs, term.p)) + sum(map(abs, term.q)))
+    t_min = max(0.0, 2.0 * d / a - 1.0)
+    t = t_min
+    for _ in range(100):
+        nxt = max(t_min, (math.log(weight / eps) + d * math.log1p(t)) / a)
+        if nxt - t <= 1e-12 * nxt:
+            return nxt
+        t = nxt
+    return t
+
+
 def _tail_integrals(kernel: ExpPolyKernel, delta: float, tol: float):
     """int_{t0}^{t0 + 60/delta} nu'' for t0 in _TAIL_STARTS, with error estimates.
 
-    The starts and ends cut [0, 10 + 60/delta] into segments, each covered by
-    equal panels of width <= _PANEL_SCALE / (max_j |z_j| + degree + 1); one
-    cumulative sum over the segments gives every window.  A window's error
-    estimate is the change of its segments under panel halving; the panels
-    are halved until every estimate is <= tol, at most _MAX_HALVINGS times.
-    Returns the integrals and estimates of the last level.
+    Every term j of nu'' has a rate |z_j| + (degree_j + 1) delta and a fade
+    time (``_fade_time``) after which its share of the panel sums is below
+    _FADE_TOL * tol / (number of terms).  The starts, the ends and the fade
+    times cut [0, 10 + 60/delta] into segments, each covered by equal panels
+    no wider than _PANEL_SCALE over the largest rate of the terms not yet
+    faded there, so a slow term costs a bounded number of panels and a stiff
+    term costs panels only while it matters.  One cumulative sum over the
+    segments gives every window.  A window's error estimate is the change of
+    its segments under panel halving; the panels are halved until every
+    estimate is <= tol, at most _MAX_HALVINGS times.  Returns the integrals
+    and estimates of the last level.
     """
     nupp = _nth_derivative(kernel, 2)
-    rate = (max(math.hypot(t.x, t.y) for t in kernel.terms)
-            + max(t.degree for t in kernel.terms) + 1.0)
     starts = np.asarray(_TAIL_STARTS)
     ends = starts + 60.0 / delta
-    points = np.unique(np.concatenate([starts, ends]))
+    eps = _FADE_TOL * tol / max(1, len(nupp.terms))
+    rates = np.array([math.hypot(t.x, t.y) + (t.degree + 1) * delta for t in nupp.terms])
+    fades = np.array([_fade_time(t, delta, eps) for t in nupp.terms])
+    inside = fades[(fades > 0.0) & (fades < ends[-1])]
+    points = np.unique(np.concatenate([starts, ends, inside]))
     lo, hi = np.searchsorted(points, starts), np.searchsorted(points, ends)
     lengths = np.diff(points)
-    counts = np.maximum(1, np.ceil(lengths * rate / _PANEL_SCALE)).astype(int)
+    seg_rates = np.array([max([delta, *rates[fades > a]]) for a in points[:-1]])
+    counts = np.maximum(1, np.ceil(lengths * seg_rates / _PANEL_SCALE)).astype(int)
 
     def segments(counts):
         return np.array([_panel_sum(nupp, a, span / n, n)
@@ -364,11 +396,13 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     padded grid maximum of |nu''| e^{delta t}; the construction also checks
     nu'(t) -> 0 at the horizon and the identity nu'(t) = -int_t^inf nu'' at
     t0 = 0, 1, 10.  The integrals over [t0, t0 + 60/delta] come from one
-    vectorized composite 16-point Gauss-Legendre rule, with panels no wider
-    than 4 / (max_j |z_j| + degree + 1) and breakpoints at every start and
-    end.  Its error is estimated by halving the panels; an estimate above
-    1e-10 of the check scale is refined, and if it stays above after four
-    halvings the certificate fails.
+    vectorized composite 16-point Gauss-Legendre rule, with breakpoints at
+    every start and end and panels no wider than 4 / (|z_j| + (degree_j + 1)
+    delta) for every term j not yet faded below the tolerance, so the cost
+    does not grow with the time scale of a slow term or with the stiffness of
+    a fast one (see ``_tail_integrals``).  Its error is estimated by halving
+    the panels; an estimate above 1e-10 of the check scale is refined, and if
+    it stays above after four halvings the certificate fails.
     For SampledKernel the user-supplied pair is spot-checked.
     """
     if isinstance(kernel, SampledKernel):

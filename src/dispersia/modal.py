@@ -334,6 +334,18 @@ def _convolution(state, kernel, key, samples, c, stage_value):
     return total
 
 
+def _same_kernel(a: Kernel, b: Kernel) -> bool:
+    # SampledKernel equality ignores the evaluator, so compare that by identity
+    if isinstance(a, SampledKernel) or isinstance(b, SampledKernel):
+        return a is b or (a == b and a.evaluator is b.evaluator)
+    return a == b
+
+
+def _same_medium(a: MediumSpec, b: MediumSpec) -> bool:
+    return a is b or (a.eps == b.eps and a.mu == b.mu
+                      and _same_kernel(a.nu_e, b.nu_e) and _same_kernel(a.nu_h, b.nu_h))
+
+
 def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -> HistoryState:
     """One step of the brute-force reference integrator (any kernel type).
 
@@ -341,7 +353,8 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     by trapezoidal quadrature over the stored past.  Serves as the oracle for
     step_exact and is the only integrator available for sampled kernels.
     Every step of one history takes the medium of its first step (that object
-    or an equal one); another medium raises ModalError.
+    or an equal one, whose sampled kernels have the same evaluators); another
+    medium raises ModalError.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
@@ -355,7 +368,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         state._medium = medium
         state._nu0 = (float(eval_kernel(medium.nu_e, 0.0, 0)),
                       float(eval_kernel(medium.nu_h, 0.0, 0)))
-    elif medium is not state._medium and medium != state._medium:
+    elif not _same_medium(medium, state._medium):
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
     eps, mu = medium.eps, medium.mu

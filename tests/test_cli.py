@@ -1,5 +1,3 @@
-import argparse
-import gc
 import json
 
 import numpy as np
@@ -115,24 +113,6 @@ class TestAnalyzeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passive"] is False
         assert doc["witnesses"]
-
-    def test_repeated_calls_leave_no_parser_garbage(self, tmp_path):
-        cfg = write_config(tmp_path, {"nu_e": kernel_doc(debye())})
-        out = str(tmp_path / "r.json")
-        assert main(["analyze", "--config", cfg, "--out", out]) == 0
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            for _ in range(3):
-                assert main(["analyze", "--config", cfg, "--out", out]) == 0
-            gc.collect()
-            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert parsers == []
 
     def test_undamped_kernel_exit2(self, tmp_path):
         bad = {"type": "exp_poly",

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,32 @@ class TestCertify:
                 ref, _ = quad(lambda y: nupp(np.asarray(y)), t0, t0 + 60.0 / delta,
                               epsabs=1e-12, limit=400)
                 assert abs(val - ref) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("kern", [
+        debye(1.0, 1e6),
+        debye(1.0, 1e9),
+        ExpPolyKernel(tuple(t for tau in np.logspace(-3, 3, 7) for t in debye(1.0, tau).terms)),
+    ], ids=["tau=1e6", "tau=1e9", "taus=1e-3..1e3"])
+    def test_slow_and_stiff_terms_certified_quickly(self, kern, monkeypatch):
+        # a slow term costs a bounded number of panels; a stiff one, panels
+        # only while it is above the tolerance
+        panels = []
+        exact = kernels._panel_sum
+
+        def counting(f, a, width, count):
+            panels.append(count)
+            return exact(f, a, width, count)
+
+        monkeypatch.setattr(kernels, "_panel_sum", counting)
+        start = time.perf_counter()
+        cert = certify_class_K(kern)
+        assert time.perf_counter() - start < 0.5
+        assert sum(panels) < 1000
+        nup = kernels._nth_derivative(kern, 1)
+        scale = max(1.0, abs(nup(0.0)))
+        integrals, _ = kernels._tail_integrals(kern, cert.delta, 1e-10 * scale)
+        for t0, val in zip(kernels._TAIL_STARTS, integrals):
+            assert abs(nup(t0) + val) <= 1e-12 * scale
 
     def test_inconsistent_second_derivative_rejected(self, monkeypatch):
         exact = kernels._nth_derivative

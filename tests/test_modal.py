@@ -5,6 +5,7 @@ from dispersia import (
     ExpPolyKernel,
     GAUSSIAN,
     MediumSpec,
+    SampledKernel,
     build_mode,
     build_modes,
     cavity_modes,
@@ -19,6 +20,7 @@ from dispersia import (
     step_history,
 )
 from dispersia import modal
+from dispersia.kernels import _gaussian_eval
 from dispersia.modal import HistoryTruncationError, ModalError
 
 from conftest import mixed_medium, random_passive_kernel
@@ -227,6 +229,20 @@ class TestHistoryIntegrator:
         with pytest.raises(ModalError, match="another medium"):
             step_history(MediumSpec(1.0, 1.0, lorentz(), ZERO), 1.0, hist, 0.1)
         assert hist.t == pytest.approx(0.2)
+
+    def test_second_sampled_evaluator_rejected(self):
+        # equal C, delta and name but another evaluator is another medium
+        def halved(t, order):
+            return 0.5 * _gaussian_eval(t, order)
+
+        first = MediumSpec(1.0, 1.0, GAUSSIAN, ZERO)
+        hist = step_history(first, 1.0, initial_history(0.1, s_max=2.0), 0.1)
+        hist = step_history(MediumSpec(1.0, 1.0, SampledKernel(_gaussian_eval, 3.4, 1.0,
+                                                               "gaussian"), ZERO), 1.0, hist, 0.1)
+        other = MediumSpec(1.0, 1.0, SampledKernel(halved, 3.4, 1.0, "gaussian"), ZERO)
+        assert other == first
+        with pytest.raises(ModalError, match="another medium"):
+            step_history(other, 1.0, hist, 0.1)
 
     def test_eta_boundary_conditions(self):
         hist = initial_history(0.1, s_max=2.0)
