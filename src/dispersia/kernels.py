@@ -5,7 +5,8 @@ sums of damped polynomial oscillations (the family covering Debye, Lorentz
 and Drude media) in a real cosine/sine form, so evaluation never leaves the
 reals.  ``SampledKernel`` wraps a black-box evaluator together with a
 user-supplied exponential bound on the second derivative; its Laplace values
-are obtained by adaptive quadrature.
+are obtained by adaptive quadrature (``scipy.integrate.quad``, imported on the
+first sampled-kernel quadrature, so the exp-poly path never loads scipy).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate
 
 
 class KernelError(ValueError):
@@ -514,9 +514,16 @@ def sampled_iw_real_part(kernel: SampledKernel, w: float) -> float:
     if w == 0.0:
         raise UnsupportedPoint("w = 0 is not supported on the quadrature path")
     upper = 60.0 / kernel.delta
-    sine, _ = integrate.quad(lambda s: float(kernel(np.asarray(s), 2)), 0.0, upper,
-                             weight="sin", wvar=w, epsabs=1e-11, limit=400)
+    sine, _ = _quad(lambda s: float(kernel(np.asarray(s), 2)), 0.0, upper,
+                    weight="sin", wvar=w, epsabs=1e-11, limit=400)
     return float(kernel(np.asarray(0.0), 0)) - sine / w
+
+
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: it costs a third of a second."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def _oscillatory_laplace(f, lam: complex, upper: float) -> complex:
@@ -527,10 +534,10 @@ def _oscillatory_laplace(f, lam: complex, upper: float) -> complex:
         return float(np.exp(-sigma * s) * f(s))
 
     if w == 0.0:
-        re, _ = integrate.quad(damped, 0.0, upper, epsabs=1e-11, limit=400)
+        re, _ = _quad(damped, 0.0, upper, epsabs=1e-11, limit=400)
         return complex(re, 0.0)
-    re, _ = integrate.quad(damped, 0.0, upper, weight="cos", wvar=w, epsabs=1e-11, limit=400)
-    im, _ = integrate.quad(damped, 0.0, upper, weight="sin", wvar=w, epsabs=1e-11, limit=400)
+    re, _ = _quad(damped, 0.0, upper, weight="cos", wvar=w, epsabs=1e-11, limit=400)
+    im, _ = _quad(damped, 0.0, upper, weight="sin", wvar=w, epsabs=1e-11, limit=400)
     return complex(re, -im)
 
 

@@ -4,8 +4,9 @@ Each divergence-free cavity eigenmode with curl eigenvalue k obeys a
 2-component Volterra system; for exponential-polynomial kernels the memory
 convolutions close exactly into auxiliary linear states (one companion block
 per damped term), so the mode becomes a small constant-coefficient ODE that
-is advanced with the matrix exponential.  A history-quadrature integrator is
-kept as the independent reference.
+is advanced with the matrix exponential (``scipy.linalg.expm``, imported on
+the first ``expm`` call).  A history-quadrature integrator is kept as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import expm
 
 from .kernels import (
     ExpPolyKernel,
@@ -184,6 +184,13 @@ def build_modes(medium: MediumSpec, ks) -> list[ModeSystem]:
     return [replace(base, k=float(k), A=a) for k, a in zip(ks, A)]
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm (stacked input accepted), imported on first use."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 @lru_cache(maxsize=512)
 def _propagator(system: ModeSystem, dt: float) -> np.ndarray:
     return expm(system.A * dt)
@@ -284,14 +291,6 @@ class HistoryState:
         cum = np.concatenate(([0.0], np.cumsum(0.5 * (rev[1:] + rev[:-1]) * self.dt)))
         y = np.minimum(np.asarray(s_grid), self.t)
         return np.interp(y, np.arange(past.size) * self.dt, cum)
-
-    def weighted_history_norm(self, C: float, delta: float, s_max: float | None = None) -> float:
-        """L^2 norm of (eta_E, eta_H) against the weight w(s) = C e^{-delta s}."""
-        upper = s_max if s_max is not None else max(self.t, 1.0) + 20.0 / delta
-        s = np.linspace(0.0, upper, 2000)
-        w = C * np.exp(-delta * s)
-        total = np.trapezoid((self.eta("E", s) ** 2 + self.eta("H", s) ** 2) * w, s)
-        return float(np.sqrt(total))
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:

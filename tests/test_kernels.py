@@ -104,9 +104,14 @@ class TestCertify:
         def no_quad(*args, **kwargs):
             raise AssertionError("adaptive quad called")
 
-        monkeypatch.setattr(kernels.integrate, "quad", no_quad)
+        # the package's quad seam and scipy's own quad both raise
+        monkeypatch.setattr(kernels, "_quad", no_quad)
+        monkeypatch.setattr("scipy.integrate.quad", no_quad)
         for kern in [debye(), lorentz(), drude()] + self._tail_kernels():
             certify_class_K(kern)
+        # the patch is live: the sampled path goes through the seam
+        with pytest.raises(AssertionError, match="adaptive quad called"):
+            sampled_iw_real_part(GAUSSIAN, 1.0)
 
     def test_tail_identity_residual(self):
         # nu'(t0) + int_{t0}^{t0 + 60/delta} nu'' vanishes up to rounding, and

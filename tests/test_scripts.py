@@ -8,16 +8,44 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_integrator_convergence_is_second_order():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "integrator_convergence.py"),
-         "--T", "2", "--levels", "3"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
+
+
+def test_integrator_convergence_is_second_order():
+    out = run_script("integrator_convergence.py", "--T", "2", "--levels", "3")
     rows = [line.split() for line in out.splitlines()[1:]]
     assert len(rows) == 3
     ratios = [float(row[2]) for row in rows[1:]]
     # the history integrator is second order: halving dt quarters the error
     assert all(3.8 <= r <= 4.2 for r in ratios), out
+
+
+def test_decay_experiments_observe_the_predicted_decay():
+    out = run_script("decay_experiments.py")
+    rows = {}
+    for line in out.splitlines():
+        name, *fields = line.split()
+        rows[name] = dict(f.split("=", 1) for f in fields if "=" in f)
+    # m = 0 gives exponential decay, m = 2 polynomial decay
+    want = {"debye": ("0", "exponential"), "lorentz": ("2", "polynomial"),
+            "drude": ("2", "polynomial")}
+    assert {name: (r["m"], r["predicted"]) for name, r in rows.items()} == want, out
+    assert all(r["observed"] == r["predicted"] for r in rows.values()), out
+
+
+def test_abscissa_scaling_is_negative_and_k_squared():
+    out = run_script("abscissa_scaling.py", "--num", "3", "--k-max", "16")
+    rows = [[float(x) for x in line.split()] for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    # columns: k, then abscissa and |abscissa|*k^2 for debye, lorentz, drude
+    assert all(row[i] < 0 for row in rows for i in (1, 3, 5)), out
+    k, last = rows[-1][0], rows[-1]
+    assert k == 16.0
+    # m = 2 media: the abscissa scales like -c/k^2 with c near 1/2
+    assert 0.4 <= last[4] <= 0.6 and 0.4 <= last[6] <= 0.6, out
