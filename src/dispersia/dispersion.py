@@ -1,11 +1,15 @@
-"""Frequency-axis analysis: rational form of i w L nu(i w) and passivity checks.
+"""Frequency-axis analysis: Re(i w L nu(i w)) and the passivity decisions.
 
-For exponential-polynomial kernels every decision is made on exact polynomial
-data: nonnegativity on the real axis is decided from companion-matrix roots
-with sign evaluation between them, never from grid sampling alone.  Sampled
-kernels get a dense-grid check labelled as such.  On the imaginary axis
-Re(i w L nu(i w)) = nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, so each
-sampled frequency costs one sine quadrature (``kernels.sampled_iw_real_part``).
+For exponential-polynomial kernels every verdict is exact.  From the integer
+polynomials of ``kernels.laplace_rational``, lambda L nu(lambda) = A/B with
+A(i w) = A_e(u) + i w A_o(u) in u = w^2, Re(i w L nu(i w)) = P(u) / D(u) with
+P = A_e B_e + u A_o B_o and D = B_e^2 + u B_o^2 > 0.  Passivity asks for P = 0,
+or lc(P) > 0 and no root of odd multiplicity in (0, inf); strict passivity for
+lc(N) > 0 and no root in (0, inf) of N = P_E D_H + P_H D_E; and
+m = 2 (deg D_E D_H - deg N).  Roots come from a square-free split and
+Descartes-rule bisection on integers; floats only report the witness, omega0
+and sigma.  Sampled kernels get a dense-grid check labelled as such: each
+frequency costs one sine quadrature (``kernels.sampled_iw_real_part``).
 
 Each call computes what it needs of a kernel once, either the omega_form or
 the sampled real part on the 600-point grid (plus the 25-point tail grid of
@@ -15,7 +19,10 @@ exponent steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate, zip_longest
 from typing import Optional
 
 import numpy as np
@@ -26,9 +33,8 @@ from .kernels import (
     Kernel,
     KernelError,
     SampledKernel,
-    _trim,
-    lambda_laplace_rational,
-    laplace,  # not used here; kept importable as dispersion.laplace
+    laplace,  # not used here; perfbench/test_smoke.py reads dispersion.laplace
+    laplace_rational,
     sampled_iw_real_part,
 )
 
@@ -39,12 +45,20 @@ class PassivityError(KernelError):
 
 @dataclass(frozen=True)
 class OmegaRational:
-    """i w L nu(i w) = Pr(w)/Qr(w) + i Pi(w)/Qi(w) with real coefficients."""
+    """i w L nu(i w) = Pr(w)/Qr(w) + i Pi(w)/Qi(w) with real coefficients.
+
+    ``p`` and ``d`` are the exact integer polynomials in u = w^2 with
+    Re(i w L nu(i w)) = p(u)/d(u).  The float coefficients, ascending in w,
+    are the exact ones divided by the leading coefficient of d and correctly
+    rounded.
+    """
 
     pr: tuple[float, ...]
     qr: tuple[float, ...]
     pi: tuple[float, ...]
     qi: tuple[float, ...]
+    p: tuple[int, ...] = field(default=(0,), repr=False)
+    d: tuple[int, ...] = field(default=(1,), repr=False)
 
     def real_part(self, w):
         return npoly.polyval(w, self.pr) / npoly.polyval(w, self.qr)
@@ -58,6 +72,11 @@ class OmegaRational:
     @property
     def is_zero(self) -> bool:
         return not any(self.pr) and not any(self.pi)
+
+    @cached_property
+    def _roots(self) -> list[tuple[float, int]]:
+        """(u, multiplicity) of the distinct roots of p in (0, inf); p must be nonzero."""
+        return _positive_roots(self.p)
 
 
 _ZERO_FORM = OmegaRational((0.0,), (1.0,), (0.0,), (1.0,))
@@ -75,143 +94,197 @@ class PassivityReport:
     certified: bool = True
 
 
-def _poly_iw_split(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of A(i w) as real polynomials in w."""
-    c = np.asarray(coeffs, dtype=float)
-    re = np.zeros_like(c)
-    im = np.zeros_like(c)
-    for k, a in enumerate(c):
-        r = k % 4
-        if r == 0:
-            re[k] = a
-        elif r == 1:
-            im[k] = a
-        elif r == 2:
-            re[k] = -a
-        else:
-            im[k] = -a
-    return _trim(re), _trim(im)
+def _split(a: np.ndarray) -> list[np.ndarray]:
+    """A_e, A_o with A(i w) = A_e(w^2) + i w A_o(w^2)."""
+    parts = [np.append(a[k::2], 0) for k in (0, 1)]  # a constant A has A_o = 0
+    for c in parts:
+        c[1::2] *= -1
+    return parts
 
 
 def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
-    """Exact rational decomposition of w -> i w L nu(i w).
+    """Rational decomposition of w -> i w L nu(i w) from ``laplace_rational``.
 
-    The zero kernel maps to 0/1 + i 0/1.
+    Exact in the integer polynomials p and d, correctly rounded in the float
+    coefficients.  The zero kernel maps to 0/1 + i 0/1.
     """
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError("omega_form needs an exponential-polynomial kernel")
     if kernel.is_zero:
         return _ZERO_FORM
-    num, den = lambda_laplace_rational(kernel)
-    ar, ai = _poly_iw_split(num)
-    br, bi = _poly_iw_split(den)
-    pr = npoly.polyadd(npoly.polymul(ar, br), npoly.polymul(ai, bi))
-    pi = npoly.polysub(npoly.polymul(ai, br), npoly.polymul(ar, bi))
-    q = npoly.polyadd(npoly.polymul(br, br), npoly.polymul(bi, bi))
-    pr = _trim(pr, 1e-10)
-    pi = _trim(pi, 1e-10)
-    q = _trim(q, 1e-10)
-    pr, pi, q = _cancel_common(pr, pi, q)
-    lead = q[-1]
-    pr = pr / lead
-    pi = pi / lead
-    q = q / lead
-    return OmegaRational(tuple(pr), tuple(q), tuple(pi), tuple(q))
+    (ae, ao), (be, bo) = (_split(c) for c in laplace_rational(kernel))
+    p = npoly.polyadd(npoly.polymul(ae, be), npoly.polymulx(npoly.polymul(ao, bo)))
+    d = npoly.polyadd(npoly.polymul(be, be), npoly.polymulx(npoly.polymul(bo, bo)))
+    im = npoly.polysub(npoly.polymul(ao, be), npoly.polymul(ae, bo))
+
+    def in_w(c, odd):  # float coefficients, ascending in w, of w^odd c(w^2) / lc(d)
+        out = np.zeros(2 * len(c) - 1 + odd)
+        out[odd::2] = [v / d[-1] for v in c]
+        return tuple(np.trim_zeros(out, "b")) or (0.0,)
+
+    q = in_w(d, 0)
+    return OmegaRational(in_w(p, 0), q, in_w(im, 1), q, tuple(p), tuple(d))
 
 
-def _cancel_common(pr: np.ndarray, pi: np.ndarray, q: np.ndarray):
-    """Deflate factors of q shared (as roots) by both numerators."""
-    if q.size <= 1:
-        return pr, pi, q
-    roots = np.roots(q[::-1])
-    changed = True
-    while changed and q.size > 1:
-        changed = False
-        for r in roots:
-            if q.size <= 1:
-                break
-            sq = npoly.polyval(r, np.abs(q)) or 1.0
-            spr = npoly.polyval(abs(r), np.abs(pr)) or 1.0
-            spi = npoly.polyval(abs(r), np.abs(pi)) or 1.0
-            if (
-                abs(npoly.polyval(r, q)) < 1e-10 * sq
-                and abs(npoly.polyval(r, pr)) < 1e-10 * spr
-                and abs(npoly.polyval(r, pi)) < 1e-10 * spi
-            ):
-                if abs(r.imag) < 1e-12 * (1 + abs(r)):
-                    factor = np.array([-r.real, 1.0])
-                else:
-                    factor = np.array([abs(r) ** 2, -2 * r.real, 1.0])
-                q2, rem_q = npoly.polydiv(q, factor)
-                pr2, rem_pr = npoly.polydiv(pr, factor)
-                pi2, rem_pi = npoly.polydiv(pi, factor)
-                if (
-                    np.max(np.abs(rem_q)) < 1e-9 * max(1.0, np.max(np.abs(q)))
-                    and np.max(np.abs(rem_pr)) < 1e-9 * max(1.0, np.max(np.abs(pr)))
-                    and np.max(np.abs(rem_pi)) < 1e-9 * max(1.0, np.max(np.abs(pi)))
-                ):
-                    q, pr, pi = _trim(q2, 1e-12), _trim(pr2, 1e-12), _trim(pi2, 1e-12)
-                    roots = np.roots(q[::-1]) if q.size > 1 else np.array([])
-                    changed = True
-                    break
-    return pr, pi, q
+# ---------------------------------------------------------------------------
+# exact real roots of integer polynomials (coefficient lists, ascending)
+
+_PRIME = (1 << 61) - 1  # modulus of the square-free test
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    c = _trim(coeffs, 1e-12)
-    if c.size <= 1:
-        return np.array([])
-    roots = np.roots(c[::-1])
-    real = roots[np.abs(roots.imag) < 1e-10 * (1.0 + np.abs(roots))].real
-    return np.sort(real)
+def _deriv(c: list) -> list:
+    return [i * v for i, v in enumerate(c)][1:]
 
 
-def _poly_nonneg(coeffs: np.ndarray) -> tuple[bool, Optional[float]]:
-    """Is p(w) >= 0 for all real w?  Returns (verdict, witness)."""
-    c = _trim(coeffs, 1e-12)
-    if c.size == 1:
-        return (True, None) if c[0] >= 0 else (False, 0.0)
-    scale = np.max(np.abs(c))
-    if c[-1] < 0:
-        w = 2.0 * _root_radius(c) + 1.0
-        return False, w
-    reals = _real_roots(c)
-    probes = [0.0]
-    if reals.size:
-        probes.extend(0.5 * (reals[:-1] + reals[1:]))
-        probes.append(reals[0] - 1.0)
-        probes.append(reals[-1] + 1.0)
-    for w in probes:
-        val = npoly.polyval(w, c)
-        tol = 1e-9 * scale * max(1.0, abs(w)) ** (c.size - 1)
-        if val < -tol:
-            return False, float(w)
-    return True, None
+def _gcd(a: list, b: list, p: int = 0) -> list:
+    """gcd of integer polynomials by a remainder sequence: monic over GF(p) when
+    p is given, else primitive with a positive leading coefficient."""
+    def norm(c):
+        c = [v % p for v in c] if p else c
+        while c and not c[-1]:
+            c = c[:-1]
+        if not c:
+            return c
+        scale = pow(c[-1], -1, p) if p else math.gcd(*c) * (1 if c[-1] > 0 else -1)
+        return [v * scale % p for v in c] if p else [v // scale for v in c]
+
+    a, b = norm(a), norm(b)
+    while b:
+        while len(a) >= len(b):  # a <- pseudo-remainder of a by b, normalized
+            shift = len(a) - len(b)
+            a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
+                      for i, v in enumerate(a)])
+        a, b = b, a
+    return a
 
 
-def _poly_positive_off_zero(coeffs: np.ndarray) -> tuple[bool, Optional[float]]:
-    """Is p(w) > 0 for all real w != 0?  A root at w = 0 is allowed."""
-    c = _trim(coeffs, 1e-12)
-    if c.size == 1:
-        return (True, None) if c[0] > 0 else (False, 1.0)
-    if c[-1] <= 0:
-        return False, 2.0 * _root_radius(c) + 1.0
-    reals = _real_roots(c)
-    radius = _root_radius(c)
-    nonzero = reals[np.abs(reals) > 1e-7 * (1.0 + radius)]
-    if nonzero.size:
-        return False, float(nonzero[np.argmax(np.abs(nonzero))])
-    ok, witness = _poly_nonneg(c)
-    if not ok:
-        return False, witness
-    return True, None
+def _divexact(a: list, b: list) -> list:
+    """a / b for a primitive b dividing a over the rationals (so over the integers)."""
+    a, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] // b[-1]
+        for i, v in enumerate(b):
+            a[k + i] -= q[k] * v
+    return q
 
 
-def _root_radius(coeffs: np.ndarray) -> float:
-    c = _trim(coeffs, 1e-12)
-    if c.size <= 1:
-        return 0.0
-    return float(np.max(np.abs(np.roots(c[::-1]))))
+def _squarefree_factors(f: list) -> list[tuple[int, list]]:
+    """(i, g_i) with f = c prod g_i^i, the g_i square-free and pairwise coprime.
+
+    A gcd(f, f') of degree 0 modulo _PRIME, with _PRIME not dividing lc(f),
+    proves f square-free (a repeated factor would divide both, its degree kept
+    modulo _PRIME).  Only otherwise is Yun's algorithm run over the integers.
+    """
+    df = _deriv(f)
+    if len(f) < 2 or (f[-1] % _PRIME and len(_gcd(f, df, _PRIME)) == 1):
+        return [(1, f)]
+    g = _gcd(f, df)
+    b, c = _divexact(f, g), _divexact(df, g)
+    out, mult = [], 1
+    while len(b) > 1:
+        d = [x - y for x, y in zip_longest(c, _deriv(b), fillvalue=0)]
+        while d and not d[-1]:
+            d.pop()
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((mult, a))
+        b, c, mult = _divexact(b, a), _divexact(d, a), mult + 1
+    return out
+
+
+def _variations(c: list) -> int:
+    """Sign changes of a coefficient list, zeros skipped (Descartes' rule)."""
+    signs = [v > 0 for v in c if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _shift1(c: list) -> list:
+    """Coefficients of c(x + 1): synthetic division by x - 1, as running sums."""
+    r = c[::-1]
+    for n in range(len(r), 1, -1):
+        r[:n] = accumulate(r[:n])
+    return r[::-1]
+
+
+def _roots_of_squarefree(g: list) -> list[float]:
+    """The roots of a square-free g in (0, inf), g(0) != 0, to double precision.
+
+    Collins-Akritas bisection isolates them: every root is below a power of
+    two 2^k (Fujiwara's bound), and the sign variations of
+    (x + 1)^n q(1 / (x + 1)) bound the number of roots of q in (0, 1), exactly
+    when they are 0 or 1; other intervals are halved.  ``_refine`` then
+    bisects each isolating interval on the sign of g.
+    """
+    if _variations(g) == 0:
+        return []
+    # |g_(d-i) / g_d| < 2^b_i, and every root is below 2 max_i |g_(d-i) / g_d|^(1/i)
+    d, top = len(g) - 1, abs(g[-1]).bit_length()
+    k = 1 + max(-(-(abs(v).bit_length() - top + 1) // i) for i, v in enumerate(g[::-1]) if v and i)
+    found, todo = [], [([v << k * i if k >= 0 else v << -k * (d - i) for i, v in enumerate(g)], 0, 0)]
+    while todo:
+        q, c, j = todo.pop()  # q(x) is g at (c + x) 2^(k - j), up to a positive factor
+        if q[0] == 0:  # a root at the left end, the midpoint of an earlier interval
+            found.append((c, c, j))
+            q = q[1:]
+        sign_changes = _variations(_shift1(q[::-1]))
+        if sign_changes == 1:
+            found.append((c, c + 1, j))
+        elif sign_changes > 1:
+            half = [v << (len(q) - 1 - i) for i, v in enumerate(q)]  # 2^n q(x / 2)
+            todo += [(half, 2 * c, j + 1), (_shift1(half), 2 * c + 1, j + 1)]
+    return [_refine(g, lo, hi, j - k) for lo, hi, j in found]
+
+
+def _refine(g: list, lo: int, hi: int, e: int) -> float:
+    """The root of a square-free g in (lo / 2^e, hi / 2^e) (or lo / 2^e itself
+    when lo == hi), bisected to a relative width of 2^-60 and rounded."""
+    def sign_at(c, num):  # sign of c(num / 2^e)
+        v = 0
+        for i, a in enumerate(reversed(c)):
+            v = v * num + (a << (e * i))
+        return (v > 0) - (v < 0)
+
+    if e < 0:
+        lo, hi, e = lo << -e, hi << -e, 0
+    side = sign_at(g, lo) or sign_at(_deriv(g), lo)  # the sign of g just right of lo
+    while lo != hi and (hi - lo) << 60 > lo:
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = (lo + hi) // 2
+        s = sign_at(g, mid)
+        lo, hi = (mid, mid) if s == 0 else (mid, hi) if s == side else (lo, mid)
+    return lo / (1 << e)
+
+
+def _positive_roots(p) -> list[tuple[float, int]]:
+    """(root, multiplicity) of every distinct root of the nonzero integer
+    polynomial p in (0, inf), ascending; exact until the final rounding."""
+    first = next(i for i, v in enumerate(p) if v)
+    return sorted((r, mult) for mult, g in _squarefree_factors(list(p[first:]))
+                  for r in _roots_of_squarefree(g))
+
+
+def _beyond(roots: list[tuple[float, int]]) -> float:
+    """A frequency w = 2 sqrt(u) + 1 with u past every root."""
+    return 2.0 * math.sqrt(max([0.0] + [r for r, _ in roots])) + 1.0
+
+
+def _negative_frequency(form: OmegaRational) -> Optional[float]:
+    """None when Re(i w L nu(i w)) >= 0 for every w; else a w where it is < 0."""
+    if not any(form.p):
+        return None
+    if form.p[-1] < 0:
+        return _beyond(form._roots)
+    odd = [r for r, mult in form._roots if mult % 2]
+    if not odd:
+        return None
+    # p(u) < 0 between its largest odd-multiplicity root and the root before it
+    before = max([0.0] + [r for r, _ in form._roots if r < odd[-1]])
+    return math.sqrt(0.5 * (before + odd[-1]))
+
+
+def _exponent(form: OmegaRational) -> Optional[int]:
+    """Degree deficit of Re(i w L nu(i w)) in w; None when it vanishes."""
+    return 2 * (len(form.d) - len(form.p)) if any(form.p) else None
 
 
 def _sampled_real_part(kernel: SampledKernel, wgrid: np.ndarray) -> np.ndarray:
@@ -243,10 +316,10 @@ def _passivity(data: tuple) -> PassivityReport:
     certified = True
     for item in data:
         if isinstance(item, OmegaRational):
-            ok, witness = _poly_nonneg(np.asarray(item.pr))
-            if not ok:
+            witness = _negative_frequency(item)
+            if witness is not None:
                 passive = False
-                witnesses.append(float(witness))
+                witnesses.append(witness)
         else:
             certified = False
             bad = item < -1e-9
@@ -261,13 +334,10 @@ def check_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     return _passivity(_kernel_data(nu_e, nu_h))
 
 
-def _combined_numerator(fe: OmegaRational, fh: OmegaRational):
-    num = npoly.polyadd(
-        npoly.polymul(np.asarray(fe.pr), np.asarray(fh.qr)),
-        npoly.polymul(np.asarray(fh.pr), np.asarray(fe.qr)),
-    )
-    den = npoly.polymul(np.asarray(fe.qr), np.asarray(fh.qr))
-    return _trim(num, 1e-10), _trim(den, 1e-10)
+def _combined_numerator(fe: OmegaRational, fh: OmegaRational) -> np.ndarray:
+    """N(u) with Re(i w L nu_E) + Re(i w L nu_H) = N(u) / (D_E(u) D_H(u))."""
+    pe, de, ph, dh = (np.array(c, dtype=object) for c in (fe.p, fe.d, fh.p, fh.d))
+    return npoly.polyadd(npoly.polymul(pe, dh), npoly.polymul(ph, de))
 
 
 def _strict_passivity(data: tuple) -> PassivityReport:
@@ -284,11 +354,13 @@ def _strict_passivity(data: tuple) -> PassivityReport:
         witness = () if strict else (float(_SAMPLED_GRID[np.argmin(vals)]),)
         return replace(base, strictly_passive=strict and base.passive,
                        witnesses=base.witnesses + witness, certified=False)
-    num, _ = _combined_numerator(fe, fh)
-    ok, witness = _poly_positive_off_zero(num)
-    strict = bool(ok and base.passive)
-    extra = () if ok else (float(witness),)
-    return replace(base, strictly_passive=strict, witnesses=base.witnesses + extra)
+    num = _combined_numerator(fe, fh)
+    roots = _positive_roots(num) if any(num) else []
+    ok = num[-1] > 0 and not roots
+    # a root of N, or past every root where N < 0
+    extra = () if ok else (math.sqrt(roots[-1][0]) if num[-1] > 0 else _beyond(roots),)
+    return replace(base, strictly_passive=bool(ok and base.passive),
+                   witnesses=base.witnesses + extra)
 
 
 def check_strict_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
@@ -312,29 +384,13 @@ def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> Pas
     if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
         return _decay_exponent_sampled(kernels, data, report)
 
-    num, den = _combined_numerator(fe, fh)
-    deficit = (den.size - 1) - (num.size - 1)
-    ratio = num[-1] / den[-1]
-    if deficit % 2 != 0:
-        raise PassivityError(f"degree deficit {deficit} is odd: no decay exponent exists")
-    if ratio <= 0:
-        raise PassivityError("negative leading coefficient ratio: no decay exponent exists")
-    m = deficit
-
-    roots: list[float] = []
-    per_field: dict[str, Optional[int]] = {}
-    for label, form in (("E", fe), ("H", fh)):
-        per_field[label] = _form_exponent(form)
-        if per_field[label] is not None:
-            roots.extend(np.abs(_real_roots(np.asarray(form.pr))))
-    omega0 = 2.0 * (max(roots) if roots else 0.0) + 1.0
-
+    num = _combined_numerator(fe, fh)
+    m = 2 * (len(fe.d) + len(fh.d) - 1 - len(num))
+    omega0 = _beyond([r for form in data if any(form.p) for r in form._roots])
     wgrid = np.geomspace(omega0, 1e4, 4000)
-    sig = {"E": 0.0, "H": 0.0}
-    for label, form in (("E", fe), ("H", fh)):
-        if per_field[label] is not None and per_field[label] == m:
-            sig[label] = float(np.min(np.abs(wgrid) ** m * form.real_part(wgrid)))
-    return replace(report, m=m, sigma_E=sig["E"], sigma_H=sig["H"], omega0=omega0)
+    sig_e, sig_h = (float(np.min(wgrid ** m * form.real_part(wgrid)))
+                    if _exponent(form) == m else 0.0 for form in data)
+    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=omega0)
 
 
 def _decay_exponent_sampled(kernels: tuple, data: tuple,
@@ -356,7 +412,7 @@ def _decay_exponent_sampled(kernels: tuple, data: tuple,
             own.append(None)
         else:
             vals = item.real_part(wgrid)
-            own.append(_form_exponent(item))
+            own.append(_exponent(item))
         tails.append(vals)
     total = tails[0] + tails[1]
     if np.any(total <= 0):
@@ -371,14 +427,6 @@ def _fitted_exponent(wgrid: np.ndarray, vals: np.ndarray) -> int:
     """m from the log-log slope of a positive tail, vals ~ |w|^-m."""
     slope = np.polyfit(np.log(wgrid), np.log(vals), 1)[0]
     return max(0, int(round(-slope)))
-
-
-def _form_exponent(form: OmegaRational) -> Optional[int]:
-    """Degree deficit of Re(i w L nu(i w)) = pr/qr; None when pr vanishes."""
-    pr = _trim(np.asarray(form.pr), 1e-12)
-    if form.is_zero or (pr.size == 1 and pr[0] == 0.0):
-        return None
-    return (len(_trim(np.asarray(form.qr), 1e-12)) - 1) - (pr.size - 1)
 
 
 def analyze(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:

@@ -46,13 +46,16 @@ def kernel_to_doc(kernel: Kernel) -> dict:
             "delta": kernel.delta,
         }
     terms = []
-    if kernel.offset:
+    rest = kernel.offset
+    while rest:  # one z = 0 entry per float, so that an exact (Fraction) offset survives
+        part = float(rest)
         terms.append({
-            "poly_re": [kernel.offset],
+            "poly_re": [part],
             "poly_im": [0.0],
             "z_re": 0.0,
             "z_im": 0.0,
         })
+        rest -= type(rest)(part)
     for coeffs, z in kernel.complex_terms():
         terms.append({
             "poly_re": [float(c.real) for c in coeffs],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -40,22 +41,10 @@ class UnsupportedPoint(KernelError):
     """Laplace transform requested at a point the quadrature path cannot handle."""
 
 
-def _trim(coeffs, rel_tol: float = 0.0) -> np.ndarray:
-    """Drop trailing coefficients that are zero (or tiny relative to the rest)."""
+def _trim(coeffs) -> np.ndarray:
+    """Drop trailing zero coefficients; the zero polynomial keeps one."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.size == 0:
-        return np.zeros(1)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(1)
-    cut = rel_tol * scale
-    last = c.size - 1
-    while last > 0 and abs(c[last]) <= cut:
-        last -= 1
-    out = c[: last + 1].copy()
-    if rel_tol > 0.0:
-        out[np.abs(out) <= cut] = 0.0
-    return out
+    return np.trim_zeros(c, "b") if np.any(c) else np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -86,18 +75,20 @@ class ExpPolyKernel:
 
     The constant ``offset`` accommodates kernels such as the lossy Drude model
     beta*(1 - e^{-nu t}) whose value does not vanish at infinity; it drops out
-    of every derivative, so the class-K conditions are untouched by it.
+    of every derivative, so the class-K conditions are untouched by it.  It is
+    a float, or a ``fractions.Fraction`` where ``from_complex_terms`` summed
+    constants whose float sum would round; float consumers read float(offset).
     """
 
     terms: tuple[DampedTerm, ...] = ()
-    offset: float = 0.0
+    offset: Real = 0.0
 
     @property
     def is_zero(self) -> bool:
         return not self.terms and self.offset == 0.0
 
     def value_at_zero(self) -> float:
-        return self.offset + sum(t.p[0] for t in self.terms)
+        return float(self.offset) + sum(t.p[0] for t in self.terms)
 
     def derivative(self) -> "ExpPolyKernel":
         """Exact term-wise derivative; again an ExpPolyKernel (offset drops)."""
@@ -114,13 +105,13 @@ class ExpPolyKernel:
             dq = dq[:n] if dq.size >= n else np.pad(dq, (0, n - dq.size))
             np_ = dp + t.x * p + t.y * q
             nq_ = dq + t.x * q - t.y * p
-            if np.any(_trim(np_, 1e-15) != 0) or np.any(_trim(nq_, 1e-15) != 0):
+            if np.any(np_) or np.any(nq_):
                 new_terms.append(DampedTerm(tuple(np_), tuple(nq_) if t.y else (0.0,), t.x, t.y))
         return ExpPolyKernel(tuple(new_terms), 0.0)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.offset, dtype=float)
+        out = np.full(t.shape, float(self.offset), dtype=float)
         for term in self.terms:
             val = npoly.polyval(t, term.p) * np.cos(term.y * t)
             if term.y:
@@ -155,10 +146,12 @@ class ExpPolyKernel:
         """Fold a conjugate-closed list of (complex poly coeffs, z) into real form.
 
         A term with z == 0 is only admissible as a real constant (degree 0);
-        it becomes the kernel offset.  Any other term needs Re z < 0, enforced
-        at certification time.
+        it becomes the kernel offset, summed exactly (a Fraction when the float
+        sum would round, so that Drude constants cancelling their damped
+        partners leave nu(0) = 0 exact).  Any other term needs Re z < 0,
+        enforced at certification time.
         """
-        offset = 0.0
+        constants: list[float] = []
         pending: list[tuple[np.ndarray, complex]] = []
         for coeffs, z in terms:
             c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -169,7 +162,7 @@ class ExpPolyKernel:
                     raise KernelError("z = 0 term must be a constant (Drude offset)")
                 if abs(c[0].imag) > 1e-12 * (1 + abs(c[0])):
                     raise KernelError("z = 0 term must be real")
-                offset += float(c[0].real)
+                constants.append(float(c[0].real))
             else:
                 pending.append((c, z))
 
@@ -204,6 +197,11 @@ class ExpPolyKernel:
             p = 2.0 * c.real
             q = -2.0 * c.imag
             real_terms.append(DampedTerm(tuple(p), tuple(q), z.real, z.imag))
+        offset = math.fsum(constants)
+        if math.fsum(constants + [-offset]) != 0.0:
+            from fractions import Fraction
+
+            offset = sum(map(Fraction, constants))
         return ExpPolyKernel(tuple(real_terms), offset)
 
 
@@ -480,7 +478,7 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
             raise NotInClassK("kernel has a non-damped term")
         if lam == 0 and kernel.offset != 0.0:
             raise UnsupportedPoint("pole at lambda = 0 (kernel has a constant part)")
-        total = kernel.offset / lam if kernel.offset else 0.0
+        total = float(kernel.offset) / lam if kernel.offset else 0.0
         for coeffs, z in kernel.complex_terms():
             fact = 1.0
             for ell, c in enumerate(coeffs):
@@ -541,49 +539,63 @@ def _oscillatory_laplace(f, lam: complex, upper: float) -> complex:
     return complex(re, -im)
 
 
-def lambda_laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Real-coefficient rational (num, den) with lambda L nu(lambda) = num/den.
+def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Integer polynomials (A, B), ascending in lambda, with lambda L nu(lambda) = A/B.
 
-    Built from lambda L nu = nu(0) + L nu', so the denominator collects only
-    the damped poles of nu'; a Drude-type constant offset introduces no pole.
-    Coefficient arrays are ascending in lambda.
+    lambda L nu = offset + lambda sum_j sum_l c_jl l! / (lambda - z_j)^(l+1) is
+    assembled exactly from the kernel's own floats, which are dyadic rationals:
+    with one 2^s making every x_j, y_j an integer X_j, Y_j and one 2^t every
+    coefficient, a pole is 2^s lambda - X_j, a conjugate pair the real quadratic
+    (2^s lambda - X_j)^2 + Y_j^2, and terms with equal (x_j, y_j) are merged.
+    B has no root with Re lambda >= 0, and a Drude constant adds no pole.  The
+    object arrays hold Python ints, on which numpy's polynomial arithmetic is
+    exact; A and B share no integer content.  The zero kernel gives (0, 1).
     """
     if any(t.x >= 0 for t in kernel.terms):
         raise NotInClassK("kernel has a non-damped term")
-    theta = kernel.derivative()
-    groups: list[tuple[np.ndarray, complex]] = []
-    for coeffs, z in theta.complex_terms():
-        for i, (c0, z0) in enumerate(groups):
-            if z0 == z:
-                n = max(c0.size, coeffs.size)
-                merged = np.pad(c0, (0, n - c0.size)) + np.pad(coeffs, (0, n - coeffs.size))
-                groups[i] = (merged, z0)
-                break
-        else:
-            groups.append((np.array(coeffs, dtype=complex), z))
 
-    den = np.array([1.0 + 0j])
-    for c, z in groups:
-        den = npoly.polymul(den, npoly.polypow(np.array([-z, 1.0]), c.size))
+    def exponent(v) -> int:  # the power of two in the denominator of v
+        return v.as_integer_ratio()[1].bit_length() - 1
 
-    num = np.zeros(1, dtype=complex)
-    for j, (c, z) in enumerate(groups):
-        other = np.array([1.0 + 0j])
-        for i, (ci, zi) in enumerate(groups):
-            if i != j:
-                other = npoly.polymul(other, npoly.polypow(np.array([-zi, 1.0]), ci.size))
-        inner = np.zeros(1, dtype=complex)
-        fact = 1.0
-        for ell, cl in enumerate(c):
-            if ell > 0:
-                fact *= ell
-            part = npoly.polypow(np.array([-z, 1.0]), c.size - 1 - ell) * (cl * fact)
-            inner = npoly.polyadd(inner, part)
-        num = npoly.polyadd(num, npoly.polymul(inner, other))
+    def scaled(v, e: int) -> int:  # v 2^e, exact for e >= exponent(v)
+        num, den = v.as_integer_ratio()
+        return num << (e - den.bit_length() + 1)
 
-    num = npoly.polyadd(num, kernel.value_at_zero() * den)
-    for arr in (num, den):
-        resid = np.max(np.abs(arr.imag))
-        if resid > 1e-9 * (1.0 + np.max(np.abs(arr))):
-            raise KernelError(f"rational recombination left imaginary residue {resid:.3g}")
-    return _trim(num.real, 1e-12), _trim(den.real, 1e-12)
+    s = max((exponent(v) for term in kernel.terms for v in (term.x, term.y)), default=0)
+    t = max(exponent(v) for v in (kernel.offset, *(c for term in kernel.terms
+                                                 for c in term.p + term.q)))
+    groups: dict[tuple[float, float], list[list[int]]] = {}
+    for term in kernel.terms:
+        for acc, vals in zip(groups.setdefault((term.x, term.y), [[], []]), (term.p, term.q)):
+            acc.extend([0] * (len(vals) - len(acc)))
+            for ell, v in enumerate(vals):
+                acc[ell] += scaled(v, t)
+
+    num, den = np.array([0], dtype=object), np.array([1], dtype=object)
+    for (x, y), (p, q) in groups.items():
+        n = max((ell + 1 for c in (p, q) for ell, v in enumerate(c) if v), default=0)
+        p, q = (c + [0] * (n - len(c)) for c in (p, q))
+        big_x, big_y = scaled(x, s), scaled(y, s)
+        linear = np.array([-big_x, 1 << s], dtype=object)
+        pole = linear if big_y == 0 else npoly.polyadd(npoly.polymul(linear, linear), [big_y**2])
+        # c_l l! / (lambda - z)^(l+1) = l! 2^(s (l+1)) h_l / pole^(l+1), with h_l = 2^t p_l
+        # for a real pole and h_l = 2^t 2 Re[c_l (2^s lambda - X + iY)^(l+1)] for a pair;
+        # the terms over pole^n are summed by Horner's rule
+        part, re, im = (np.array([v], dtype=object) for v in (0, 1, 0))
+        for ell in range(n):
+            if big_y == 0:
+                head = np.array([p[ell]], dtype=object)
+            else:
+                re, im = (npoly.polysub(npoly.polymul(re, linear), big_y * im),
+                          npoly.polyadd(npoly.polymul(im, linear), big_y * re))
+                head = npoly.polyadd(p[ell] * re, q[ell] * im)
+            part = npoly.polyadd(npoly.polymul(part, pole),
+                                 (math.factorial(ell) << (s * (ell + 1))) * head)
+        factor = npoly.polypow(pole, n)
+        num = npoly.polyadd(npoly.polymul(num, factor), npoly.polymul(part, den))
+        den = npoly.polymul(den, factor)
+
+    a = npoly.polyadd(scaled(kernel.offset, t) * den, npoly.polymulx(num))
+    b = den * (1 << t)
+    content = math.gcd(*a, *b)
+    return a // content, b // content

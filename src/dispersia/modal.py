@@ -22,9 +22,8 @@ from .kernels import (
     Kernel,
     KernelError,
     SampledKernel,
-    _trim,
     eval_kernel,
-    lambda_laplace_rational,
+    laplace_rational,
 )
 
 
@@ -216,23 +215,23 @@ def spectral_abscissa(system: ModeSystem) -> tuple[float, np.ndarray]:
 
 def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     """Roots of the per-mode characteristic equation
-    lambda^2 (eps + L nu_E)(mu + L nu_H) + k^2 = 0, denominators cleared."""
+    lambda^2 (eps + L nu_E)(mu + L nu_H) + k^2 = 0, denominators cleared.
+
+    The characteristic polynomial is assembled exactly in integers from
+    ``laplace_rational`` and the floats eps, mu and k, and rounded once."""
     for kern in (medium.nu_e, medium.nu_h):
         if isinstance(kern, SampledKernel):
             raise ModalError("dispersion relation needs exponential-polynomial kernels")
-    parts = []
-    dens = []
+    # lambda (c + L nu) = (c_num lambda B + c_den A) / (c_den B) with c = c_num / c_den
+    parts, dens = [], []
     for kern, coef in ((medium.nu_e, medium.eps), (medium.nu_h, medium.mu)):
-        num, den = lambda_laplace_rational(kern)
-        # lambda (coef + L nu) = (coef*lambda*den + num) / den
-        a = npoly.polyadd(coef * npoly.polymul(np.array([0.0, 1.0]), den), num)
-        parts.append(a)
-        dens.append(den)
-    char = npoly.polyadd(npoly.polymul(parts[0], parts[1]), k**2 * npoly.polymul(dens[0], dens[1]))
-    char = _trim(char, 1e-13)
-    if char.size <= 1:
-        return np.array([])
-    return np.roots(char[::-1])
+        a, b = laplace_rational(kern)
+        c_num, c_den = float(coef).as_integer_ratio()
+        parts.append(npoly.polyadd(c_num * npoly.polymulx(b), c_den * a))
+        dens.append(c_den * b)
+    k_num, k_den = float(k).as_integer_ratio()
+    char = npoly.polyadd(k_den**2 * npoly.polymul(*parts), k_num**2 * npoly.polymul(*dens))
+    return np.roots([c / char[-1] for c in char[::-1]])
 
 
 class _GrowBuf:

@@ -83,13 +83,17 @@ def series_m2_sample(rng):
 
     Positive coefficients sit at slow exponents x in [-1, -0.5] and negative
     ones at fast exponents x in [-4, -2], so the large-omega limit of
-    omega^2 * Re(i w L nu(i w)) is -sum(alpha_j x_j^2) > 0.
+    omega^2 * Re(i w L nu(i w)) is -sum(alpha_j x_j^2) > 0.  The coefficients
+    sit on a 2^-30 grid and the last one closes the sum, so sum(alpha) is
+    exactly 0 (every partial sum is exact in floats).
     """
+    grid = 2.0**30
     n = int(rng.integers(1, 4))
     p = int(rng.integers(1, 4))
-    apos = rng.uniform(0.2, 1.0, n)
+    apos = np.round(rng.uniform(0.2, 1.0, n) * grid) / grid
     xpos = -rng.uniform(0.5, 1.0, n)
     aneg = rng.uniform(0.2, 1.0, p)
-    aneg *= -apos.sum() / aneg.sum()
+    aneg = np.round(aneg * (-apos.sum() / aneg.sum()) * grid) / grid
+    aneg[-1] = -(apos.sum() + aneg[:-1].sum())
     xneg = -rng.uniform(2.0, 4.0, p)
     return series_kernel(np.concatenate([apos, aneg]), np.concatenate([xpos, xneg]))

@@ -1,0 +1,225 @@
+"""Exact passivity, strict-passivity and decay-exponent decisions.
+
+The verdicts on exponential-polynomial kernels are decided on integer
+polynomials in u = w^2 (``dispersion.omega_form``'s ``p`` and ``d``).  These
+tests pin the media the former floating-point path misjudged, the linear
+structure of the verdicts (hypothesis), the witnesses, and an independent
+sympy construction of Re(i w L nu(i w)).
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from dispersia import ExpPolyKernel, analyze, check_passivity, debye, laplace, omega_form
+from dispersia import io as dio
+from dispersia.cli import main
+from dispersia.dispersion import (
+    _ZERO_FORM,
+    OmegaRational,
+    _negative_frequency,
+    _positive_roots,
+    _strict_passivity,
+)
+
+from conftest import debye_sum6, lorentz_sum6, random_class_k_kernel
+
+ZERO = ExpPolyKernel.zero()
+
+
+def verdict(report):
+    return report.passive, report.strictly_passive, report.m
+
+
+def standard_terms(kind, beta, rate, freq=0.0):
+    """A standard term as complex (coefficients, z) pairs, the documented exp_poly form.
+
+    debye: beta e^{-rate t}; lorentz: beta sin(freq t) e^{-rate t / 2};
+    drude: beta (1 - e^{-rate t}), whose constant is its own z = 0 entry.
+    """
+    if kind == "debye":
+        return [([beta], -rate)]
+    if kind == "drude":
+        return [([beta], 0.0), ([-beta], -rate)]
+    z = complex(-rate / 2.0, freq)
+    return [([-0.5j * beta], z), ([0.5j * beta], z.conjugate())]
+
+
+def standard_sum(terms, beta_scale=1.0, time_scale=1.0):
+    """sum of beta nu_kind(time_scale t) over the terms, through from_complex_terms."""
+    pairs = []
+    for kind, beta, rate, freq in terms:
+        pairs += standard_terms(kind, beta_scale * beta, time_scale * rate, time_scale * freq)
+    return ExpPolyKernel.from_complex_terms(pairs)
+
+
+TERM = st.tuples(st.sampled_from(["debye", "lorentz", "drude"]),
+                 st.floats(0.2, 2.0), st.floats(0.3, 3.0), st.floats(0.5, 3.0))
+TERMS = st.lists(TERM, min_size=1, max_size=5)
+
+
+class TestKnownMedia:
+    def test_lorentz_sum6_m2(self):
+        assert verdict(analyze(lorentz_sum6(), ZERO)) == (True, True, 2)
+
+    def test_debye_sum6_m0(self):
+        assert verdict(analyze(debye_sum6(), ZERO)) == (True, True, 0)
+
+    def test_debye_sum10_unit_rates_m0(self):
+        kern = ExpPolyKernel(tuple(t for j in range(1, 11) for t in debye(1.0, 1.0 / j).terms))
+        assert verdict(analyze(kern, ZERO)) == (True, True, 0)
+
+    def test_drude_pair_document_keeps_nu0_zero(self, tmp_path, capsys):
+        # the float sum of the two constants rounds: 1.4562... + 1.5736... - both = -2^-52
+        betas = (1.4562084272295464, 1.5736313585792958)
+        assert betas[0] + betas[1] - betas[0] - betas[1] != 0.0
+        terms = [e for b, rate in zip(betas, (0.8, 1.7)) for e in (
+            {"poly_re": [b], "poly_im": [0.0], "z_re": 0.0, "z_im": 0.0},
+            {"poly_re": [-b], "poly_im": [0.0], "z_re": -rate, "z_im": 0.0})]
+        doc = {"type": "exp_poly", "terms": terms}
+        kern = dio.kernel_from_doc(doc)
+        assert kern.offset == Fraction(betas[0]) + Fraction(betas[1])
+        assert verdict(analyze(kern, ZERO)) == (True, True, 2)
+        assert dio.kernel_from_doc(dio.kernel_to_doc(kern)) == kern
+        cfg = tmp_path / "drude2.json"
+        cfg.write_text(json.dumps({"medium": {"eps": 1.0, "mu": 1.0, "nu_e": doc,
+                                              "nu_h": {"type": "exp_poly", "terms": []}}}))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 2
+
+    def test_exact_float_sum_stays_a_float(self):
+        kern = standard_sum([("drude", 1.0, 1.0, 0.0), ("drude", 0.5, 2.0, 0.0)])
+        assert type(kern.offset) is float and kern.offset == 1.5
+
+
+class TestLinearStructure:
+    @settings(max_examples=40, deadline=None)
+    @given(TERMS)
+    def test_sum_of_passive_terms_is_passive_with_least_m(self, terms):
+        parts = [analyze(standard_sum([t]), ZERO) for t in terms]
+        assert all(verdict(p)[:2] == (True, True) for p in parts)
+        assert [p.m for p in parts] == [0 if t[0] == "debye" else 2 for t in terms]
+        assert verdict(analyze(standard_sum(terms), ZERO)) == (True, True, min(p.m for p in parts))
+
+    @settings(max_examples=30, deadline=None)
+    @given(TERMS, st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+    def test_verdict_invariant_under_scaling(self, terms, c_beta, c_time):
+        base = verdict(analyze(standard_sum(terms), ZERO))
+        assert verdict(analyze(standard_sum(terms, beta_scale=c_beta), ZERO)) == base
+        assert verdict(analyze(standard_sum(terms, time_scale=c_time), ZERO)) == base
+
+    @settings(max_examples=30, deadline=None)
+    @given(TERMS, st.floats(0.2, 1.0))
+    def test_witness_is_negative(self, terms, excess):
+        # a Debye term below -nu(0) makes Re(i w L nu(i w)) -> nu(0) < 0
+        kern = standard_sum(terms)
+        bad = ExpPolyKernel(kern.terms + debye(-(kern.value_at_zero() + excess), 0.7).terms,
+                            kern.offset)
+        report = check_passivity(bad, ZERO)
+        assert not report.passive and len(report.witnesses) == 1
+        w = report.witnesses[0]
+        assert (1j * w * laplace(bad, 1j * w)).real < 0
+
+
+def test_every_witness_of_random_kernels_is_negative():
+    rng = np.random.default_rng(7)
+    seen = 0
+    for _ in range(60):
+        kern = random_class_k_kernel(rng, max_terms=3, max_degree=2)
+        for w in check_passivity(kern, ZERO).witnesses:
+            seen += 1
+            assert (1j * w * laplace(kern, 1j * w)).real < 0
+    assert seen > 20
+
+
+class TestRoots:
+    @staticmethod
+    def poly(*factors):
+        out = np.array([1], dtype=object)
+        for f in factors:
+            out = np.polynomial.polynomial.polymul(out, np.array(f, dtype=object))
+        return tuple(out)
+
+    def test_multiplicities_and_dyadic_roots(self):
+        # (u - 1)^2 (u - 4)^3 (u + 3) u: the Yun path, roots at bisection midpoints
+        p = self.poly([-1, 1], [-1, 1], [-4, 1], [-4, 1], [-4, 1], [3, 1], [0, 1])
+        assert _positive_roots(p) == [(1.0, 2), (4.0, 3)]
+
+    def test_close_and_tiny_roots(self):
+        # roots 3 and 3 + 2^-40, and 2^-50
+        p = self.poly([-3 * 2**40, 2**40], [-(3 * 2**40 + 1), 2**40], [-1, 2**50], [5, 1])
+        roots = _positive_roots(p)
+        assert [m for _, m in roots] == [1, 1, 1]
+        assert [r for r, _ in roots] == [2.0**-50, 3.0, 3.0 + 2.0**-40]
+
+    @staticmethod
+    def form(p, d=(1,)):
+        """A form with Re(i w L nu(i w)) = p(u) / d(u); the float view is not used."""
+        return OmegaRational((0.0,), (1.0,), (0.0,), (1.0,), tuple(p), tuple(d))
+
+    def test_negative_frequency(self):
+        form = self.form
+        assert _negative_frequency(form(self.poly([-1, 1], [-1, 1]))) is None  # touches 0
+        assert _negative_frequency(form([0])) is None
+        # p < 0 on (0, 1) and again past 9 where the leading coefficient is negative
+        assert _negative_frequency(form(self.poly([-1, 1]))) == pytest.approx(0.5**0.5)
+        w = _negative_frequency(form(self.poly([-1, 1], [9, -1])))
+        assert w == pytest.approx(7.0)
+
+    def test_strict_passivity_needs_no_positive_root(self):
+        # p = u (u - 1)^2 >= 0 touches 0 at w = 1: passive, not strictly passive
+        cube = self.poly([1, 1], [1, 1], [1, 1])
+        touching = self.form(self.poly([0, 1], [-1, 1], [-1, 1]), cube)
+        report = _strict_passivity((touching, _ZERO_FORM))
+        assert report.passive and not report.strictly_passive
+        assert report.witnesses == (1.0,)
+        lifted = self.form(self.poly([1, 1], [-1, 1], [-1, 1]), cube)  # p = (u + 1)(u - 1)^2
+        assert not _strict_passivity((lifted, _ZERO_FORM)).strictly_passive
+        clear = self.form(self.poly([0, 1], [1, 1], [1, 1]), cube)
+        assert _strict_passivity((clear, _ZERO_FORM)).strictly_passive
+
+
+def sympy_real_part(kernel, w):
+    """(numerator, denominator) polynomials in w of Re(i w L nu(i w)), built with
+    sympy from the complex terms, each float read as an exact Rational."""
+    lam = sympy.symbols("lambda")
+    total = sympy.Rational(kernel.offset)
+    for coeffs, z in kernel.complex_terms():
+        zs = sympy.Rational(z.real) + sympy.I * sympy.Rational(z.imag)
+        for ell, c in enumerate(coeffs):
+            cs = sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
+            total += lam * cs * sympy.factorial(ell) / (lam - zs) ** (ell + 1)
+    num, den = sympy.fraction(sympy.together(total))
+
+    def at(expr, s):  # expr(s w) as a polynomial in w
+        return sympy.Poly(sympy.expand(expr.subs(lam, s * w)), w, domain="QQ_I")
+
+    # Re(N/M) at lambda = i w is (N(i w) M(-i w) + N(-i w) M(i w)) / (2 M(i w) M(-i w))
+    n_p, n_m, d_p, d_m = at(num, sympy.I), at(num, -sympy.I), at(den, sympy.I), at(den, -sympy.I)
+    return n_p * d_m + n_m * d_p, 2 * d_p * d_m
+
+
+def test_sympy_oracle():
+    rng = np.random.default_rng(5)
+    u, w = sympy.symbols("u w")
+    for _ in range(15):
+        kern = random_class_k_kernel(rng, max_terms=3, max_degree=1)
+        form = omega_form(kern)
+        p = sum(int(c) * u**k for k, c in enumerate(form.p))
+        d = sum(int(c) * u**k for k, c in enumerate(form.d))
+        num, den = sympy_real_part(kern, w)
+        p_w, d_w = (sympy.Poly(e.subs(u, w**2), w, domain="QQ_I") for e in (p, d))
+        assert (p_w * den - num * d_w).is_zero
+        # distinct roots in (0, inf) and their multiplicities, from sympy's factorization
+        _, factors = sympy.Poly(p, u).sqf_list()
+        expected = sorted((float(r), mult) for f, mult in factors
+                          for r in sympy.Poly(f, u).real_roots() if r > 0)
+        got = _positive_roots(form.p) if any(form.p) else []
+        assert [m for _, m in got] == [m for _, m in expected]
+        assert np.allclose([r for r, _ in got], [r for r, _ in expected], rtol=1e-12)
+        assert check_passivity(kern, ZERO).passive == (
+            form.p[-1] > 0 and all(m % 2 == 0 for _, m in expected) or not any(form.p))

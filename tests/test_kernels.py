@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +276,49 @@ class TestLaplace:
                 tail = quad(lambda y: eval_kernel(kern, y, 2), t, t + 120.0,
                             limit=400, epsabs=1e-12)[0]
                 assert abs(eval_kernel(kern, t, 1) + tail) <= 1e-9
+
+
+class TestLaplaceRational:
+    @staticmethod
+    def value(kernel, lam):
+        a, b = kernels.laplace_rational(kernel)
+        scale = Fraction(1, b[-1])  # the integers outgrow floats; the ratio does not
+        num = sum(complex(c * scale) * lam**i for i, c in enumerate(a))
+        return num / sum(complex(c * scale) * lam**i for i, c in enumerate(b))
+
+    def test_matches_partial_fractions(self):
+        rng = np.random.default_rng(31)
+        kerns = [debye(), lorentz(), drude(), lorentz_sum6(), debye_sum6(),
+                 ExpPolyKernel((DampedTerm((1.0,), (0.0, 0.0, 0.5), -1.0, 2.0),
+                                DampedTerm((0.0, -2.0), (0.0,), -1.0, 0.0)), 0.25)]
+        kerns += [random_class_k_kernel(rng, max_terms=3, max_degree=3) for _ in range(20)]
+        for kern in kerns:
+            for lam in (0.3 + 1j, 2j, 1.5, 0.1 + 7j):
+                direct = lam * laplace(kern, lam)
+                assert abs(self.value(kern, lam) - direct) <= 1e-12 * (1 + abs(direct))
+
+    def test_small_forms(self):
+        cases = [(debye(), [0, 1], [1, 1]), (drude(), [1], [1, 1]),
+                 (lorentz(), [0, 4], [5, 4, 4]), (ExpPolyKernel.zero(), [0], [1])]
+        for kern, a, b in cases:
+            got = kernels.laplace_rational(kern)
+            assert [list(c) for c in got] == [a, b]
+            assert all(type(c) is int for c in got[0])
+
+    def test_equal_exponents_merge_exactly(self):
+        split = ExpPolyKernel(debye(0.1, 0.5).terms + debye(0.2, 0.5).terms + lorentz(0.3).terms)
+        whole = ExpPolyKernel(debye(0.1, 0.5).terms + lorentz(0.3).terms
+                              + debye(0.2, 0.5).terms)
+        assert [list(c) for c in kernels.laplace_rational(split)] == \
+            [list(c) for c in kernels.laplace_rational(whole)]
+        # a term and its negative cancel: no pole is left behind
+        gone = ExpPolyKernel(debye(1.0).terms + debye(-1.0).terms + debye(2.0, 3.0).terms)
+        assert [list(c) for c in kernels.laplace_rational(gone)] == \
+            [list(c) for c in kernels.laplace_rational(debye(2.0, 3.0))]
+
+    def test_undamped_rejected(self):
+        with pytest.raises(NotInClassK):
+            kernels.laplace_rational(ExpPolyKernel((DampedTerm((1.0,), (0.0,), 0.0, 0.0),)))
 
 
 class TestSampledRealPart:

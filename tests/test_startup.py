@@ -2,8 +2,10 @@
 
 scipy is imported where it is used (``kernels._quad``, ``modal.expm``), so the
 CLI starts without it and exp-poly ``analyze``/``spectrum``/``fit`` never load
-it.  Each case runs in a fresh interpreter, because an import is only seen once
-per process.
+it.  The exact decisions run on Python ints, so ``fractions`` (imported only to
+keep an inexact sum of Drude constants exact) and ``decimal`` stay unloaded too.
+Each case runs in a fresh interpreter, because an import is only seen once per
+process.
 """
 
 import json
@@ -18,15 +20,16 @@ from dispersia.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs cli.main on each argv of argv[1] (a JSON list) and prints the exit codes
-# and the scipy modules loaded by then
+# runs cli.main on each argv of argv[1] (a JSON list) and prints the exit codes,
+# the scipy modules and which of fractions and decimal are loaded by then
 SNIPPET = """
 import json, sys
 import dispersia.cli
 dispersia.cli.build_parser()
 codes = [dispersia.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "stdlib": sorted(m for m in ("fractions", "decimal") if m in sys.modules)}))
 """
 
 
@@ -50,7 +53,7 @@ def write(tmp_path, name, doc):
 
 
 def test_import_and_parser_load_no_scipy():
-    assert fresh() == {"codes": [], "scipy": []}
+    assert fresh() == {"codes": [], "scipy": [], "stdlib": []}
 
 
 def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
@@ -64,7 +67,7 @@ def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
     got = fresh(["analyze", "--config", analyze, "--out", str(tmp_path / "report.json")],
                 ["spectrum", "--config", spectrum, "--out", str(tmp_path / "spectrum.csv")],
                 ["fit", str(trace), "--window", "2,20", "--out", str(tmp_path / "fit.json")])
-    assert got == {"codes": [0, 0, 0], "scipy": []}
+    assert got == {"codes": [0, 0, 0], "scipy": [], "stdlib": []}
     assert json.loads((tmp_path / "report.json").read_text())["m"] == 2
     assert json.loads((tmp_path / "fit.json").read_text())["kind"] == "exponential"
 
