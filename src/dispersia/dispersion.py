@@ -8,13 +8,14 @@ or lc(P) > 0 and no root of odd multiplicity in (0, inf); strict passivity for
 lc(N) > 0 and no root in (0, inf) of N = P_E D_H + P_H D_E; and
 m = 2 (deg D_E D_H - deg N).  Roots come from a square-free split and
 Descartes-rule bisection on integers; floats only report the witness, omega0
-and sigma.  Sampled kernels get a dense-grid check labelled as such: each
-frequency costs one sine quadrature (``kernels.sampled_iw_real_part``).
+and sigma.  Sampled kernels get a dense-grid check labelled as such, from one
+panel transform of nu'' for all its frequencies
+(``kernels.sampled_iw_real_part``).
 
 Each call computes what it needs of a kernel once, either the omega_form or
-the sampled real part on the 600-point grid (plus the 25-point tail grid of
-the exponent fit), and shares it between the passivity, strict-passivity and
-exponent steps.
+the sampled real part on the 600-point grid and the 25-point tail grid of the
+exponent fit together, and shares it between the passivity, strict-passivity
+and exponent steps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -32,7 +33,6 @@ from .kernels import (
     ExpPolyKernel,
     Kernel,
     KernelError,
-    SampledKernel,
     laplace,  # not used here; perfbench/test_smoke.py reads dispersion.laplace
     laplace_rational,
     sampled_iw_real_part,
@@ -287,11 +287,15 @@ def _exponent(form: OmegaRational) -> Optional[int]:
     return 2 * (len(form.d) - len(form.p)) if any(form.p) else None
 
 
-def _sampled_real_part(kernel: SampledKernel, wgrid: np.ndarray) -> np.ndarray:
-    return np.array([sampled_iw_real_part(kernel, w) for w in wgrid])
+_SAMPLED_GRID = np.geomspace(1e-2, 1e3, 600)  # passivity and strict passivity
+_TAIL_GRID = np.geomspace(10.0, 60.0, 25)  # the exponent fit
 
 
-_SAMPLED_GRID = np.geomspace(1e-2, 1e3, 600)
+class SampledPart(NamedTuple):
+    """A sampled kernel's Re(i w L nu(i w)) on _SAMPLED_GRID and on _TAIL_GRID."""
+
+    grid: np.ndarray
+    tail: np.ndarray
 
 
 def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
@@ -299,14 +303,15 @@ def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
 
     An exponential-polynomial kernel gives its omega_form (the zero kernel the
     constant ``_ZERO_FORM``, without a call); a sampled kernel gives its real
-    part on ``_SAMPLED_GRID``.
+    part on both frequency grids from one ``sampled_iw_real_part`` call.
     """
     data = []
     for kernel in (nu_e, nu_h):
         if isinstance(kernel, ExpPolyKernel):
             data.append(_ZERO_FORM if kernel.is_zero else omega_form(kernel))
         else:
-            data.append(_sampled_real_part(kernel, _SAMPLED_GRID))
+            vals = sampled_iw_real_part(kernel, np.concatenate([_SAMPLED_GRID, _TAIL_GRID]))
+            data.append(SampledPart(vals[:_SAMPLED_GRID.size], vals[_SAMPLED_GRID.size:]))
     return tuple(data)
 
 
@@ -322,7 +327,7 @@ def _passivity(data: tuple) -> PassivityReport:
                 witnesses.append(witness)
         else:
             certified = False
-            bad = item < -1e-9
+            bad = item.grid < -1e-9
             if np.any(bad):
                 passive = False
                 witnesses.append(float(_SAMPLED_GRID[np.argmax(bad)]))
@@ -347,7 +352,7 @@ def _strict_passivity(data: tuple) -> PassivityReport:
         vals = np.zeros_like(_SAMPLED_GRID)
         for item in data:
             if not isinstance(item, OmegaRational):
-                vals += item
+                vals += item.grid
             elif item is not _ZERO_FORM:
                 vals += item.real_part(_SAMPLED_GRID)
         strict = bool(np.all(vals > 0.0))
@@ -375,14 +380,14 @@ def decay_exponent(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     report = _strict_passivity(data)
     if not report.strictly_passive:
         raise PassivityError("decay exponent requires strict passivity")
-    return _decay_exponent((nu_e, nu_h), data, report)
+    return _decay_exponent(data, report)
 
 
-def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> PassivityReport:
+def _decay_exponent(data: tuple, report: PassivityReport) -> PassivityReport:
     """decay_exponent on the kernel data and strict-passivity report of one call."""
     fe, fh = data
     if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
-        return _decay_exponent_sampled(kernels, data, report)
+        return _decay_exponent_sampled(data, report)
 
     num = _combined_numerator(fe, fh)
     m = 2 * (len(fe.d) + len(fh.d) - 1 - len(num))
@@ -393,19 +398,18 @@ def _decay_exponent(kernels: tuple, data: tuple, report: PassivityReport) -> Pas
     return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=omega0)
 
 
-def _decay_exponent_sampled(kernels: tuple, data: tuple,
-                            report: PassivityReport) -> PassivityReport:
+def _decay_exponent_sampled(data: tuple, report: PassivityReport) -> PassivityReport:
     """Asymptotic sampling fallback when no rational structure is available.
 
     m is fitted to the summed tail; each field's sigma follows the exact
     path's rule, nonzero only when that field's own exponent (its degree
     deficit, or for a sampled kernel the fit to its own tail) equals m.
     """
-    wgrid = np.geomspace(10.0, 60.0, 25)
+    wgrid = _TAIL_GRID
     tails, own = [], []
-    for kernel, item in zip(kernels, data):
-        if not isinstance(item, OmegaRational):
-            vals = _sampled_real_part(kernel, wgrid)
+    for item in data:
+        if isinstance(item, SampledPart):
+            vals = item.tail
             own.append(_fitted_exponent(wgrid, vals) if np.all(vals > 0) else None)
         elif item is _ZERO_FORM:
             vals = np.zeros_like(wgrid)
@@ -440,6 +444,6 @@ def analyze(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     if not report.strictly_passive:
         return report
     try:
-        return _decay_exponent((nu_e, nu_h), data, report)
+        return _decay_exponent(data, report)
     except PassivityError:
         return report

@@ -5,8 +5,10 @@ sums of damped polynomial oscillations (the family covering Debye, Lorentz
 and Drude media) in a real cosine/sine form, so evaluation never leaves the
 reals.  ``SampledKernel`` wraps a black-box evaluator together with a
 user-supplied exponential bound on the second derivative; its Laplace values
-are obtained by adaptive quadrature (``scipy.integrate.quad``, imported on the
-first sampled-kernel quadrature, so the exp-poly path never loads scipy).
+come from one Filon-Legendre panel transform: the sampled function is
+interpolated at 16 Gauss-Legendre nodes on panels chosen from it alone, and
+each panel is integrated against e^{-i w s} exactly, for a whole array of
+frequencies at once.  Nothing here uses scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class CertificationFailure(KernelError):
 
 
 class UnsupportedPoint(KernelError):
-    """Laplace transform requested at a point the quadrature path cannot handle."""
+    """Laplace transform requested at a point the sampled path cannot handle."""
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -230,14 +232,20 @@ class SampledKernel:
     name: str = "sampled"
 
     def __post_init__(self):
-        if self.C <= 0 or self.delta <= 0:
-            raise KernelError("decay certificate needs C > 0 and delta > 0")
+        if not (0 < self.C < math.inf and 0 < self.delta < math.inf):
+            raise KernelError("decay certificate needs finite C > 0 and delta > 0, got "
+                              f"C={self.C}, delta={self.delta}")
+        if 160.0 / self.delta == math.inf:  # the longest Laplace horizon
+            raise KernelError(f"delta={self.delta} is too small: 160/delta overflows")
 
     def __call__(self, t, order: int = 0):
         return self.evaluator(np.asarray(t, dtype=float), order)
 
 
 def _gaussian_eval(t: np.ndarray, order: int) -> np.ndarray:
+    # e^{-t^2} is 0.0 beyond |t| = 27.3, so clipping at 40 changes no value and
+    # keeps t^2 finite where it would overflow (and 0 * inf give NaN)
+    t = np.clip(t, -40.0, 40.0)
     g = np.exp(-(t**2))
     if order == 0:
         return g
@@ -460,15 +468,139 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     return ClassKCertificate(C, delta, horizon, float(excess.max()))
 
 
+def _legendre_table(x: np.ndarray) -> np.ndarray:
+    """P_0 .. P_15 at x, one row per degree, by Bonnet's recurrence."""
+    table = np.ones((_GL_NODES.size, x.size))
+    table[1] = x
+    for n in range(1, _GL_NODES.size - 1):
+        table[n + 1] = ((2 * n + 1) * x * table[n] - n * table[n - 1]) / (n + 1)
+    return table
+
+
+# c = samples @ _TO_LEGENDRE: the Legendre coefficients c_n = (n + 1/2) sum_k
+# w_k P_n(x_k) g(x_k) of the degree-15 interpolant of g at the 16 nodes x_k
+_TO_LEGENDRE = ((np.arange(_GL_NODES.size) + 0.5)[:, None]
+                * _legendre_table(_GL_NODES) * _GL_WEIGHTS).T
+_FILON_TOL = 1e-15  # accepted |c_14|, |c_15| of a panel, relative to the largest sample
+_MAX_BISECTIONS = 50  # bisections of a first-level panel before it is accepted as is
+_MILLER_START = 60  # first index of the backward recurrence, well above 15 + 16
+
+
+def _spherical_jn(x: np.ndarray) -> np.ndarray:
+    """j_0(x) .. j_15(x) for x >= 0, shape x.shape + (16,), in numpy only.
+
+    For x >= 16 > n the forward recurrence j_(n+1) = (2n + 1)/x j_n - j_(n-1)
+    from j_0 = sin x / x and j_1 = (j_0 - cos x) / x is stable.  Below, Miller's
+    backward recurrence runs from index _MILLER_START, rescaled against
+    overflow, and is normalized by sum_n (2n + 1) j_n^2 = 1, which, unlike
+    j_0, never vanishes; the sign is the one that agrees with j_0 and j_1.
+    Arguments below 1e-200 are read as 1e-200, which moves j_n by less than
+    1e-200 and keeps (2n + 1)/x finite.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (_GL_NODES.size,))
+    big = x >= _GL_NODES.size
+    xb = x[big]
+    fwd = np.empty(xb.shape + (_GL_NODES.size,))
+    fwd[:, 0] = np.sin(xb) / xb
+    fwd[:, 1] = (fwd[:, 0] - np.cos(xb)) / xb
+    for n in range(1, _GL_NODES.size - 1):
+        fwd[:, n + 1] = (2 * n + 1) / xb * fwd[:, n] - fwd[:, n - 1]
+    out[big] = fwd
+
+    xs = np.maximum(x[~big], 1e-200)
+    back = np.zeros(xs.shape + (_GL_NODES.size,))
+    upper, cur = np.zeros_like(xs), np.ones_like(xs)  # y_(n+1), y_n from n = _MILLER_START
+    total = np.zeros_like(xs)
+    for n in range(_MILLER_START, 0, -1):
+        total += (2 * n + 1) * cur**2
+        upper, cur = cur, (2 * n + 1) / xs * cur - upper
+        scale = 1.0 / np.maximum(1.0, np.abs(cur))
+        upper, cur, total = upper * scale, cur * scale, total * scale**2
+        if n <= _GL_NODES.size:
+            back[:, n - 1:] *= scale[:, None]
+            back[:, n - 1] = cur
+    total += cur**2
+    j0 = np.sin(xs) / xs
+    sign = np.where(back[:, 0] * j0 + 3.0 * back[:, 1] * (j0 - np.cos(xs)) / xs < 0, -1.0, 1.0)
+    out[~big] = back * (sign / np.sqrt(total))[:, None]
+    return out
+
+
+def _filon_panels(f, upper: float):
+    """Panels of [0, upper] on which f is a degree-15 polynomial to rounding.
+
+    The first level is the geometric partition [0, 1], [1, 2], [2, 4], ...,
+    cut at upper.  f is sampled at the 16 Gauss-Legendre nodes of every panel,
+    _BLOCK_PANELS panels per call, and each panel is bisected until the top
+    two Legendre coefficients of its interpolant are below _FILON_TOL times
+    the largest sample of the first level (at most _MAX_BISECTIONS times).
+    Panels on which f vanishes are dropped.  Returns (left ends, half-widths,
+    Legendre coefficients).  Nothing here depends on a frequency.
+    """
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(math.ceil(math.log2(upper)))
+                            if upper > 1.0 else [], [upper]))
+    left, half = edges[:-1], 0.5 * np.diff(edges)
+    kept, scale = [], None
+    for level in range(_MAX_BISECTIONS + 1):
+        nodes = left[:, None] + half[:, None] * (_GL_NODES + 1.0)
+        samples = np.concatenate([f(nodes[i:i + _BLOCK_PANELS].ravel())
+                                  for i in range(0, len(nodes), _BLOCK_PANELS)])
+        samples = samples.reshape(nodes.shape)
+        if not np.all(np.isfinite(samples)):
+            bad = nodes[~np.isfinite(samples)][0]
+            raise KernelError(f"kernel evaluator returned a non-finite value at t={bad:.6g}")
+        if scale is None:
+            scale = float(np.max(np.abs(samples)))
+        coeffs = samples @ _TO_LEGENDRE
+        done = (np.max(np.abs(coeffs[:, -2:]), axis=1) <= _FILON_TOL * scale) | (
+            level == _MAX_BISECTIONS)
+        keep = done & np.any(coeffs != 0.0, axis=1)
+        kept.append((left[keep], half[keep], coeffs[keep]))
+        left, half = left[~done], 0.5 * half[~done]
+        if not left.size:
+            break
+        left = np.concatenate([left, left + 2.0 * half])
+        half = np.concatenate([half, half])
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
+
+
+def _filon_transform(f, upper: float, w: np.ndarray) -> np.ndarray:
+    """int_0^upper f(s) e^{-i w s} ds for every w of the array w.
+
+    On a panel with centre c and half-width h, f = sum_n c_n P_n((s - c)/h),
+    and int_{-1}^{1} P_n(x) e^{-i a x} dx = 2 (-i)^n j_n(a) gives the panel's
+    integral h e^{-i w c} sum_n c_n 2 (-i)^n j_n(w h) exactly, at any w.  The
+    panels come from ``_filon_panels`` and depend on f only; each distinct
+    panel width then costs one matrix product over all frequencies.
+    """
+    w = np.asarray(w, dtype=float)
+    flat = w.ravel()
+    left, half, coeffs = _filon_panels(f, upper)
+    widths, group = np.unique(half, return_inverse=True)
+    x = np.multiply.outer(flat, widths)
+    jn = _spherical_jn(np.abs(x))
+    jn[x < 0] *= (-1.0) ** np.arange(_GL_NODES.size)  # j_n(-a) = (-1)^n j_n(a)
+    moments = 2.0 * (-1j) ** np.arange(_GL_NODES.size) * jn
+    total = np.zeros(flat.shape, dtype=complex)
+    for k, h in enumerate(widths):
+        sel = group == k
+        phase = np.exp(-1j * np.multiply.outer(flat, left[sel] + h))
+        total += h * np.sum((phase @ coeffs[sel]) * moments[:, k], axis=1)
+    return total.reshape(w.shape)
+
+
 def laplace(kernel: Kernel, lam: complex) -> complex:
     """Laplace transform L nu(lambda) for Re lambda >= 0.
 
-    ExpPolyKernel uses the exact partial-fraction sum; SampledKernel uses
-    adaptive quadrature, routed through L nu'' on and near the imaginary axis
-    because nu itself need not be integrable there.  On the axis that route
-    reads i w L nu(i w) = nu(0) + (nu'(0) + L nu''(i w)) / (i w), so its real
-    part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
-    transform of nu''; ``sampled_iw_real_part`` evaluates that one integral.
+    ExpPolyKernel uses the exact partial-fraction sum.  SampledKernel uses the
+    Filon-Legendre panel transform (``_filon_transform``) with e^{-Re lambda s}
+    folded into the sampled function: of nu over [0, 160/delta] when
+    Re lambda > delta/2, else of nu'' over [0, 60/delta], because nu itself
+    need not be integrable on and near the imaginary axis.  On the axis that
+    route reads i w L nu(i w) = nu(0) + (nu'(0) + L nu''(i w)) / (i w), so its
+    real part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
+    transform of nu''; ``sampled_iw_real_part`` evaluates that for many w at once.
     """
     lam = complex(lam)
     if lam.real < 0:
@@ -488,55 +620,32 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
         return complex(total)
 
     # sampled path
-    delta = kernel.delta
-    if lam.real > delta / 2.0:
-        upper = 160.0 / delta
-        return _oscillatory_laplace(lambda s: kernel(np.asarray(s), 0), lam, upper)
+    delta, sigma, w = kernel.delta, lam.real, np.array([lam.imag])
+    if sigma > delta / 2.0:
+        return complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 0),
+                                        160.0 / delta, w)[0])
     if lam == 0:
-        raise UnsupportedPoint("lambda = 0 is not supported on the quadrature path")
-    upper = 60.0 / delta
-    lap2 = _oscillatory_laplace(lambda s: kernel(np.asarray(s), 2), lam, upper)
+        raise UnsupportedPoint("lambda = 0 is not supported on the sampled path")
+    lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
+                                    60.0 / delta, w)[0])
     nu0 = float(kernel(np.asarray(0.0), 0))
     nup0 = float(kernel(np.asarray(0.0), 1))
     return (nu0 + (nup0 + lap2) / lam) / lam
 
 
-def sampled_iw_real_part(kernel: SampledKernel, w: float) -> float:
+def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float | np.ndarray:
     """Re(i w L nu(i w)) = nu(0) - (1/w) int_0^{60/delta} sin(w s) nu''(s) ds.
 
-    The same nu'' route, horizon and quadrature settings as ``laplace`` on the
-    imaginary axis, with the cosine transform (which only feeds the imaginary
-    part) left out: one adaptive quadrature per frequency instead of two.
+    The same nu'' route and horizon as ``laplace`` on the imaginary axis, for
+    every frequency of the array w at once: nu'' is sampled once, on panels
+    that do not depend on w (``_filon_transform``).  A float w gives a float.
     """
-    w = float(w)
-    if w == 0.0:
-        raise UnsupportedPoint("w = 0 is not supported on the quadrature path")
-    upper = 60.0 / kernel.delta
-    sine, _ = _quad(lambda s: float(kernel(np.asarray(s), 2)), 0.0, upper,
-                    weight="sin", wvar=w, epsabs=1e-11, limit=400)
-    return float(kernel(np.asarray(0.0), 0)) - sine / w
-
-
-def _quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: it costs a third of a second."""
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
-
-
-def _oscillatory_laplace(f, lam: complex, upper: float) -> complex:
-    """int_0^upper e^{-lam s} f(s) ds with the oscillation handled by weighted quad."""
-    sigma, w = lam.real, lam.imag
-
-    def damped(s):
-        return float(np.exp(-sigma * s) * f(s))
-
-    if w == 0.0:
-        re, _ = _quad(damped, 0.0, upper, epsabs=1e-11, limit=400)
-        return complex(re, 0.0)
-    re, _ = _quad(damped, 0.0, upper, weight="cos", wvar=w, epsabs=1e-11, limit=400)
-    im, _ = _quad(damped, 0.0, upper, weight="sin", wvar=w, epsabs=1e-11, limit=400)
-    return complex(re, -im)
+    w = np.asarray(w, dtype=float)
+    if np.any(w == 0.0):
+        raise UnsupportedPoint("w = 0 is not supported on the sampled path")
+    sine = -_filon_transform(lambda s: kernel(s, 2), 60.0 / kernel.delta, w).imag
+    out = float(kernel(np.asarray(0.0), 0)) - sine / w
+    return out if out.shape else float(out)
 
 
 def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:

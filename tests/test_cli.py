@@ -121,6 +121,18 @@ class TestAnalyzeCommand:
         cfg = write_config(tmp_path, {"nu_e": bad})
         assert main(["analyze", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", float("nan")), ("delta", float("inf")), ("delta", -float("inf")),
+        ("C", float("nan")), ("C", float("inf")), ("C", -float("inf")),
+    ])
+    def test_non_finite_sampled_certificate_exit2(self, tmp_path, capsys, field, value):
+        gauss = dict(kernel_doc(GAUSSIAN), **{field: value})  # json writes NaN, Infinity
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, {"nu_e": gauss})
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        assert "C > 0 and delta > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_json_exit1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,10 +1,15 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersia import (
     DampedTerm,
     ExpPolyKernel,
     GAUSSIAN,
+    SampledKernel,
     analyze,
     check_passivity,
     check_strict_passivity,
@@ -205,6 +210,29 @@ class TestSampledPath:
         for w in np.geomspace(0.01, 100, 60):
             assert (1j * w * laplace(GAUSSIAN, 1j * w)).real > 0
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_slow_claimed_decay_keeps_the_report(self, delta):
+        # a small delta only stretches the horizon 60/delta; the panels follow nu''
+        slow = SampledKernel(GAUSSIAN.evaluator, C=GAUSSIAN.C, delta=delta, name="gaussian")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            report = analyze(slow, ZERO)
+            elapsed = time.perf_counter() - start
+        assert report.passive and report.strictly_passive and report.m == 0
+        assert abs(report.sigma_E - 1.0005564840635506) <= 1e-9
+        assert elapsed < 1.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(scale=st.floats(1e-3, 1e3))
+    def test_verdict_unchanged_under_positive_scaling(self, scale):
+        scaled = SampledKernel(lambda t, order: scale * GAUSSIAN.evaluator(t, order),
+                               C=scale * GAUSSIAN.C, delta=GAUSSIAN.delta)
+        base, got = analyze(GAUSSIAN, ZERO), analyze(scaled, ZERO)
+        assert (got.passive, got.strictly_passive, got.m, got.certified) == \
+            (base.passive, base.strictly_passive, base.m, base.certified)
+        assert got.sigma_E == pytest.approx(scale * base.sigma_E, rel=1e-12)
+
 
 def _count_calls(monkeypatch, module, name):
     calls = []
@@ -220,14 +248,26 @@ def _count_calls(monkeypatch, module, name):
 
 class TestEvaluationCounts:
     def test_gaussian_analyze_samples_each_frequency_once(self, monkeypatch):
+        evaluations = []
+
+        def counting(t, order):
+            evaluations.append((np.size(t), order))
+            return GAUSSIAN.evaluator(t, order)
+
+        counted = SampledKernel(counting, C=GAUSSIAN.C, delta=GAUSSIAN.delta)
         sampled = _count_calls(monkeypatch, dispersion, "sampled_iw_real_part")
         lap = _count_calls(monkeypatch, dispersion, "laplace")
         lap_kernels = _count_calls(monkeypatch, kernels, "laplace")
-        report = analyze(GAUSSIAN, ZERO)
+        report = analyze(counted, ZERO)
         assert report.strictly_passive and report.m == 0
-        # the 600-point decision grid plus the 25-point tail grid of the exponent fit
-        assert len(sampled) == 625
+        # one transform for the 600-point decision grid and the 25-point tail grid
+        # together; its nu'' samples are taken on panels that do not depend on the
+        # frequencies: one block per bisection level, then nu(0)
+        assert len(sampled) == 1 and sampled[0][1].size == 625
         assert len(lap) == 0 and len(lap_kernels) == 0
+        assert len(evaluations) <= 12
+        assert sum(n for n, order in evaluations if order == 2) <= 16 * 64
+        assert [order for _, order in evaluations] == [2] * (len(evaluations) - 1) + [0]
 
     @pytest.mark.parametrize("nu_e, nu_h", [
         (debye(), ZERO),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import dawsn, erfi
+from scipy.special import dawsn, erfi, spherical_jn
 
 from dispersia import (
     GAUSSIAN,
@@ -79,6 +79,12 @@ class TestCertify:
         assert peak == pytest.approx(3.3414, abs=2e-3)
         assert peak < GAUSSIAN.C
 
+    # non-finite C and delta are covered through the CLI in test_cli.py
+    @pytest.mark.parametrize("C, delta", [(0.0, 1.0), (3.4, -1.0), (3.4, 1e-320)])
+    def test_sampled_certificate_out_of_range(self, C, delta):
+        with pytest.raises(KernelError):
+            SampledKernel(_gaussian_eval, C=C, delta=delta)
+
     def test_gaussian_undersized_bound_rejected(self):
         loose = SampledKernel(_gaussian_eval, C=2.1, delta=1.0, name="gaussian")
         with pytest.raises(CertificationFailure) as err:
@@ -105,14 +111,15 @@ class TestCertify:
         def no_quad(*args, **kwargs):
             raise AssertionError("adaptive quad called")
 
-        # the package's quad seam and scipy's own quad both raise
-        monkeypatch.setattr(kernels, "_quad", no_quad)
         monkeypatch.setattr("scipy.integrate.quad", no_quad)
         for kern in [debye(), lorentz(), drude()] + self._tail_kernels():
             certify_class_K(kern)
-        # the patch is live: the sampled path goes through the seam
-        with pytest.raises(AssertionError, match="adaptive quad called"):
-            sampled_iw_real_part(GAUSSIAN, 1.0)
+        # the sampled path makes none either
+        certify_class_K(GAUSSIAN)
+        sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID)
+        laplace(GAUSSIAN, 2j)
+        laplace(GAUSSIAN, 0.25 + 1j)
+        laplace(GAUSSIAN, 1.0 + 1j)
 
     def test_tail_identity_residual(self):
         # nu'(t0) + int_{t0}^{t0 + 60/delta} nu'' vanishes up to rounding, and
@@ -323,23 +330,98 @@ class TestLaplaceRational:
 
 class TestSampledRealPart:
     def test_matches_laplace_on_the_decision_grid(self):
-        got = np.array([sampled_iw_real_part(GAUSSIAN, w) for w in _SAMPLED_GRID])
+        got = sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID)
         via_laplace = np.array([(1j * w * laplace(GAUSSIAN, 1j * w)).real for w in _SAMPLED_GRID])
         assert np.max(np.abs(got - via_laplace)) <= 1e-13
 
     def test_matches_erfi_closed_form(self):
         # (sqrt(pi)/2) w e^{-w^2/4} erfi(w/2); written as w D(w/2) with Dawson's
         # D(x) = (sqrt(pi)/2) e^{-x^2} erfi(x) wherever erfi overflows
-        got = np.array([sampled_iw_real_part(GAUSSIAN, w) for w in _SAMPLED_GRID])
+        got = sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID)
         small = _SAMPLED_GRID <= 40.0
         w = _SAMPLED_GRID[small]
         erfi_form = np.sqrt(np.pi) / 2 * w * np.exp(-w**2 / 4) * erfi(w / 2)
-        assert np.max(np.abs(got[small] - erfi_form)) <= 1e-8
-        assert np.max(np.abs(got - _SAMPLED_GRID * dawsn(_SAMPLED_GRID / 2))) <= 1e-8
+        assert np.max(np.abs(got[small] - erfi_form)) <= 1e-12
+        assert np.max(np.abs(got - _SAMPLED_GRID * dawsn(_SAMPLED_GRID / 2))) <= 1e-12
+
+    def test_array_in_array_out(self):
+        w = _SAMPLED_GRID[::50].reshape(3, 4)
+        got = sampled_iw_real_part(GAUSSIAN, w)
+        assert got.shape == (3, 4)
+        assert isinstance(sampled_iw_real_part(GAUSSIAN, 2.0), float)
+        # the real part is even in w
+        assert np.array_equal(sampled_iw_real_part(GAUSSIAN, -w), got)
 
     def test_zero_frequency_unsupported(self):
         with pytest.raises(UnsupportedPoint):
             sampled_iw_real_part(GAUSSIAN, 0.0)
+        with pytest.raises(UnsupportedPoint):
+            sampled_iw_real_part(GAUSSIAN, np.array([1.0, 0.0, 2.0]))
+
+    def test_non_finite_samples_rejected(self):
+        def broken(t, order):
+            return np.where(t > 5.0, np.nan, _gaussian_eval(t, order))
+
+        with pytest.raises(KernelError, match="non-finite"):
+            sampled_iw_real_part(SampledKernel(broken, C=3.4, delta=1.0), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.floats(1e-2, 1e3))
+    def test_matches_dawson_form(self, w):
+        assert abs(sampled_iw_real_part(GAUSSIAN, w) - w * dawsn(w / 2)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(1e-3, 1e3), w=st.floats(1e-2, 1e3))
+    def test_linear_in_the_evaluator(self, a, w):
+        scaled = SampledKernel(lambda t, order: a * _gaussian_eval(t, order), C=a * 3.4, delta=1.0)
+        base = sampled_iw_real_part(GAUSSIAN, w)
+        assert sampled_iw_real_part(scaled, w) == pytest.approx(a * base, rel=1e-12, abs=1e-12 * a)
+
+
+class TestFilon:
+    def test_spherical_bessel_matches_scipy(self):
+        # both recurrences and the switch between them at x = 16, the zeros of
+        # j_0 (where Miller's sign comes from j_1), tiny arguments and x = 0
+        x = np.concatenate([[0.0, 1e-300, 1e-12, 1e-5], np.geomspace(1e-3, 1e5, 4000),
+                            np.pi * np.arange(1, 6), [16.0 - 1e-9, 16.0, 16.0 + 1e-9]])
+        got = kernels._spherical_jn(x)
+        ref = np.stack([spherical_jn(n, x) for n in range(16)], axis=-1)
+        assert got.shape == (x.size, 16)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        # below x = 1, where j_n ~ x^n / (2n + 1)!!, relative to the value too
+        small = (x >= 1e-12) & (x < 1.0)
+        sizable = np.abs(ref[small]) > 1e-280
+        assert np.max(np.abs(got[small] - ref[small])[sizable] / np.abs(ref[small][sizable])) <= 1e-13
+
+    def test_exact_on_polynomials(self):
+        # a cubic is its own interpolant on every panel of [0, 1], [1, 2], [2, 4],
+        # [4, 6], so only rounding separates the transform from the integral
+        w = np.array([-3.0, 0.0, 1e-3, 0.7, 5.0, 40.0])
+        got = kernels._filon_transform(lambda s: s**3 - 2.0 * s, 6.0, w)
+        for wi, gi in zip(w, got):
+            def moment(k):  # int_0^6 s^k e^{-i wi s} ds by quad
+                re = quad(lambda s: s**k * np.cos(wi * s), 0, 6, epsabs=1e-13)[0]
+                im = quad(lambda s: s**k * np.sin(wi * s), 0, 6, epsabs=1e-13)[0]
+                return complex(re, -im)
+            assert abs(gi - (moment(3) - 2.0 * moment(1))) <= 1e-11
+
+    def test_panels_follow_the_function_not_the_horizon(self):
+        g = lambda s: _gaussian_eval(s, 2)  # noqa: E731
+        for upper in (60.0, 6e4, 6e7):
+            left, half, coeffs = kernels._filon_panels(g, upper)
+            # nu'' underflows to 0 beyond |t| = 27.3, and those panels are dropped
+            assert np.all(left < 28.0) and left.size <= 40
+            assert np.all(np.abs(coeffs[:, -2:]) <= 1e-15 * 2.0)
+        assert np.isclose(np.sum(2 * half[left + 2 * half <= 32.0]), 32.0)
+
+    def test_laplace_off_axis_routes(self):
+        # e^{-sigma s} folded into the sampled function: nu'' below delta/2, nu above
+        for lam in (0.3 + 2j, 0.5, 0.6 + 2j, 2.0, 1.0 - 1j):
+            re = quad(lambda t: np.exp(-t * t - lam.real * t) * np.cos(lam.imag * t),
+                      0, 40, epsabs=1e-14, limit=200)[0]
+            im = quad(lambda t: np.exp(-t * t - lam.real * t) * np.sin(lam.imag * t),
+                      0, 40, epsabs=1e-14, limit=200)[0]
+            assert abs(laplace(GAUSSIAN, lam) - complex(re, -im)) <= 1e-12
 
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)
