@@ -409,12 +409,18 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     a fast one (see ``_tail_integrals``).  Its error is estimated by halving
     the panels; an estimate above 1e-10 of the check scale is refined, and if
     it stays above after four halvings the certificate fails.
-    For SampledKernel the user-supplied pair is spot-checked.
+    For SampledKernel the user-supplied pair is spot-checked; a non-finite
+    sample fails the certificate.
     """
     if isinstance(kernel, SampledKernel):
         horizon = 50.0 / kernel.delta
         tgrid = np.concatenate(([0.0], np.geomspace(1e-6, horizon, 2000)))
-        excess = np.abs(kernel(tgrid, 2)) - kernel.C * np.exp(-kernel.delta * tgrid)
+        samples = np.abs(kernel(tgrid, 2))
+        if not np.all(np.isfinite(samples)):
+            bad = float(tgrid[~np.isfinite(samples)][0])
+            raise CertificationFailure(f"kernel evaluator returned a non-finite nu'' at t={bad:.6g}",
+                                       bad)
+        excess = samples - kernel.C * np.exp(-kernel.delta * tgrid)
         worst = int(np.argmax(excess))
         if excess[worst] > 1e-9:
             raise CertificationFailure(

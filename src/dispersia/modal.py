@@ -11,6 +11,7 @@ independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -25,6 +26,10 @@ from .kernels import (
     eval_kernel,
     laplace_rational,
 )
+
+
+# doubles in one block of output states in run_multimode (128 KiB)
+_BLOCK_ELEMENTS = 2**14
 
 
 class ModalError(ValueError):
@@ -413,6 +418,57 @@ def cavity_modes(length: float, n_max: int, amplitude_exponent: float = -1.5):
     return [(n * np.pi / length, float(n) ** amplitude_exponent) for n in range(1, n_max + 1)]
 
 
+def _block_size(n_rows: int, n_modes: int, d: int) -> int:
+    """Output samples per block of run_multimode: a power of two, at least 1.
+
+    About sqrt(n_rows), which balances the b - 1 steps that fill the first
+    block against the n_rows / b block steps.  Capped so that one block holds
+    at most 2^14 doubles (128 KiB), and so that the two blocks in use together
+    hold no more doubles than the (n_modes, d, d) mode-matrix stack, released
+    before they are allocated, plus one trace column, allocated after.
+    """
+    width = n_modes * d
+    cap = min(math.isqrt(n_rows), _BLOCK_ELEMENTS // width, (width * d + n_rows) // (2 * width))
+    return 1 << (max(cap, 1).bit_length() - 1)
+
+
+def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
+                    n_rows: int) -> np.ndarray:
+    """Summed mode energies at every stride-th step, advanced in blocks.
+
+    A function of its own so that the blocks are freed before run_multimode
+    allocates the times column (see ``_block_size``).
+    """
+    base, A = _closure_stack(medium, ks)
+    prop = np.linalg.matrix_power(expm(A * dt), stride)
+    n_modes, d = A.shape[:2]
+    del A  # the stack is not needed again; free it before the blocks exist
+    b = _block_size(n_rows, n_modes, d)
+    block = np.empty((n_modes, d, b))
+    state = np.zeros((n_modes, d, 1))
+    state[:, base.e_slot, 0] = amps
+    block[:, :, 0] = state[:, :, 0]
+    for i in range(1, b):
+        state = prop @ state
+        block[:, :, i] = state[:, :, 0]
+    if n_rows > b:
+        for _ in range(b.bit_length() - 1):
+            prop = prop @ prop  # P^b by squaring; P itself is no longer needed
+        spare = np.empty_like(block)
+    eps, mu = medium.eps, medium.mu
+    energy = np.empty(n_rows)
+    for start in range(0, n_rows, b):
+        if start:
+            np.matmul(prop, block, out=spare)
+            block, spare = spare, block
+        n = min(b, n_rows - start)
+        e = block[:, base.e_slot, :n]
+        h = block[:, base.h_slot, :n]
+        energy[start:start + n] = 0.5 * (eps * np.einsum("ij,ij->j", e, e)
+                                         + mu * np.einsum("ij,ij->j", h, h))
+    return energy
+
+
 def run_multimode(
     medium: MediumSpec,
     modes: list[tuple[float, float]],
@@ -425,28 +481,24 @@ def run_multimode(
 
     All modes are advanced together: the mode matrices are stacked to
     (n_modes, d, d), exponentiated in one expm call and raised to the output
-    stride, so each output sample costs one batched matmul.  The per-mode
-    energies are reduced in fixed mode order and the trace is bit-identical
-    across runs.  ``threads`` is accepted for compatibility and ignored.
+    stride, giving the propagator P.  The states of b consecutive output
+    samples sit side by side in one (n_modes, d, b) block.  The first block
+    is filled by b - 1 applications of P; each later block is P^b times the
+    previous one, one batched matmul per b output samples.  b is a power of
+    two near sqrt(samples), capped so the blocks stay small (see
+    ``_block_size``).  The energies of a block are reduced over modes in a
+    fixed order, and the trace is bit-identical across runs.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     if dt <= 0 or T <= dt:
         raise ModalError("need dt > 0 and T > dt")
     if output_stride < 1:
         raise ModalError("output_stride must be a positive integer")
     n_steps = int(round(T / dt))
-    times = np.arange(0, n_steps + 1, output_stride) * dt
     if not modes:
         return EnergyTrace(times=np.array([]), energy=np.array([]))
     ks, amps = zip(*modes)
-    base, A = _closure_stack(medium, ks)
-    prop = np.linalg.matrix_power(expm(A * dt), output_stride)
-    state = np.zeros(A.shape[:2] + (1,))
-    state[:, base.e_slot, 0] = amps
-    eps, mu = medium.eps, medium.mu
-    energy = np.empty(times.size)
-    for j in range(times.size):
-        if j:
-            state = prop @ state
-        energy[j] = np.sum(0.5 * (eps * state[:, base.e_slot, 0] ** 2
-                                  + mu * state[:, base.h_slot, 0] ** 2))
+    energy = _block_energies(medium, ks, amps, dt, output_stride, n_steps // output_stride + 1)
+    times = np.arange(0, n_steps + 1, output_stride, dtype=float)
+    times *= dt  # in place: equal to the integer steps times dt, one array less
     return EnergyTrace(times=times, energy=energy)

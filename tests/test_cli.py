@@ -82,6 +82,32 @@ class TestTraceFormat:
         assert np.array_equal(back.times, trace.times)
         assert np.array_equal(back.energy, trace.energy)
 
+    @staticmethod
+    def _per_row(trace):
+        """The row-at-a-time formatter on numpy scalars that format_trace replaced."""
+        hn = np.zeros_like(trace.times) if trace.history_norm is None else trace.history_norm
+        lines = [dio.TRACE_HEADER]
+        for t, e, h in zip(trace.times, trace.energy, hn):
+            lines.append(f"{t:.17g},{e:.17g},{h:.17g}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("with_norm", [False, True])
+    def test_format_matches_per_row_formatting(self, with_norm):
+        from dispersia import EnergyTrace
+        rng = np.random.default_rng(11)
+        special = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+                            3.0, -7.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0])
+        n = 1500  # 3012 rows: several conversion chunks and a partial one
+        cols = []
+        for _ in range(3):
+            col = np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                                  np.round(rng.uniform(-1e6, 1e6, n))])
+            cols.append(rng.permutation(col))
+        trace = EnergyTrace(cols[0], cols[1], cols[2] if with_norm else None)
+        assert dio.format_trace(trace) == self._per_row(trace)
+        empty = EnergyTrace(np.array([]), np.array([]))
+        assert dio.format_trace(empty) == self._per_row(empty) == dio.TRACE_HEADER + "\n"
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,e\n0,1\n")

@@ -91,6 +91,16 @@ class TestCertify:
             certify_class_K(loose)
         assert 1.0 < err.value.t_violation < 2.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        def broken(t, order):
+            return np.where(t > 5.0, bad, _gaussian_eval(t, order))
+
+        with pytest.raises(CertificationFailure, match="non-finite") as err:
+            certify_class_K(SampledKernel(broken, C=3.4, delta=1.0))
+        # the first check-grid point past t = 5 (the grid is geometric, ratio < 1.01)
+        assert 5.0 < err.value.t_violation < 5.05
+
     def test_undamped_term_rejected(self):
         bad = ExpPolyKernel((DampedTerm((1.0,), (0.0,), 0.1, 0.0),))
         with pytest.raises(NotInClassK):

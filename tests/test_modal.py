@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dispersia import (
+    DampedTerm,
     ExpPolyKernel,
     GAUSSIAN,
     MediumSpec,
@@ -34,6 +38,37 @@ def vacuum():
 
 def debye_medium():
     return MediumSpec(1.0, 1.0, debye(), ZERO)
+
+
+def defective_medium():
+    """A degree-2 polynomial term: its companion block is one 3x3 Jordan block."""
+    return MediumSpec(1.2, 0.9, ExpPolyKernel((DampedTerm((0.4, 0.6, 0.5), (0.0,), -0.7, 0.0),)),
+                      debye(0.3, 0.5))
+
+
+def drude_lorentz_medium():
+    """Drude and Lorentz terms in nu_e, a Drude term in nu_h."""
+    return MediumSpec(1.3, 1.1, ExpPolyKernel(drude(0.6, 0.8).terms + lorentz(0.9, 2.1, 0.4).terms,
+                                              offset=0.6), drude(0.2, 1.5))
+
+
+def row_by_row(medium, modes, dt, T, stride):
+    """One stacked propagator step per output sample, energies summed per row."""
+    n_steps = int(round(T / dt))
+    times = np.arange(0, n_steps + 1, stride) * dt
+    ks, amps = zip(*modes)
+    base, A = modal._closure_stack(medium, ks)
+    prop = np.linalg.matrix_power(modal.expm(A * dt), stride)
+    state = np.zeros(A.shape[:2] + (1,))
+    state[:, base.e_slot, 0] = amps
+    eps, mu = medium.eps, medium.mu
+    energy = np.empty(times.size)
+    for j in range(times.size):
+        if j:
+            state = prop @ state
+        energy[j] = np.sum(0.5 * (eps * state[:, base.e_slot, 0] ** 2
+                                  + mu * state[:, base.h_slot, 0] ** 2))
+    return times, energy
 
 
 class TestBuildMode:
@@ -326,3 +361,57 @@ class TestMultimode:
     def test_nonpositive_stride_rejected(self):
         with pytest.raises(ModalError):
             run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=1.0, output_stride=0)
+
+
+class TestBlockedPropagation:
+    MODES = [(0.0, 0.8)] + cavity_modes(1.0, 5)
+    DT = 0.02
+
+    @staticmethod
+    def _block(medium, n_rows, n_modes):
+        return modal._block_size(n_rows, n_modes, build_mode(medium, 0.0).dim)
+
+    @pytest.mark.parametrize("medium", [defective_medium(), drude_lorentz_medium()],
+                             ids=["defective", "drude_lorentz"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_matches_row_by_row(self, medium, stride):
+        b = self._block(medium, 5001, len(self.MODES))
+        assert b > 2
+        counts = [2, b - 1, b, b + 1, 5001]
+        # the counts end in full and in partial blocks of their own block size
+        remainders = {n % self._block(medium, n, len(self.MODES)) for n in counts}
+        assert 0 in remainders and len(remainders) > 1
+        for n_rows in counts:
+            T = ((n_rows - 1) * stride + 0.2) * self.DT
+            times, expected = row_by_row(medium, self.MODES, self.DT, T, stride)
+            assert times.size == n_rows
+            trace = run_multimode(medium, self.MODES, dt=self.DT, T=T, output_stride=stride)
+            assert np.array_equal(trace.times, times)
+            assert np.all(np.isfinite(expected)) and np.all(expected > 0)
+            np.testing.assert_allclose(trace.energy, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 63, 64, 65, 5001, 10**6])
+    @pytest.mark.parametrize("n_modes, d", [(1, 2), (12, 3), (200, 6), (200, 8), (2000, 12)])
+    def test_block_size_caps(self, n_rows, n_modes, d):
+        b = modal._block_size(n_rows, n_modes, d)
+        assert b >= 1 and b & (b - 1) == 0
+        if b > 1:
+            width = n_modes * d
+            assert b <= math.isqrt(n_rows)
+            assert width * b <= modal._BLOCK_ELEMENTS
+            assert 2 * width * b <= width * d + n_rows
+
+    def test_heap_peak_not_above_row_by_row(self):
+        medium = mixed_medium()  # Lorentz, Debye and Drude terms
+        modes = cavity_modes(1.0, 200)
+        args = (medium, modes, 0.02, 100.0, 1)
+        peaks = []
+        for run in (row_by_row, run_multimode):
+            run(*args)  # scipy.linalg is imported outside the measurement
+            tracemalloc.start()
+            try:
+                run(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
