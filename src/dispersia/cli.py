@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import decay, dispersion, io, kernels, modal
@@ -118,14 +119,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    """Tabulate the spectral abscissa over the config's k values.
+
+    Every eigenvalue comes from one eigvals call on the stacked mode
+    matrices (``modal.spectral_abscissae``); the table is the one per-k
+    spectral_abscissa(build_mode(medium, k)) gives, byte for byte.
+    """
     doc, base_dir = io.load_config(args.config)
     config = io.parse_spectrum_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "spectrum"):
         return EXIT_UNSUPPORTED
+    abscissae, eigs = modal.spectral_abscissae(config.medium, config.k_values)
     lines = ["k,abscissa,n_eigs"]
-    for k, system in zip(config.k_values, modal.build_modes(config.medium, config.k_values)):
-        abscissa, eigs = modal.spectral_abscissa(system)
-        lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
+    lines += [f"{k:.17g},{abscissa:.17g},{eigs.shape[-1]}"
+              for k, abscissa in zip(config.k_values, abscissae.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -159,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="certify kernels and report passivity")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="integrate the modal system, write a trace")
     p.add_argument("--config", required=True)
@@ -167,28 +173,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored; all modes are "
                         "advanced together and traces are byte-identical for any value")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="spectral abscissa over a wavenumber grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fit", help="classify the decay of an energy trace")
     p.add_argument("trace", help="path to a trace file")
     p.add_argument("--window", required=True, metavar="a,b")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_fit)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call and reused for the process.
+
+    parse_args returns a fresh namespace on every call, so reuse carries no
+    state from one command to the next.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the handler is looked up by name on every call, not stored in the reused
+    # parser, so a later rebinding of a cmd_* function is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except io.ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE

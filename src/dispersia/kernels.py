@@ -316,15 +316,27 @@ _FADE_TOL = 1e-3  # share of the accepted estimate left to all faded terms
 _TAIL_STARTS = (0.0, 1.0, 10.0)  # t0 of the identity nu'(t0) = -int_{t0}^inf nu''
 
 
-def _panel_sum(f, a: float, width: float, count: int) -> float:
-    """Gauss-Legendre integral of f over `count` panels of `width` from a."""
-    offsets = 0.5 * width * (_GL_NODES + 1.0)
-    total = 0.0
-    for first in range(0, count, _BLOCK_PANELS):
-        left = a + width * np.arange(first, min(first + _BLOCK_PANELS, count))
-        vals = f((left[:, None] + offsets).ravel()).reshape(-1, _GL_NODES.size)
-        total += float(np.sum(vals @ _GL_WEIGHTS))
-    return 0.5 * width * total
+def _segment_integrals(f, a: np.ndarray, lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integrals of f over [a_i, a_i + lengths_i], in counts_i equal panels.
+
+    The panels of all segments are numbered in one sequence and f is called
+    once per _BLOCK_PANELS of them, on the nodes of that block only, so memory
+    stays bounded however many panels there are; one bincount per block adds
+    each panel's sum to its segment.
+    """
+    widths = lengths / counts
+    ends = np.cumsum(counts)
+    n_panels = int(ends[-1])
+    totals = np.zeros(counts.size)
+    for first in range(0, n_panels, _BLOCK_PANELS):
+        panel = np.arange(first, min(first + _BLOCK_PANELS, n_panels))
+        seg = np.searchsorted(ends, panel, side="right")
+        width = widths[seg]
+        left = a[seg] + width * (panel - (ends[seg] - counts[seg]))
+        vals = f((left[:, None] + 0.5 * width[:, None] * (_GL_NODES + 1.0)).ravel())
+        totals += np.bincount(seg, weights=vals.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS,
+                              minlength=counts.size)
+    return 0.5 * widths * totals
 
 
 def _fade_time(term: DampedTerm, delta: float, eps: float) -> float:
@@ -359,11 +371,13 @@ def _tail_integrals(kernel: ExpPolyKernel, delta: float, tol: float):
     times cut [0, 10 + 60/delta] into segments, each covered by equal panels
     no wider than _PANEL_SCALE over the largest rate of the terms not yet
     faded there, so a slow term costs a bounded number of panels and a stiff
-    term costs panels only while it matters.  One cumulative sum over the
-    segments gives every window.  A window's error estimate is the change of
-    its segments under panel halving; the panels are halved until every
-    estimate is <= tol, at most _MAX_HALVINGS times.  Returns the integrals
-    and estimates of the last level.
+    term costs panels only while it matters.  A level evaluates nu'' once per
+    _BLOCK_PANELS of its panels, over all segments together
+    (``_segment_integrals``).  One cumulative sum over the segments gives
+    every window.  A window's error estimate is the change of its segments
+    under panel halving; the panels are halved until every estimate is <= tol,
+    at most _MAX_HALVINGS times.  Returns the integrals and estimates of the
+    last level.
     """
     nupp = _nth_derivative(kernel, 2)
     starts = np.asarray(_TAIL_STARTS)
@@ -378,14 +392,10 @@ def _tail_integrals(kernel: ExpPolyKernel, delta: float, tol: float):
     seg_rates = np.array([max([delta, *rates[fades > a]]) for a in points[:-1]])
     counts = np.maximum(1, np.ceil(lengths * seg_rates / _PANEL_SCALE)).astype(int)
 
-    def segments(counts):
-        return np.array([_panel_sum(nupp, a, span / n, n)
-                         for a, span, n in zip(points, lengths, counts)])
-
-    coarse = segments(counts)
+    coarse = _segment_integrals(nupp, points[:-1], lengths, counts)
     for _ in range(_MAX_HALVINGS):
         counts = 2 * counts
-        fine = segments(counts)
+        fine = _segment_integrals(nupp, points[:-1], lengths, counts)
         cum = np.concatenate(([0.0], np.cumsum(fine)))
         cum_err = np.concatenate(([0.0], np.cumsum(np.abs(fine - coarse))))
         integrals, errors = cum[hi] - cum[lo], cum_err[hi] - cum_err[lo]
@@ -406,7 +416,9 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     every start and end and panels no wider than 4 / (|z_j| + (degree_j + 1)
     delta) for every term j not yet faded below the tolerance, so the cost
     does not grow with the time scale of a slow term or with the stiffness of
-    a fast one (see ``_tail_integrals``).  Its error is estimated by halving
+    a fast one; each halving level evaluates nu'' on the nodes of all its
+    panels at once, one call per block of 128 panels rather than one per
+    segment (see ``_tail_integrals``).  Its error is estimated by halving
     the panels; an estimate above 1e-10 of the check scale is refined, and if
     it stays above after four halvings the certificate fails.
     For SampledKernel the user-supplied pair is spot-checked; a non-finite

@@ -21,6 +21,17 @@ def debye_sum6():
     return ExpPolyKernel(tuple(t for j in range(6) for t in debye(1.0, 10.0 ** (-j / 3)).terms))
 
 
+def debye_sum10():
+    """Ten unit Debye terms with rates 10^(j/3), j = 0..9."""
+    return ExpPolyKernel(tuple(t for j in range(10) for t in debye(1.0, 10.0 ** (-j / 3)).terms))
+
+
+def defective_medium():
+    """A degree-2 polynomial term: its companion block is one 3x3 Jordan block."""
+    return MediumSpec(1.2, 0.9, ExpPolyKernel((DampedTerm((0.4, 0.6, 0.5), (0.0,), -0.7, 0.0),)),
+                      debye(0.3, 0.5))
+
+
 def random_class_k_kernel(rng, max_terms=2, max_degree=2):
     """A random real kernel with all exponents strictly damped.
 

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from dispersia import ExpPolyKernel, GAUSSIAN, debye, drude, fit_decay, lorentz
+from dispersia import ExpPolyKernel, GAUSSIAN, MediumSpec, debye, drude, fit_decay, lorentz
+from dispersia import cli
 from dispersia import io as dio
 from dispersia.cli import main
 
-from conftest import mixed_medium
+from conftest import defective_medium, lorentz_sum6, mixed_medium
 
 
 def kernel_doc(kernel):
@@ -263,6 +264,39 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
 
+    @pytest.mark.parametrize("medium, ks", [
+        (defective_medium(), {"k_values": [0.5, 1.0, 3.0, 40.0]}),
+        (MediumSpec(1.0, 1.0, lorentz_sum6(), ExpPolyKernel.zero()),
+         {"k_values": [0.1, 2.0, 7.5, 18.0, 60.0]}),
+        (mixed_medium(), {"k_range": {"k_min": 0.01, "k_max": 80.0, "num": 500}}),
+    ], ids=["defective", "lorentz6", "k_range500"])
+    def test_one_stacked_eigvals_call(self, tmp_path, capsys, monkeypatch, medium, ks):
+        from dispersia import build_mode, spectral_abscissa
+
+        doc = {"medium": {"eps": medium.eps, "mu": medium.mu,
+                          "nu_e": kernel_doc(medium.nu_e), "nu_h": kernel_doc(medium.nu_h)},
+               **ks}
+        cfg = write_config(tmp_path, doc)
+        lines = ["k,abscissa,n_eigs"]
+        for k in dio.parse_spectrum_config(*dio.load_config(cfg)).k_values:
+            abscissa, eigs = spectral_abscissa(build_mode(medium, k))
+            lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        assert main(["spectrum", "--config", cfg]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_sampled_kernel_exit4(self, tmp_path, capsys):
+        doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}
+        doc["medium"]["nu_e"] = kernel_doc(GAUSSIAN)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+        assert "exp_poly" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def _trace_file(self, tmp_path):
@@ -292,3 +326,58 @@ class TestFitCommand:
     def test_empty_window_exit1(self, tmp_path):
         out = self._trace_file(tmp_path)
         assert main(["fit", str(out), "--window", "200,300"]) == 1
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"]})
+        for _ in range(3):
+            assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["spectrum", "--config", write_config(
+            tmp_path, {"medium": debye_sim_config()["medium"], "k_values": [1.0]}, "s.json"),
+            "--out", str(tmp_path / "s.csv")]) == 0
+        assert built == [1]
+
+    def test_rebound_handler_runs_with_the_reused_parser(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
+        assert main(["analyze", "--config", cfg]) == 7
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"]})
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["analyze", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
+        threads = []
+        run = cli.modal.run_multimode
+        monkeypatch.setattr(cli.modal, "run_multimode",
+                            lambda *a, **kw: threads.append(kw["threads"]) or run(*a, **kw))
+        sim = write_config(tmp_path, debye_sim_config(), "sim.json")
+        assert main(["simulate", "--config", sim, "--threads", "4",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "t.csv")]) == 0
+        assert threads == [4, 1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze"], "the following arguments are required: --config"),
+        (["simulate", "--config", "x.json", "--threads", "four"], "invalid int value: 'four'"),
+        (["nope"], "invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_errors_after_a_run(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"]})
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: dispersia") and message in err
+            assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +28,72 @@ from dispersia import kernels
 from dispersia.dispersion import _SAMPLED_GRID
 from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
-from conftest import debye_sum6, lorentz_sum6, random_class_k_kernel
+from conftest import debye_sum6, debye_sum10, lorentz_sum6, random_class_k_kernel
+
+
+def per_segment_tail_integrals(kernel, delta, tol, levels=None):
+    """kernels._tail_integrals with one nu'' evaluation per segment per level.
+
+    The loop the batched quadrature replaced, kept as its reference; the panel
+    count of every level is appended to ``levels`` when one is given.
+    """
+    def panel_sum(f, a, width, count):
+        offsets = 0.5 * width * (kernels._GL_NODES + 1.0)
+        total = 0.0
+        for first in range(0, count, kernels._BLOCK_PANELS):
+            left = a + width * np.arange(first, min(first + kernels._BLOCK_PANELS, count))
+            vals = f((left[:, None] + offsets).ravel()).reshape(-1, kernels._GL_NODES.size)
+            total += float(np.sum(vals @ kernels._GL_WEIGHTS))
+        return 0.5 * width * total
+
+    nupp = kernels._nth_derivative(kernel, 2)
+    starts = np.asarray(kernels._TAIL_STARTS)
+    ends = starts + 60.0 / delta
+    eps = kernels._FADE_TOL * tol / max(1, len(nupp.terms))
+    rates = np.array([math.hypot(t.x, t.y) + (t.degree + 1) * delta for t in nupp.terms])
+    fades = np.array([kernels._fade_time(t, delta, eps) for t in nupp.terms])
+    inside = fades[(fades > 0.0) & (fades < ends[-1])]
+    points = np.unique(np.concatenate([starts, ends, inside]))
+    lo, hi = np.searchsorted(points, starts), np.searchsorted(points, ends)
+    lengths = np.diff(points)
+    seg_rates = np.array([max([delta, *rates[fades > a]]) for a in points[:-1]])
+    counts = np.maximum(1, np.ceil(lengths * seg_rates / kernels._PANEL_SCALE)).astype(int)
+
+    def segments(counts):
+        if levels is not None:
+            levels.append(int(counts.sum()))
+        return np.array([panel_sum(nupp, a, span / n, n)
+                         for a, span, n in zip(points, lengths, counts)])
+
+    coarse = segments(counts)
+    for _ in range(kernels._MAX_HALVINGS):
+        counts = 2 * counts
+        fine = segments(counts)
+        cum = np.concatenate(([0.0], np.cumsum(fine)))
+        cum_err = np.concatenate(([0.0], np.cumsum(np.abs(fine - coarse))))
+        integrals, errors = cum[hi] - cum[lo], cum_err[hi] - cum_err[lo]
+        if np.all(errors <= tol):
+            break
+        coarse = fine
+    return integrals, errors
+
+
+def counting_second_derivative(monkeypatch):
+    """Record the number of nodes of every nu'' evaluation from now on."""
+    nodes = []
+    exact = kernels._nth_derivative
+
+    class Counting(ExpPolyKernel):
+        def __call__(self, t):
+            nodes.append(np.size(t))
+            return super().__call__(t)
+
+    def counting(kern, order):
+        d = exact(kern, order)
+        return Counting(d.terms, d.offset) if order == 2 else d
+
+    monkeypatch.setattr(kernels, "_nth_derivative", counting)
+    return nodes
 
 
 class TestEval:
@@ -154,23 +220,41 @@ class TestCertify:
     def test_slow_and_stiff_terms_certified_quickly(self, kern, monkeypatch):
         # a slow term costs a bounded number of panels; a stiff one, panels
         # only while it is above the tolerance
-        panels = []
-        exact = kernels._panel_sum
-
-        def counting(f, a, width, count):
-            panels.append(count)
-            return exact(f, a, width, count)
-
-        monkeypatch.setattr(kernels, "_panel_sum", counting)
         start = time.perf_counter()
         cert = certify_class_K(kern)
         assert time.perf_counter() - start < 0.5
-        assert sum(panels) < 1000
         nup = kernels._nth_derivative(kern, 1)
         scale = max(1.0, abs(nup(0.0)))
+        nodes = counting_second_derivative(monkeypatch)
         integrals, _ = kernels._tail_integrals(kern, cert.delta, 1e-10 * scale)
+        # fewer than 1000 panels of 16 nodes over all halving levels
+        assert sum(nodes) < 16 * 1000
         for t0, val in zip(kernels._TAIL_STARTS, integrals):
             assert abs(nup(t0) + val) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kern", [
+        debye(), lorentz(), drude(), lorentz_sum6(), debye_sum6(), debye_sum10(),
+        debye(1.0, 1e6), debye(1.0, 1e9),
+        ExpPolyKernel(tuple(t for tau in np.logspace(-3, 3, 7) for t in debye(1.0, tau).terms)),
+    ], ids=["debye", "lorentz", "drude", "lorentz6", "debye6", "debye10",
+            "tau=1e6", "tau=1e9", "taus=1e-3..1e3"])
+    def test_batched_tail_matches_per_segment(self, kern, monkeypatch):
+        cert = certify_class_K(kern)
+        nup = kernels._nth_derivative(kern, 1)
+        scale = max(1.0, abs(nup(0.0)))
+        tol = 1e-10 * scale
+        levels = []
+        ref_integrals, ref_errors = per_segment_tail_integrals(kern, cert.delta, tol, levels)
+        nodes = counting_second_derivative(monkeypatch)
+        integrals, errors = kernels._tail_integrals(kern, cert.delta, tol)
+        np.testing.assert_allclose(integrals, ref_integrals, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(errors, ref_errors, rtol=0, atol=1e-12 * scale)
+        # one nu'' call per block of panels per halving level, not one per segment
+        assert sum(nodes) == 16 * sum(levels)
+        assert len(nodes) == sum(-(-n // kernels._BLOCK_PANELS) for n in levels)
+        monkeypatch.undo()
+        monkeypatch.setattr(kernels, "_tail_integrals", per_segment_tail_integrals)
+        assert certify_class_K(kern) == cert
 
     def test_inconsistent_second_derivative_rejected(self, monkeypatch):
         exact = kernels._nth_derivative

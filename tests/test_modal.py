@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dispersia import (
-    DampedTerm,
     ExpPolyKernel,
     GAUSSIAN,
     MediumSpec,
@@ -27,7 +26,7 @@ from dispersia import modal
 from dispersia.kernels import _gaussian_eval
 from dispersia.modal import HistoryTruncationError, ModalError
 
-from conftest import mixed_medium, random_passive_kernel
+from conftest import defective_medium, mixed_medium, random_passive_kernel
 
 ZERO = ExpPolyKernel.zero()
 
@@ -38,12 +37,6 @@ def vacuum():
 
 def debye_medium():
     return MediumSpec(1.0, 1.0, debye(), ZERO)
-
-
-def defective_medium():
-    """A degree-2 polynomial term: its companion block is one 3x3 Jordan block."""
-    return MediumSpec(1.2, 0.9, ExpPolyKernel((DampedTerm((0.4, 0.6, 0.5), (0.0,), -0.7, 0.0),)),
-                      debye(0.3, 0.5))
 
 
 def drude_lorentz_medium():
