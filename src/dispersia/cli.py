@@ -119,20 +119,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    """Tabulate the spectral abscissa over the config's k values.
-
-    Every eigenvalue comes from one eigvals call on the stacked mode
-    matrices (``modal.spectral_abscissae``); the table is the one per-k
-    spectral_abscissa(build_mode(medium, k)) gives, byte for byte.
-    """
     doc, base_dir = io.load_config(args.config)
     config = io.parse_spectrum_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "spectrum"):
         return EXIT_UNSUPPORTED
-    abscissae, eigs = modal.spectral_abscissae(config.medium, config.k_values)
     lines = ["k,abscissa,n_eigs"]
-    lines += [f"{k:.17g},{abscissa:.17g},{eigs.shape[-1]}"
-              for k, abscissa in zip(config.k_values, abscissae.tolist())]
+    for k, system in zip(config.k_values, modal.build_modes(config.medium, config.k_values)):
+        abscissa, eigs = modal.spectral_abscissa(system)
+        lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -199,9 +193,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _parser().parse_args(argv)
-    # the handler is looked up by name on every call, not stored in the reused
+    # the handlers are looked up on every call, not stored in the reused
     # parser, so a later rebinding of a cmd_* function is the one that runs
-    command = globals()[f"cmd_{args.command}"]
+    command = {"analyze": cmd_analyze, "simulate": cmd_simulate,
+               "spectrum": cmd_spectrum, "fit": cmd_fit}[args.command]
     try:
         return command(args)
     except io.ParseError as exc:

@@ -218,18 +218,6 @@ def spectral_abscissa(system: ModeSystem) -> tuple[float, np.ndarray]:
     return float(np.max(eigs.real)), eigs
 
 
-def spectral_abscissae(medium: MediumSpec, ks) -> tuple[np.ndarray, np.ndarray]:
-    """spectral_abscissa for every k in ks: shapes (n,) and (n, d), one eigvals call.
-
-    The eigenvalues of the stacked mode matrices (``_closure_stack``) come
-    from one call over the whole stack; row i equals
-    spectral_abscissa(build_mode(medium, ks[i])) bit for bit.
-    """
-    _, A = _closure_stack(medium, ks)
-    eigs = np.linalg.eigvals(A)
-    return np.max(eigs.real, axis=-1), eigs
-
-
 def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     """Roots of the per-mode characteristic equation
     lambda^2 (eps + L nu_E)(mu + L nu_H) + k^2 = 0, denominators cleared.
