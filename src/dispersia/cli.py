@@ -75,8 +75,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     nu_e, nu_h = _analyze_kernels(doc, base_dir)
     try:
         for which, kernel in (("nu_e", nu_e), ("nu_h", nu_h)):
-            if isinstance(kernel, kernels.ExpPolyKernel) and kernel.is_zero:
-                continue
             cert = kernels.certify_class_K(kernel)
             log.info("%s certified: C=%.6g delta=%.6g", which, cert.C, cert.delta)
     except kernels.KernelError as exc:
@@ -109,7 +107,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         dt=config.dt,
         T=config.T,
         output_stride=config.output_stride,
-        threads=args.threads,
     )
     if args.out is None:
         sys.stdout.write(io.format_trace(trace))

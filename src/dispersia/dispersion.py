@@ -301,14 +301,14 @@ class SampledPart(NamedTuple):
 def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
     """What the decisions need of each kernel, computed once per call.
 
-    An exponential-polynomial kernel gives its omega_form (the zero kernel the
-    constant ``_ZERO_FORM``, without a call); a sampled kernel gives its real
-    part on both frequency grids from one ``sampled_iw_real_part`` call.
+    An exponential-polynomial kernel gives its omega_form; a sampled kernel
+    gives its real part on both frequency grids from one
+    ``sampled_iw_real_part`` call.
     """
     data = []
     for kernel in (nu_e, nu_h):
         if isinstance(kernel, ExpPolyKernel):
-            data.append(_ZERO_FORM if kernel.is_zero else omega_form(kernel))
+            data.append(omega_form(kernel))
         else:
             vals = sampled_iw_real_part(kernel, np.concatenate([_SAMPLED_GRID, _TAIL_GRID]))
             data.append(SampledPart(vals[:_SAMPLED_GRID.size], vals[_SAMPLED_GRID.size:]))
@@ -351,10 +351,7 @@ def _strict_passivity(data: tuple) -> PassivityReport:
     if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
         vals = np.zeros_like(_SAMPLED_GRID)
         for item in data:
-            if not isinstance(item, OmegaRational):
-                vals += item.grid
-            elif item is not _ZERO_FORM:
-                vals += item.real_part(_SAMPLED_GRID)
+            vals += item.real_part(_SAMPLED_GRID) if isinstance(item, OmegaRational) else item.grid
         strict = bool(np.all(vals > 0.0))
         witness = () if strict else (float(_SAMPLED_GRID[np.argmin(vals)]),)
         return replace(base, strictly_passive=strict and base.passive,
@@ -411,9 +408,6 @@ def _decay_exponent_sampled(data: tuple, report: PassivityReport) -> PassivityRe
         if isinstance(item, SampledPart):
             vals = item.tail
             own.append(_fitted_exponent(wgrid, vals) if np.all(vals > 0) else None)
-        elif item is _ZERO_FORM:
-            vals = np.zeros_like(wgrid)
-            own.append(None)
         else:
             vals = item.real_part(wgrid)
             own.append(_exponent(item))

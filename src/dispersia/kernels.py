@@ -3,7 +3,9 @@
 Two kernel representations are supported.  ``ExpPolyKernel`` stores finite
 sums of damped polynomial oscillations (the family covering Debye, Lorentz
 and Drude media) in a real cosine/sine form, so evaluation never leaves the
-reals.  ``SampledKernel`` wraps a black-box evaluator together with a
+reals.  The family is closed under differentiation and integration, so an
+exp-poly class-K certificate and its tail identity are checked in closed
+form.  ``SampledKernel`` wraps a black-box evaluator together with a
 user-supplied exponential bound on the second derivative; its Laplace values
 come from one Filon-Legendre panel transform: the sampled function is
 interpolated at 16 Gauss-Legendre nodes on panels chosen from it alone, and
@@ -235,8 +237,8 @@ class SampledKernel:
         if not (0 < self.C < math.inf and 0 < self.delta < math.inf):
             raise KernelError("decay certificate needs finite C > 0 and delta > 0, got "
                               f"C={self.C}, delta={self.delta}")
-        if 160.0 / self.delta == math.inf:  # the longest Laplace horizon
-            raise KernelError(f"delta={self.delta} is too small: 160/delta overflows")
+        if 60.0 / self.delta == math.inf:  # the Laplace horizon
+            raise KernelError(f"delta={self.delta} is too small: 60/delta overflows")
 
     def __call__(self, t, order: int = 0):
         return self.evaluator(np.asarray(t, dtype=float), order)
@@ -297,112 +299,30 @@ def eval_kernel(kernel: Kernel, t, order: int = 0):
     return out if out.shape else float(out)
 
 
-# Composite Gauss-Legendre rule of the tail identity check in certify_class_K.
-# The 16-point rule on [-1, 1], tabulated from numpy's leggauss(16): computing
-# it calls LAPACK, whose workspace would then stay resident in every process.
-_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                  0.9445750230732326, 0.9894009349916499)
-_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                    0.062253523938647456, 0.027152459411754176)
-_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
-_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
-_PANEL_SCALE = 4.0  # panel width <= _PANEL_SCALE / (|z_j| + (degree_j + 1) delta)
-_BLOCK_PANELS = 128  # panels per kernel evaluation, so memory stays bounded
-_MAX_HALVINGS = 4  # panel halvings before an unconverged estimate fails
-_QUAD_TOL = 1e-10  # accepted halving estimate, relative to the check scale
-_FADE_TOL = 1e-3  # share of the accepted estimate left to all faded terms
 _TAIL_STARTS = (0.0, 1.0, 10.0)  # t0 of the identity nu'(t0) = -int_{t0}^inf nu''
 
 
-def _segment_integrals(f, a: np.ndarray, lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre integrals of f over [a_i, a_i + lengths_i], in counts_i equal panels.
+def _antiderivative(kernel: ExpPolyKernel) -> ExpPolyKernel:
+    """The antiderivative F of the kernel's damped terms with F -> 0 at infinity.
 
-    The panels of all segments are numbered in one sequence and f is called
-    once per _BLOCK_PANELS of them, on the nodes of that block only, so memory
-    stays bounded however many panels there are; one bincount per block adds
-    each panel's sum to its segment.
+    Inverts ``ExpPolyKernel.derivative`` term by term: F's term (P, Q) has
+    a_l = (l + 1) P_(l+1) + x P_l + y Q_l and b_l = (l + 1) Q_(l+1) + x Q_l - y P_l
+    for the term (a, b), solved from the top degree down, one 2x2 system with
+    determinant x^2 + y^2 > 0 per degree (every x < 0).  The offset is dropped.
     """
-    widths = lengths / counts
-    ends = np.cumsum(counts)
-    n_panels = int(ends[-1])
-    totals = np.zeros(counts.size)
-    for first in range(0, n_panels, _BLOCK_PANELS):
-        panel = np.arange(first, min(first + _BLOCK_PANELS, n_panels))
-        seg = np.searchsorted(ends, panel, side="right")
-        width = widths[seg]
-        left = a[seg] + width * (panel - (ends[seg] - counts[seg]))
-        vals = f((left[:, None] + 0.5 * width[:, None] * (_GL_NODES + 1.0)).ravel())
-        totals += np.bincount(seg, weights=vals.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS,
-                              minlength=counts.size)
-    return 0.5 * widths * totals
-
-
-def _fade_time(term: DampedTerm, delta: float, eps: float) -> float:
-    """A time T after which the term's share of the panel sums is below eps.
-
-    With a = -x, d = degree and B = sum |p_k| + |q_k|, the term is bounded by
-    b(t) = B (1 + t)^d e^{-a t}, which for 1 + t >= 2 d / a decays at rate
-    a / 2 or faster.  Past such a T, Gauss-Legendre panels no wider than
-    _PANEL_SCALE / delta and the exact integral of the term differ by at most
-    (_PANEL_SCALE / delta + 4 / a) b(T), however coarse the panels are for
-    the term itself.  T solves that bound = eps by fixed-point iteration,
-    which contracts by 1/2 or better.
-    """
-    a, d = -term.x, term.degree
-    weight = (_PANEL_SCALE / delta + 4.0 / a) * (sum(map(abs, term.p)) + sum(map(abs, term.q)))
-    t_min = max(0.0, 2.0 * d / a - 1.0)
-    t = t_min
-    for _ in range(100):
-        nxt = max(t_min, (math.log(weight / eps) + d * math.log1p(t)) / a)
-        if nxt - t <= 1e-12 * nxt:
-            return nxt
-        t = nxt
-    return t
-
-
-def _tail_integrals(kernel: ExpPolyKernel, delta: float, tol: float):
-    """int_{t0}^{t0 + 60/delta} nu'' for t0 in _TAIL_STARTS, with error estimates.
-
-    Every term j of nu'' has a rate |z_j| + (degree_j + 1) delta and a fade
-    time (``_fade_time``) after which its share of the panel sums is below
-    _FADE_TOL * tol / (number of terms).  The starts, the ends and the fade
-    times cut [0, 10 + 60/delta] into segments, each covered by equal panels
-    no wider than _PANEL_SCALE over the largest rate of the terms not yet
-    faded there, so a slow term costs a bounded number of panels and a stiff
-    term costs panels only while it matters.  A level evaluates nu'' once per
-    _BLOCK_PANELS of its panels, over all segments together
-    (``_segment_integrals``).  One cumulative sum over the segments gives
-    every window.  A window's error estimate is the change of its segments
-    under panel halving; the panels are halved until every estimate is <= tol,
-    at most _MAX_HALVINGS times.  Returns the integrals and estimates of the
-    last level.
-    """
-    nupp = _nth_derivative(kernel, 2)
-    starts = np.asarray(_TAIL_STARTS)
-    ends = starts + 60.0 / delta
-    eps = _FADE_TOL * tol / max(1, len(nupp.terms))
-    rates = np.array([math.hypot(t.x, t.y) + (t.degree + 1) * delta for t in nupp.terms])
-    fades = np.array([_fade_time(t, delta, eps) for t in nupp.terms])
-    inside = fades[(fades > 0.0) & (fades < ends[-1])]
-    points = np.unique(np.concatenate([starts, ends, inside]))
-    lo, hi = np.searchsorted(points, starts), np.searchsorted(points, ends)
-    lengths = np.diff(points)
-    seg_rates = np.array([max([delta, *rates[fades > a]]) for a in points[:-1]])
-    counts = np.maximum(1, np.ceil(lengths * seg_rates / _PANEL_SCALE)).astype(int)
-
-    coarse = _segment_integrals(nupp, points[:-1], lengths, counts)
-    for _ in range(_MAX_HALVINGS):
-        counts = 2 * counts
-        fine = _segment_integrals(nupp, points[:-1], lengths, counts)
-        cum = np.concatenate(([0.0], np.cumsum(fine)))
-        cum_err = np.concatenate(([0.0], np.cumsum(np.abs(fine - coarse))))
-        integrals, errors = cum[hi] - cum[lo], cum_err[hi] - cum_err[lo]
-        if np.all(errors <= tol):
-            break
-        coarse = fine
-    return integrals, errors
+    new_terms = []
+    for t in kernel.terms:
+        n = t.degree + 1
+        a = np.pad(t.p, (0, n - len(t.p)))
+        b = np.pad(t.q, (0, n - len(t.q)))
+        p, q = np.zeros(n + 1), np.zeros(n + 1)
+        det = t.x * t.x + t.y * t.y
+        for ell in range(n - 1, -1, -1):
+            ra, rb = a[ell] - (ell + 1) * p[ell + 1], b[ell] - (ell + 1) * q[ell + 1]
+            p[ell], q[ell] = (t.x * ra - t.y * rb) / det, (t.y * ra + t.x * rb) / det
+        if np.any(p) or np.any(q):
+            new_terms.append(DampedTerm(tuple(p[:n]), tuple(q[:n]) if t.y else (0.0,), t.x, t.y))
+    return ExpPolyKernel(tuple(new_terms), 0.0)
 
 
 def certify_class_K(kernel: Kernel) -> ClassKCertificate:
@@ -411,16 +331,10 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     For ExpPolyKernel the rate is delta = 0.9 * min_j |Re z_j| and C is a
     padded grid maximum of |nu''| e^{delta t}; the construction also checks
     nu'(t) -> 0 at the horizon and the identity nu'(t) = -int_t^inf nu'' at
-    t0 = 0, 1, 10.  The integrals over [t0, t0 + 60/delta] come from one
-    vectorized composite 16-point Gauss-Legendre rule, with breakpoints at
-    every start and end and panels no wider than 4 / (|z_j| + (degree_j + 1)
-    delta) for every term j not yet faded below the tolerance, so the cost
-    does not grow with the time scale of a slow term or with the stiffness of
-    a fast one; each halving level evaluates nu'' on the nodes of all its
-    panels at once, one call per block of 128 panels rather than one per
-    segment (see ``_tail_integrals``).  Its error is estimated by halving
-    the panels; an estimate above 1e-10 of the check scale is refined, and if
-    it stays above after four halvings the certificate fails.
+    t0 = 0, 1, 10.  The integrals of nu'' over [t0, t0 + 60/delta] are exact:
+    F(t0 + 60/delta) - F(t0) with F the closed-form antiderivative of the
+    same nu'' whose bound C is certified (``_antiderivative``), so the check
+    ties nu'' to nu' at any time scale or stiffness, with no tolerance.
     For SampledKernel the user-supplied pair is spot-checked; a non-finite
     sample fails the certificate.
     """
@@ -469,14 +383,11 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
             f"nu' does not vanish at the horizon: |nu'({50.0/delta:.3g})| = {tail:.3g}",
             50.0 / delta,
         )
-    # nu'(t) = -int_t^inf nu''(y) dy, checked by quadrature at three points
-    tol = _QUAD_TOL * scale
-    integrals, errors = _tail_integrals(kernel, delta, tol)
-    for t0, val, err in zip(_TAIL_STARTS, integrals, errors):
-        if err > tol:
-            raise CertificationFailure(
-                f"tail quadrature did not converge at t={t0}: error estimate {err:.3g}", t0
-            )
+    # nu'(t) = -int_t^inf nu''(y) dy, checked in closed form at three points
+    starts = np.asarray(_TAIL_STARTS)
+    anti = _antiderivative(nupp)
+    integrals = anti(starts + 60.0 / delta) - anti(starts)
+    for t0, val in zip(_TAIL_STARTS, integrals):
         if abs(nup(np.asarray(t0)) + val) > 1e-8 * scale:
             raise CertificationFailure(
                 f"nu'(t) + int_t^inf nu'' = {nup(np.asarray(t0)) + val:.3g} at t={t0}", t0
@@ -484,6 +395,20 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
 
     excess = abs_nupp - C * np.exp(-delta * tgrid)
     return ClassKCertificate(C, delta, horizon, float(excess.max()))
+
+
+# The 16-point Gauss-Legendre rule on [-1, 1] of the Filon-Legendre panels,
+# tabulated from numpy's leggauss(16): computing it calls LAPACK, whose
+# workspace would then stay resident in every process.
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
+_BLOCK_PANELS = 128  # Filon panels per sampled-function call, so memory stays bounded
 
 
 def _legendre_table(x: np.ndarray) -> np.ndarray:
@@ -552,14 +477,15 @@ def _filon_panels(f, upper: float):
     cut at upper.  f is sampled at the 16 Gauss-Legendre nodes of every panel,
     _BLOCK_PANELS panels per call, and each panel is bisected until the top
     two Legendre coefficients of its interpolant are below _FILON_TOL times
-    the largest sample of the first level (at most _MAX_BISECTIONS times).
+    the largest sample so far, of any level (at most _MAX_BISECTIONS times):
+    a peak that the first level misses raises the scale once it is sampled.
     Panels on which f vanishes are dropped.  Returns (left ends, half-widths,
     Legendre coefficients).  Nothing here depends on a frequency.
     """
     edges = np.concatenate(([0.0], 2.0 ** np.arange(math.ceil(math.log2(upper)))
                             if upper > 1.0 else [], [upper]))
     left, half = edges[:-1], 0.5 * np.diff(edges)
-    kept, scale = [], None
+    kept, scale = [], 0.0
     for level in range(_MAX_BISECTIONS + 1):
         nodes = left[:, None] + half[:, None] * (_GL_NODES + 1.0)
         samples = np.concatenate([f(nodes[i:i + _BLOCK_PANELS].ravel())
@@ -568,8 +494,7 @@ def _filon_panels(f, upper: float):
         if not np.all(np.isfinite(samples)):
             bad = nodes[~np.isfinite(samples)][0]
             raise KernelError(f"kernel evaluator returned a non-finite value at t={bad:.6g}")
-        if scale is None:
-            scale = float(np.max(np.abs(samples)))
+        scale = max(scale, float(np.max(np.abs(samples))))
         coeffs = samples @ _TO_LEGENDRE
         done = (np.max(np.abs(coeffs[:, -2:]), axis=1) <= _FILON_TOL * scale) | (
             level == _MAX_BISECTIONS)
@@ -611,13 +536,13 @@ def _filon_transform(f, upper: float, w: np.ndarray) -> np.ndarray:
 def laplace(kernel: Kernel, lam: complex) -> complex:
     """Laplace transform L nu(lambda) for Re lambda >= 0.
 
-    ExpPolyKernel uses the exact partial-fraction sum.  SampledKernel uses the
-    Filon-Legendre panel transform (``_filon_transform``) with e^{-Re lambda s}
-    folded into the sampled function: of nu over [0, 160/delta] when
-    Re lambda > delta/2, else of nu'' over [0, 60/delta], because nu itself
-    need not be integrable on and near the imaginary axis.  On the axis that
-    route reads i w L nu(i w) = nu(0) + (nu'(0) + L nu''(i w)) / (i w), so its
-    real part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
+    ExpPolyKernel uses the exact partial-fraction sum.  SampledKernel reads
+    L nu(lambda) = (nu(0) + (nu'(0) + L nu''(lambda)) / lambda) / lambda, with
+    L nu'' from the Filon-Legendre panel transform (``_filon_transform``) of
+    e^{-Re lambda s} nu''(s) over [0, 60/delta]: nu itself need not be
+    integrable on and near the imaginary axis, and at large Re lambda the
+    transform, however coarse, is divided by lambda^2.  On the axis its real
+    part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
     transform of nu''; ``sampled_iw_real_part`` evaluates that for many w at once.
     """
     lam = complex(lam)
@@ -638,14 +563,11 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
         return complex(total)
 
     # sampled path
-    delta, sigma, w = kernel.delta, lam.real, np.array([lam.imag])
-    if sigma > delta / 2.0:
-        return complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 0),
-                                        160.0 / delta, w)[0])
     if lam == 0:
         raise UnsupportedPoint("lambda = 0 is not supported on the sampled path")
+    sigma = lam.real
     lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
-                                    60.0 / delta, w)[0])
+                                    60.0 / kernel.delta, np.array([lam.imag]))[0])
     nu0 = float(kernel(np.asarray(0.0), 0))
     nup0 = float(kernel(np.asarray(0.0), 1))
     return (nu0 + (nup0 + lap2) / lam) / lam

@@ -475,7 +475,6 @@ def run_multimode(
     dt: float,
     T: float,
     output_stride: int = 1,
-    threads: int = 1,
 ) -> EnergyTrace:
     """Integrate independent modes with the exact propagator and sum energies.
 
@@ -487,8 +486,7 @@ def run_multimode(
     previous one, one batched matmul per b output samples.  b is a power of
     two near sqrt(samples), capped so the blocks stay small (see
     ``_block_size``).  The energies of a block are reduced over modes in a
-    fixed order, and the trace is bit-identical across runs.  ``threads`` is
-    accepted for compatibility and ignored.
+    fixed order, and the trace is bit-identical across runs.
     """
     if dt <= 0 or T <= dt:
         raise ModalError("need dt > 0 and T > dt")

@@ -344,23 +344,13 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
         assert main(["analyze", "--config", cfg]) == 7
 
-    def test_options_do_not_carry_over(self, tmp_path, capsys, monkeypatch):
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"]})
         out = tmp_path / "report.json"
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert main(["analyze", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
-
-        threads = []
-        run = cli.modal.run_multimode
-        monkeypatch.setattr(cli.modal, "run_multimode",
-                            lambda *a, **kw: threads.append(kw["threads"]) or run(*a, **kw))
-        sim = write_config(tmp_path, debye_sim_config(), "sim.json")
-        assert main(["simulate", "--config", sim, "--threads", "4",
-                     "--out", str(tmp_path / "t.csv")]) == 0
-        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "t.csv")]) == 0
-        assert threads == [4, 1]
 
     @pytest.mark.parametrize("argv, message", [
         (["analyze"], "the following arguments are required: --config"),

@@ -296,13 +296,6 @@ class TestMultimode:
         trace = run_multimode(debye_medium(), modes, dt=0.05, T=20.0)
         assert np.all(trace.energy <= trace.energy[0] * (1 + 1e-10))
 
-    def test_thread_determinism(self):
-        modes = cavity_modes(1.0, 8)
-        one = run_multimode(debye_medium(), modes, dt=0.05, T=5.0, threads=1)
-        four = run_multimode(debye_medium(), modes, dt=0.05, T=5.0, threads=4)
-        assert np.array_equal(one.energy, four.energy)
-        assert np.array_equal(one.times, four.times)
-
     def test_cavity_modes_spacing(self):
         modes = cavity_modes(2.0, 3)
         ks = [k for k, _ in modes]
