@@ -288,14 +288,6 @@ class HistoryState:
     def h(self) -> float:
         return float(self.h_past[-1])
 
-    def eta(self, which: str, s_grid: np.ndarray) -> np.ndarray:
-        """Summed past history eta^t(s) = int_0^{min(s,t)} field(t - y) dy."""
-        past = (self.e_past if which == "E" else self.h_past).view()
-        rev = past[::-1]  # field(t - y) on the y-grid
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (rev[1:] + rev[:-1]) * self.dt)))
-        y = np.minimum(np.asarray(s_grid), self.t)
-        return np.interp(y, np.arange(past.size) * self.dt, cum)
-
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
     state = HistoryState(dt=dt, s_max=s_max)

@@ -160,6 +160,27 @@ class TestAnalyzeCommand:
         assert "C > 0 and delta > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("degree, z_re", [(3, -1e-6), (5, -1e-3)])
+    def test_slowly_damped_power_certified_exit3(self, tmp_path, capsys, degree, z_re):
+        # t^degree e^{z_re t} is in class K, and not passive
+        power = {"type": "exp_poly", "terms": [{"poly_re": [0.0] * degree + [1.0],
+                                                "poly_im": [0.0] * (degree + 1),
+                                                "z_re": z_re, "z_im": 0.0}]}
+        cfg = write_config(tmp_path, {"nu_e": power})
+        assert main(["analyze", "--config", cfg]) == 3
+        assert json.loads(capsys.readouterr().out)["passive"] is False
+
+    def test_overflowing_certificate_exit2(self, tmp_path, capsys):
+        power = {"type": "exp_poly", "terms": [{"poly_re": [0.0] * 5 + [1.0], "poly_im": [0.0] * 6,
+                                                "z_re": -1e-300, "z_im": 0.0}]}
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, {"nu_e": power})
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("certification failed:") and "overflows" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_json_exit1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

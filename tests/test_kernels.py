@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import dawsn, erfcx, erfi, spherical_jn
 
@@ -29,13 +29,6 @@ from dispersia.dispersion import _SAMPLED_GRID
 from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
 from conftest import debye_sum6, debye_sum10, lorentz_sum6, random_class_k_kernel
-
-
-def exact_tail_integrals(kern, delta):
-    """int_{t0}^{t0 + 60/delta} nu'' for t0 in _TAIL_STARTS, from the antiderivative."""
-    anti = kernels._antiderivative(kernels._nth_derivative(kern, 2))
-    starts = np.asarray(kernels._TAIL_STARTS)
-    return anti(starts + 60.0 / delta) - anti(starts)
 
 
 class TestEval:
@@ -72,13 +65,12 @@ class TestCertify:
     def test_debye_certificate(self):
         cert = certify_class_K(debye())
         assert cert.delta == pytest.approx(0.9)
-        # |nu''| e^{0.9 t} = e^{-0.1 t} peaks at t=0, padded by 5%
-        assert cert.C == pytest.approx(1.05, rel=1e-6)
-        assert cert.max_violation <= 0
+        # |nu''| e^{0.9 t} = e^{-0.1 t} peaks at t=0
+        assert cert.C == 1.0
 
     def test_gaussian_builtin_accepted(self):
         cert = certify_class_K(GAUSSIAN)
-        assert cert.max_violation <= 0
+        assert (cert.C, cert.delta) == (GAUSSIAN.C, GAUSSIAN.delta)
 
     def test_gaussian_second_derivative_envelope(self):
         # dense-grid oracle: max |(4t^2-2) e^{-t^2}| e^t is about 3.3414
@@ -139,18 +131,29 @@ class TestCertify:
         laplace(GAUSSIAN, 0.25 + 1j)
         laplace(GAUSSIAN, 1.0 + 1j)
 
-    def test_tail_identity_residual(self):
-        # nu'(t0) + int_{t0}^{t0 + 60/delta} nu'' vanishes up to rounding, and
-        # the exact integrals agree with adaptive quad within its 1e-8 check
-        for kern in self._tail_kernels():
-            delta = certify_class_K(kern).delta
-            nup, nupp = kernels._nth_derivative(kern, 1), kernels._nth_derivative(kern, 2)
-            scale = max(1.0, abs(nup(0.0)))
-            for t0, val in zip(kernels._TAIL_STARTS, exact_tail_integrals(kern, delta)):
-                assert abs(nup(t0) + val) <= 1e-12 * scale
-                ref, _ = quad(lambda y: nupp(np.asarray(y)), t0, t0 + 60.0 / delta,
-                              epsabs=1e-12, limit=400)
-                assert abs(val - ref) <= 1e-8 * scale
+    def test_bound_holds_on_a_dense_grid(self):
+        # C >= max |nu''| e^{delta t} over [0, 60/delta], past every peak
+        # t = l / (|x| - delta) <= 50/|x| of a degree-5 term (t^3 e^{-t} peaks at t = 30)
+        rng = np.random.default_rng(3)
+        t3 = ExpPolyKernel((DampedTerm((0.0, 0.0, 0.0, 1.0), (0.0,), -1.0, 0.0),))
+        for kern in [random_class_k_kernel(rng, 3, 5) for _ in range(30)] + [t3]:
+            cert = certify_class_K(kern)
+            t = np.linspace(0.0, 60.0 / cert.delta, 200_001)
+            dense = np.max(np.abs(eval_kernel(kern, t, 2)) * np.exp(cert.delta * t))
+            assert cert.C >= dense
+
+    @pytest.mark.parametrize("deg, x", [(3, -1e-6), (5, -1e-3)])
+    def test_slowly_damped_powers_certified(self, deg, x):
+        # t^deg e^{x t} is in class K however slowly it decays
+        kern = ExpPolyKernel((DampedTerm((0.0,) * deg + (1.0,), (0.0,), x, 0.0),))
+        cert = certify_class_K(kern)
+        assert cert.delta == 0.9 * -x and math.isfinite(cert.C)
+
+    def test_overflowing_bound_rejected(self):
+        # (l / ((|x| - delta) e))^l is beyond the float range
+        kern = ExpPolyKernel((DampedTerm((0.0,) * 5 + (1.0,), (0.0,), -1e-300, 0.0),))
+        with pytest.raises(NotInClassK, match="overflows"):
+            certify_class_K(kern)
 
     @pytest.mark.parametrize("kern", [
         debye(1.0, 1e6),
@@ -158,47 +161,23 @@ class TestCertify:
         ExpPolyKernel(tuple(t for tau in np.logspace(-3, 3, 7) for t in debye(1.0, tau).terms)),
     ], ids=["tau=1e6", "tau=1e9", "taus=1e-3..1e3"])
     def test_slow_and_stiff_terms_certified_quickly(self, kern):
-        # the closed-form tail costs the same at any time scale or stiffness
+        # the closed form costs the same at any time scale or stiffness
         start = time.perf_counter()
         cert = certify_class_K(kern)
         assert time.perf_counter() - start < 0.5
-        nup = kernels._nth_derivative(kern, 1)
-        scale = max(1.0, abs(nup(0.0)))
-        for t0, val in zip(kernels._TAIL_STARTS, exact_tail_integrals(kern, cert.delta)):
-            assert abs(nup(t0) + val) <= 1e-12 * scale
-            # a Debye term beta e^{x t} has int_a^b nu'' = beta x (e^{x b} - e^{x a})
-            ref = sum(t.p[0] * t.x * (math.exp(t.x * (t0 + 60.0 / cert.delta)) - math.exp(t.x * t0))
-                      for t in kern.terms)
-            assert abs(val - ref) <= 1e-12 * scale
+        # nu'' = sum_j beta_j x_j^2 e^{x_j t} peaks at t = 0, where the bound is tight
+        assert cert.C == pytest.approx(sum(t.p[0] * t.x**2 for t in kern.terms), rel=1e-12)
 
-    def test_inconsistent_second_derivative_rejected(self, monkeypatch):
-        exact = kernels._nth_derivative
-
-        def perturbed(kern, order):
-            d = exact(kern, order)
-            if order != 2:
-                return d
-            return ExpPolyKernel(tuple(
-                DampedTerm(tuple(np.multiply(t.p, 1 + 1e-6)), tuple(np.multiply(t.q, 1 + 1e-6)),
-                           t.x, t.y) for t in d.terms))
-
-        monkeypatch.setattr(kernels, "_nth_derivative", perturbed)
-        for kern in (debye(), lorentz(), lorentz_sum6()):
-            with pytest.raises(CertificationFailure):
-                certify_class_K(kern)
-
-    @pytest.mark.parametrize("kern, C, delta, horizon, violation", [
-        (debye(), 1.05, 0.9, 22.22222222222222, -1.9408481599401692e-09),
-        (lorentz(), 1.2725312095672017, 0.45, 44.44444444444444, -2.348257210362758e-09),
-        (drude(), 1.05, 0.9, 22.22222222222222, -1.9408481599401692e-09),
-        (lorentz_sum6(), 785.5268236661974, 0.045000000000000005, 444.4444444444444,
-         -1.6171379878706361e-06),
-    ])
-    def test_certificates_unchanged(self, kern, C, delta, horizon, violation):
+    @pytest.mark.parametrize("kern, C, delta", [
+        (debye(), 1.0, 0.9),
+        (lorentz(), 1.25, 0.45),
+        (drude(), 1.0, 0.9),
+        (lorentz_sum6(), 819.2275000000001, 0.045000000000000005),
+    ], ids=["debye", "lorentz", "drude", "lorentz_sum6"])
+    def test_certificates_unchanged(self, kern, C, delta):
         cert = certify_class_K(kern)
-        assert cert.delta == delta and cert.checked_horizon == horizon
+        assert cert.delta == delta
         assert cert.C == pytest.approx(C, rel=1e-12)
-        assert cert.max_violation == pytest.approx(violation, rel=1e-9, abs=1e-15 * C)
 
     def test_certificate_heap_peak_bounded(self):
         certify_class_K(lorentz_sum6())  # derivatives cached outside the measurement
@@ -394,6 +373,16 @@ class TestFilon:
         sizable = np.abs(ref[small]) > 1e-280
         assert np.max(np.abs(got[small] - ref[small])[sizable] / np.abs(ref[small][sizable])) <= 1e-13
 
+    def test_real_argument_gives_real_laplace(self, monkeypatch):
+        # j_n(0) = 0 exactly for n >= 1, so w = 0 adds no imaginary part
+        for lam in (0.3, 2.0):
+            assert laplace(GAUSSIAN, lam).imag == 0.0
+        # no argument of the decision grid is 0: reading 0 as 1e-200 changes nothing
+        got = sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID)
+        exact_zero = kernels._spherical_jn
+        monkeypatch.setattr(kernels, "_spherical_jn", lambda x: exact_zero(np.maximum(x, 1e-200)))
+        assert np.array_equal(sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID), got)
+
     def test_exact_on_polynomials(self):
         # a cubic is its own interpolant on every panel of [0, 1], [1, 2], [2, 4],
         # [4, 6], so only rounding separates the transform from the integral
@@ -463,30 +452,3 @@ def test_debye_laplace_closed_form(beta, tau):
     kern = debye(beta, tau)
     for lam in (0.5, 1.0, 2 + 1j):
         assert laplace(kern, lam) == pytest.approx(beta * tau / (tau * lam + 1), abs=1e-12)
-
-
-# zero or of size 1e-2 at least, so that no term rounds away to nothing
-poly_coeff = st.one_of(st.just(0.0), st.floats(1e-2, 2.0), st.floats(-2.0, -1e-2))
-
-
-def _same_terms(a, b):
-    assert [(t.x, t.y) for t in a.terms] == [(t.x, t.y) for t in b.terms]
-    for s, t in zip(a.terms, b.terms):
-        for u, v in ((s.p, t.p), (s.q, t.q)):
-            u, v = np.pad(u, (0, 4 - len(u))), np.pad(v, (0, 4 - len(v)))
-            assert np.allclose(u, v, rtol=1e-12, atol=1e-12 * (1 + np.max(np.abs(v))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    p=st.lists(poly_coeff, min_size=1, max_size=4),
-    q=st.lists(poly_coeff, min_size=1, max_size=4),
-    x=st.floats(-3.0, -0.3),
-    y=st.one_of(st.just(0.0), st.floats(0.3, 2.0)),
-)
-def test_antiderivative_inverts_derivative(p, q, x, y):
-    # degree <= 3, with and without oscillation; F -> 0 at infinity fixes the constant
-    assume(any(p) or (y and any(q)))
-    kern = ExpPolyKernel((DampedTerm(tuple(p), tuple(q) if y else (0.0,), x, y),))
-    _same_terms(kernels._antiderivative(kern.derivative()), kern)
-    _same_terms(kernels._antiderivative(kern).derivative(), kern)

@@ -272,15 +272,6 @@ class TestHistoryIntegrator:
         with pytest.raises(ModalError, match="another medium"):
             step_history(other, 1.0, hist, 0.1)
 
-    def test_eta_boundary_conditions(self):
-        hist = initial_history(0.1, s_max=2.0)
-        for _ in range(10):
-            hist = step_history(debye_medium(), 1.0, hist, 0.1)
-        assert hist.eta("E", np.array([0.0]))[0] == 0.0
-        # eta saturates for s beyond the elapsed time
-        vals = hist.eta("E", np.array([hist.t, hist.t + 5.0]))
-        assert vals[0] == pytest.approx(vals[1])
-
 
 class TestMultimode:
     def test_empty_mode_list(self):
