@@ -6,6 +6,7 @@ run never leaves a partial output behind.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -90,6 +91,11 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
                     "poly_re and poly_im must be equal-length coefficient arrays",
                 )
             z = complex(float(term["z_re"]), float(term["z_im"]))
+            if not (np.isfinite(pre).all() and np.isfinite(pim).all() and cmath.isfinite(z)):
+                # json reads NaN and Infinity; name the first field holding one
+                fields = (("poly_re", pre), ("poly_im", pim), ("z_re", z.real), ("z_im", z.imag))
+                bad = next(key for key, value in fields if not np.isfinite(value).all())
+                raise ParseError(f"{loc}.{bad}", "must be finite")
             pairs.append((pre + 1j * pim, z))
         if not pairs:
             return ExpPolyKernel.zero()
@@ -279,17 +285,20 @@ _FORMAT_CHUNK = 1024  # trace rows turned into Python floats at a time
 
 
 def format_trace(trace: EnergyTrace) -> str:
-    hn = trace.history_norm
-    if hn is None:
-        hn = np.zeros_like(trace.times)
-    columns = (trace.times, trace.energy, np.asarray(hn))
-    row = "{:.17g},{:.17g},{:.17g}".format
-    lines = [TRACE_HEADER]
-    # Python floats format faster than numpy scalars.  Converting a chunk at a
-    # time keeps a whole trace's floats from filling the heap beside its rows.
+    columns = [trace.times, trace.energy]
+    if trace.history_norm is None:
+        row = "%.17g,%.17g,0\n"  # what %.17g makes of the reserved column's 0.0
+    else:
+        columns.append(np.asarray(trace.history_norm))
+        row = "%.17g,%.17g,%.17g\n"
+    parts = [TRACE_HEADER + "\n"]
+    # One %-format per chunk of rows, on Python floats (they format faster
+    # than numpy scalars).  A chunk at a time keeps a whole trace's floats
+    # from filling the heap beside its rows.
     for i in range(0, trace.times.size, _FORMAT_CHUNK):
-        lines += map(row, *(c[i:i + _FORMAT_CHUNK].tolist() for c in columns))
-    return "\n".join(lines) + "\n"
+        chunk = np.stack([c[i:i + _FORMAT_CHUNK] for c in columns], axis=1)
+        parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def write_trace(path: str | os.PathLike, trace: EnergyTrace) -> None:

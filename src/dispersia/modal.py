@@ -4,9 +4,9 @@ Each divergence-free cavity eigenmode with curl eigenvalue k obeys a
 2-component Volterra system; for exponential-polynomial kernels the memory
 convolutions close exactly into auxiliary linear states (one companion block
 per damped term), so the mode becomes a small constant-coefficient ODE that
-is advanced with the matrix exponential (``scipy.linalg.expm``, imported on
-the first ``expm`` call).  A history-quadrature integrator is kept as the
-independent reference.
+is advanced with the matrix exponential (``expm``: Pade-13 scaling and
+squaring in numpy, vectorized over a stack of mode matrices).  A
+history-quadrature integrator is kept as the independent reference.
 """
 
 from __future__ import annotations
@@ -188,11 +188,43 @@ def build_modes(medium: MediumSpec, ks) -> list[ModeSystem]:
     return [replace(base, k=float(k), A=a) for k, a in zip(ks, A)]
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm (stacked input accepted), imported on first use."""
-    from scipy.linalg import expm as scipy_expm
+# degree-13 Pade coefficients b_k = C(13, k) (26 - k)! / 26!, so that b_0 = 1, and
+# the 1-norm up to which they need no scaling (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005, table 2.3)
+_PADE13 = tuple(math.comb(13, k) * math.factorial(26 - k) / math.factorial(26) for k in range(14))
+_THETA13 = 5.371920351148152
 
-    return scipy_expm(a)
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a (d, d) matrix or of each slice of an (n, d, d) stack.
+
+    Pade-13 scaling and squaring, vectorized over the stack: each slice is
+    scaled by its own power of two 2^-s, chosen from its 1-norm, and its
+    Pade approximant is squared s times.  A slice's result does not depend on
+    the other slices of the stack.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 2:
+        return expm(a[np.newaxis])[0]
+    if not np.all(np.isfinite(a)):
+        raise ModalError("expm of a non-finite matrix")
+    # s = max(0, ceil(log2(|a|_1 / theta))), exactly, from the binary exponent
+    mant, expo = np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    a = np.ldexp(a, -s[:, np.newaxis, np.newaxis])
+    b = _PADE13
+    ident = np.eye(a.shape[1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + ident
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(int(s.max(initial=0))):
+        sq = np.flatnonzero(s > j)  # the slices that still need squaring
+        r[sq] = r[sq] @ r[sq]
+    return r
 
 
 @lru_cache(maxsize=512)
@@ -431,14 +463,23 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
     A function of its own so that the blocks are freed before run_multimode
     allocates the times column (see ``_block_size``).
     """
-    base, A = _closure_stack(medium, ks)
+    _, A = _closure_stack(medium, ks)
     prop = np.linalg.matrix_power(expm(A * dt), stride)
     n_modes, d = A.shape[:2]
     del A  # the stack is not needed again; free it before the blocks exist
+    if not np.all(np.isfinite(prop)):
+        raise ModalError("the propagator over one output step is not finite")
+    # build_mode puts E and H in slots 0 and 1.  In the coordinates S x, with
+    # S = diag(sqrt(eps/2), sqrt(mu/2), 1, ...), the energy of a mode is the
+    # plain sum of squares of those two slots.
+    scale = np.ones(d)
+    scale[:2] = math.sqrt(0.5 * medium.eps), math.sqrt(0.5 * medium.mu)
+    prop *= scale[:, np.newaxis]
+    prop /= scale
     b = _block_size(n_rows, n_modes, d)
     block = np.empty((n_modes, d, b))
     state = np.zeros((n_modes, d, 1))
-    state[:, base.e_slot, 0] = amps
+    state[:, 0, 0] = np.multiply(amps, scale[0])
     block[:, :, 0] = state[:, :, 0]
     for i in range(1, b):
         state = prop @ state
@@ -447,17 +488,14 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
         for _ in range(b.bit_length() - 1):
             prop = prop @ prop  # P^b by squaring; P itself is no longer needed
         spare = np.empty_like(block)
-    eps, mu = medium.eps, medium.mu
     energy = np.empty(n_rows)
     for start in range(0, n_rows, b):
         if start:
             np.matmul(prop, block, out=spare)
             block, spare = spare, block
         n = min(b, n_rows - start)
-        e = block[:, base.e_slot, :n]
-        h = block[:, base.h_slot, :n]
-        energy[start:start + n] = 0.5 * (eps * np.einsum("ij,ij->j", e, e)
-                                         + mu * np.einsum("ij,ij->j", h, h))
+        eh = block[:, :2, :n]
+        np.einsum("ijk,ijk->k", eh, eh, out=energy[start:start + n])
     return energy
 
 

@@ -24,6 +24,18 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def non_finite_debye_doc(field, value):
+    """The unit Debye kernel document with one term field set to a non-finite value."""
+    doc = kernel_doc(debye())
+    term = doc["terms"][0]
+    term[field] = [value] if field.startswith("poly") else value
+    return doc
+
+
+NON_FINITE_FIELDS = [(field, value) for field in ("poly_re", "poly_im", "z_re", "z_im")
+                     for value in (float("nan"), float("inf"))]
+
+
 def debye_sim_config(**overrides):
     doc = {
         "medium": {"eps": 1.0, "mu": 1.0,
@@ -181,6 +193,15 @@ class TestAnalyzeCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", NON_FINITE_FIELDS)
+    def test_non_finite_term_exit1(self, tmp_path, capsys, field, value):
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, {"nu_e": non_finite_debye_doc(field, value)})
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: nu_e.terms[0].{field}: must be finite\n"
+        assert not out.exists()
+
     def test_invalid_json_exit1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -214,6 +235,29 @@ class TestSimulateCommand:
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
         assert "dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", NON_FINITE_FIELDS)
+    def test_non_finite_term_exit1(self, tmp_path, capsys, field, value):
+        doc = debye_sim_config()
+        doc["medium"]["nu_e"] = non_finite_debye_doc(field, value)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert f"medium.nu_e.terms[0].{field}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_propagator_exit1(self, tmp_path, capsys):
+        # e^{800 t} over one step of dt = 1 overflows
+        growing = {"type": "exp_poly", "terms": [{"poly_re": [1.0], "poly_im": [0.0],
+                                                  "z_re": 800.0, "z_im": 0.0}]}
+        doc = debye_sim_config(dt=1.0, T=3.0, output_stride=1)
+        doc["medium"]["nu_e"] = growing
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "trace.csv"
+        with np.errstate(over="ignore"):
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert "propagator over one output step is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_modes_diagnostic(self, tmp_path, capsys):

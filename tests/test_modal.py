@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from dispersia import (
+    DampedTerm,
     ExpPolyKernel,
     GAUSSIAN,
     MediumSpec,
@@ -273,6 +275,66 @@ class TestHistoryIntegrator:
             step_history(other, 1.0, hist, 0.1)
 
 
+def expm_40_digits(a):
+    """mpmath's matrix exponential at 40 significant digits, rounded to floats."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def rel_1norm_error(got, ref):
+    return np.abs(got - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+
+
+class TestExpm:
+    @pytest.mark.parametrize("dt", [0.02, 0.2])
+    @pytest.mark.parametrize("medium", [mixed_medium(), defective_medium()],
+                             ids=["lorentz_debye_drude", "defective"])
+    def test_mode_stack_matches_mpmath(self, medium, dt):
+        _, A = modal._closure_stack(medium, [k for k, _ in cavity_modes(1.0, 200)])
+        got = modal.expm(A * dt)
+        assert got.shape == A.shape
+        for i in list(range(0, 200, 10)) + [199]:  # mpmath takes ~30 ms a slice
+            assert rel_1norm_error(got[i], expm_40_digits(A[i] * dt)) <= 1e-13
+        # a slice's result does not depend on the rest of the stack
+        for i in range(200):
+            assert np.array_equal(got[i], modal.expm(A[i] * dt))
+
+    def test_each_slice_scaled_on_its_own(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 4))
+        m /= np.abs(m).sum(axis=0).max()
+        triangular = np.array([[-1.0, 1e6, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0],
+                               [0.0, 0.0, -3.0, 0.5], [0.0, 0.0, 0.0, -1.0]])
+        stack = np.stack([np.zeros((4, 4)), 1e-3 * m, 5.0 * m, triangular])
+        norms = np.abs(stack).sum(axis=1).max(axis=1)
+        assert np.allclose(norms, [0.0, 1e-3, 5.0, 1e6 + 2.0], rtol=1e-15)
+        got = modal.expm(stack)
+        assert np.array_equal(got[0], np.eye(4))
+        for a, e in zip(stack[1:], got[1:]):
+            # the relative condition number of exp at a is at least |a|
+            # (Van Loan 1977), so the bound grows with the norm past 100
+            bound = max(1e-13, 1e-15 * np.abs(a).sum(axis=0).max())
+            assert rel_1norm_error(e, expm_40_digits(a)) <= bound
+        for a, e in zip(stack, got):
+            assert np.array_equal(e, modal.expm(a))
+
+    def test_matrix_input(self):
+        a = build_mode(mixed_medium(), 3.0).A * 0.1
+        got = modal.expm(a)
+        assert got.shape == a.shape
+        assert rel_1norm_error(got, expm_40_digits(a)) <= 1e-13
+        assert np.array_equal(modal.expm(np.zeros((1, 1))), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = bad
+        with pytest.raises(ModalError, match="non-finite"):
+            modal.expm(stack)
+        with pytest.raises(ModalError, match="non-finite"):
+            modal.expm(stack[1])
+
+
 class TestMultimode:
     def test_empty_mode_list(self):
         trace = run_multimode(debye_medium(), [], dt=0.1, T=1.0)
@@ -335,6 +397,12 @@ class TestMultimode:
         assert len(calls) == 1
         assert calls[0][0] == n_modes
 
+    def test_overflowing_propagator_rejected(self):
+        growing = MediumSpec(1.0, 1.0, ExpPolyKernel((DampedTerm((1.0,), (0.0,), 800.0, 0.0),)),
+                             ZERO)
+        with np.errstate(over="ignore"), pytest.raises(ModalError, match="not finite"):
+            run_multimode(growing, [(1.0, 1.0)], dt=1.0, T=3.0)
+
     def test_nonpositive_stride_rejected(self):
         with pytest.raises(ModalError):
             run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=1.0, output_stride=0)
@@ -384,7 +452,7 @@ class TestBlockedPropagation:
         args = (medium, modes, 0.02, 100.0, 1)
         peaks = []
         for run in (row_by_row, run_multimode):
-            run(*args)  # scipy.linalg is imported outside the measurement
+            run(*args)  # first-call costs stay outside the measurement
             tracemalloc.start()
             try:
                 run(*args)

@@ -1,8 +1,9 @@
-"""Cold start: which scipy modules a fresh ``dispersia`` process loads.
+"""Cold start: a fresh ``dispersia`` process loads no scipy module.
 
-scipy is imported where it is used, in ``modal.expm`` only, so the CLI starts
-without it and ``analyze`` (exp-poly and sampled), ``spectrum`` and ``fit``
-never load it.  The exact decisions run on Python ints, so ``fractions`` (imported only to
+The runtime is numpy-only (``modal.expm`` is a numpy Pade-13 scaling and
+squaring), so no command -- ``analyze`` (exp-poly and sampled), ``simulate``,
+``spectrum`` or ``fit`` -- loads scipy; the tests use it only as a reference.
+The exact decisions run on Python ints, so ``fractions`` (imported only to
 keep an inexact sum of Drude constants exact) and ``decimal`` stay unloaded too.
 Each case runs in a fresh interpreter, because an import is only seen once per
 process.
@@ -72,15 +73,14 @@ def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "fit.json").read_text())["kind"] == "exponential"
 
 
-def test_simulate_loads_linalg_not_integrate(tmp_path):
+def test_simulate_loads_no_scipy(tmp_path):
     sim = write(tmp_path, "sim.json", {"medium": medium_doc(debye()), "modes": [[1.0, 1.0]],
                                        "dt": 0.02, "T": 2.0})
     out = tmp_path / "trace.csv"
     got = fresh(["simulate", "--config", sim, "--out", str(out)])
     assert got["codes"] == [0]
-    assert "scipy.linalg" in got["scipy"]
-    assert not any(m.startswith("scipy.integrate") for m in got["scipy"])
-    # the lazily imported expm gives the trace this process writes
+    assert got["scipy"] == []
+    # a fresh process writes the trace this process writes
     here = tmp_path / "here.csv"
     assert main(["simulate", "--config", sim, "--out", str(here)]) == 0
     assert out.read_bytes() == here.read_bytes()
