@@ -45,33 +45,20 @@ class PassivityError(KernelError):
 
 @dataclass(frozen=True)
 class OmegaRational:
-    """i w L nu(i w) = Pr(w)/Qr(w) + i Pi(w)/Qi(w) with real coefficients.
+    """Re(i w L nu(i w)) = Pr(w)/Qr(w) = p(u)/d(u) with u = w^2.
 
-    ``p`` and ``d`` are the exact integer polynomials in u = w^2 with
-    Re(i w L nu(i w)) = p(u)/d(u).  The float coefficients, ascending in w,
-    are the exact ones divided by the leading coefficient of d and correctly
-    rounded.
+    Every decision reads the exact integer polynomials ``p`` and ``d``.  The
+    float coefficients ``pr`` and ``qr``, ascending in w, are the exact ones
+    divided by lc(d) and correctly rounded; ``real_part`` evaluates them.
     """
 
     pr: tuple[float, ...]
     qr: tuple[float, ...]
-    pi: tuple[float, ...]
-    qi: tuple[float, ...]
     p: tuple[int, ...] = field(default=(0,), repr=False)
     d: tuple[int, ...] = field(default=(1,), repr=False)
 
     def real_part(self, w):
         return npoly.polyval(w, self.pr) / npoly.polyval(w, self.qr)
-
-    def imag_part(self, w):
-        return npoly.polyval(w, self.pi) / npoly.polyval(w, self.qi)
-
-    def __call__(self, w):
-        return self.real_part(w) + 1j * self.imag_part(w)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.pr) and not any(self.pi)
 
     @cached_property
     def _roots(self) -> list[tuple[float, int]]:
@@ -79,7 +66,7 @@ class OmegaRational:
         return _positive_roots(self.p)
 
 
-_ZERO_FORM = OmegaRational((0.0,), (1.0,), (0.0,), (1.0,))
+_ZERO_FORM = OmegaRational((0.0,), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -103,10 +90,10 @@ def _split(a: np.ndarray) -> list[np.ndarray]:
 
 
 def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
-    """Rational decomposition of w -> i w L nu(i w) from ``laplace_rational``.
+    """w -> Re(i w L nu(i w)) as a rational function, from ``laplace_rational``.
 
     Exact in the integer polynomials p and d, correctly rounded in the float
-    coefficients.  The zero kernel maps to 0/1 + i 0/1.
+    coefficients.  The zero kernel maps to 0/1.
     """
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError("omega_form needs an exponential-polynomial kernel")
@@ -115,15 +102,13 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
     (ae, ao), (be, bo) = (_split(c) for c in laplace_rational(kernel))
     p = npoly.polyadd(npoly.polymul(ae, be), npoly.polymulx(npoly.polymul(ao, bo)))
     d = npoly.polyadd(npoly.polymul(be, be), npoly.polymulx(npoly.polymul(bo, bo)))
-    im = npoly.polysub(npoly.polymul(ao, be), npoly.polymul(ae, bo))
 
-    def in_w(c, odd):  # float coefficients, ascending in w, of w^odd c(w^2) / lc(d)
-        out = np.zeros(2 * len(c) - 1 + odd)
-        out[odd::2] = [v / d[-1] for v in c]
+    def in_w(c):  # float coefficients, ascending in w, of c(w^2) / lc(d)
+        out = np.zeros(2 * len(c) - 1)
+        out[::2] = [v / d[-1] for v in c]
         return tuple(np.trim_zeros(out, "b")) or (0.0,)
 
-    q = in_w(d, 0)
-    return OmegaRational(in_w(p, 0), q, in_w(im, 1), q, tuple(p), tuple(d))
+    return OmegaRational(in_w(p), in_w(d), tuple(p), tuple(d))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .kernels import (
     BUILTIN_SAMPLED,
     ExpPolyKernel,
     Kernel,
+    KernelError,
     SampledKernel,
 )
 from .modal import EnergyTrace, MediumSpec, cavity_modes
@@ -99,7 +100,10 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
             pairs.append((pre + 1j * pim, z))
         if not pairs:
             return ExpPolyKernel.zero()
-        return ExpPolyKernel.from_complex_terms(pairs)
+        try:  # an unpaired complex term, or a z = 0 term that is not a constant
+            return ExpPolyKernel.from_complex_terms(pairs)
+        except KernelError as exc:
+            raise ParseError(f"{where}.terms", str(exc)) from exc
     if ktype == "sampled_builtin":
         name = doc.get("name")
         if name not in BUILTIN_SAMPLED:

@@ -46,15 +46,14 @@ class UnsupportedPoint(KernelError):
     """Laplace transform requested at a point the sampled path cannot handle."""
 
 
-def _trim(coeffs) -> np.ndarray:
-    """Drop trailing zero coefficients; the zero polynomial keeps one."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    return np.trim_zeros(c, "b") if np.any(c) else np.zeros(1)
-
-
 @dataclass(frozen=True)
 class DampedTerm:
-    """One (p(t) cos(y t) + q(t) sin(y t)) e^{x t} contribution, x < 0."""
+    """One (p(t) cos(y t) + q(t) sin(y t)) e^{x t} contribution, x < 0.
+
+    p and q are ascending coefficient tuples of one length, degree + 1: the
+    trailing zeros of each are dropped and the shorter is padded with 0.0.
+    The zero term is ((0.0,), (0.0,)).
+    """
 
     p: tuple[float, ...]
     q: tuple[float, ...]
@@ -62,8 +61,13 @@ class DampedTerm:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in _trim(self.p)))
-        object.__setattr__(self, "q", tuple(float(v) for v in _trim(self.q)))
+        p, q = ([float(v) for v in c] for c in (self.p, self.q))
+        for c in (p, q):
+            while c and not c[-1]:
+                c.pop()
+        n = max(len(p), len(q), 1)
+        object.__setattr__(self, "p", tuple(p + [0.0] * (n - len(p))))
+        object.__setattr__(self, "q", tuple(q + [0.0] * (n - len(q))))
         if self.y < 0:
             raise KernelError("oscillation frequency must be >= 0 (fold conjugates)")
         if self.y == 0 and any(self.q):
@@ -71,7 +75,7 @@ class DampedTerm:
 
     @property
     def degree(self) -> int:
-        return max(len(self.p), len(self.q)) - 1
+        return len(self.p) - 1
 
 
 @dataclass(frozen=True)
@@ -99,19 +103,13 @@ class ExpPolyKernel:
         """Exact term-wise derivative; again an ExpPolyKernel (offset drops)."""
         new_terms = []
         for t in self.terms:
-            p = np.asarray(t.p)
-            q = np.asarray(t.q)
-            n = max(p.size, q.size)
-            p = np.pad(p, (0, n - p.size))
-            q = np.pad(q, (0, n - q.size))
-            dp = np.pad(npoly.polyder(p), (0, 1)) if n > 1 else np.zeros(1)
-            dq = np.pad(npoly.polyder(q), (0, 1)) if n > 1 else np.zeros(1)
-            dp = dp[:n] if dp.size >= n else np.pad(dp, (0, n - dp.size))
-            dq = dq[:n] if dq.size >= n else np.pad(dq, (0, n - dq.size))
+            p, q = np.asarray(t.p), np.asarray(t.q)
+            ell = np.arange(1, p.size)
+            dp, dq = (np.append(ell * c[1:], 0.0) for c in (p, q))
             np_ = dp + t.x * p + t.y * q
             nq_ = dq + t.x * q - t.y * p
             if np.any(np_) or np.any(nq_):
-                new_terms.append(DampedTerm(tuple(np_), tuple(nq_) if t.y else (0.0,), t.x, t.y))
+                new_terms.append(DampedTerm(tuple(np_), tuple(nq_), t.x, t.y))
         return ExpPolyKernel(tuple(new_terms), 0.0)
 
     def __call__(self, t):
@@ -130,13 +128,9 @@ class ExpPolyKernel:
         The constant offset is *not* included.
         """
         for t in self.terms:
-            p = np.asarray(t.p, dtype=complex)
-            q = np.asarray(t.q, dtype=complex)
-            n = max(p.size, q.size)
-            p = np.pad(p, (0, n - p.size))
-            q = np.pad(q, (0, n - q.size))
+            p, q = np.asarray(t.p, dtype=complex), np.asarray(t.q, dtype=complex)
             if t.y == 0:
-                yield p.real.astype(complex), complex(t.x)
+                yield p, complex(t.x)
             else:
                 c = (p - 1j * q) / 2.0
                 yield c, complex(t.x, t.y)
@@ -344,9 +338,8 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     C = 0.0
     with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
         for t in _nth_derivative(kernel, 2).terms:
-            n = t.degree + 1
-            ell = np.arange(n)
-            size = np.hypot(np.pad(t.p, (0, n - len(t.p))), np.pad(t.q, (0, n - len(t.q))))
+            ell = np.arange(t.degree + 1)
+            size = np.hypot(t.p, t.q)
             # sup_s s^l e^{-(|x| - delta) s} = (l / ((|x| - delta) e))^l, with 0^0 = 1
             peak = (ell / ((abs(t.x) - delta) * math.e)) ** ell
             C += float(size @ peak)
@@ -583,7 +576,6 @@ def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
     num, den = np.array([0], dtype=object), np.array([1], dtype=object)
     for (x, y), (p, q) in groups.items():
         n = max((ell + 1 for c in (p, q) for ell, v in enumerate(c) if v), default=0)
-        p, q = (c + [0] * (n - len(c)) for c in (p, q))
         big_x, big_y = scaled(x, s), scaled(y, s)
         linear = np.array([-big_x, 1 << s], dtype=object)
         pole = linear if big_y == 0 else npoly.polyadd(npoly.polymul(linear, linear), [big_y**2])

@@ -56,12 +56,10 @@ class MediumSpec:
 
 @dataclass(frozen=True, eq=False)
 class ModeSystem:
-    """Augmented linear system for one mode: state = (E, H, aux_E..., aux_H...)."""
+    """One mode's linear system; state = (E, H, companion blocks of nu_E', of nu_H')."""
 
     k: float
     A: np.ndarray
-    e_slot: int
-    h_slot: int
     medium: MediumSpec
 
     @property
@@ -70,60 +68,33 @@ class ModeSystem:
 
     def initial_state(self, amplitude: float = 1.0) -> np.ndarray:
         state = np.zeros(self.dim)
-        state[self.e_slot] = amplitude
+        state[0] = amplitude
         return state
 
     def energy(self, state: np.ndarray) -> float:
-        return 0.5 * (
-            self.medium.eps * state[self.e_slot] ** 2
-            + self.medium.mu * state[self.h_slot] ** 2
-        )
+        return 0.5 * (self.medium.eps * state[0] ** 2 + self.medium.mu * state[1] ** 2)
 
 
 def _companion_blocks(theta: ExpPolyKernel):
     """Realize y(t) = int_0^t theta(t-s) f(s) ds as linear states.
 
-    Yields (block matrix, drive column vector, readout row vector) triples.
+    A term of degree d gets d + 1 groups of r rows, r = 1 for a real exponent
+    and r = 2 for a (cos, sin) pair.  Group l, the convolution of f with
+    t^l / l! e^{x t} (cos y t, sin y t), turns by [[x, -y], [y, x]] (x alone
+    when r = 1), is driven by group l - 1 (group 0 by f) and read out with
+    l! (p_l, q_l).  Yields (block matrix, drive column, readout row) triples.
     """
     for term in theta.terms:
-        p = np.asarray(term.p)
-        q = np.asarray(term.q)
-        d = max(p.size, q.size) - 1
-        p = np.pad(p, (0, d + 1 - p.size))
-        q = np.pad(q, (0, d + 1 - q.size))
-        fact = [1.0]
-        for ell in range(1, d + 1):
-            fact.append(fact[-1] * ell)
-        if term.y == 0.0:
-            n = d + 1
-            B = np.zeros((n, n))
-            drive = np.zeros(n)
-            read = np.zeros(n)
-            drive[0] = 1.0
-            for ell in range(n):
-                B[ell, ell] = term.x
-                if ell > 0:
-                    B[ell, ell - 1] = 1.0
-                read[ell] = p[ell] * fact[ell]
-            yield B, drive, read
-        else:
-            n = 2 * (d + 1)
-            B = np.zeros((n, n))
-            drive = np.zeros(n)
-            read = np.zeros(n)
-            drive[0] = 1.0
-            for ell in range(d + 1):
-                u, v = 2 * ell, 2 * ell + 1
-                B[u, u] = term.x
-                B[u, v] = -term.y
-                B[v, u] = term.y
-                B[v, v] = term.x
-                if ell > 0:
-                    B[u, u - 2] = 1.0
-                    B[v, v - 2] = 1.0
-                read[u] = p[ell] * fact[ell]
-                read[v] = q[ell] * fact[ell]
-            yield B, drive, read
+        r = 1 if term.y == 0.0 else 2
+        n = r * len(term.p)
+        turn = np.array(((term.x, -term.y), (term.y, term.x)))[:r, :r]
+        B = np.eye(n, k=-r)
+        for u in range(0, n, r):
+            B[u:u + r, u:u + r] = turn
+        drive = np.eye(1, n)[0]
+        fact = np.cumprod(np.maximum(np.arange(len(term.p)), 1.0))  # l!
+        read = (np.array((term.p, term.q))[:r] * fact).T.ravel()  # p_0 0!, (q_0 0!,) p_1 1!, ...
+        yield B, drive, read
 
 
 def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
@@ -137,32 +108,25 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     for kern in (medium.nu_e, medium.nu_h):
         if isinstance(kern, SampledKernel):
             raise ModalError("sampled kernels admit no finite closure; use step_history")
-    blocks_e = list(_companion_blocks(medium.nu_e.derivative()))
-    blocks_h = list(_companion_blocks(medium.nu_h.derivative()))
-    d_e = sum(b.shape[0] for b, _, _ in blocks_e)
-    d_h = sum(b.shape[0] for b, _, _ in blocks_h)
-    dim = 2 + d_e + d_h
-    A = np.zeros((dim, dim))
     eps, mu = medium.eps, medium.mu
+    blocks = [(slot, coef, block)
+              for slot, kern, coef in ((0, medium.nu_e, eps), (1, medium.nu_h, mu))
+              for block in _companion_blocks(kern.derivative())]
+    dim = 2 + sum(B.shape[0] for _, _, (B, _, _) in blocks)
+    A = np.zeros((dim, dim))
     A[0, 0] = -medium.nu_e.value_at_zero() / eps
     A[1, 1] = -medium.nu_h.value_at_zero() / mu
     A[0, 1] = k / eps
     A[1, 0] = -k / mu
 
     pos = 2
-    for B, drive, read in blocks_e:
+    for slot, coef, (B, drive, read) in blocks:
         n = B.shape[0]
         A[pos : pos + n, pos : pos + n] = B
-        A[pos : pos + n, 0] = drive
-        A[0, pos : pos + n] = -read / eps
+        A[pos : pos + n, slot] = drive
+        A[slot, pos : pos + n] = -read / coef
         pos += n
-    for B, drive, read in blocks_h:
-        n = B.shape[0]
-        A[pos : pos + n, pos : pos + n] = B
-        A[pos : pos + n, 1] = drive
-        A[1, pos : pos + n] = -read / mu
-        pos += n
-    return ModeSystem(k=float(k), A=A, e_slot=0, h_slot=1, medium=medium)
+    return ModeSystem(k=float(k), A=A, medium=medium)
 
 
 def _closure_stack(medium: MediumSpec, ks) -> tuple[ModeSystem, np.ndarray]:
@@ -464,7 +428,8 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
     allocates the times column (see ``_block_size``).
     """
     _, A = _closure_stack(medium, ks)
-    prop = np.linalg.matrix_power(expm(A * dt), stride)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        prop = np.linalg.matrix_power(expm(A * dt), stride)
     n_modes, d = A.shape[:2]
     del A  # the stack is not needed again; free it before the blocks exist
     if not np.all(np.isfinite(prop)):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,19 @@ def non_finite_debye_doc(field, value):
     term = doc["terms"][0]
     term[field] = [value] if field.startswith("poly") else value
     return doc
+
+
+# exp_poly term lists that parse field by field but do not form a real kernel
+MALFORMED_TERMS = {
+    "unpaired_conjugate": [{"poly_re": [1.0], "poly_im": [0.0], "z_re": -0.1, "z_im": 1.0}],
+    "polynomial_at_z0": [{"poly_re": [1.0, 2.0], "poly_im": [0.0, 0.0], "z_re": 0.0, "z_im": 0.0}],
+}
+
+
+def malformed_config(tmp_path, terms):
+    doc = debye_sim_config()
+    doc["medium"]["nu_e"] = {"type": "exp_poly", "terms": terms}
+    return write_config(tmp_path, doc)
 
 
 NON_FINITE_FIELDS = [(field, value) for field in ("poly_re", "poly_im", "z_re", "z_im")
@@ -202,6 +216,14 @@ class TestAnalyzeCommand:
         assert err == f"config error: nu_e.terms[0].{field}: must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("terms", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS)
+    def test_malformed_terms_exit1(self, tmp_path, capsys, terms):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", malformed_config(tmp_path, terms),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
+        assert not out.exists()
+
     def test_invalid_json_exit1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -258,6 +280,29 @@ class TestSimulateCommand:
         with np.errstate(over="ignore"):
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
         assert "propagator over one output step is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_propagator_one_error_line(self, tmp_path, capsys):
+        # no numpy warning precedes the error line: warnings are errors here
+        growing = {"type": "exp_poly", "terms": [{"poly_re": [1.0], "poly_im": [0.0],
+                                                  "z_re": 800.0, "z_im": 0.0}]}
+        doc = debye_sim_config(dt=1.0, T=3.0, output_stride=1)
+        doc["medium"]["nu_e"] = growing
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "simulation error: the propagator over one output step is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS)
+    def test_malformed_terms_exit1(self, tmp_path, capsys, terms):
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", malformed_config(tmp_path, terms),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
         assert not out.exists()
 
     def test_missing_modes_diagnostic(self, tmp_path, capsys):

@@ -159,7 +159,7 @@ class TestRoots:
     @staticmethod
     def form(p, d=(1,)):
         """A form with Re(i w L nu(i w)) = p(u) / d(u); the float view is not used."""
-        return OmegaRational((0.0,), (1.0,), (0.0,), (1.0,), tuple(p), tuple(d))
+        return OmegaRational((0.0,), (1.0,), tuple(p), tuple(d))
 
     def test_negative_frequency(self):
         form = self.form

@@ -61,6 +61,42 @@ class TestEval:
                 assert eval_kernel(kern, t, 2) == pytest.approx(fd2, abs=1e-3)
 
 
+class TestTermLayout:
+    def test_padding_is_normalized(self):
+        # one term written with different trailing zeros
+        written = [((1.0, 2.0), (0.5,)), ((1.0, 2.0, 0.0), (0.5, 0.0, 0.0, -0.0)),
+                   ([1.0, 2.0], np.array([0.5, 0.0]))]
+        terms = [DampedTerm(p, q, -1.0, 2.0) for p, q in written]
+        assert all(t == terms[0] for t in terms)
+        for t in terms:
+            assert (t.p, t.q) == ((1.0, 2.0), (0.5, 0.0))
+            assert len(t.p) == len(t.q) == t.degree + 1 == 2
+        longer_q = DampedTerm((1.0,), (0.0, 0.0, 3.0), -1.0, 1.0)
+        assert (longer_q.p, longer_q.q, longer_q.degree) == ((1.0, 0.0, 0.0), (0.0, 0.0, 3.0), 2)
+
+    def test_zero_term(self):
+        for p, q in (((0.0,), (0.0,)), ((0.0, 0.0), ()), ((), (0.0, -0.0, 0.0))):
+            t = DampedTerm(p, q, -1.0, 0.0)
+            assert (t.p, t.q) == ((0.0,), (0.0,))
+            assert t.degree == 0
+
+    def test_derivative_keeps_layout(self):
+        # (t^2 e^{-t})' = (2 t - t^2) e^{-t}
+        t2 = ExpPolyKernel((DampedTerm((0.0, 0.0, 1.0), (0.0,), -1.0, 0.0),))
+        (real,) = t2.derivative().terms
+        assert (real.p, real.q) == ((0.0, 2.0, -1.0), (0.0, 0.0, 0.0))
+        # (t cos(2t) e^{-t})' = ((1 - t) cos(2t) - 2 t sin(2t)) e^{-t}
+        (osc,) = ExpPolyKernel((DampedTerm((0.0, 1.0), (0.0,), -1.0, 2.0),)).derivative().terms
+        assert (osc.p, osc.q) == ((1.0, -1.0), (0.0, -2.0))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            kern = random_class_k_kernel(rng, 3, 4)
+            for d in (kern.derivative(), kern.derivative().derivative()):
+                for t in d.terms:
+                    assert len(t.p) == len(t.q) == t.degree + 1
+                    assert t.p[-1] or t.q[-1] or t.degree == 0
+
+
 class TestCertify:
     def test_debye_certificate(self):
         cert = certify_class_K(debye())

@@ -28,7 +28,7 @@ from dispersia import modal
 from dispersia.kernels import _gaussian_eval
 from dispersia.modal import HistoryTruncationError, ModalError
 
-from conftest import defective_medium, mixed_medium, random_passive_kernel
+from conftest import defective_medium, mixed_medium, random_class_k_kernel, random_passive_kernel
 
 ZERO = ExpPolyKernel.zero()
 
@@ -52,17 +52,16 @@ def row_by_row(medium, modes, dt, T, stride):
     n_steps = int(round(T / dt))
     times = np.arange(0, n_steps + 1, stride) * dt
     ks, amps = zip(*modes)
-    base, A = modal._closure_stack(medium, ks)
+    _, A = modal._closure_stack(medium, ks)
     prop = np.linalg.matrix_power(modal.expm(A * dt), stride)
     state = np.zeros(A.shape[:2] + (1,))
-    state[:, base.e_slot, 0] = amps
+    state[:, 0, 0] = amps
     eps, mu = medium.eps, medium.mu
     energy = np.empty(times.size)
     for j in range(times.size):
         if j:
             state = prop @ state
-        energy[j] = np.sum(0.5 * (eps * state[:, base.e_slot, 0] ** 2
-                                  + mu * state[:, base.h_slot, 0] ** 2))
+        energy[j] = np.sum(0.5 * (eps * state[:, 0, 0] ** 2 + mu * state[:, 1, 0] ** 2))
     return times, energy
 
 
@@ -133,10 +132,16 @@ class TestSpectra:
 
     def test_roots_subset_of_eigenvalues(self):
         rng = np.random.default_rng(20)
+        media = []
         for _ in range(6):
             nu_e = random_passive_kernel(rng)
             nu_h = random_passive_kernel(rng) if rng.random() < 0.5 else ZERO
-            medium = MediumSpec(1.0, 1.0, nu_e, nu_h)
+            media.append(MediumSpec(1.0, 1.0, nu_e, nu_h))
+        # terms of degree up to 2, so oscillating blocks of degree >= 1 occur
+        rng_deg = np.random.default_rng(21)
+        media += [MediumSpec(1.0, 1.0, random_class_k_kernel(rng_deg, 2, 2), ZERO)
+                  for _ in range(6)]
+        for medium in media:
             for k in (1.0, 10.0):
                 roots = dispersion_roots(medium, k)
                 _, eigs = spectral_abscissa(build_mode(medium, k))
