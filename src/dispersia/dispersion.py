@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +33,8 @@ from .kernels import (
     ExpPolyKernel,
     Kernel,
     KernelError,
+    _poly_product,
+    _poly_sum,
     laplace,  # not used here; perfbench/test_smoke.py reads dispersion.laplace
     laplace_rational,
     sampled_iw_real_part,
@@ -54,8 +56,8 @@ class OmegaRational:
 
     pr: tuple[float, ...]
     qr: tuple[float, ...]
-    p: tuple[int, ...] = field(default=(0,), repr=False)
-    d: tuple[int, ...] = field(default=(1,), repr=False)
+    p: list[int] = field(repr=False)
+    d: list[int] = field(repr=False)
 
     def real_part(self, w):
         return npoly.polyval(w, self.pr) / npoly.polyval(w, self.qr)
@@ -66,7 +68,7 @@ class OmegaRational:
         return _positive_roots(self.p)
 
 
-_ZERO_FORM = OmegaRational((0.0,), (1.0,))
+_ZERO_FORM = OmegaRational((0.0,), (1.0,), [0], [1])
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,9 @@ class PassivityReport:
     certified: bool = True
 
 
-def _split(a: np.ndarray) -> list[np.ndarray]:
+def _split(a: list[int]) -> list[list[int]]:
     """A_e, A_o with A(i w) = A_e(w^2) + i w A_o(w^2)."""
-    parts = [np.append(a[k::2], 0) for k in (0, 1)]  # a constant A has A_o = 0
-    for c in parts:
-        c[1::2] *= -1
-    return parts
+    return [_poly_sum([-v if i % 2 else v for i, v in enumerate(a[k::2])]) for k in (0, 1)]
 
 
 def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
@@ -100,15 +99,15 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
     if kernel.is_zero:
         return _ZERO_FORM
     (ae, ao), (be, bo) = (_split(c) for c in laplace_rational(kernel))
-    p = npoly.polyadd(npoly.polymul(ae, be), npoly.polymulx(npoly.polymul(ao, bo)))
-    d = npoly.polyadd(npoly.polymul(be, be), npoly.polymulx(npoly.polymul(bo, bo)))
+    p = _poly_sum(_poly_product(ae, be), _poly_product([0, 1], ao, bo))
+    d = _poly_sum(_poly_product(be, be), _poly_product([0, 1], bo, bo))
 
     def in_w(c):  # float coefficients, ascending in w, of c(w^2) / lc(d)
         out = np.zeros(2 * len(c) - 1)
         out[::2] = [v / d[-1] for v in c]
-        return tuple(np.trim_zeros(out, "b")) or (0.0,)
+        return tuple(out)
 
-    return OmegaRational(in_w(p), in_w(d), tuple(p), tuple(d))
+    return OmegaRational(in_w(p), in_w(d), p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +124,15 @@ def _gcd(a: list, b: list, p: int = 0) -> list:
     """gcd of integer polynomials by a remainder sequence: monic over GF(p) when
     p is given, else primitive with a positive leading coefficient."""
     def norm(c):
-        c = [v % p for v in c] if p else c
-        while c and not c[-1]:
-            c = c[:-1]
-        if not c:
+        c = _poly_sum([v % p for v in c] if p else c)
+        if not c[-1]:
             return c
         scale = pow(c[-1], -1, p) if p else math.gcd(*c) * (1 if c[-1] > 0 else -1)
         return [v * scale % p for v in c] if p else [v // scale for v in c]
 
     a, b = norm(a), norm(b)
-    while b:
-        while len(a) >= len(b):  # a <- pseudo-remainder of a by b, normalized
+    while any(b):
+        while any(a) and len(a) >= len(b):  # a <- pseudo-remainder of a by b, normalized
             shift = len(a) - len(b)
             a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
                       for i, v in enumerate(a)])
@@ -167,9 +164,7 @@ def _squarefree_factors(f: list) -> list[tuple[int, list]]:
     b, c = _divexact(f, g), _divexact(df, g)
     out, mult = [], 1
     while len(b) > 1:
-        d = [x - y for x, y in zip_longest(c, _deriv(b), fillvalue=0)]
-        while d and not d[-1]:
-            d.pop()
+        d = _poly_sum(c, [-v for v in _deriv(b)])
         a = _gcd(b, d)
         if len(a) > 1:
             out.append((mult, a))
@@ -324,10 +319,9 @@ def check_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
     return _passivity(_kernel_data(nu_e, nu_h))
 
 
-def _combined_numerator(fe: OmegaRational, fh: OmegaRational) -> np.ndarray:
+def _combined_numerator(fe: OmegaRational, fh: OmegaRational) -> list[int]:
     """N(u) with Re(i w L nu_E) + Re(i w L nu_H) = N(u) / (D_E(u) D_H(u))."""
-    pe, de, ph, dh = (np.array(c, dtype=object) for c in (fe.p, fe.d, fh.p, fh.d))
-    return npoly.polyadd(npoly.polymul(pe, dh), npoly.polymul(ph, de))
+    return _poly_sum(_poly_product(fe.p, fh.d), _poly_product(fh.p, fe.d))
 
 
 def _strict_passivity(data: tuple) -> PassivityReport:
@@ -371,8 +365,9 @@ def _decay_exponent(data: tuple, report: PassivityReport) -> PassivityReport:
     if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
         return _decay_exponent_sampled(data, report)
 
-    num = _combined_numerator(fe, fh)
-    m = 2 * (len(fe.d) + len(fh.d) - 1 - len(num))
+    # each P is 0 or has lc(P) > 0 (strict passivity) and lc(D) > 0, so N's leading
+    # terms cannot cancel: m = 2 (deg D_E D_H - deg N) is the least field exponent
+    m = min(e for e in map(_exponent, data) if e is not None)
     omega0 = _beyond([r for form in data if any(form.p) for r in form._roots])
     wgrid = np.geomspace(omega0, 1e4, 4000)
     sig_e, sig_h = (float(np.min(wgrid ** m * form.real_part(wgrid)))

@@ -98,8 +98,6 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
                 bad = next(key for key, value in fields if not np.isfinite(value).all())
                 raise ParseError(f"{loc}.{bad}", "must be finite")
             pairs.append((pre + 1j * pim, z))
-        if not pairs:
-            return ExpPolyKernel.zero()
         try:  # an unpaired complex term, or a z = 0 term that is not a constant
             return ExpPolyKernel.from_complex_terms(pairs)
         except KernelError as exc:
@@ -209,8 +207,7 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     n_max = _require(cav, "n_max", "cavity")
     if not isinstance(n_max, int) or n_max < 1:
         raise ParseError("cavity.n_max", "must be a positive integer")
-    exponent = float(cav.get("amplitude_exponent", -1.5))
-    return tuple(cavity_modes(length, n_max, exponent))
+    return tuple(cavity_modes(length, n_max))
 
 
 def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 from numbers import Real
 from typing import Callable, Iterator, Union
 
@@ -541,7 +542,25 @@ def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float 
     return out if out.shape else float(out)
 
 
-def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
+def _poly_sum(*polys: list[int]) -> list[int]:
+    """Sum of exact polynomials, ascending lists of Python ints; the format's one
+    trimming rule lives here: trailing zeros dropped, the zero polynomial [0]."""
+    out = [sum(c) for c in zip_longest(*polys, fillvalue=0)] or [0]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_product(*polys: list[int]) -> list[int]:
+    """Product of exact polynomials, a ``_poly_sum`` of shifted multiples; the
+    empty product is [1]."""
+    out = [1]
+    for b in polys:
+        out = _poly_sum(*([0] * i + [u * v for v in b] for i, u in enumerate(out)))
+    return out
+
+
+def laplace_rational(kernel: ExpPolyKernel) -> tuple[list[int], list[int]]:
     """Integer polynomials (A, B), ascending in lambda, with lambda L nu(lambda) = A/B.
 
     lambda L nu = offset + lambda sum_j sum_l c_jl l! / (lambda - z_j)^(l+1) is
@@ -549,9 +568,9 @@ def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
     with one 2^s making every x_j, y_j an integer X_j, Y_j and one 2^t every
     coefficient, a pole is 2^s lambda - X_j, a conjugate pair the real quadratic
     (2^s lambda - X_j)^2 + Y_j^2, and terms with equal (x_j, y_j) are merged.
-    B has no root with Re lambda >= 0, and a Drude constant adds no pole.  The
-    object arrays hold Python ints, on which numpy's polynomial arithmetic is
-    exact; A and B share no integer content.  The zero kernel gives (0, 1).
+    B has no root with Re lambda >= 0, and a Drude constant adds no pole.  A
+    and B are exact polynomials (``_poly_sum``) sharing no integer content.
+    The zero kernel gives ([0], [1]).
     """
     if any(t.x >= 0 for t in kernel.terms):
         raise NotInClassK("kernel has a non-damped term")
@@ -573,30 +592,30 @@ def laplace_rational(kernel: ExpPolyKernel) -> tuple[np.ndarray, np.ndarray]:
             for ell, v in enumerate(vals):
                 acc[ell] += scaled(v, t)
 
-    num, den = np.array([0], dtype=object), np.array([1], dtype=object)
+    num, den = [0], [1]
     for (x, y), (p, q) in groups.items():
         n = max((ell + 1 for c in (p, q) for ell, v in enumerate(c) if v), default=0)
         big_x, big_y = scaled(x, s), scaled(y, s)
-        linear = np.array([-big_x, 1 << s], dtype=object)
-        pole = linear if big_y == 0 else npoly.polyadd(npoly.polymul(linear, linear), [big_y**2])
+        linear = [-big_x, 1 << s]
+        pole = linear if big_y == 0 else _poly_sum(_poly_product(linear, linear), [big_y**2])
         # c_l l! / (lambda - z)^(l+1) = l! 2^(s (l+1)) h_l / pole^(l+1), with h_l = 2^t p_l
         # for a real pole and h_l = 2^t 2 Re[c_l (2^s lambda - X + iY)^(l+1)] for a pair;
         # the terms over pole^n are summed by Horner's rule
-        part, re, im = (np.array([v], dtype=object) for v in (0, 1, 0))
+        part, re, im = [0], [1], [0]
         for ell in range(n):
             if big_y == 0:
-                head = np.array([p[ell]], dtype=object)
+                head = [p[ell]]
             else:
-                re, im = (npoly.polysub(npoly.polymul(re, linear), big_y * im),
-                          npoly.polyadd(npoly.polymul(im, linear), big_y * re))
-                head = npoly.polyadd(p[ell] * re, q[ell] * im)
-            part = npoly.polyadd(npoly.polymul(part, pole),
-                                 (math.factorial(ell) << (s * (ell + 1))) * head)
-        factor = npoly.polypow(pole, n)
-        num = npoly.polyadd(npoly.polymul(num, factor), npoly.polymul(part, den))
-        den = npoly.polymul(den, factor)
+                re, im = (_poly_sum(_poly_product(re, linear), _poly_product([-big_y], im)),
+                          _poly_sum(_poly_product(im, linear), _poly_product([big_y], re)))
+                head = _poly_sum(_poly_product([p[ell]], re), _poly_product([q[ell]], im))
+            part = _poly_sum(_poly_product(part, pole),
+                             _poly_product([math.factorial(ell) << (s * (ell + 1))], head))
+        factor = _poly_product(*[pole] * n)
+        num = _poly_sum(_poly_product(num, factor), _poly_product(part, den))
+        den = _poly_product(den, factor)
 
-    a = npoly.polyadd(scaled(kernel.offset, t) * den, npoly.polymulx(num))
-    b = den * (1 << t)
+    a = _poly_sum(_poly_product([scaled(kernel.offset, t)], den), _poly_product([0, 1], num))
+    b = _poly_product([1 << t], den)
     content = math.gcd(*a, *b)
-    return a // content, b // content
+    return [v // content for v in a], [v // content for v in b]

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .kernels import (
     ExpPolyKernel,
     Kernel,
     KernelError,
     SampledKernel,
+    _poly_product,
+    _poly_sum,
     eval_kernel,
     laplace_rational,
 )
@@ -228,10 +229,10 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     for kern, coef in ((medium.nu_e, medium.eps), (medium.nu_h, medium.mu)):
         a, b = laplace_rational(kern)
         c_num, c_den = float(coef).as_integer_ratio()
-        parts.append(npoly.polyadd(c_num * npoly.polymulx(b), c_den * a))
-        dens.append(c_den * b)
+        parts.append(_poly_sum(_poly_product([0, c_num], b), _poly_product([c_den], a)))
+        dens.append(_poly_product([c_den], b))
     k_num, k_den = float(k).as_integer_ratio()
-    char = npoly.polyadd(k_den**2 * npoly.polymul(*parts), k_num**2 * npoly.polymul(*dens))
+    char = _poly_sum(_poly_product([k_den**2], *parts), _poly_product([k_num**2], *dens))
     return np.roots([c / char[-1] for c in char[::-1]])
 
 
@@ -286,10 +287,7 @@ class HistoryState:
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
-    state = HistoryState(dt=dt, s_max=s_max)
-    state.e_past._data[0] = e0
-    state.h_past._data[0] = h0
-    return state
+    return HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
 
 
 def _lag_weights(state: HistoryState, kernel: Kernel, key: str, c: float, n: int) -> np.ndarray:
@@ -401,9 +399,9 @@ class EnergyTrace:
             raise ModalError("times and energy must have equal length")
 
 
-def cavity_modes(length: float, n_max: int, amplitude_exponent: float = -1.5):
-    """k_n = n pi c0 / L for a reference 1D cavity, amplitudes n^p."""
-    return [(n * np.pi / length, float(n) ** amplitude_exponent) for n in range(1, n_max + 1)]
+def cavity_modes(length: float, n_max: int):
+    """k_n = n pi c0 / L for a reference 1D cavity, amplitudes n^-1.5."""
+    return [(n * np.pi / length, float(n) ** -1.5) for n in range(1, n_max + 1)]
 
 
 def _block_size(n_rows: int, n_modes: int, d: int) -> int:

@@ -280,6 +280,14 @@ class TestEvaluationCounts:
         assert analyze(nu_e, nu_h) == expected
         assert len(calls) == 2  # a zero kernel's call returns _ZERO_FORM at once
 
+    def test_exp_poly_analyze_one_combined_numerator(self, monkeypatch):
+        # nu_E = 0.5 sin(2t) e^{-0.2t}, nu_H = 0.3 (1 - e^{-0.5t}): strictly passive, m = 2
+        calls = _count_calls(monkeypatch, dispersion, "_combined_numerator")
+        report = analyze(lorentz(0.5, 2.0, 0.4), drude(0.3, 0.5))
+        assert report.strictly_passive and report.m == 2
+        assert report.sigma_E > 0 and report.sigma_H > 0
+        assert len(calls) == 1
+
     def test_public_decay_exponent_on_sampled_kernel(self):
         report = decay_exponent(GAUSSIAN, ZERO)
         assert report.m == 0

@@ -9,11 +9,13 @@ sympy construction of Re(i w L nu(i w)).
 
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dispersia import ExpPolyKernel, analyze, check_passivity, debye, laplace, omega_form
 from dispersia import io as dio
@@ -25,6 +27,7 @@ from dispersia.dispersion import (
     _positive_roots,
     _strict_passivity,
 )
+from dispersia.kernels import _poly_product, _poly_sum
 
 from conftest import debye_sum6, lorentz_sum6, random_class_k_kernel
 
@@ -136,13 +139,33 @@ def test_every_witness_of_random_kernels_is_negative():
     assert seen > 20
 
 
+INT_POLY = st.lists(st.integers(-3, 3) | st.integers(-2**80, 2**80), min_size=1, max_size=7)
+
+
+class TestExactPolynomials:
+    """``kernels._poly_sum`` and ``_poly_product`` against sympy.Poly, on
+    untrimmed inputs too; their results are trimmed lists of Python ints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(INT_POLY, min_size=1, max_size=3))
+    @example([[0]])
+    @example([[0], [5, 0, 0]])
+    @example([[1, 0], [-1, 0, 0], [7]])
+    def test_sum_and_product_match_sympy(self, polys):
+        x = sympy.symbols("x")
+        exact = [sympy.Poly(c[::-1], x, domain="ZZ") for c in polys]
+        for got, want in ((_poly_sum(*polys), reduce(add, exact)),
+                          (_poly_product(*polys), reduce(mul, exact))):
+            assert got == [int(c) for c in reversed(want.all_coeffs())]
+            assert all(type(c) is int for c in got)
+            assert len(got) == 1 or got[-1] != 0
+
+    def test_empty_sum_and_product(self):
+        assert (_poly_sum(), _poly_product()) == ([0], [1])
+
+
 class TestRoots:
-    @staticmethod
-    def poly(*factors):
-        out = np.array([1], dtype=object)
-        for f in factors:
-            out = np.polynomial.polynomial.polymul(out, np.array(f, dtype=object))
-        return tuple(out)
+    poly = staticmethod(_poly_product)
 
     def test_multiplicities_and_dyadic_roots(self):
         # (u - 1)^2 (u - 4)^3 (u + 3) u: the Yun path, roots at bisection midpoints
@@ -159,7 +182,7 @@ class TestRoots:
     @staticmethod
     def form(p, d=(1,)):
         """A form with Re(i w L nu(i w)) = p(u) / d(u); the float view is not used."""
-        return OmegaRational((0.0,), (1.0,), tuple(p), tuple(d))
+        return OmegaRational((0.0,), (1.0,), list(p), list(d))
 
     def test_negative_frequency(self):
         form = self.form
