@@ -23,14 +23,13 @@ def main():
 
     ks = np.geomspace(args.k_min, args.k_max, args.num)
     media = {"debye": d.debye(), "lorentz": d.lorentz(), "drude": d.drude()}
+    # one stacked eigenvalue call per medium, over all of ks
+    columns = [[d.spectral_abscissa(system)[0]
+                for system in d.build_modes(d.MediumSpec(1.0, 1.0, kern, ZERO), ks)]
+               for kern in media.values()]
     print(f"{'k':>10s} " + " ".join(f"{n:>12s} {n + '*k^2':>12s}" for n in media))
-    for k in ks:
-        row = [f"{k:10.2f}"]
-        for kern in media.values():
-            medium = d.MediumSpec(1.0, 1.0, kern, ZERO)
-            absc, _ = d.spectral_abscissa(d.build_mode(medium, float(k)))
-            row.append(f"{absc:12.6f} {abs(absc) * k * k:12.6f}")
-        print(" ".join(row))
+    for k, row in zip(ks, zip(*columns)):
+        print(" ".join([f"{k:10.2f}"] + [f"{a:12.6f} {abs(a) * k * k:12.6f}" for a in row]))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ run never leaves a partial output behind.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -34,6 +34,22 @@ class ParseError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float; null, a boolean, a string or a list is a ParseError."""
+    if type(value) not in (int, float):
+        raise ParseError(field, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(field, "must be finite") from None
+
+
+def _coefficients(value, field: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ParseError(field, f"expected a nonempty list of numbers, got {value!r}")
+    return [_number(v, field) for v in value]
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +100,23 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
             for key in ("poly_re", "poly_im", "z_re", "z_im"):
                 if key not in term:
                     raise ParseError(f"{loc}.{key}", "missing required field")
-            pre = np.asarray(term["poly_re"], dtype=float)
-            pim = np.asarray(term["poly_im"], dtype=float)
-            if pre.ndim != 1 or pim.ndim != 1 or pre.size != pim.size:
+            pre = _coefficients(term["poly_re"], f"{loc}.poly_re")
+            pim = _coefficients(term["poly_im"], f"{loc}.poly_im")
+            if len(pre) != len(pim):
                 raise ParseError(
                     f"{loc}.poly_re",
                     "poly_re and poly_im must be equal-length coefficient arrays",
                 )
-            z = complex(float(term["z_re"]), float(term["z_im"]))
-            if not (np.isfinite(pre).all() and np.isfinite(pim).all() and cmath.isfinite(z)):
-                # json reads NaN and Infinity; name the first field holding one
-                fields = (("poly_re", pre), ("poly_im", pim), ("z_re", z.real), ("z_im", z.imag))
-                bad = next(key for key, value in fields if not np.isfinite(value).all())
-                raise ParseError(f"{loc}.{bad}", "must be finite")
-            pairs.append((pre + 1j * pim, z))
+            z_re = _number(term["z_re"], f"{loc}.z_re")
+            z_im = _number(term["z_im"], f"{loc}.z_im")
+            # json reads NaN and Infinity; name the first field holding one
+            for key, values in (("poly_re", pre), ("poly_im", pim), ("z_re", [z_re]),
+                                ("z_im", [z_im])):
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(f"{loc}.{key}", "must be finite")
+            # the float operations of numpy's pre + 1j * pim, signed zeros included
+            coeffs = [complex(a + 0.0 * b, b + 0.0) for a, b in zip(pre, pim)]
+            pairs.append((coeffs, complex(z_re, z_im)))
         try:  # an unpaired complex term, or a z = 0 term that is not a constant
             return ExpPolyKernel.from_complex_terms(pairs)
         except KernelError as exc:
@@ -114,8 +133,8 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
                 raise ParseError(f"{where}.{key}", "missing required field")
         return SampledKernel(
             BUILTIN_SAMPLED[name],
-            C=float(doc["C"]),
-            delta=float(doc["delta"]),
+            C=_number(doc["C"], f"{where}.C"),
+            delta=_number(doc["delta"], f"{where}.delta"),
             name=name,
         )
     raise ParseError(
@@ -162,11 +181,8 @@ def _require(doc: dict, key: str, where: str = "config"):
 
 
 def _positive(value, field: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(field, f"expected a number, got {value!r}") from None
-    if not np.isfinite(x) or x <= 0:
+    x = _number(value, field)
+    if not math.isfinite(x) or x <= 0:
         raise ParseError(field, f"must be a positive finite number, got {value!r}")
     return x
 
@@ -195,8 +211,8 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ParseError(f"modes[{i}]", "expected a [k, amplitude] pair")
             k = _positive(pair[0], f"modes[{i}][0]")
-            amp = float(pair[1])
-            if not np.isfinite(amp):
+            amp = _number(pair[1], f"modes[{i}][1]")
+            if not math.isfinite(amp):
                 raise ParseError(f"modes[{i}][1]", "amplitude must be finite")
             modes.append((k, amp))
         return tuple(modes)
@@ -205,7 +221,7 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
         raise ParseError("cavity", "expected an object")
     length = _positive(_require(cav, "length", "cavity"), "cavity.length")
     n_max = _require(cav, "n_max", "cavity")
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise ParseError("cavity.n_max", "must be a positive integer")
     return tuple(cavity_modes(length, n_max))
 
@@ -220,7 +236,7 @@ def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     if T <= dt:
         raise ParseError("T", f"must exceed dt ({dt})")
     stride = doc.get("output_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
+    if type(stride) is not int or stride < 1:
         raise ParseError("output_stride", "must be a positive integer")
     return SimulateConfig(medium=medium, modes=modes, dt=dt, T=T, output_stride=stride)
 
@@ -241,7 +257,7 @@ def parse_spectrum_config(doc: dict, base_dir: Path) -> SpectrumConfig:
         k_min = _positive(_require(rng, "k_min", "k_range"), "k_range.k_min")
         k_max = _positive(_require(rng, "k_max", "k_range"), "k_range.k_max")
         num = _require(rng, "num", "k_range")
-        if not isinstance(num, int) or num < 2:
+        if type(num) is not int or num < 2:
             raise ParseError("k_range.num", "must be an integer >= 2")
         if k_max <= k_min:
             raise ParseError("k_range.k_max", "must exceed k_min")

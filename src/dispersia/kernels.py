@@ -145,24 +145,26 @@ class ExpPolyKernel:
     def from_complex_terms(terms) -> "ExpPolyKernel":
         """Fold a conjugate-closed list of (complex poly coeffs, z) into real form.
 
-        A term with z == 0 is only admissible as a real constant (degree 0);
-        it becomes the kernel offset, summed exactly (a Fraction when the float
-        sum would round, so that Drude constants cancelling their damped
-        partners leave nu(0) = 0 exact).  Any other term needs Re z < 0,
-        enforced at certification time.
+        The coefficients are a list or array of numbers, or one number.  A
+        term with z == 0 is only admissible as a real constant (degree 0 once
+        trailing zeros are dropped); it becomes the kernel offset, summed
+        exactly (a Fraction when the float sum would round, so that Drude
+        constants cancelling their damped partners leave nu(0) = 0 exact).
+        Any other term needs Re z < 0, enforced at certification time.
         """
         constants: list[float] = []
-        pending: list[tuple[np.ndarray, complex]] = []
+        pending: list[tuple[list[complex], complex]] = []
         for coeffs, z in terms:
-            c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+            c = [complex(v) for v in coeffs] if np.iterable(coeffs) else [complex(coeffs)]
             z = complex(z)
             if z == 0:
-                c = c[np.abs(c) > 0] if c.size > 1 else c
-                if c.size > 1:
+                while len(c) > 1 and c[-1] == 0:
+                    c.pop()
+                if len(c) > 1:
                     raise KernelError("z = 0 term must be a constant (Drude offset)")
                 if abs(c[0].imag) > 1e-12 * (1 + abs(c[0])):
                     raise KernelError("z = 0 term must be real")
-                constants.append(float(c[0].real))
+                constants.append(c[0].real)
             else:
                 pending.append((c, z))
 
@@ -173,18 +175,19 @@ class ExpPolyKernel:
                 continue
             used[i] = True
             if zi.imag == 0:
-                if np.max(np.abs(ci.imag)) > 1e-12 * (1 + np.max(np.abs(ci))):
+                if max(abs(v.imag) for v in ci) > 1e-12 * (1 + max(map(abs, ci))):
                     raise KernelError("real-exponent term has complex coefficients")
-                real_terms.append(DampedTerm(tuple(ci.real), (0.0,), zi.real, 0.0))
+                real_terms.append(DampedTerm(tuple(v.real for v in ci), (0.0,), zi.real, 0.0))
                 continue
-            # find the conjugate partner
+            # find the conjugate partner, with np.allclose's test at rtol 1e-10, atol 1e-12
+            conj = [v.conjugate() for v in ci]
             partner = None
             for j in range(i + 1, len(pending)):
                 cj, zj = pending[j]
-                if used[j] or cj.size != ci.size:
+                if used[j] or len(cj) != len(ci):
                     continue
-                if abs(zj - np.conj(zi)) <= 1e-12 * (1 + abs(zi)) and np.allclose(
-                    cj, np.conj(ci), rtol=1e-10, atol=1e-12
+                if abs(zj - zi.conjugate()) <= 1e-12 * (1 + abs(zi)) and all(
+                    a == b or abs(a - b) <= 1e-12 + 1e-10 * abs(b) for a, b in zip(cj, conj)
                 ):
                     partner = j
                     break
@@ -193,10 +196,10 @@ class ExpPolyKernel:
                     f"term with z = {zi} has no conjugate partner; kernel would be complex"
                 )
             used[partner] = True
-            c, z = (ci, zi) if zi.imag > 0 else (np.conj(ci), np.conj(zi))
-            p = 2.0 * c.real
-            q = -2.0 * c.imag
-            real_terms.append(DampedTerm(tuple(p), tuple(q), z.real, z.imag))
+            c, z = (ci, zi) if zi.imag > 0 else (conj, zi.conjugate())
+            p = tuple(2.0 * v.real for v in c)
+            q = tuple(-2.0 * v.imag for v in c)
+            real_terms.append(DampedTerm(p, q, z.real, z.imag))
         offset = math.fsum(constants)
         if math.fsum(constants + [-offset]) != 0.0:
             from fractions import Fraction

@@ -12,8 +12,8 @@ history-quadrature integrator is kept as the independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class ModeSystem:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A; ``build_modes`` fills them in from one stacked call."""
+        return np.linalg.eigvals(self.A)
 
     def initial_state(self, amplitude: float = 1.0) -> np.ndarray:
         state = np.zeros(self.dim)
@@ -130,8 +135,8 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     return ModeSystem(k=float(k), A=A, medium=medium)
 
 
-def _closure_stack(medium: MediumSpec, ks) -> tuple[ModeSystem, np.ndarray]:
-    """The k = 0 closure and the mode matrices for all ks, shape (n, d, d).
+def _closure_stack(medium: MediumSpec, ks) -> np.ndarray:
+    """The mode matrices for all ks, shape (n, d, d).
 
     Only the two coupling entries depend on k, so the closure is built once
     and those entries are rewritten per mode; A[i] is bit-identical to
@@ -140,17 +145,21 @@ def _closure_stack(medium: MediumSpec, ks) -> tuple[ModeSystem, np.ndarray]:
     ks = np.asarray(ks, dtype=float)
     if np.any(ks < 0):
         raise ModalError("mode wavenumber must be nonnegative")
-    base = build_mode(medium, 0.0)
-    A = np.repeat(base.A[np.newaxis], ks.size, axis=0)
+    A = np.repeat(build_mode(medium, 0.0).A[np.newaxis], ks.size, axis=0)
     A[:, 0, 1] = ks / medium.eps
     A[:, 1, 0] = -ks / medium.mu
-    return base, A
+    return A
 
 
 def build_modes(medium: MediumSpec, ks) -> list[ModeSystem]:
-    """build_mode for every k in ks, from one shared closure."""
-    base, A = _closure_stack(medium, ks)
-    return [replace(base, k=float(k), A=a) for k, a in zip(ks, A)]
+    """build_mode for every k in ks, from one shared closure, with the
+    eigenvalues of all modes from one stacked ``eigvals`` call (each slice is
+    bit-identical to the mode's own call, but complex if any mode's are)."""
+    A = _closure_stack(medium, ks)
+    systems = [ModeSystem(float(k), a, medium) for k, a in zip(ks, A)]
+    for system, eigs in zip(systems, np.linalg.eigvals(A)):
+        system.__dict__["eigenvalues"] = eigs  # the cached_property's slot
+    return systems
 
 
 # degree-13 Pade coefficients b_k = C(13, k) (26 - k)! / 26!, so that b_0 = 1, and
@@ -211,7 +220,7 @@ def step_exact(system: ModeSystem, state: np.ndarray, dt: float) -> np.ndarray:
 
 def spectral_abscissa(system: ModeSystem) -> tuple[float, np.ndarray]:
     """Max Re eigenvalue of the mode matrix, plus the full eigenvalue list."""
-    eigs = np.linalg.eigvals(system.A)
+    eigs = system.eigenvalues
     return float(np.max(eigs.real)), eigs
 
 
@@ -425,7 +434,7 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
     A function of its own so that the blocks are freed before run_multimode
     allocates the times column (see ``_block_size``).
     """
-    _, A = _closure_stack(medium, ks)
+    A = _closure_stack(medium, ks)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         prop = np.linalg.matrix_power(expm(A * dt), stride)
     n_modes, d = A.shape[:2]

@@ -37,7 +37,39 @@ def non_finite_debye_doc(field, value):
 MALFORMED_TERMS = {
     "unpaired_conjugate": [{"poly_re": [1.0], "poly_im": [0.0], "z_re": -0.1, "z_im": 1.0}],
     "polynomial_at_z0": [{"poly_re": [1.0, 2.0], "poly_im": [0.0, 0.0], "z_re": 0.0, "z_im": 0.0}],
+    # 5 t is not a constant, though only one of its coefficients is nonzero
+    "linear_at_z0": [{"poly_re": [0.0, 5.0], "poly_im": [0.0, 0.0], "z_re": 0.0, "z_im": 0.0}],
 }
+
+# (path into debye_sim_config(), value, field named in the error); each is one
+# number field holding a value that is not a JSON number, or a boolean
+_TERM = ("medium", "nu_e", "terms", 0)
+MALFORMED_NUMBERS = [
+    (_TERM + ("z_re",), None, "medium.nu_e.terms[0].z_re"),
+    (_TERM + ("z_re",), [1], "medium.nu_e.terms[0].z_re"),
+    (_TERM + ("z_re",), "abc", "medium.nu_e.terms[0].z_re"),
+    (_TERM + ("z_re",), True, "medium.nu_e.terms[0].z_re"),
+    (_TERM + ("poly_re",), ["abc"], "medium.nu_e.terms[0].poly_re"),
+    (_TERM, {"poly_re": [], "poly_im": [], "z_re": -1.0, "z_im": 0.0},
+     "medium.nu_e.terms[0].poly_re"),
+    (_TERM + ("poly_re",), [False], "medium.nu_e.terms[0].poly_re"),
+    (_TERM + ("poly_im",), 0.0, "medium.nu_e.terms[0].poly_im"),
+    (("medium", "eps"), True, "medium.eps"),
+    (("medium", "nu_e"), {"type": "sampled_builtin", "name": "gaussian", "C": True,
+                          "delta": 1.0}, "medium.nu_e.C"),
+    (("modes", 0, 1), "x", "modes[0][1]"),
+    (("modes", 0, 0), True, "modes[0][0]"),
+    (("modes", 0, 1), True, "modes[0][1]"),
+    (("dt",), True, "dt"),
+    (("T",), "10", "T"),
+    (("output_stride",), True, "output_stride"),
+]
+
+
+def set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
 
 
 def malformed_config(tmp_path, terms):
@@ -229,6 +261,18 @@ class TestAnalyzeCommand:
         path.write_text("{not json")
         assert main(["analyze", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("path, value, field",
+                             [case for case in MALFORMED_NUMBERS if case[0][0] == "medium"])
+    def test_malformed_number_exit1(self, tmp_path, capsys, path, value, field):
+        doc = debye_sim_config()
+        set_path(doc, path, value)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_trace(self, tmp_path):
@@ -303,6 +347,27 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", malformed_config(tmp_path, terms),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, field", MALFORMED_NUMBERS)
+    def test_malformed_number_exit1(self, tmp_path, capsys, path, value, field):
+        doc = debye_sim_config()
+        set_path(doc, path, value)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_boolean_mode_count_exit1(self, tmp_path, capsys):
+        doc = debye_sim_config()
+        del doc["modes"]
+        doc["cavity"] = {"length": 1.0, "n_max": True}
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cavity.n_max: ")
         assert not out.exists()
 
     def test_missing_modes_diagnostic(self, tmp_path, capsys):
@@ -393,6 +458,58 @@ class TestSpectrumCommand:
             lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
         assert main(["spectrum", "--config", cfg]) == 0
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_one_eigvals_call_and_one_abscissa_per_k(self, tmp_path, monkeypatch):
+        from dispersia import modal
+
+        ks = [0.5, 2.0, 7.5, 30.0]
+        medium = mixed_medium()
+        doc = {"medium": {"eps": medium.eps, "mu": medium.mu,
+                          "nu_e": kernel_doc(medium.nu_e), "nu_h": kernel_doc(medium.nu_h)},
+               "k_values": ks}
+        calls = {"eigvals": 0, "spectral_abscissa": 0}
+        eigvals, abscissa = np.linalg.eigvals, modal.spectral_abscissa
+
+        def counting(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", eigvals))
+        monkeypatch.setattr(modal, "spectral_abscissa", counting("spectral_abscissa", abscissa))
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == {"eigvals": 1, "spectral_abscissa": len(ks)}
+
+    def test_zero_abscissa_changes_the_table(self, tmp_path, monkeypatch):
+        from dispersia import modal
+
+        cfg = write_config(tmp_path, {"medium": debye_sim_config()["medium"],
+                                      "k_values": [0.5, 2.0, 7.5]})
+        honest, sabotaged = tmp_path / "honest.csv", tmp_path / "sabotaged.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(honest)]) == 0
+        abscissa = modal.spectral_abscissa
+        monkeypatch.setattr(modal, "spectral_abscissa", lambda s: (0.0, abscissa(s)[1]))
+        assert main(["spectrum", "--config", cfg, "--out", str(sabotaged)]) == 0
+        assert honest.read_text() != sabotaged.read_text()
+        rows = [line.split(",") for line in sabotaged.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("grid, field", [
+        ({"k_values": [True, 2.0]}, "k_values[0]"),
+        ({"k_values": ["2.0"]}, "k_values[0]"),
+        ({"k_range": {"k_min": 1.0, "k_max": 5.0, "num": True}}, "k_range.num"),
+        ({"k_range": {"k_min": None, "k_max": 5.0, "num": 3}}, "k_range.k_min"),
+    ])
+    def test_malformed_grid_exit1(self, tmp_path, capsys, grid, field):
+        doc = {"medium": debye_sim_config()["medium"], **grid}
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_sampled_kernel_exit4(self, tmp_path, capsys):
         doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}

@@ -52,7 +52,7 @@ def row_by_row(medium, modes, dt, T, stride):
     n_steps = int(round(T / dt))
     times = np.arange(0, n_steps + 1, stride) * dt
     ks, amps = zip(*modes)
-    _, A = modal._closure_stack(medium, ks)
+    A = modal._closure_stack(medium, ks)
     prop = np.linalg.matrix_power(modal.expm(A * dt), stride)
     state = np.zeros(A.shape[:2] + (1,))
     state[:, 0, 0] = amps
@@ -295,7 +295,7 @@ class TestExpm:
     @pytest.mark.parametrize("medium", [mixed_medium(), defective_medium()],
                              ids=["lorentz_debye_drude", "defective"])
     def test_mode_stack_matches_mpmath(self, medium, dt):
-        _, A = modal._closure_stack(medium, [k for k, _ in cavity_modes(1.0, 200)])
+        A = modal._closure_stack(medium, [k for k, _ in cavity_modes(1.0, 200)])
         got = modal.expm(A * dt)
         assert got.shape == A.shape
         for i in list(range(0, 200, 10)) + [199]:  # mpmath takes ~30 ms a slice
