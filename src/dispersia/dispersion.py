@@ -1,15 +1,17 @@
 """Frequency-axis analysis: Re(i w L nu(i w)) and the passivity decisions.
 
 For exponential-polynomial kernels every verdict is exact.  From the integer
-polynomials of ``kernels.laplace_rational``, lambda L nu(lambda) = A/B with
-A(i w) = A_e(u) + i w A_o(u) in u = w^2, Re(i w L nu(i w)) = P(u) / D(u) with
-P = A_e B_e + u A_o B_o and D = B_e^2 + u B_o^2 > 0.  Passivity asks for P = 0,
-or lc(P) > 0 and no root of odd multiplicity in (0, inf); strict passivity for
-lc(N) > 0 and no root in (0, inf) of N = P_E D_H + P_H D_E; and
-m = 2 (deg D_E D_H - deg N).  Roots come from a square-free split and
-Descartes-rule bisection on integers; floats only report the witness, omega0
-and sigma.  Sampled kernels get a dense-grid check labelled as such, from one
-panel transform of nu'' for all its frequencies
+polynomials of ``kernels.laplace_rational``, lambda L nu(lambda) = A/B, and
+with u = w^2, Re(i w L nu(i w)) = P(u) / D(u) with P(w^2) = Re(A(i w) B(-i w))
+and D(w^2) = |B(i w)|^2 > 0.  Passivity asks for P = 0, or lc(P) > 0 and no
+root of odd multiplicity in (0, inf); strict passivity for lc(N) > 0 and no
+root in (0, inf) of N = P_E D_H + P_H D_E; and m = 2 (deg D_E D_H - deg N).
+Roots come from Descartes' rule (no sign change, no positive root), else from
+Descartes-rule bisection on integers, with a square-free split first only
+when a repeated root shows; each polynomial's roots are isolated once per
+call.  Floats only report the witness, omega0 and sigma.
+Sampled kernels get a dense-grid check labelled as such, from one panel
+transform of nu'' for all its frequencies
 (``kernels.sampled_iw_real_part``).
 
 Each call computes what it needs of a kernel once, either the omega_form or
@@ -64,7 +66,7 @@ class OmegaRational:
 
     @cached_property
     def _roots(self) -> list[tuple[float, int]]:
-        """(u, multiplicity) of the distinct roots of p in (0, inf); p must be nonzero."""
+        """(u, multiplicity) of the distinct roots of p in (0, inf); none for p = 0."""
         return _positive_roots(self.p)
 
 
@@ -83,9 +85,16 @@ class PassivityReport:
     certified: bool = True
 
 
-def _split(a: list[int]) -> list[list[int]]:
-    """A_e, A_o with A(i w) = A_e(w^2) + i w A_o(w^2)."""
-    return [_poly_sum([-v if i % 2 else v for i, v in enumerate(a[k::2])]) for k in (0, 1)]
+def _real_product(a: list[int], b: list[int]) -> list[int]:
+    """Re(a(i w) b(-i w)) as an exact polynomial in u = w^2: the term
+    a_i b_j (i w)^i (-i w)^j is real when i + j = 2k, and is (-1)^(j + k) a_i b_j u^k."""
+    out = [0] * ((len(a) + len(b)) // 2)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(i % 2, len(b), 2):
+                k = (i + j) // 2
+                out[k] += -x * b[j] if (j + k) % 2 else x * b[j]
+    return _poly_sum(out)
 
 
 def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
@@ -98,12 +107,11 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
         raise KernelError("omega_form needs an exponential-polynomial kernel")
     if kernel.is_zero:
         return _ZERO_FORM
-    (ae, ao), (be, bo) = (_split(c) for c in laplace_rational(kernel))
-    p = _poly_sum(_poly_product(ae, be), _poly_product([0, 1], ao, bo))
-    d = _poly_sum(_poly_product(be, be), _poly_product([0, 1], bo, bo))
+    a, b = laplace_rational(kernel)
+    p, d = _real_product(a, b), _real_product(b, b)
 
     def in_w(c):  # float coefficients, ascending in w, of c(w^2) / lc(d)
-        out = np.zeros(2 * len(c) - 1)
+        out = [0.0] * (2 * len(c) - 1)
         out[::2] = [v / d[-1] for v in c]
         return tuple(out)
 
@@ -113,7 +121,8 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
 # ---------------------------------------------------------------------------
 # exact real roots of integer polynomials (coefficient lists, ascending)
 
-_PRIME = (1 << 61) - 1  # modulus of the square-free test
+_PRIME = (1 << 30) - 35  # modulus of the square-free test; below 2^30, residues stay small ints
+_SPLIT_DEPTH = 16  # halvings of p itself before the square-free split runs
 
 
 def _deriv(c: list) -> list:
@@ -132,11 +141,15 @@ def _gcd(a: list, b: list, p: int = 0) -> list:
 
     a, b = norm(a), norm(b)
     while any(b):
-        while any(a) and len(a) >= len(b):  # a <- pseudo-remainder of a by b, normalized
+        while any(a) and len(a) >= len(b):  # a <- pseudo-remainder of a by b
             shift = len(a) - len(b)
-            a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
-                      for i, v in enumerate(a)])
-        a, b = b, a
+            if p:  # b is monic: cancel a's leading term, drop it, reduce modulo p
+                lead = a[-1]
+                a = _poly_sum(a[:shift] + [(v - lead * w) % p for v, w in zip(a[shift:-1], b)])
+            else:
+                a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
+                          for i, v in enumerate(a)])
+        a, b = b, norm(a)
     return a
 
 
@@ -186,14 +199,18 @@ def _shift1(c: list) -> list:
     return r[::-1]
 
 
-def _roots_of_squarefree(g: list) -> list[float]:
-    """The roots of a square-free g in (0, inf), g(0) != 0, to double precision.
+def _simple_roots(g: list, depth: float = math.inf) -> Optional[list[float]]:
+    """The roots of g in (0, inf), g(0) != 0, to double precision, when all are simple.
 
     Collins-Akritas bisection isolates them: every root is below a power of
     two 2^k (Fujiwara's bound), and the sign variations of
-    (x + 1)^n q(1 / (x + 1)) bound the number of roots of q in (0, 1), exactly
-    when they are 0 or 1; other intervals are halved.  ``_refine`` then
-    bisects each isolating interval on the sign of g.
+    (x + 1)^n q(1 / (x + 1)) bound the number of roots of q in (0, 1), counted
+    with multiplicity, exactly when they are 0 or 1; other intervals are
+    halved.  ``_refine`` then bisects each isolating interval on the sign of g.
+    A repeated root keeps its interval above one variation at every depth, or
+    is a double zero at a bisection point: None then, or once an interval is
+    still unresolved after ``depth`` halvings.  A square-free g always gets
+    its roots.
     """
     if _variations(g) == 0:
         return []
@@ -204,19 +221,23 @@ def _roots_of_squarefree(g: list) -> list[float]:
     while todo:
         q, c, j = todo.pop()  # q(x) is g at (c + x) 2^(k - j), up to a positive factor
         if q[0] == 0:  # a root at the left end, the midpoint of an earlier interval
+            if q[1] == 0:
+                return None
             found.append((c, c, j))
             q = q[1:]
         sign_changes = _variations(_shift1(q[::-1]))
         if sign_changes == 1:
             found.append((c, c + 1, j))
         elif sign_changes > 1:
+            if j >= depth:
+                return None
             half = [v << (len(q) - 1 - i) for i, v in enumerate(q)]  # 2^n q(x / 2)
             todo += [(half, 2 * c, j + 1), (_shift1(half), 2 * c + 1, j + 1)]
     return [_refine(g, lo, hi, j - k) for lo, hi, j in found]
 
 
 def _refine(g: list, lo: int, hi: int, e: int) -> float:
-    """The root of a square-free g in (lo / 2^e, hi / 2^e) (or lo / 2^e itself
+    """The simple root of g in (lo / 2^e, hi / 2^e) (or lo / 2^e itself
     when lo == hi), bisected to a relative width of 2^-60 and rounded."""
     def sign_at(c, num):  # sign of c(num / 2^e)
         v = 0
@@ -236,11 +257,21 @@ def _refine(g: list, lo: int, hi: int, e: int) -> float:
 
 
 def _positive_roots(p) -> list[tuple[float, int]]:
-    """(root, multiplicity) of every distinct root of the nonzero integer
-    polynomial p in (0, inf), ascending; exact until the final rounding."""
+    """(root, multiplicity) of every distinct root of the integer polynomial
+    p in (0, inf), ascending; exact until the final rounding; none for p = 0.
+
+    Descartes' rule comes first: with no sign change p has no positive root.
+    Then p itself is bisected; only when that meets a repeated root does the
+    square-free split run, and each of its factors is bisected.
+    """
+    if _variations(p) == 0:
+        return []
     first = next(i for i, v in enumerate(p) if v)
-    return sorted((r, mult) for mult, g in _squarefree_factors(list(p[first:]))
-                  for r in _roots_of_squarefree(g))
+    f = list(p[first:])
+    simple = _simple_roots(f, _SPLIT_DEPTH)
+    if simple is not None:
+        return sorted((r, 1) for r in simple)
+    return sorted((r, mult) for mult, g in _squarefree_factors(f) for r in _simple_roots(g))
 
 
 def _beyond(roots: list[tuple[float, int]]) -> float:
@@ -336,7 +367,9 @@ def _strict_passivity(data: tuple) -> PassivityReport:
         return replace(base, strictly_passive=strict and base.passive,
                        witnesses=base.witnesses + witness, certified=False)
     num = _combined_numerator(fe, fh)
-    roots = _positive_roots(num) if any(num) else []
+    # N is a field's own P when the other kernel is zero: reuse its isolated roots
+    same = [form for form in data if form.p == num]
+    roots = same[0]._roots if same else _positive_roots(num)
     ok = num[-1] > 0 and not roots
     # a root of N, or past every root where N < 0
     extra = () if ok else (math.sqrt(roots[-1][0]) if num[-1] > 0 else _beyond(roots),)

@@ -145,12 +145,14 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
 def _resolve_kernel(doc, where: str, base_dir: Path) -> Kernel:
     """A kernel field is either an inline document or {"file": path}."""
     if isinstance(doc, dict) and set(doc) == {"file"}:
+        if not isinstance(doc["file"], str):
+            raise ParseError(f"{where}.file", f"expected a path string, got {doc['file']!r}")
         path = base_dir / doc["file"]
         if not path.is_file():
             raise ParseError(f"{where}.file", f"kernel file not found: {path}")
         try:
             inner = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer beyond the conversion limit
             raise ParseError(f"{where}.file", f"invalid JSON in {path}: {exc}") from exc
         return kernel_from_doc(inner, where)
     return kernel_from_doc(doc, where)
@@ -197,6 +199,14 @@ def parse_medium(doc: dict, base_dir: Path) -> MediumSpec:
     return MediumSpec(eps=eps, mu=mu, nu_e=nu_e, nu_h=nu_h)
 
 
+def _check_coupling(medium: MediumSpec, ks) -> None:
+    """Every mode matrix holds k / eps and k / mu; both must be finite."""
+    k = max(ks, default=0.0)
+    for name, value in (("eps", medium.eps), ("mu", medium.mu)):
+        if not math.isfinite(k / value):
+            raise ParseError(f"medium.{name}", f"k / {name} is not finite at k = {k!r}")
+
+
 def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     has_modes = "modes" in doc
     has_cavity = "cavity" in doc
@@ -223,7 +233,10 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     n_max = _require(cav, "n_max", "cavity")
     if type(n_max) is not int or n_max < 1:
         raise ParseError("cavity.n_max", "must be a positive integer")
-    return tuple(cavity_modes(length, n_max))
+    modes = tuple(cavity_modes(length, n_max))
+    if not math.isfinite(modes[-1][0]):
+        raise ParseError("cavity.length", "the largest wavenumber n_max pi / length is not finite")
+    return modes
 
 
 def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
@@ -238,6 +251,7 @@ def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     stride = doc.get("output_stride", 1)
     if type(stride) is not int or stride < 1:
         raise ParseError("output_stride", "must be a positive integer")
+    _check_coupling(medium, [k for k, _ in modes])
     return SimulateConfig(medium=medium, modes=modes, dt=dt, T=T, output_stride=stride)
 
 
@@ -264,6 +278,7 @@ def parse_spectrum_config(doc: dict, base_dir: Path) -> SpectrumConfig:
         ks = tuple(np.linspace(k_min, k_max, num))
     else:
         raise ParseError("config", "one of 'k_values' or 'k_range' is required")
+    _check_coupling(medium, ks)
     return SpectrumConfig(medium=medium, k_values=ks)
 
 
@@ -275,6 +290,8 @@ def load_config(path: str | os.PathLike) -> tuple[dict, Path]:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the int conversion limit
+        raise ParseError("config", f"invalid JSON: {exc}") from exc
     return doc, p.parent
 
 

@@ -548,19 +548,27 @@ def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float 
 def _poly_sum(*polys: list[int]) -> list[int]:
     """Sum of exact polynomials, ascending lists of Python ints; the format's one
     trimming rule lives here: trailing zeros dropped, the zero polynomial [0]."""
-    out = [sum(c) for c in zip_longest(*polys, fillvalue=0)] or [0]
+    out = list(map(sum, zip_longest(*polys, fillvalue=0))) or [0]
     while len(out) > 1 and not out[-1]:
         out.pop()
     return out
 
 
 def _poly_product(*polys: list[int]) -> list[int]:
-    """Product of exact polynomials, a ``_poly_sum`` of shifted multiples; the
-    empty product is [1]."""
-    out = [1]
-    for b in polys:
-        out = _poly_sum(*([0] * i + [u * v for v in b] for i, u in enumerate(out)))
-    return out
+    """Product of exact polynomials, one accumulator list per factor with zero
+    coefficients skipped; the empty product is [1]."""
+    first, *rest = polys or ([1],)
+    out = list(first)
+    for b in rest:
+        terms = [(j, v) for j, v in enumerate(b) if v]
+        acc = [0] * (len(out) + len(b) - 1)
+        for i, u in enumerate(out):
+            if u:
+                for j, v in terms:
+                    acc[i + j] += u * v
+        out = acc
+    # trimmed factors give a nonzero leading coefficient; trim only otherwise
+    return out if out[-1] else _poly_sum(out)
 
 
 def laplace_rational(kernel: ExpPolyKernel) -> tuple[list[int], list[int]]:
@@ -604,21 +612,21 @@ def laplace_rational(kernel: ExpPolyKernel) -> tuple[list[int], list[int]]:
         # c_l l! / (lambda - z)^(l+1) = l! 2^(s (l+1)) h_l / pole^(l+1), with h_l = 2^t p_l
         # for a real pole and h_l = 2^t 2 Re[c_l (2^s lambda - X + iY)^(l+1)] for a pair;
         # the terms over pole^n are summed by Horner's rule
-        part, re, im = [0], [1], [0]
+        part, re, im = [0], linear, [big_y]  # re + i im = (2^s lambda - X + iY)^(l+1)
         for ell in range(n):
-            if big_y == 0:
-                head = [p[ell]]
-            else:
-                re, im = (_poly_sum(_poly_product(re, linear), _poly_product([-big_y], im)),
-                          _poly_sum(_poly_product(im, linear), _poly_product([big_y], re)))
-                head = _poly_sum(_poly_product([p[ell]], re), _poly_product([q[ell]], im))
-            part = _poly_sum(_poly_product(part, pole),
-                             _poly_product([math.factorial(ell) << (s * (ell + 1))], head))
+            if big_y and ell:
+                re, im = (_poly_sum(_poly_product(re, linear), [-big_y * v for v in im]),
+                          _poly_sum(_poly_product(im, linear), [big_y * v for v in re]))
+            head = [p[ell]] if big_y == 0 else _poly_sum([p[ell] * v for v in re],
+                                                          [q[ell] * v for v in im])
+            head = [(math.factorial(ell) << (s * (ell + 1))) * v for v in head]
+            part = _poly_sum(_poly_product(part, pole), head) if ell else head
         factor = _poly_product(*[pole] * n)
         num = _poly_sum(_poly_product(num, factor), _poly_product(part, den))
         den = _poly_product(den, factor)
 
-    a = _poly_sum(_poly_product([scaled(kernel.offset, t)], den), _poly_product([0, 1], num))
-    b = _poly_product([1 << t], den)
+    offset = scaled(kernel.offset, t)
+    a = _poly_sum([offset * v for v in den], [0] + num)
+    b = [v << t for v in den]
     content = math.gcd(*a, *b)
     return [v // content for v in a], [v // content for v in b]

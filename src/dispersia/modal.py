@@ -145,9 +145,12 @@ def _closure_stack(medium: MediumSpec, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     if np.any(ks < 0):
         raise ModalError("mode wavenumber must be nonnegative")
-    A = np.repeat(build_mode(medium, 0.0).A[np.newaxis], ks.size, axis=0)
-    A[:, 0, 1] = ks / medium.eps
-    A[:, 1, 0] = -ks / medium.mu
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+        A = np.repeat(build_mode(medium, 0.0).A[np.newaxis], ks.size, axis=0)
+        A[:, 0, 1] = ks / medium.eps
+        A[:, 1, 0] = -ks / medium.mu
+    if not np.isfinite(A).all():
+        raise ModalError("the mode matrix is not finite: an entry overflows the float range")
     return A
 
 

@@ -66,6 +66,23 @@ MALFORMED_NUMBERS = [
 ]
 
 
+def overflowing_configs():
+    """(command, config, field named in the error): a k / eps or k / mu beyond the
+    float range, or a cavity whose largest wavenumber is; each exits 1 at parsing."""
+    def medium(**scale):
+        return dict(debye_sim_config()["medium"], **scale)
+
+    cavity = debye_sim_config(cavity={"length": 1e-308, "n_max": 3})
+    del cavity["modes"]
+    return {
+        "spectrum_eps": ("spectrum", {"medium": medium(eps=1e-310), "k_values": [1.0]}, "medium.eps"),
+        "spectrum_mu": ("spectrum", {"medium": medium(mu=1e-310), "k_values": [1.0]}, "medium.mu"),
+        "simulate_eps": ("simulate", debye_sim_config(medium=medium(eps=1e-310)), "medium.eps"),
+        "simulate_mu": ("simulate", debye_sim_config(medium=medium(mu=1e-310)), "medium.mu"),
+        "simulate_cavity": ("simulate", cavity, "cavity.length"),
+    }
+
+
 def set_path(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]
@@ -260,6 +277,34 @@ class TestAnalyzeCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["analyze", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("in_file", [False, True], ids=["config", "kernel_file"])
+    def test_integer_beyond_conversion_limit_exit1(self, tmp_path, capsys, in_file):
+        # json.loads raises a plain ValueError for an integer literal of 4301+ digits
+        huge = "1" * 5001
+        kernel = '{"type": "exp_poly", "terms": [], "n": %s}' % huge
+        if in_file:
+            (tmp_path / "kernel.json").write_text(kernel)
+            kernel = '{"file": "kernel.json"}'
+        path = tmp_path / "huge.json"
+        path.write_text('{"nu_e": %s}' % kernel)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        field = "nu_e.file" if in_file else "config"
+        assert err.startswith(f"config error: {field}: invalid JSON") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [5, None, ["kernel.json"]])
+    def test_non_string_kernel_file_exit1(self, tmp_path, capsys, path):
+        doc = debye_sim_config()
+        doc["medium"]["nu_e"] = {"file": path}
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: medium.nu_e.file: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("path, value, field",
                              [case for case in MALFORMED_NUMBERS if case[0][0] == "medium"])
@@ -511,6 +556,18 @@ class TestSpectrumCommand:
         assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_closure_exit1(self, tmp_path, capsys):
+        # k / eps is finite, nu_E(0) / eps is not: the closure stack reports it
+        doc = {"medium": dict(debye_sim_config()["medium"], eps=1e-310), "k_values": [1e-320]}
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "simulation error: the mode matrix is not finite: an entry overflows the float range\n")
+        assert not out.exists()
+
     def test_sampled_kernel_exit4(self, tmp_path, capsys):
         doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}
         doc["medium"]["nu_e"] = kernel_doc(GAUSSIAN)
@@ -519,6 +576,18 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
         assert "exp_poly" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, field", overflowing_configs().values(),
+                         ids=overflowing_configs())
+def test_overflowing_mode_matrix_exit1(tmp_path, capsys, command, doc, field):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestFitCommand:

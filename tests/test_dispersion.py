@@ -24,6 +24,9 @@ from dispersia import dispersion, kernels
 from dispersia.dispersion import PassivityError
 
 from conftest import (
+    debye_sum6,
+    lorentz_sum6,
+    mixed_medium,
     random_class_k_kernel,
     random_passive_kernel,
     series_m0_sample,
@@ -287,6 +290,25 @@ class TestEvaluationCounts:
         assert report.strictly_passive and report.m == 2
         assert report.sigma_E > 0 and report.sigma_H > 0
         assert len(calls) == 1
+
+    def test_no_sign_change_skips_the_square_free_split(self, monkeypatch):
+        # Re(i w L nu(i w)) of a Debye sum has positive coefficients in u = w^2
+        expected = analyze(debye_sum6(), ZERO)
+        assert dispersion._variations(omega_form(debye_sum6()).p) == 0
+        calls = _count_calls(monkeypatch, dispersion, "_squarefree_factors")
+        assert analyze(debye_sum6(), ZERO) == expected
+        assert expected.strictly_passive and len(calls) == 0
+
+    @pytest.mark.parametrize("nu_e, nu_h, distinct", [
+        (lorentz_sum6(), ZERO, 1),  # N is P_E: its roots are isolated once
+        (ZERO, lorentz_sum6(), 1),
+        (mixed_medium().nu_e, mixed_medium().nu_h, 3),  # P_E, P_H and N
+    ])
+    def test_each_polynomial_isolated_once(self, monkeypatch, nu_e, nu_h, distinct):
+        expected = analyze(nu_e, nu_h)
+        calls = _count_calls(monkeypatch, dispersion, "_positive_roots")
+        assert analyze(nu_e, nu_h) == expected
+        assert len(calls) == len({tuple(p) for (p,) in calls}) == distinct
 
     def test_public_decay_exponent_on_sampled_kernel(self):
         report = decay_exponent(GAUSSIAN, ZERO)

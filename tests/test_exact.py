@@ -8,6 +8,7 @@ sympy construction of Re(i w L nu(i w)).
 """
 
 import json
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -140,17 +141,22 @@ def test_every_witness_of_random_kernels_is_negative():
 
 
 INT_POLY = st.lists(st.integers(-3, 3) | st.integers(-2**80, 2**80), min_size=1, max_size=7)
+# zero interior coefficients between ones above 2^200, for products of 3 to 6 factors
+SPARSE_BIG_POLY = st.lists(st.just(0) | st.integers(2**200, 2**256) | st.integers(-2**256, -2**200),
+                           min_size=1, max_size=6)
 
 
 class TestExactPolynomials:
     """``kernels._poly_sum`` and ``_poly_product`` against sympy.Poly, on
     untrimmed inputs too; their results are trimmed lists of Python ints."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(INT_POLY, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(INT_POLY, min_size=1, max_size=3)
+           | st.lists(SPARSE_BIG_POLY, min_size=3, max_size=6))
     @example([[0]])
     @example([[0], [5, 0, 0]])
     @example([[1, 0], [-1, 0, 0], [7]])
+    @example([[2**201, 0, 0, -2**255], [0, 2**230, 0, 2**200], [-2**210, 0, 2**240], [0, 0, 2**256]])
     def test_sum_and_product_match_sympy(self, polys):
         x = sympy.symbols("x")
         exact = [sympy.Poly(c[::-1], x, domain="ZZ") for c in polys]
@@ -164,8 +170,43 @@ class TestExactPolynomials:
         assert (_poly_sum(), _poly_product()) == ([0], [1])
 
 
+@st.composite
+def root_polys(draw):
+    """Nonzero integer polynomials with known roots in (0, inf): a signed constant
+    times u^k (leading zeros) times factors with positive, negative and complex
+    roots, some repeated; or coefficients of one sign (no sign change)."""
+    shape = draw(st.sampled_from(["factored", "positive", "negative"]))
+    if shape != "factored":
+        c = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=8).filter(lambda c: c[-1]))
+        return [-v for v in c] if shape == "negative" else c
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        root = [-draw(st.integers(-50, 50)), draw(st.integers(1, 2**20))]  # u = num / den
+        factors += [root] * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        re, im = draw(st.integers(-20, 20)), draw(st.integers(1, 20))
+        factors.append([re * re + im * im, -2 * re, 1])  # u = re +- i im
+    const = draw(st.sampled_from([1, -1, 7, -(2**100)]))
+    return [0] * draw(st.integers(0, 2)) + _poly_product([const], *factors)
+
+
 class TestRoots:
     poly = staticmethod(_poly_product)
+
+    @settings(max_examples=100, deadline=None)
+    @given(root_polys())
+    @example([0, 0, 3, 0, 1])  # leading zeros and no sign change
+    @example([-1, -2, 0, -5])  # every coefficient negative
+    @example(_poly_product([-1, 3], [-1, 3], [-1, 3], [7, -2], [4, 0, 1]))  # 1/3 thrice, 7/2
+    def test_positive_roots_match_sympy(self, p):
+        x = sympy.symbols("x")
+        _, factors = sympy.Poly(p[::-1], x).sqf_list()
+        expected = sorted((float(sympy.N(r, 40)), mult) for f, mult in factors
+                          for r in sympy.Poly(f, x).real_roots() if r > 0)
+        got = _positive_roots(p)
+        assert [m for _, m in got] == [m for _, m in expected]
+        for (r, _), (want, _) in zip(got, expected):
+            assert math.isclose(r, want, rel_tol=2**-51)
 
     def test_multiplicities_and_dyadic_roots(self):
         # (u - 1)^2 (u - 4)^3 (u + 3) u: the Yun path, roots at bisection midpoints
