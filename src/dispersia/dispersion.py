@@ -9,7 +9,9 @@ root in (0, inf) of N = P_E D_H + P_H D_E; and m = 2 (deg D_E D_H - deg N).
 Roots come from Descartes' rule (no sign change, no positive root), else from
 Descartes-rule bisection on integers, with a square-free split first only
 when a repeated root shows; each polynomial's roots are isolated once per
-call.  Floats only report the witness, omega0 and sigma.
+call.  Floats only report the witness, omega0 and sigma; an ``OmegaRational``
+is the exact pair (P, D) alone, and its ``real_part`` computes floats from it
+on demand.
 Sampled kernels get a dense-grid check labelled as such, from one panel
 transform of nu'' for all its frequencies
 (``kernels.sampled_iw_real_part``).
@@ -23,13 +25,12 @@ and exponent steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .kernels import (
     ExpPolyKernel,
@@ -49,28 +50,30 @@ class PassivityError(KernelError):
 
 @dataclass(frozen=True)
 class OmegaRational:
-    """Re(i w L nu(i w)) = Pr(w)/Qr(w) = p(u)/d(u) with u = w^2.
+    """Re(i w L nu(i w)) = p(u)/d(u) with u = w^2, as exact integer polynomials.
 
-    Every decision reads the exact integer polynomials ``p`` and ``d``.  The
-    float coefficients ``pr`` and ``qr``, ascending in w, are the exact ones
-    divided by lc(d) and correctly rounded; ``real_part`` evaluates them.
+    Every decision reads ``p`` and ``d``.  ``real_part`` computes floats from
+    them on demand; the form holds no float copy.
     """
 
-    pr: tuple[float, ...]
-    qr: tuple[float, ...]
-    p: list[int] = field(repr=False)
-    d: list[int] = field(repr=False)
+    p: list[int]
+    d: list[int]
 
     def real_part(self, w):
-        return npoly.polyval(w, self.pr) / npoly.polyval(w, self.qr)
+        """p(w^2) / d(w^2) at a float or array w: each coefficient divided by
+        lc(d), correctly rounded, then Horner's rule in w^2."""
+        def horner(c):
+            acc = c[-1] / self.d[-1] + w * 0
+            for v in reversed(c[:-1]):
+                acc = v / self.d[-1] + acc * w * w
+            return acc
+
+        return horner(self.p) / horner(self.d)
 
     @cached_property
     def _roots(self) -> list[tuple[float, int]]:
         """(u, multiplicity) of the distinct roots of p in (0, inf); none for p = 0."""
         return _positive_roots(self.p)
-
-
-_ZERO_FORM = OmegaRational((0.0,), (1.0,), [0], [1])
 
 
 @dataclass(frozen=True)
@@ -98,24 +101,12 @@ def _real_product(a: list[int], b: list[int]) -> list[int]:
 
 
 def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
-    """w -> Re(i w L nu(i w)) as a rational function, from ``laplace_rational``.
-
-    Exact in the integer polynomials p and d, correctly rounded in the float
-    coefficients.  The zero kernel maps to 0/1.
-    """
+    """w -> Re(i w L nu(i w)) as a rational function in u = w^2, exact, from
+    ``laplace_rational``.  The zero kernel maps to 0/1."""
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError("omega_form needs an exponential-polynomial kernel")
-    if kernel.is_zero:
-        return _ZERO_FORM
     a, b = laplace_rational(kernel)
-    p, d = _real_product(a, b), _real_product(b, b)
-
-    def in_w(c):  # float coefficients, ascending in w, of c(w^2) / lc(d)
-        out = [0.0] * (2 * len(c) - 1)
-        out[::2] = [v / d[-1] for v in c]
-        return tuple(out)
-
-    return OmegaRational(in_w(p), in_w(d), p, d)
+    return OmegaRational(_real_product(a, b), _real_product(b, b))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ uses scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from numbers import Real
@@ -225,9 +225,10 @@ def drude(beta: float = 1.0, nu: float = 1.0) -> ExpPolyKernel:
 
 @dataclass(frozen=True)
 class SampledKernel:
-    """Black-box kernel t -> (nu, nu', nu'') with a claimed |nu''| <= C e^{-delta t}."""
+    """Black-box kernel t -> (nu, nu', nu'') with a claimed |nu''| <= C e^{-delta t};
+    equal to another only with the same evaluator, C, delta and name."""
 
-    evaluator: Callable[[np.ndarray, int], np.ndarray] = field(compare=False)
+    evaluator: Callable[[np.ndarray, int], np.ndarray]
     C: float = 1.0
     delta: float = 1.0
     name: str = "sampled"

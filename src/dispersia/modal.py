@@ -149,8 +149,11 @@ def _closure_stack(medium: MediumSpec, ks) -> np.ndarray:
         A = np.repeat(build_mode(medium, 0.0).A[np.newaxis], ks.size, axis=0)
         A[:, 0, 1] = ks / medium.eps
         A[:, 1, 0] = -ks / medium.mu
-    if not np.isfinite(A).all():
-        raise ModalError("the mode matrix is not finite: an entry overflows the float range")
+    finite = np.isfinite(A).all(axis=(0, 2))
+    if not finite.all():  # rows 0 and 1 are divided by eps and by mu
+        row = int(np.argmin(finite))
+        where = f" of row {row}, divided by medium.{('eps', 'mu')[row]}," if row < 2 else ""
+        raise ModalError(f"the mode matrix is not finite: an entry{where} overflows the float range")
     return A
 
 
@@ -335,27 +338,15 @@ def _convolution(state, kernel, key, samples, c, stage_value):
     return total
 
 
-def _same_kernel(a: Kernel, b: Kernel) -> bool:
-    # SampledKernel equality ignores the evaluator, so compare that by identity
-    if isinstance(a, SampledKernel) or isinstance(b, SampledKernel):
-        return a is b or (a == b and a.evaluator is b.evaluator)
-    return a == b
-
-
-def _same_medium(a: MediumSpec, b: MediumSpec) -> bool:
-    return a is b or (a.eps == b.eps and a.mu == b.mu
-                      and _same_kernel(a.nu_e, b.nu_e) and _same_kernel(a.nu_h, b.nu_h))
-
-
 def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -> HistoryState:
     """One step of the brute-force reference integrator (any kernel type).
 
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  Serves as the oracle for
     step_exact and is the only integrator available for sampled kernels.
-    Every step of one history takes the medium of its first step (that object
-    or an equal one, whose sampled kernels have the same evaluators); another
-    medium raises ModalError.
+    Every step of one history takes the medium of its first step, that object
+    or an equal one (a sampled kernel is equal only with the same evaluator);
+    another medium raises ModalError.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
@@ -369,7 +360,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         state._medium = medium
         state._nu0 = (float(eval_kernel(medium.nu_e, 0.0, 0)),
                       float(eval_kernel(medium.nu_h, 0.0, 0)))
-    elif not _same_medium(medium, state._medium):
+    elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
     eps, mu = medium.eps, medium.mu

@@ -565,7 +565,8 @@ class TestSpectrumCommand:
             assert main(["spectrum", "--config", write_config(tmp_path, doc),
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "simulation error: the mode matrix is not finite: an entry overflows the float range\n")
+            "simulation error: the mode matrix is not finite: an entry of row 0, divided by "
+            "medium.eps, overflows the float range\n")
         assert not out.exists()
 
     def test_sampled_kernel_exit4(self, tmp_path, capsys):
@@ -587,6 +588,30 @@ def test_overflowing_mode_matrix_exit1(tmp_path, capsys, command, doc, field):
         assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def overflowing_closures():
+    """(command, config, field): k / eps and k / mu are finite at k = 1e-320, but
+    nu(0) / eps or nu(0) / mu, in row 0 or row 1 of the mode matrix, is not."""
+    unit = debye_sim_config()["medium"]
+    media = {"eps": dict(unit, eps=1e-310),
+             "mu": dict(unit, mu=1e-310, nu_h=kernel_doc(debye()))}
+    return {f"{command}_{name}": (command, debye_sim_config(medium=medium, modes=[[1e-320, 1.0]],
+                                                            k_values=[1e-320]), f"medium.{name}")
+            for command in ("spectrum", "simulate") for name, medium in media.items()}
+
+
+@pytest.mark.parametrize("command, doc, field", overflowing_closures().values(),
+                         ids=overflowing_closures())
+def test_overflowing_closure_names_field(tmp_path, capsys, command, doc, field):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: the mode matrix is not finite: ")
+    assert f"divided by {field}," in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings, strategies as st
 
 from dispersia import (
@@ -67,27 +68,69 @@ class TestOmegaForm:
                 assert abs(got - direct) <= 1e-9 * (1 + abs(direct))
 
     def test_parity_by_coefficient_structure(self):
-        # real kernels give an even real part
+        # a form in u = w^2 is even in w by construction, bit for bit
         rng = np.random.default_rng(11)
         for _ in range(8):
             form = omega_form(random_class_k_kernel(rng))
-            pr, qr = (np.asarray(c) for c in (form.pr, form.qr))
-            scale = max(1.0, np.max(np.abs(pr)), np.max(np.abs(qr)))
-            assert np.all(np.abs(pr[1::2]) <= 1e-9 * scale)
-            assert np.all(np.abs(qr[1::2]) <= 1e-9 * scale)
+            w = rng.uniform(0, 100, 50)
+            assert np.array_equal(form.real_part(w), form.real_part(-w))
 
     def test_denominator_has_no_real_roots(self):
+        # d(u) > 0 on [0, inf); the coefficients are divided by lc(d) first,
+        # since float() of the raw integers can overflow
         rng = np.random.default_rng(12)
         for _ in range(8):
             form = omega_form(random_class_k_kernel(rng))
-            roots = np.roots(np.asarray(form.qr)[::-1])
-            assert np.all(np.abs(roots.imag) > 1e-8)
+            roots = np.roots([c / form.d[-1] for c in form.d[::-1]])
+            real = roots[np.abs(roots.imag) <= 1e-8].real
+            assert np.all(real < 0)
 
     def test_degree_bounds(self):
         rng = np.random.default_rng(13)
         for _ in range(8):
             form = omega_form(random_class_k_kernel(rng))
-            assert len(form.pr) <= len(form.qr)
+            assert len(form.p) <= len(form.d)
+
+
+def polyval_in_w(form, w):
+    """The former float view of a form: numpy's polyval over the coefficients in
+    w, c(w^2) / lc(d) correctly rounded with every odd coefficient zero."""
+    def in_w(c):
+        out = [0.0] * (2 * len(c) - 1)
+        out[::2] = [v / form.d[-1] for v in c]
+        return out
+
+    return npoly.polyval(w, in_w(form.p)) / npoly.polyval(w, in_w(form.d))
+
+
+class TestFloatView:
+    """``real_part`` is bit for bit the former polyval over the coefficients in w."""
+
+    @staticmethod
+    def assert_bitwise(got, ref):
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_random_forms(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            form = omega_form(random_class_k_kernel(rng, 3, 4))
+            sigma_grid = np.geomspace(1.0 + 3.0 * rng.random(), 1e4, 4000)
+            for w in (dispersion._SAMPLED_GRID, -dispersion._SAMPLED_GRID, sigma_grid,
+                      rng.uniform(-100, 100, 50), np.array([0.0, -0.0, -2.5])):
+                self.assert_bitwise(form.real_part(w), polyval_in_w(form, w))
+            for w in (0.0, -0.0, 3.0, -3.0):
+                self.assert_bitwise(form.real_part(w), polyval_in_w(form, w))
+
+    @pytest.mark.parametrize("nu_e, nu_h, m, sigma_e, sigma_h", [
+        (lorentz(), ZERO, 2, 0.9411764705882353, 0.0),
+        (mixed_medium().nu_e, mixed_medium().nu_h, 0, 0.5000000049900001, 0.0),
+        (lorentz_sum6(), ZERO, 2, 0.006571920116753555, 0.0),
+    ])
+    def test_sigma_pinned(self, nu_e, nu_h, m, sigma_e, sigma_h):
+        # the values of the former float view, compared exactly
+        report = analyze(nu_e, nu_h)
+        assert (report.m, report.sigma_E, report.sigma_H, report.omega0) == (
+            m, sigma_e, sigma_h, 1.0)
 
 
 class TestPassivity:
@@ -281,7 +324,7 @@ class TestEvaluationCounts:
         expected = analyze(nu_e, nu_h)
         calls = _count_calls(monkeypatch, dispersion, "omega_form")
         assert analyze(nu_e, nu_h) == expected
-        assert len(calls) == 2  # a zero kernel's call returns _ZERO_FORM at once
+        assert len(calls) == 2  # one per kernel, a zero kernel's included
 
     def test_exp_poly_analyze_one_combined_numerator(self, monkeypatch):
         # nu_E = 0.5 sin(2t) e^{-0.2t}, nu_H = 0.3 (1 - e^{-0.5t}): strictly passive, m = 2

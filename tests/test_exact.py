@@ -22,7 +22,6 @@ from dispersia import ExpPolyKernel, analyze, check_passivity, debye, laplace, o
 from dispersia import io as dio
 from dispersia.cli import main
 from dispersia.dispersion import (
-    _ZERO_FORM,
     OmegaRational,
     _negative_frequency,
     _positive_roots,
@@ -222,8 +221,8 @@ class TestRoots:
 
     @staticmethod
     def form(p, d=(1,)):
-        """A form with Re(i w L nu(i w)) = p(u) / d(u); the float view is not used."""
-        return OmegaRational((0.0,), (1.0,), list(p), list(d))
+        """A form with Re(i w L nu(i w)) = p(u) / d(u)."""
+        return OmegaRational(list(p), list(d))
 
     def test_negative_frequency(self):
         form = self.form
@@ -238,13 +237,13 @@ class TestRoots:
         # p = u (u - 1)^2 >= 0 touches 0 at w = 1: passive, not strictly passive
         cube = self.poly([1, 1], [1, 1], [1, 1])
         touching = self.form(self.poly([0, 1], [-1, 1], [-1, 1]), cube)
-        report = _strict_passivity((touching, _ZERO_FORM))
+        report = _strict_passivity((touching, self.form([0])))
         assert report.passive and not report.strictly_passive
         assert report.witnesses == (1.0,)
         lifted = self.form(self.poly([1, 1], [-1, 1], [-1, 1]), cube)  # p = (u + 1)(u - 1)^2
-        assert not _strict_passivity((lifted, _ZERO_FORM)).strictly_passive
+        assert not _strict_passivity((lifted, self.form([0]))).strictly_passive
         clear = self.form(self.poly([0, 1], [1, 1], [1, 1]), cube)
-        assert _strict_passivity((clear, _ZERO_FORM)).strictly_passive
+        assert _strict_passivity((clear, self.form([0]))).strictly_passive
 
 
 def sympy_real_part(kernel, w):

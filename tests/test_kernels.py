@@ -24,6 +24,7 @@ from dispersia import (
     laplace,
     lorentz,
 )
+from dispersia import io as dio
 from dispersia import kernels
 from dispersia.dispersion import _SAMPLED_GRID
 from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
@@ -95,6 +96,24 @@ class TestTermLayout:
                 for t in d.terms:
                     assert len(t.p) == len(t.q) == t.degree + 1
                     assert t.p[-1] or t.q[-1] or t.degree == 0
+
+
+
+class TestSampledIdentity:
+    """A sampled kernel's equality covers all four fields, the evaluator included."""
+
+    def test_same_evaluator_equal(self):
+        copy = SampledKernel(_gaussian_eval, C=3.4, delta=1.0, name="gaussian")
+        assert copy == GAUSSIAN and hash(copy) == hash(GAUSSIAN)
+
+    def test_other_evaluator_unequal(self):
+        def halved(t, order):
+            return 0.5 * _gaussian_eval(t, order)
+
+        assert SampledKernel(halved, C=3.4, delta=1.0, name="gaussian") != GAUSSIAN
+
+    def test_document_round_trip(self):
+        assert dio.kernel_from_doc(dio.kernel_to_doc(GAUSSIAN)) == GAUSSIAN
 
 
 class TestCertify:

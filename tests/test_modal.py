@@ -275,7 +275,7 @@ class TestHistoryIntegrator:
         hist = step_history(MediumSpec(1.0, 1.0, SampledKernel(_gaussian_eval, 3.4, 1.0,
                                                                "gaussian"), ZERO), 1.0, hist, 0.1)
         other = MediumSpec(1.0, 1.0, SampledKernel(halved, 3.4, 1.0, "gaussian"), ZERO)
-        assert other == first
+        assert other != first
         with pytest.raises(ModalError, match="another medium"):
             step_history(other, 1.0, hist, 0.1)
 
