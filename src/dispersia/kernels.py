@@ -53,7 +53,7 @@ class DampedTerm:
 
     p and q are ascending coefficient tuples of one length, degree + 1: the
     trailing zeros of each are dropped and the shorter is padded with 0.0.
-    The zero term is ((0.0,), (0.0,)).
+    The zero term is ((0.0,), (0.0,)).  Every field must be finite.
     """
 
     p: tuple[float, ...]
@@ -63,6 +63,9 @@ class DampedTerm:
 
     def __post_init__(self):
         p, q = ([float(v) for v in c] for c in (self.p, self.q))
+        for name, values in (("p", p), ("q", q), ("x", (self.x,)), ("y", (self.y,))):
+            if not all(map(math.isfinite, values)):
+                raise KernelError(f"DampedTerm.{name} must be finite")
         for c in (p, q):
             while c and not c[-1]:
                 c.pop()
@@ -101,16 +104,20 @@ class ExpPolyKernel:
         return float(self.offset) + sum(t.p[0] for t in self.terms)
 
     def derivative(self) -> "ExpPolyKernel":
-        """Exact term-wise derivative; again an ExpPolyKernel (offset drops)."""
+        """Exact term-wise derivative; again an ExpPolyKernel (offset drops).
+
+        Raises KernelError if a coefficient of the derivative overflows.
+        """
         new_terms = []
         for t in self.terms:
-            p, q = np.asarray(t.p), np.asarray(t.q)
-            ell = np.arange(1, p.size)
-            dp, dq = (np.append(ell * c[1:], 0.0) for c in (p, q))
-            np_ = dp + t.x * p + t.y * q
-            nq_ = dq + t.x * q - t.y * p
-            if np.any(np_) or np.any(nq_):
-                new_terms.append(DampedTerm(tuple(np_), tuple(nq_), t.x, t.y))
+            p, q, x, y = t.p, t.q, t.x, t.y
+            dp, dq = ([ell * c for ell, c in enumerate(coef[1:], 1)] + [0.0] for coef in (p, q))
+            np_ = [d + x * a + y * b for d, a, b in zip(dp, p, q)]
+            nq_ = [d + x * b - y * a for d, a, b in zip(dq, p, q)]
+            if not all(map(math.isfinite, np_ + nq_)):
+                raise KernelError("a coefficient of the derivative overflows the float range")
+            if any(np_) or any(nq_):
+                new_terms.append(DampedTerm(tuple(np_), tuple(nq_), x, y))
         return ExpPolyKernel(tuple(new_terms), 0.0)
 
     def __call__(self, t):
@@ -341,8 +348,12 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
 
     delta = 0.9 * min(abs(t.x) for t in kernel.terms)
     C = 0.0
+    try:
+        terms = _nth_derivative(kernel, 2).terms
+    except KernelError:  # a coefficient of nu'' overflows, and so does C
+        terms, C = (), math.inf
     with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
-        for t in _nth_derivative(kernel, 2).terms:
+        for t in terms:
             ell = np.arange(t.degree + 1)
             size = np.hypot(t.p, t.q)
             # sup_s s^l e^{-(|x| - delta) s} = (l / ((|x| - delta) e))^l, with 0^0 = 1

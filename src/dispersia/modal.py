@@ -81,33 +81,19 @@ class ModeSystem:
         return 0.5 * (self.medium.eps * state[0] ** 2 + self.medium.mu * state[1] ** 2)
 
 
-def _companion_blocks(theta: ExpPolyKernel):
-    """Realize y(t) = int_0^t theta(t-s) f(s) ds as linear states.
-
-    A term of degree d gets d + 1 groups of r rows, r = 1 for a real exponent
-    and r = 2 for a (cos, sin) pair.  Group l, the convolution of f with
-    t^l / l! e^{x t} (cos y t, sin y t), turns by [[x, -y], [y, x]] (x alone
-    when r = 1), is driven by group l - 1 (group 0 by f) and read out with
-    l! (p_l, q_l).  Yields (block matrix, drive column, readout row) triples.
-    """
-    for term in theta.terms:
-        r = 1 if term.y == 0.0 else 2
-        n = r * len(term.p)
-        turn = np.array(((term.x, -term.y), (term.y, term.x)))[:r, :r]
-        B = np.eye(n, k=-r)
-        for u in range(0, n, r):
-            B[u:u + r, u:u + r] = turn
-        drive = np.eye(1, n)[0]
-        fact = np.cumprod(np.maximum(np.arange(len(term.p)), 1.0))  # l!
-        read = (np.array((term.p, term.q))[:r] * fact).T.ravel()  # p_0 0!, (q_0 0!,) p_1 1!, ...
-        yield B, drive, read
-
-
 def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     """Exact finite closure of the per-mode Volterra system.
 
     eps E' = -nu_E(0) E - (memory read-out) + k H
     mu  H' = -nu_H(0) H - (memory read-out) - k E
+
+    The memory y(t) = int_0^t nu'(t-s) f(s) ds of each field f is realized
+    as linear states, one companion block per term of nu'.  A term of degree
+    d gets d + 1 groups of r rows, r = 1 for a real exponent and r = 2 for a
+    (cos, sin) pair.  Group l, the convolution of f with t^l / l! e^{x t}
+    (cos y t, sin y t), turns by [[x, -y], [y, x]] (x alone when r = 1), is
+    driven by group l - 1 (group 0 by f) and read out with l! (p_l, q_l).
+    The entries are collected as Python floats and written in one assignment.
     """
     if k < 0:
         raise ModalError("mode wavenumber must be nonnegative")
@@ -115,23 +101,33 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
         if isinstance(kern, SampledKernel):
             raise ModalError("sampled kernels admit no finite closure; use step_history")
     eps, mu = medium.eps, medium.mu
-    blocks = [(slot, coef, block)
-              for slot, kern, coef in ((0, medium.nu_e, eps), (1, medium.nu_h, mu))
-              for block in _companion_blocks(kern.derivative())]
-    dim = 2 + sum(B.shape[0] for _, _, (B, _, _) in blocks)
-    A = np.zeros((dim, dim))
-    A[0, 0] = -medium.nu_e.value_at_zero() / eps
-    A[1, 1] = -medium.nu_h.value_at_zero() / mu
-    A[0, 1] = k / eps
-    A[1, 0] = -k / mu
-
+    entries = [(0, 0, -medium.nu_e.value_at_zero() / eps),  # (row, column, value)
+               (1, 1, -medium.nu_h.value_at_zero() / mu), (0, 1, k / eps), (1, 0, -k / mu)]
     pos = 2
-    for slot, coef, (B, drive, read) in blocks:
-        n = B.shape[0]
-        A[pos : pos + n, pos : pos + n] = B
-        A[pos : pos + n, slot] = drive
-        A[slot, pos : pos + n] = -read / coef
-        pos += n
+    for slot, name, kern, coef in ((0, "nu_e", medium.nu_e, eps), (1, "nu_h", medium.nu_h, mu)):
+        try:
+            terms = kern.derivative().terms
+        except KernelError as exc:
+            raise ModalError(f"medium.{name}: {exc}") from exc
+        for term in terms:
+            x, y = term.x, term.y
+            r = 1 if y == 0.0 else 2
+            entries.append((pos, slot, 1.0))  # group 0 is driven by the field
+            fact = 1.0  # l!
+            for ell, read in enumerate(zip(term.p, term.q)):
+                if ell:
+                    fact *= ell
+                    entries += [(pos + i, pos - r + i, 1.0) for i in range(r)]  # by group l - 1
+                if r == 1:
+                    entries.append((pos, pos, x))
+                else:
+                    entries += [(pos, pos, x), (pos, pos + 1, -y), (pos + 1, pos, y),
+                                (pos + 1, pos + 1, x)]
+                entries += [(slot, pos + i, -(read[i] * fact) / coef) for i in range(r)]
+                pos += r
+    rows, cols, vals = zip(*entries)
+    A = np.zeros((pos, pos))
+    A[rows, cols] = vals
     return ModeSystem(k=float(k), A=A, medium=medium)
 
 
@@ -408,16 +404,16 @@ def cavity_modes(length: float, n_max: int):
 
 
 def _block_size(n_rows: int, n_modes: int, d: int) -> int:
-    """Output samples per block of run_multimode: a power of two, at least 1.
+    """Output samples per block of run_multimode: the largest power of two
+    at most min(n_rows, 2^14 / (n_modes d), 4 d), and at least 1.
 
-    About sqrt(n_rows), which balances the b - 1 steps that fill the first
-    block against the n_rows / b block steps.  Capped so that one block holds
-    at most 2^14 doubles (128 KiB), and so that the two blocks in use together
-    hold no more doubles than the (n_modes, d, d) mode-matrix stack, released
-    before they are allocated, plus one trace column, allocated after.
+    Filling a block by doubling costs about 2 log2 b matmuls, so b need not
+    balance the fill against the n_rows / b block steps.  The cap keeps the
+    heap peak at or below that of a row-by-row loop: one block holds at most
+    2^14 doubles (128 KiB), and the two blocks in use together hold at most
+    8 n_modes d^2 doubles, the stacks that expm held before they existed.
     """
-    width = n_modes * d
-    cap = min(math.isqrt(n_rows), _BLOCK_ELEMENTS // width, (width * d + n_rows) // (2 * width))
+    cap = min(n_rows, _BLOCK_ELEMENTS // (n_modes * d), 4 * d)
     return 1 << (max(cap, 1).bit_length() - 1)
 
 
@@ -425,8 +421,12 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
                     n_rows: int) -> np.ndarray:
     """Summed mode energies at every stride-th step, advanced in blocks.
 
-    A function of its own so that the blocks are freed before run_multimode
-    allocates the times column (see ``_block_size``).
+    The first block is filled by doubling: with P^h, its columns h..2h-1 are
+    P^h times columns 0..h-1, and P^h is then squared, for h = 1, 2, 4, ...
+    The last square, P^b, is made only when a second block follows.  A
+    function of its own so that the blocks are freed before run_multimode
+    allocates the times column.  Raises ModalError if a propagator or an
+    energy is not finite.
     """
     A = _closure_stack(medium, ks)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
@@ -443,25 +443,28 @@ def _block_energies(medium: MediumSpec, ks, amps, dt: float, stride: int,
     prop *= scale[:, np.newaxis]
     prop /= scale
     b = _block_size(n_rows, n_modes, d)
-    block = np.empty((n_modes, d, b))
-    state = np.zeros((n_modes, d, 1))
-    state[:, 0, 0] = np.multiply(amps, scale[0])
-    block[:, :, 0] = state[:, :, 0]
-    for i in range(1, b):
-        state = prop @ state
-        block[:, :, i] = state[:, :, 0]
-    if n_rows > b:
-        for _ in range(b.bit_length() - 1):
-            prop = prop @ prop  # P^b by squaring; P itself is no longer needed
-        spare = np.empty_like(block)
+    block = np.zeros((n_modes, d, b))
+    block[:, 0, 0] = np.multiply(amps, scale[0])
     energy = np.empty(n_rows)
-    for start in range(0, n_rows, b):
-        if start:
-            np.matmul(prop, block, out=spare)
-            block, spare = spare, block
-        n = min(b, n_rows - start)
-        eh = block[:, :2, :n]
-        np.einsum("ijk,ijk->k", eh, eh, out=energy[start:start + n])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy is reported below
+        h = 1
+        while h < b:
+            np.matmul(prop, block[:, :, :h], out=block[:, :, h:2 * h])
+            h *= 2
+            if h < b or n_rows > b:
+                prop = prop @ prop  # P^h; P itself is no longer needed
+        spare = np.empty_like(block) if n_rows > b else None
+        for start in range(0, n_rows, b):
+            if start:
+                np.matmul(prop, block, out=spare)
+                block, spare = spare, block
+            n = min(b, n_rows - start)
+            eh = block[:, :2, :n]
+            np.einsum("ijk,ijk->k", eh, eh, out=energy[start:start + n])
+    bad = np.flatnonzero(~np.isfinite(energy))
+    if bad.size:
+        raise ModalError(f"the energy at t = {float(bad[0] * stride) * dt:.17g} is not finite: "
+                         "the fields outgrow the float range")
     return energy
 
 
@@ -478,11 +481,12 @@ def run_multimode(
     (n_modes, d, d), exponentiated in one expm call and raised to the output
     stride, giving the propagator P.  The states of b consecutive output
     samples sit side by side in one (n_modes, d, b) block.  The first block
-    is filled by b - 1 applications of P; each later block is P^b times the
-    previous one, one batched matmul per b output samples.  b is a power of
-    two near sqrt(samples), capped so the blocks stay small (see
-    ``_block_size``).  The energies of a block are reduced over modes in a
-    fixed order, and the trace is bit-identical across runs.
+    is filled by doubling, in about 2 log2 b batched matmuls; each later
+    block is P^b times the previous one, one batched matmul per b output
+    samples.  b is a power of two capped so that the blocks take no more
+    memory than expm did (see ``_block_size``).  The energies of a block are
+    reduced over modes in a fixed order, and the trace is bit-identical
+    across runs.  Fields that outgrow the float range raise ModalError.
     """
     if dt <= 0 or T <= dt:
         raise ModalError("need dt > 0 and T > dt")

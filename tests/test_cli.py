@@ -386,6 +386,25 @@ class TestSimulateCommand:
             "simulation error: the propagator over one output step is not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate, T, first", [(2.0, 400.0, "183.38"),
+                                                (0.5, 1400.0, "733.48000000000002")])
+    def test_overflowing_energy_one_error_line(self, tmp_path, capsys, rate, T, first):
+        # each step's propagator is finite; the fields outgrow the float range later
+        growing = {"type": "exp_poly", "terms": [{"poly_re": [1.0], "poly_im": [0.0],
+                                                  "z_re": rate, "z_im": 0.0}]}
+        doc = debye_sim_config(dt=0.02, T=T, output_stride=1, cavity={"length": 1.0, "n_max": 12})
+        del doc["modes"]
+        doc["medium"]["nu_e"] = growing
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", write_config(tmp_path, doc),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"simulation error: the energy at t = {first} is not finite: "
+            "the fields outgrow the float range\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("terms", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS)
     def test_malformed_terms_exit1(self, tmp_path, capsys, terms):
         out = tmp_path / "trace.csv"

@@ -81,6 +81,22 @@ class TestTermLayout:
             assert (t.p, t.q) == ((0.0,), (0.0,))
             assert t.degree == 0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["p", "q", "x", "y"])
+    def test_non_finite_field_rejected(self, name, bad):
+        fields = {"p": (1.0, 0.5), "q": (0.0, 0.5), "x": -1.0, "y": 2.0}
+        fields[name] = (0.5, bad) if name in ("p", "q") else bad
+        with pytest.raises(KernelError, match=f"^DampedTerm\\.{name} must be finite"):
+            DampedTerm(**fields)
+
+    def test_overflowing_derivative_rejected(self):
+        # (1e308 e^{-10 t})' = -1e309 e^{-10 t} is beyond the float range
+        kern = ExpPolyKernel((DampedTerm((1e308,), (0.0,), -10.0, 0.0),))
+        with pytest.raises(KernelError, match="derivative overflows"):
+            kern.derivative()
+        with pytest.raises(NotInClassK, match="overflows"):
+            certify_class_K(kern)
+
     def test_derivative_keeps_layout(self):
         # (t^2 e^{-t})' = (2 t - t^2) e^{-t}
         t2 = ExpPolyKernel((DampedTerm((0.0, 0.0, 1.0), (0.0,), -1.0, 0.0),))

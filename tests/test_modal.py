@@ -1,9 +1,10 @@
-import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersia import (
     DampedTerm,
@@ -113,6 +114,98 @@ class TestBuildMode:
         system = build_mode(MediumSpec(2.0, 3.0, debye(), ZERO), 1.0)
         state = system.initial_state(2.0)
         assert system.energy(state) == pytest.approx(0.5 * 2.0 * 4.0)
+
+
+def numpy_derivative(kernel):
+    """The former numpy ExpPolyKernel.derivative, kept as the reference."""
+    new_terms = []
+    for t in kernel.terms:
+        p, q = np.asarray(t.p), np.asarray(t.q)
+        ell = np.arange(1, p.size)
+        dp, dq = (np.append(ell * c[1:], 0.0) for c in (p, q))
+        np_ = dp + t.x * p + t.y * q
+        nq_ = dq + t.x * q - t.y * p
+        if np.any(np_) or np.any(nq_):
+            new_terms.append(DampedTerm(tuple(np_), tuple(nq_), t.x, t.y))
+    return ExpPolyKernel(tuple(new_terms), 0.0)
+
+
+def numpy_companion_blocks(theta):
+    """The former numpy companion blocks: (block matrix, drive column, readout row)."""
+    for term in theta.terms:
+        r = 1 if term.y == 0.0 else 2
+        n = r * len(term.p)
+        turn = np.array(((term.x, -term.y), (term.y, term.x)))[:r, :r]
+        B = np.eye(n, k=-r)
+        for u in range(0, n, r):
+            B[u:u + r, u:u + r] = turn
+        drive = np.eye(1, n)[0]
+        fact = np.cumprod(np.maximum(np.arange(len(term.p)), 1.0))  # l!
+        read = (np.array((term.p, term.q))[:r] * fact).T.ravel()
+        yield B, drive, read
+
+
+def numpy_mode_matrix(medium, k):
+    """The former numpy assembly of build_mode(medium, k).A, kept as the reference."""
+    eps, mu = medium.eps, medium.mu
+    blocks = [(slot, coef, block)
+              for slot, kern, coef in ((0, medium.nu_e, eps), (1, medium.nu_h, mu))
+              for block in numpy_companion_blocks(numpy_derivative(kern))]
+    dim = 2 + sum(B.shape[0] for _, _, (B, _, _) in blocks)
+    A = np.zeros((dim, dim))
+    A[0, 0] = -medium.nu_e.value_at_zero() / eps
+    A[1, 1] = -medium.nu_h.value_at_zero() / mu
+    A[0, 1] = k / eps
+    A[1, 0] = -k / mu
+    pos = 2
+    for slot, coef, (B, drive, read) in blocks:
+        n = B.shape[0]
+        A[pos : pos + n, pos : pos + n] = B
+        A[pos : pos + n, slot] = drive
+        A[slot, pos : pos + n] = -read / coef
+        pos += n
+    return A
+
+
+def term_bits(kernel):
+    """Every float of a kernel's terms, as bytes (signed zeros included)."""
+    return [(np.array(t.p).tobytes(), np.array(t.q).tobytes(), np.float64(t.x).tobytes(),
+             np.float64(t.y).tobytes()) for t in kernel.terms]
+
+
+class TestClosureAssembly:
+    """build_mode assembles on Python floats; the former numpy assembly is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.05, 20.0), mu=st.floats(0.05, 20.0),
+           k=st.floats(0.0, 1e3), offset=st.sampled_from([0.0, 0.7]))
+    def test_bit_identical_to_numpy_assembly(self, seed, eps, mu, k, offset):
+        rng = np.random.default_rng(seed)
+        nu_e, nu_h = (random_class_k_kernel(rng, 3, 3) for _ in range(2))
+        medium = MediumSpec(eps, mu, ExpPolyKernel(nu_e.terms, offset),
+                            nu_h if rng.random() < 0.8 else ZERO)
+        for kern in (medium.nu_e, medium.nu_h, nu_e.derivative()):
+            assert term_bits(kern.derivative()) == term_bits(numpy_derivative(kern))
+        assert build_mode(medium, k).A.tobytes() == numpy_mode_matrix(medium, k).tobytes()
+        ks = [0.0, k, 2.5]
+        stack = modal._closure_stack(medium, ks)
+        assert stack.tobytes() == np.stack([numpy_mode_matrix(medium, kk) for kk in ks]).tobytes()
+
+    def test_signed_zeros_kept(self):
+        # (1 + 2t) e^{-2t} has the derivative (0 - 4t) e^{-2t}: its zero reads out as -0.0
+        medium = MediumSpec(1.5, 0.7, ExpPolyKernel((DampedTerm((1.0, 2.0), (0.0,), -2.0, 0.0),
+                                                     DampedTerm((0.0, 2.0), (1.0,), -0.5, 1.5))),
+                            drude(0.4, 0.9))
+        A = build_mode(medium, 3.0).A
+        assert A.tobytes() == numpy_mode_matrix(medium, 3.0).tobytes()
+        assert A[0, 2] == 0.0 and np.signbit(A[0, 2])
+
+    def test_overflowing_derivative_names_field(self):
+        # 1e308 e^{-10 t} has a derivative beyond the float range
+        huge = ExpPolyKernel((DampedTerm((1e308,), (0.0,), -10.0, 0.0),))
+        medium = MediumSpec(1.0, 1.0, ZERO, huge)
+        with pytest.raises(ModalError, match=r"^medium\.nu_h: .*overflows"):
+            build_mode(medium, 1.0)
 
 
 class TestSpectra:
@@ -440,20 +533,38 @@ class TestBlockedPropagation:
             assert np.all(np.isfinite(expected)) and np.all(expected > 0)
             np.testing.assert_allclose(trace.energy, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("rate", [0.05, 0.5])
+    def test_growing_medium_matches_row_by_row(self, rate):
+        # nu_E = e^{rate t}: the powers of P that doubling makes grow with the fields
+        growing = MediumSpec(1.0, 1.0, ExpPolyKernel((DampedTerm((1.0,), (0.0,), rate, 0.0),)),
+                             ZERO)
+        modes = cavity_modes(1.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, expected = row_by_row(growing, modes, self.DT, 100.0, 1)
+            trace = run_multimode(growing, modes, dt=self.DT, T=100.0)
+        assert modal._block_size(times.size, 12, 3) > 2
+        assert np.array_equal(trace.times, times)
+        np.testing.assert_allclose(trace.energy, expected, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 63, 64, 65, 5001, 10**6])
     @pytest.mark.parametrize("n_modes, d", [(1, 2), (12, 3), (200, 6), (200, 8), (2000, 12)])
     def test_block_size_caps(self, n_rows, n_modes, d):
         b = modal._block_size(n_rows, n_modes, d)
         assert b >= 1 and b & (b - 1) == 0
-        if b > 1:
-            width = n_modes * d
-            assert b <= math.isqrt(n_rows)
-            assert width * b <= modal._BLOCK_ELEMENTS
-            assert 2 * width * b <= width * d + n_rows
 
-    def test_heap_peak_not_above_row_by_row(self):
+        def fits(size):
+            return size <= n_rows and n_modes * d * size <= modal._BLOCK_ELEMENTS and size <= 4 * d
+
+        assert b == 1 or fits(b)
+        assert not fits(2 * b)  # the largest power of two that fits
+
+    # 12 and 60 modes: blocks sized by the 128 KiB budget alone, without the
+    # 4 d cap, would go above the row-by-row peak
+    @pytest.mark.parametrize("n_modes", [12, 60, 200])
+    def test_heap_peak_not_above_row_by_row(self, n_modes):
         medium = mixed_medium()  # Lorentz, Debye and Drude terms
-        modes = cavity_modes(1.0, 200)
+        modes = cavity_modes(1.0, n_modes)
         args = (medium, modes, 0.02, 100.0, 1)
         peaks = []
         for run in (row_by_row, run_multimode):
