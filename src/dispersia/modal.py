@@ -248,18 +248,26 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 
 
 class _GrowBuf:
-    """Append-only float buffer with geometric growth."""
+    """Append-only float buffer with geometric growth.
+
+    The first and last values and the largest magnitude are also kept as
+    Python floats, for the stage arithmetic of step_history.
+    """
 
     def __init__(self, first: float = 0.0, capacity: int = 1024):
         self._data = np.zeros(capacity)
         self._data[0] = first
         self.n = 1
+        self.first = self.last = float(first)
+        self.peak = abs(self.first)
 
     def append(self, value: float):
         if self.n == self._data.size:
             self._data = np.concatenate([self._data, np.zeros(self._data.size)])
         self._data[self.n] = value
         self.n += 1
+        self.last = value
+        self.peak = max(self.peak, abs(value))
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
@@ -290,63 +298,87 @@ class HistoryState:
 
     @property
     def e(self) -> float:
-        return float(self.e_past[-1])
+        return float(self.e_past.last)
 
     @property
     def h(self) -> float:
-        return float(self.h_past[-1])
+        return float(self.h_past.last)
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
+    """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ModalError(f"dt must be finite and positive, got {dt!r}")
+    for name, value in (("s_max", s_max), ("e0", e0), ("h0", h0)):
+        if not math.isfinite(value):
+            raise ModalError(f"{name} must be finite, got {value!r}")
     return HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
 
 
-def _lag_weights(state: HistoryState, kernel: Kernel, key: str, c: float, n: int) -> np.ndarray:
-    """Cached nu'((m + c) dt) for m = 0..n.
+# the lag offsets c of the stage times t + c dt, one row of lag weights each
+_OFFSETS = np.array([[0.0], [0.5], [1.0]])
+# a product sum_j w_j f_j with (n + 1) max|w| max|f| below this cannot overflow
+_SAFE_PRODUCT = 1e308
+# no lag weights yet, and their largest magnitude
+_NO_WEIGHTS = (np.empty((3, 0)), 0.0)
 
-    A short cache doubles, up to the last lag the history horizon allows, in
-    one vectorized kernel evaluation; nothing is allocated for lags that the
-    run has not reached.
+
+def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
+    """The memory terms of one field at the stage times t + c dt, c = 0, 1/2, 1.
+
+    y_c = int_0^{t + c dt} nu'(t + c dt - s) f(s) ds by the trapezoid rule on
+    the stored past f_0..f_n and, for c > 0, one panel from t to the stage
+    value f(t + c dt).  Returns (y_0, y_1/2, y_1) without the stage value's
+    term, which is c g f(t + c dt), and g = dt nu'(0) / 2.
+
+    The weights nu'((m + c) dt) are cached as one (3, size) array, one row per
+    c, lag-reversed (lag m in column size - 1 - m), so that the lags n..0 of a
+    step are its last n + 1 columns and the three sums are one product.  A
+    short cache doubles, up to the last lag the history horizon allows, in one
+    kernel evaluation; nothing is allocated for lags that the run has not
+    reached, and a weight that overflows warns of nothing before a step reads it.
     """
-    buf = state._weights.get((key, c), np.empty(0))
-    if buf.size <= n:
-        horizon = int((state.s_max + 1e-12) / state.dt) + 1
-        size = max(n + 1, min(2 * buf.size, horizon))
-        t_new = (np.arange(buf.size, size) + c) * state.dt
-        buf = np.concatenate([buf, np.atleast_1d(eval_kernel(kernel, t_new, 1))])
-        state._weights[(key, c)] = buf
-    return buf[: n + 1]
-
-
-def _convolution(state, kernel, key, samples, c, stage_value):
-    """Trapezoidal int_0^{t + c dt} nu'(t + c dt - s) f(s) ds with f(t+c dt)=stage_value."""
-    n = len(samples) - 1
+    n = past.n - 1
     dt = state.dt
-    w = _lag_weights(state, kernel, key, c, n)
-    if n > 0:
-        wrev = w[::-1]
-        total = dt * (np.dot(wrev, samples) - 0.5 * (wrev[0] * samples[0] + wrev[-1] * samples[-1]))
-    else:
-        total = 0.0
-    if c > 0.0:
-        nup0 = _lag_weights(state, kernel, key, 0.0, 0)[0]
-        total += 0.5 * c * dt * (w[0] * samples[-1] + nup0 * stage_value)
-    return total
+    w, w_peak = state._weights.get(key, _NO_WEIGHTS)
+    size = w.shape[1]
+    if size <= n:
+        horizon = int((state.s_max + 1e-12) / dt) + 1
+        size = max(n + 1, min(2 * size, horizon))
+        t = (np.arange(size - 1, w.shape[1] - 1, -1) + _OFFSETS) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.concatenate([np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape), w], axis=1)
+            w_peak = float(np.abs(w).max())  # NaN if a weight is
+        state._weights[key] = (w, w_peak)
+    lags = w[:, size - 1 - n:]
+    if (n + 1) * w_peak * past.peak < _SAFE_PRODUCT:
+        sums = (lags @ past.view()).tolist()
+    else:  # near the float range; a sum that overflows makes the step's fields not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (lags @ past.view()).tolist()
+    far, near = lags[:, 0].tolist(), lags[:, -1].tolist()  # lags n and 0
+    f0, fn = past.first, past.last
+    y = [dt * (s - 0.5 * (a * f0 + b * fn)) for s, a, b in zip(sums, far, near)] if n else [0.0] * 3
+    panel = 0.5 * dt * fn
+    return (y[0], y[1] + 0.5 * panel * near[1], y[2] + panel * near[2]), 0.5 * dt * near[0]
 
 
 def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -> HistoryState:
     """One step of the brute-force reference integrator (any kernel type).
 
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
-    by trapezoidal quadrature over the stored past.  Serves as the oracle for
-    step_exact and is the only integrator available for sampled kernels.
-    Every step of one history takes the medium of its first step, that object
-    or an equal one (a sampled kernel is equal only with the same evaluator);
-    another medium raises ModalError.
+    by trapezoidal quadrature over the stored past.  The past does not change
+    within a step, so each live field takes the sums of its three stage
+    offsets from one product (see ``_memory``), and the stages run on Python
+    floats.  Serves as the oracle for step_exact and is the only integrator
+    available for sampled kernels.  Every step of one history takes the medium
+    of its first step, that object or an equal one (a sampled kernel is equal
+    only with the same evaluator); another medium raises ModalError, and so
+    does a step whose fields are not finite, which leaves the history as it was.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
-    if abs(dt - state.dt) > 1e-12 * state.dt:
+    if not abs(dt - state.dt) <= 1e-12 * state.dt:
         raise ModalError("step size must match the history grid spacing")
     if state.t + dt > state.s_max + 1e-12:
         raise HistoryTruncationError(
@@ -359,31 +391,32 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
-    eps, mu = medium.eps, medium.mu
+    eps, mu, k, dt = float(medium.eps), float(medium.mu), float(k), float(dt)
     nue0, nuh0 = state._nu0
-    e_samples = state.e_past.view()
-    h_samples = state.h_past.view()
-
     # a zero kernel has no memory term; skip its convolution entirely
-    live_e = not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero)
-    live_h = not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero)
+    ye, ge = yh, gh = (0.0, 0.0, 0.0), 0.0
+    if not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero):
+        ye, ge = _memory(state, medium.nu_e, "E", state.e_past)
+    if not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero):
+        yh, gh = _memory(state, medium.nu_h, "H", state.h_past)
 
-    def rhs(c, e_star, h_star):
-        conv_e = _convolution(state, medium.nu_e, "E", e_samples, c, e_star) if live_e else 0.0
-        conv_h = _convolution(state, medium.nu_h, "H", h_samples, c, h_star) if live_h else 0.0
-        de = (-nue0 * e_star - conv_e + k * h_star) / eps
-        dh = (-nuh0 * h_star - conv_h - k * e_star) / mu
+    def rates(i, c, e_star, h_star):  # memory term i belongs to the offset c
+        de = (-nue0 * e_star - (ye[i] + c * ge * e_star) + k * h_star) / eps
+        dh = (-nuh0 * h_star - (yh[i] + c * gh * h_star) - k * e_star) / mu
         return de, dh
 
-    e0, h0 = state.e, state.h
-    k1 = rhs(0.0, e0, h0)
-    k2 = rhs(0.5, e0 + 0.5 * dt * k1[0], h0 + 0.5 * dt * k1[1])
-    k3 = rhs(0.5, e0 + 0.5 * dt * k2[0], h0 + 0.5 * dt * k2[1])
-    k4 = rhs(1.0, e0 + dt * k3[0], h0 + dt * k3[1])
+    e0, h0 = state.e_past.last, state.h_past.last
+    k1 = rates(0, 0.0, e0, h0)
+    k2 = rates(1, 0.5, e0 + 0.5 * dt * k1[0], h0 + 0.5 * dt * k1[1])
+    k3 = rates(1, 0.5, e0 + 0.5 * dt * k2[0], h0 + 0.5 * dt * k2[1])
+    k4 = rates(2, 1.0, e0 + dt * k3[0], h0 + dt * k3[1])
     e1 = e0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     h1 = h0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    state.e_past.append(float(e1))
-    state.h_past.append(float(h1))
+    if not (math.isfinite(e1) and math.isfinite(h1)):
+        raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not finite: "
+                         "they outgrow the float range")
+    state.e_past.append(e1)
+    state.h_past.append(h1)
     return state
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -274,6 +275,124 @@ class TestSpectra:
             assert np.max(np.abs(resid)) <= 1e-12
 
 
+def former_lag_weights(state, kernel, key, c, n):
+    """Cached nu'((m + c) dt) for m = 0..n, one cache per (field, c): the former
+    ``modal._lag_weights``, kept as the reference."""
+    buf = state.weights.get((key, c), np.empty(0))
+    if buf.size <= n:
+        horizon = int((state.s_max + 1e-12) / state.dt) + 1
+        size = max(n + 1, min(2 * buf.size, horizon))
+        t_new = (np.arange(buf.size, size) + c) * state.dt
+        buf = np.concatenate([buf, np.atleast_1d(modal.eval_kernel(kernel, t_new, 1))])
+        state.weights[(key, c)] = buf
+    return buf[: n + 1]
+
+
+def former_convolution(state, kernel, key, samples, c, stage_value):
+    """The former ``modal._convolution``: one trapezoid sum per stage."""
+    n = len(samples) - 1
+    dt = state.dt
+    w = former_lag_weights(state, kernel, key, c, n)
+    if n > 0:
+        wrev = w[::-1]
+        total = dt * (np.dot(wrev, samples) - 0.5 * (wrev[0] * samples[0] + wrev[-1] * samples[-1]))
+    else:
+        total = 0.0
+    if c > 0.0:
+        nup0 = former_lag_weights(state, kernel, key, 0.0, 0)[0]
+        total += 0.5 * c * dt * (w[0] * samples[-1] + nup0 * stage_value)
+    return total
+
+
+def former_history(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
+    """Fields (E, H) of the former per-stage history integrator over `steps`
+    steps, shape (2, steps + 1): four weight lookups and four dot products per
+    live field and step, on numpy scalars."""
+    state = SimpleNamespace(dt=dt, s_max=s_max, weights={})
+    nue0 = float(modal.eval_kernel(medium.nu_e, 0.0, 0))
+    nuh0 = float(modal.eval_kernel(medium.nu_h, 0.0, 0))
+    live_e = not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero)
+    live_h = not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero)
+    e_hist, h_hist = [e0], [h0]
+    for _ in range(steps):
+        e_samples, h_samples = np.array(e_hist), np.array(h_hist)
+
+        def rhs(c, e_star, h_star):
+            conv_e = (former_convolution(state, medium.nu_e, "E", e_samples, c, e_star)
+                      if live_e else 0.0)
+            conv_h = (former_convolution(state, medium.nu_h, "H", h_samples, c, h_star)
+                      if live_h else 0.0)
+            de = (-nue0 * e_star - conv_e + k * h_star) / medium.eps
+            dh = (-nuh0 * h_star - conv_h - k * e_star) / medium.mu
+            return de, dh
+
+        e0, h0 = e_hist[-1], h_hist[-1]
+        k1 = rhs(0.0, e0, h0)
+        k2 = rhs(0.5, e0 + 0.5 * dt * k1[0], h0 + 0.5 * dt * k1[1])
+        k3 = rhs(0.5, e0 + 0.5 * dt * k2[0], h0 + 0.5 * dt * k2[1])
+        k4 = rhs(1.0, e0 + dt * k3[0], h0 + dt * k3[1])
+        e_hist.append(float(e0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])))
+        h_hist.append(float(h0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])))
+    return np.array([e_hist, h_hist]), state.weights
+
+
+def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
+    """Fields within 1e-12 of the largest |field| of the former integrator, and
+    every lag weight bit for bit (the stacked rows are lag-reversed)."""
+    hist = initial_history(dt, s_max=s_max, e0=e0, h0=h0)
+    for _ in range(steps):
+        hist = step_history(medium, k, hist, dt)
+    ref, ref_weights = former_history(medium, k, dt, steps, s_max, e0, h0)
+    got = np.array([hist.e_past.view(), hist.h_past.view()])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for key in ("E", "H"):
+        if key not in hist._weights:
+            assert all(field != key for field, _ in ref_weights)
+            continue
+        w, _ = hist._weights[key]
+        for row, c in zip(w[:, ::-1], (0.0, 0.5, 1.0)):
+            assert row.tobytes() == ref_weights[(key, c)].tobytes()
+    return hist
+
+
+class TestStackedStageSums:
+    """step_history against a copy of the former per-stage integrator."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.floats(0.0, 20.0),
+           dt=st.sampled_from([0.01, 0.02, 0.05]), steps=st.integers(1, 150))
+    def test_random_class_k_pairs(self, seed, k, dt, steps):
+        rng = np.random.default_rng(seed)
+        medium = MediumSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)),
+                            random_class_k_kernel(rng, 2, 2), random_class_k_kernel(rng, 2, 2))
+        assert_matches_former(medium, k, dt, steps, steps * dt)
+
+    @pytest.mark.parametrize("nu_h", [ZERO, debye(0.5, 2.0)], ids=["zero", "debye"])
+    def test_gaussian(self, nu_h):
+        assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, nu_h), 1.3, 0.02, 400, 8.0)
+
+    @pytest.mark.parametrize("medium", [MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
+                                        mixed_medium()], ids=["gaussian", "mixed"])
+    def test_zero_fields(self, medium):
+        hist = assert_matches_former(medium, 1.3, 0.02, 50, 1.0, e0=0.0, h0=0.0)
+        assert not np.any(hist.e_past.view()) and not np.any(hist.h_past.view())
+
+    @pytest.mark.parametrize("steps", [1, 2, 1023, 1024, 1025])
+    def test_step_counts_across_doublings(self, steps):
+        hist = assert_matches_former(mixed_medium(), 2.1, 0.01, steps, 30.0)
+        # lags 0..steps - 1 are read; the cache holds the next power of two
+        for w, _ in hist._weights.values():
+            assert w.shape == (3, 1 << (steps - 1).bit_length())
+
+    def test_horizon_stops_the_growth(self):
+        # s_max = 5 on a 0.03 grid allows lags 0..166; doubling would reach 256
+        hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, drude(0.2, 1.5)), 1.3,
+                                     0.03, 166, 5.0)
+        for w, _ in hist._weights.values():
+            assert w.shape == (3, 167)
+
+
 class TestHistoryIntegrator:
     def test_matches_exact_on_debye(self):
         medium = debye_medium()
@@ -333,8 +452,8 @@ class TestHistoryIntegrator:
         assert short.e_past.view().tobytes() == long.e_past.view().tobytes()
         assert short.h_past.view().tobytes() == long.h_past.view().tobytes()
         steps = 300
-        assert all(w.size <= 2 * (steps + 1) for w in long._weights.values())
-        assert all(w.size <= 2 * (steps + 1) for w in short._weights.values())
+        assert all(w[0].size <= 2 * (steps + 1) for w, _ in long._weights.values())
+        assert all(w[0].size <= 2 * (steps + 1) for w, _ in short._weights.values())
 
     def test_kernel_evaluations_grow_logarithmically(self, monkeypatch):
         calls = []
@@ -347,8 +466,11 @@ class TestHistoryIntegrator:
         monkeypatch.setattr(modal, "eval_kernel", counting)
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
-        assert len(calls) <= 60
-        assert all(w.size <= 2 * (steps + 1) for w in hist._weights.values())
+        # nu(0) of each field once, then one call per growth of the one live
+        # field's weights: sizes 1, 2, 4, ..., 4096 for lags up to 2999
+        growths = 1 + (steps - 1).bit_length()
+        assert [order for _, _, order in calls] == [0, 0] + [1] * growths
+        assert all(w[0].size <= 2 * (steps + 1) for w, _ in hist._weights.values())
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
@@ -371,6 +493,37 @@ class TestHistoryIntegrator:
         assert other != first
         with pytest.raises(ModalError, match="another medium"):
             step_history(other, 1.0, hist, 0.1)
+
+
+    def test_fields_outgrowing_the_float_range_raise(self):
+        # nu_E = e^{2t}: the lag weights overflow from t = 354.5 and the fields
+        # near there; no lag beyond the last step may warn before that
+        medium = MediumSpec(1.0, 1.0, ExpPolyKernel((DampedTerm((1.0,), (0.0,), 2.0, 0.0),)), ZERO)
+        hist = initial_history(0.05, s_max=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModalError, match=r"^the fields at t = \S+ are not finite") as err:
+                for _ in range(8000):
+                    hist = step_history(medium, 3.0, hist, 0.05)
+        named = float(str(err.value).split()[5])
+        assert 350.0 < named < 360.0
+        # the failed step left the history at its last finite step
+        assert named == pytest.approx(hist.t + 0.05)
+        assert np.all(np.isfinite(hist.e_past.view())) and np.all(np.isfinite(hist.h_past.view()))
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("dt", dict(dt=np.nan)), ("dt", dict(dt=np.inf)), ("dt", dict(dt=0.0)), ("dt", dict(dt=-0.1)),
+        ("s_max", dict(s_max=np.nan)), ("s_max", dict(s_max=np.inf)), ("s_max", dict(s_max=-np.inf)),
+        ("e0", dict(e0=np.inf)), ("e0", dict(e0=np.nan)), ("h0", dict(h0=-np.inf)),
+    ])
+    def test_initial_history_rejects_bad_arguments(self, name, kwargs):
+        args = dict(dt=0.1, s_max=1.0) | kwargs
+        with pytest.raises(ModalError, match=f"^{name} must be"):
+            initial_history(**args)
+
+    def test_nan_step_size_rejected(self):
+        with pytest.raises(ModalError, match="grid spacing"):
+            step_history(vacuum(), 1.0, initial_history(0.1, s_max=1.0), np.nan)
 
 
 def expm_40_digits(a):
