@@ -250,16 +250,15 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 class _GrowBuf:
     """Append-only float buffer with geometric growth.
 
-    The first and last values and the largest magnitude are also kept as
-    Python floats, for the stage arithmetic of step_history.
+    The last value is also kept as a Python float, for the stage arithmetic
+    of step_history.
     """
 
     def __init__(self, first: float = 0.0, capacity: int = 1024):
         self._data = np.zeros(capacity)
         self._data[0] = first
         self.n = 1
-        self.first = self.last = float(first)
-        self.peak = abs(self.first)
+        self.last = float(first)
 
     def append(self, value: float):
         if self.n == self._data.size:
@@ -267,7 +266,6 @@ class _GrowBuf:
         self._data[self.n] = value
         self.n += 1
         self.last = value
-        self.peak = max(self.peak, abs(value))
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
@@ -298,11 +296,11 @@ class HistoryState:
 
     @property
     def e(self) -> float:
-        return float(self.e_past.last)
+        return self.e_past.last
 
     @property
     def h(self) -> float:
-        return float(self.h_past.last)
+        return self.h_past.last
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
@@ -317,10 +315,6 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
 
 # the lag offsets c of the stage times t + c dt, one row of lag weights each
 _OFFSETS = np.array([[0.0], [0.5], [1.0]])
-# a product sum_j w_j f_j with (n + 1) max|w| max|f| below this cannot overflow
-_SAFE_PRODUCT = 1e308
-# no lag weights yet, and their largest magnitude
-_NO_WEIGHTS = (np.empty((3, 0)), 0.0)
 
 
 def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
@@ -336,28 +330,24 @@ def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
     step are its last n + 1 columns and the three sums are one product.  A
     short cache doubles, up to the last lag the history horizon allows, in one
     kernel evaluation; nothing is allocated for lags that the run has not
-    reached, and a weight that overflows warns of nothing before a step reads it.
+    reached.  The caller runs this under np.errstate: a weight or a sum that
+    overflows makes the step's fields not finite, which step_history reports.
     """
     n = past.n - 1
     dt = state.dt
-    w, w_peak = state._weights.get(key, _NO_WEIGHTS)
-    size = w.shape[1]
-    if size <= n:
+    w = state._weights.get(key)
+    if w is None or w.shape[1] <= n:
+        have = 0 if w is None else w.shape[1]
         horizon = int((state.s_max + 1e-12) / dt) + 1
-        size = max(n + 1, min(2 * size, horizon))
-        t = (np.arange(size - 1, w.shape[1] - 1, -1) + _OFFSETS) * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.concatenate([np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape), w], axis=1)
-            w_peak = float(np.abs(w).max())  # NaN if a weight is
-        state._weights[key] = (w, w_peak)
-    lags = w[:, size - 1 - n:]
-    if (n + 1) * w_peak * past.peak < _SAFE_PRODUCT:
-        sums = (lags @ past.view()).tolist()
-    else:  # near the float range; a sum that overflows makes the step's fields not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = (lags @ past.view()).tolist()
+        size = max(n + 1, min(2 * have, horizon))
+        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * dt
+        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
+        w = state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
+    lags = w[:, w.shape[1] - 1 - n:]
+    f = past.view()
+    sums = (lags @ f).tolist()
     far, near = lags[:, 0].tolist(), lags[:, -1].tolist()  # lags n and 0
-    f0, fn = past.first, past.last
+    f0, fn = float(f[0]), past.last
     y = [dt * (s - 0.5 * (a * f0 + b * fn)) for s, a, b in zip(sums, far, near)] if n else [0.0] * 3
     panel = 0.5 * dt * fn
     return (y[0], y[1] + 0.5 * panel * near[1], y[2] + panel * near[2]), 0.5 * dt * near[0]
@@ -395,10 +385,11 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     nue0, nuh0 = state._nu0
     # a zero kernel has no memory term; skip its convolution entirely
     ye, ge = yh, gh = (0.0, 0.0, 0.0), 0.0
-    if not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero):
-        ye, ge = _memory(state, medium.nu_e, "E", state.e_past)
-    if not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero):
-        yh, gh = _memory(state, medium.nu_h, "H", state.h_past)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is reported below
+        if not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero):
+            ye, ge = _memory(state, medium.nu_e, "E", state.e_past)
+        if not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero):
+            yh, gh = _memory(state, medium.nu_h, "H", state.h_past)
 
     def rates(i, c, e_star, h_star):  # memory term i belongs to the offset c
         de = (-nue0 * e_star - (ye[i] + c * ge * e_star) + k * h_star) / eps
@@ -414,7 +405,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     h1 = h0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     if not (math.isfinite(e1) and math.isfinite(h1)):
         raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not finite: "
-                         "they outgrow the float range")
+                         "they or their memory sums outgrow the float range")
     state.e_past.append(e1)
     state.h_past.append(h1)
     return state

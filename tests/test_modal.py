@@ -350,7 +350,7 @@ def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
         if key not in hist._weights:
             assert all(field != key for field, _ in ref_weights)
             continue
-        w, _ = hist._weights[key]
+        w = hist._weights[key]
         for row, c in zip(w[:, ::-1], (0.0, 0.5, 1.0)):
             assert row.tobytes() == ref_weights[(key, c)].tobytes()
     return hist
@@ -382,14 +382,14 @@ class TestStackedStageSums:
     def test_step_counts_across_doublings(self, steps):
         hist = assert_matches_former(mixed_medium(), 2.1, 0.01, steps, 30.0)
         # lags 0..steps - 1 are read; the cache holds the next power of two
-        for w, _ in hist._weights.values():
+        for w in hist._weights.values():
             assert w.shape == (3, 1 << (steps - 1).bit_length())
 
     def test_horizon_stops_the_growth(self):
         # s_max = 5 on a 0.03 grid allows lags 0..166; doubling would reach 256
         hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, drude(0.2, 1.5)), 1.3,
                                      0.03, 166, 5.0)
-        for w, _ in hist._weights.values():
+        for w in hist._weights.values():
             assert w.shape == (3, 167)
 
 
@@ -452,8 +452,8 @@ class TestHistoryIntegrator:
         assert short.e_past.view().tobytes() == long.e_past.view().tobytes()
         assert short.h_past.view().tobytes() == long.h_past.view().tobytes()
         steps = 300
-        assert all(w[0].size <= 2 * (steps + 1) for w, _ in long._weights.values())
-        assert all(w[0].size <= 2 * (steps + 1) for w, _ in short._weights.values())
+        assert all(w[0].size <= 2 * (steps + 1) for w in long._weights.values())
+        assert all(w[0].size <= 2 * (steps + 1) for w in short._weights.values())
 
     def test_kernel_evaluations_grow_logarithmically(self, monkeypatch):
         calls = []
@@ -470,7 +470,7 @@ class TestHistoryIntegrator:
         # field's weights: sizes 1, 2, 4, ..., 4096 for lags up to 2999
         growths = 1 + (steps - 1).bit_length()
         assert [order for _, _, order in calls] == [0, 0] + [1] * growths
-        assert all(w[0].size <= 2 * (steps + 1) for w, _ in hist._weights.values())
+        assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
