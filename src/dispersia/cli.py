@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from . import decay, dispersion, io, kernels, modal
 
@@ -57,22 +56,9 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _analyze_kernels(doc: dict, base_dir: Path) -> tuple[kernels.Kernel, kernels.Kernel]:
-    """Analyze configs carry either a full medium block or bare kernel fields."""
-    if "medium" in doc:
-        medium = io.parse_medium(doc["medium"], base_dir)
-        return medium.nu_e, medium.nu_h
-    if "nu_e" not in doc and "nu_h" not in doc:
-        raise io.ParseError("config", "expected 'medium' or 'nu_e'/'nu_h' fields")
-    zero = {"type": "exp_poly", "terms": []}
-    nu_e = io._resolve_kernel(doc.get("nu_e", zero), "nu_e", base_dir)
-    nu_h = io._resolve_kernel(doc.get("nu_h", zero), "nu_h", base_dir)
-    return nu_e, nu_h
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     doc, base_dir = io.load_config(args.config)
-    nu_e, nu_h = _analyze_kernels(doc, base_dir)
+    nu_e, nu_h = io.parse_analyze_config(doc, base_dir)
     try:
         for which, kernel in (("nu_e", nu_e), ("nu_h", nu_h)):
             cert = kernels.certify_class_K(kernel)

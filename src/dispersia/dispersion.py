@@ -112,7 +112,6 @@ def omega_form(kernel: ExpPolyKernel) -> OmegaRational:
 # ---------------------------------------------------------------------------
 # exact real roots of integer polynomials (coefficient lists, ascending)
 
-_PRIME = (1 << 30) - 35  # modulus of the square-free test; below 2^30, residues stay small ints
 _SPLIT_DEPTH = 16  # halvings of p itself before the square-free split runs
 
 
@@ -120,26 +119,22 @@ def _deriv(c: list) -> list:
     return [i * v for i, v in enumerate(c)][1:]
 
 
-def _gcd(a: list, b: list, p: int = 0) -> list:
-    """gcd of integer polynomials by a remainder sequence: monic over GF(p) when
-    p is given, else primitive with a positive leading coefficient."""
+def _gcd(a: list, b: list) -> list:
+    """gcd of integer polynomials by a primitive remainder sequence, itself
+    primitive with a positive leading coefficient."""
     def norm(c):
-        c = _poly_sum([v % p for v in c] if p else c)
+        c = _poly_sum(c)
         if not c[-1]:
             return c
-        scale = pow(c[-1], -1, p) if p else math.gcd(*c) * (1 if c[-1] > 0 else -1)
-        return [v * scale % p for v in c] if p else [v // scale for v in c]
+        scale = math.gcd(*c) * (1 if c[-1] > 0 else -1)
+        return [v // scale for v in c]
 
     a, b = norm(a), norm(b)
     while any(b):
         while any(a) and len(a) >= len(b):  # a <- pseudo-remainder of a by b
             shift = len(a) - len(b)
-            if p:  # b is monic: cancel a's leading term, drop it, reduce modulo p
-                lead = a[-1]
-                a = _poly_sum(a[:shift] + [(v - lead * w) % p for v, w in zip(a[shift:-1], b)])
-            else:
-                a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
-                          for i, v in enumerate(a)])
+            a = norm([v * b[-1] - (a[-1] * b[i - shift] if i >= shift else 0)
+                      for i, v in enumerate(a)])
         a, b = b, norm(a)
     return a
 
@@ -155,15 +150,13 @@ def _divexact(a: list, b: list) -> list:
 
 
 def _squarefree_factors(f: list) -> list[tuple[int, list]]:
-    """(i, g_i) with f = c prod g_i^i, the g_i square-free and pairwise coprime.
+    """(i, g_i) with f = c prod g_i^i, the g_i square-free, pairwise coprime and
+    of positive degree, by Yun's algorithm over the integers.
 
-    A gcd(f, f') of degree 0 modulo _PRIME, with _PRIME not dividing lc(f),
-    proves f square-free (a repeated factor would divide both, its degree kept
-    modulo _PRIME).  Only otherwise is Yun's algorithm run over the integers.
+    A square-free f gives gcd(f, f') = 1 and so the one factor (1, f / c), c
+    the content of f with the sign of lc(f).
     """
     df = _deriv(f)
-    if len(f) < 2 or (f[-1] % _PRIME and len(_gcd(f, df, _PRIME)) == 1):
-        return [(1, f)]
     g = _gcd(f, df)
     b, c = _divexact(f, g), _divexact(df, g)
     out, mult = [], 1

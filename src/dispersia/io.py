@@ -123,6 +123,8 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
             raise ParseError(f"{where}.terms", str(exc)) from exc
     if ktype == "sampled_builtin":
         name = doc.get("name")
+        if not isinstance(name, str):
+            raise ParseError(f"{where}.name", f"expected a string, got {name!r}")
         if name not in BUILTIN_SAMPLED:
             raise ParseError(
                 f"{where}.name",
@@ -239,6 +241,22 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     return modes
 
 
+def parse_analyze_config(doc: dict, base_dir: Path) -> tuple[Kernel, Kernel]:
+    """The kernels of an analyze config: a full medium block, or bare nu_e /
+    nu_h fields, a missing one the zero kernel."""
+    if not isinstance(doc, dict):
+        raise ParseError("config", "expected a JSON object")
+    if "medium" in doc:
+        medium = parse_medium(doc["medium"], base_dir)
+        return medium.nu_e, medium.nu_h
+    if "nu_e" not in doc and "nu_h" not in doc:
+        raise ParseError("config", "expected 'medium' or 'nu_e'/'nu_h' fields")
+    zero = {"type": "exp_poly", "terms": []}
+    nu_e = _resolve_kernel(doc.get("nu_e", zero), "nu_e", base_dir)
+    nu_h = _resolve_kernel(doc.get("nu_h", zero), "nu_h", base_dir)
+    return nu_e, nu_h
+
+
 def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     if not isinstance(doc, dict):
         raise ParseError("config", "expected a JSON object")
@@ -344,7 +362,10 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
     if not p.is_file():
         raise ParseError("trace", f"file not found: {p}")
     with p.open() as f:
-        header = f.readline().strip()
+        try:
+            header = f.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError("trace", f"not UTF-8 text: {exc}") from exc
         if header != TRACE_HEADER:
             raise ParseError("trace", f"bad header {header!r}, expected {TRACE_HEADER!r}")
         try:

@@ -120,7 +120,10 @@ class ExpPolyKernel:
                 new_terms.append(DampedTerm(tuple(np_), tuple(nq_), x, y))
         return ExpPolyKernel(tuple(new_terms), 0.0)
 
-    def __call__(self, t):
+    def __call__(self, t, order: int = 0):
+        """nu at t, or its derivative of that order (term-wise, cached); a float t gives a float."""
+        if order:
+            return _nth_derivative(self, order)(t)
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, float(self.offset), dtype=float)
         for term in self.terms:
@@ -239,6 +242,7 @@ class SampledKernel:
     C: float = 1.0
     delta: float = 1.0
     name: str = "sampled"
+    is_zero = False  # a black box is never known to vanish
 
     def __post_init__(self):
         if not (0 < self.C < math.inf and 0 < self.delta < math.inf):
@@ -249,6 +253,9 @@ class SampledKernel:
 
     def __call__(self, t, order: int = 0):
         return self.evaluator(np.asarray(t, dtype=float), order)
+
+    def value_at_zero(self) -> float:
+        return float(self(0.0, 0))
 
 
 def _gaussian_eval(t: np.ndarray, order: int) -> np.ndarray:
@@ -289,20 +296,16 @@ def _nth_derivative(kernel: ExpPolyKernel, order: int) -> ExpPolyKernel:
 
 
 def eval_kernel(kernel: Kernel, t, order: int = 0):
-    """Evaluate nu, nu' or nu'' at t >= 0.
+    """Evaluate nu, nu' or nu'' at t >= 0 through the kernel's own call.
 
-    ExpPolyKernel derivatives come from exact term-wise differentiation.
+    An ExpPolyKernel takes its derivatives by exact term-wise differentiation.
     """
     if order not in (0, 1, 2):
         raise KernelError(f"order must be 0, 1 or 2, got {order}")
     tarr = np.asarray(t, dtype=float)
     if np.any(tarr < 0):
         raise KernelError("kernel evaluation requires t >= 0")
-    if isinstance(kernel, SampledKernel):
-        out = kernel(tarr, order)
-    else:
-        out = _nth_derivative(kernel, order)(tarr)
-    out = np.asarray(out, dtype=float)
+    out = np.asarray(kernel(tarr, order), dtype=float)
     return out if out.shape else float(out)
 
 
@@ -537,9 +540,8 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
     sigma = lam.real
     lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
                                     60.0 / kernel.delta, np.array([lam.imag]))[0])
-    nu0 = float(kernel(np.asarray(0.0), 0))
-    nup0 = float(kernel(np.asarray(0.0), 1))
-    return (nu0 + (nup0 + lap2) / lam) / lam
+    nup0 = float(kernel(0.0, 1))
+    return (kernel.value_at_zero() + (nup0 + lap2) / lam) / lam
 
 
 def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float | np.ndarray:
@@ -553,7 +555,7 @@ def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float 
     if np.any(w == 0.0):
         raise UnsupportedPoint("w = 0 is not supported on the sampled path")
     sine = -_filon_transform(lambda s: kernel(s, 2), 60.0 / kernel.delta, w).imag
-    out = float(kernel(np.asarray(0.0), 0)) - sine / w
+    out = kernel.value_at_zero() - sine / w
     return out if out.shape else float(out)
 
 

@@ -248,14 +248,14 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 
 
 class _GrowBuf:
-    """Append-only float buffer with geometric growth.
+    """Append-only float buffer with geometric growth from 1024 slots.
 
     The last value is also kept as a Python float, for the stage arithmetic
     of step_history.
     """
 
-    def __init__(self, first: float = 0.0, capacity: int = 1024):
-        self._data = np.zeros(capacity)
+    def __init__(self, first: float = 0.0):
+        self._data = np.zeros(1024)
         self._data[0] = first
         self.n = 1
         self.last = float(first)
@@ -269,9 +269,6 @@ class _GrowBuf:
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
-
-    def __getitem__(self, idx):
-        return self.view()[idx]
 
 
 @dataclass
@@ -376,8 +373,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         )
     if state._medium is None:
         state._medium = medium
-        state._nu0 = (float(eval_kernel(medium.nu_e, 0.0, 0)),
-                      float(eval_kernel(medium.nu_h, 0.0, 0)))
+        state._nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
@@ -386,9 +382,9 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     # a zero kernel has no memory term; skip its convolution entirely
     ye, ge = yh, gh = (0.0, 0.0, 0.0), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is reported below
-        if not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero):
+        if not medium.nu_e.is_zero:
             ye, ge = _memory(state, medium.nu_e, "E", state.e_past)
-        if not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero):
+        if not medium.nu_h.is_zero:
             yh, gh = _memory(state, medium.nu_h, "H", state.h_past)
 
     def rates(i, c, e_star, h_star):  # memory term i belongs to the offset c

@@ -134,9 +134,10 @@ class TestKernelDocs:
             dio.kernel_from_doc(doc)
 
     def test_unknown_builtin(self):
-        with pytest.raises(dio.ParseError, match="name"):
-            dio.kernel_from_doc({"type": "sampled_builtin", "name": "nope",
-                                 "C": 1.0, "delta": 1.0})
+        for name in ("nope", ["gaussian"], {}):  # not a string: no TypeError either
+            with pytest.raises(dio.ParseError, match="name"):
+                dio.kernel_from_doc({"type": "sampled_builtin", "name": name,
+                                     "C": 1.0, "delta": 1.0})
 
     def test_kernel_file_reference(self, tmp_path):
         kpath = tmp_path / "kernel.json"
@@ -271,6 +272,24 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", malformed_config(tmp_path, terms),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [5, None, "medium"])
+    def test_config_not_an_object_exit1(self, tmp_path, capsys, doc):
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config: expected a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [["gaussian"], {}])
+    def test_non_string_builtin_name_exit1(self, tmp_path, capsys, name):
+        doc = debye_sim_config()
+        doc["medium"]["nu_e"] = {"type": "sampled_builtin", "name": name, "C": 3.4, "delta": 1.0}
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: medium.nu_e.name: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_invalid_json_exit1(self, tmp_path):
@@ -654,6 +673,20 @@ class TestFitCommand:
         rows = [dio.TRACE_HEADER] + [f"{t * 0.1:.17g},1,0" for t in range(100)]
         path.write_text("\n".join(rows) + "\n")
         assert main(["fit", str(path), "--window", "0,10"]) == 5
+
+    @pytest.mark.parametrize("text", [
+        dio.TRACE_HEADER.encode() + b"\xff\n0,1,0\n",  # in the header
+        dio.TRACE_HEADER.encode() + b"\n0,1,0\n\xff,1,0\n",  # in the first decoded chunk
+        dio.TRACE_HEADER.encode() + b"\n" + b"0,1,0\n" * 5000 + b"\xff,1,0\n",  # beyond it
+    ], ids=["header", "first_chunk", "later"])
+    def test_trace_not_utf8_exit1(self, tmp_path, capsys, text):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--window", "0,1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trace: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_window_exit1(self, tmp_path):
         out = self._trace_file(tmp_path)

@@ -19,6 +19,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from dispersia import ExpPolyKernel, analyze, check_passivity, debye, laplace, omega_form
+from dispersia import dispersion
 from dispersia import io as dio
 from dispersia.cli import main
 from dispersia.dispersion import (
@@ -211,6 +212,20 @@ class TestRoots:
         # (u - 1)^2 (u - 4)^3 (u + 3) u: the Yun path, roots at bisection midpoints
         p = self.poly([-1, 1], [-1, 1], [-4, 1], [-4, 1], [-4, 1], [3, 1], [0, 1])
         assert _positive_roots(p) == [(1.0, 2), (4.0, 3)]
+
+    @pytest.mark.parametrize("p, expected", [
+        # square-free, roots 1/3 and 1/3 + 2^-30 / 3: 16 halvings do not part them
+        (_poly_product([-1, 3], [-(2**30) - 1, 3 * 2**30]),
+         [(1 / 3, 1), (float(Fraction(2**30 + 1, 3 * 2**30)), 1)]),
+        (_poly_product([-1, 1], [-1, 1], [-3, 1]), [(1.0, 2), (3.0, 1)]),  # (u - 1)^2 (u - 3)
+    ], ids=["square_free", "repeated"])
+    def test_square_free_split(self, monkeypatch, p, expected):
+        calls = []
+        split = dispersion._squarefree_factors
+        monkeypatch.setattr(dispersion, "_squarefree_factors",
+                            lambda f: calls.append(f) or split(f))
+        assert _positive_roots(p) == expected
+        assert len(calls) == 1
 
     def test_close_and_tiny_roots(self):
         # roots 3 and 3 + 2^-40, and 2^-50

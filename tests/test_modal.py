@@ -437,6 +437,16 @@ class TestHistoryIntegrator:
         with pytest.raises(ModalError):
             step_history(vacuum(), 1.0, hist, 0.05)
 
+    def test_steps_with_the_closures_nu0(self):
+        # 0.1 + (0.2 + 0.3) is 0.6, while a sum of the terms' values at t = 0 that
+        # starts from the offset, (0.1 + 0.2) + 0.3, is 0.6000000000000001
+        kern = ExpPolyKernel((DampedTerm((0.2,), (0.0,), -1.0, 0.0),
+                              DampedTerm((0.3,), (0.0,), -2.0, 0.0)), 0.1)
+        medium = MediumSpec(1.0, 1.0, kern, ZERO)
+        hist = step_history(medium, 1.0, initial_history(0.1, s_max=1.0), 0.1)
+        assert hist._nu0 == (-build_mode(medium, 1.0).A[0, 0], 0.0)
+        assert hist._nu0[0] == 0.6
+
     def _run(self, medium, s_max, steps, dt=0.02):
         hist = initial_history(dt, s_max=s_max)
         for _ in range(steps):
@@ -466,10 +476,10 @@ class TestHistoryIntegrator:
         monkeypatch.setattr(modal, "eval_kernel", counting)
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
-        # nu(0) of each field once, then one call per growth of the one live
-        # field's weights: sizes 1, 2, 4, ..., 4096 for lags up to 2999
+        # one call per growth of the one live field's weights: sizes 1, 2, 4,
+        # ..., 4096 for lags up to 2999; nu(0) comes from value_at_zero()
         growths = 1 + (steps - 1).bit_length()
-        assert [order for _, _, order in calls] == [0, 0] + [1] * growths
+        assert [order for _, _, order in calls] == [1] * growths
         assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
 
     def test_second_medium_rejected(self):
