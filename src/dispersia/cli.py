@@ -50,8 +50,9 @@ def _parse_window(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = io.write_report(out, doc)
+def _emit(write, out: str | None, payload) -> None:
+    """Send a command's output through its io writer: to the --out file, or to stdout."""
+    text = write(out, payload)
     if out is None:
         sys.stdout.write(text)
 
@@ -67,7 +68,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERT
     report = dispersion.analyze(nu_e, nu_h)
-    _emit(io.passivity_report_to_doc(report), args.out)
+    _emit(io.write_report, args.out, io.passivity_report_to_doc(report))
     if not report.passive:
         return EXIT_PASSIVITY
     return EXIT_OK
@@ -94,10 +95,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         T=config.T,
         output_stride=config.output_stride,
     )
-    if args.out is None:
-        sys.stdout.write(io.format_trace(trace))
-    else:
-        io.write_trace(args.out, trace)
+    _emit(io.write_trace, args.out, trace)
     return EXIT_OK
 
 
@@ -106,15 +104,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     config = io.parse_spectrum_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "spectrum"):
         return EXIT_UNSUPPORTED
-    lines = ["k,abscissa,n_eigs"]
+    rows = []
     for k, system in zip(config.k_values, modal.build_modes(config.medium, config.k_values)):
         abscissa, eigs = modal.spectral_abscissa(system)
-        lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        io._atomic_write(args.out, text)
+        rows.append((k, abscissa, eigs.size))
+    _emit(io.write_spectrum, args.out, rows)
     return EXIT_OK
 
 
@@ -126,7 +120,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except decay.UnusableTrace as exc:
         print(f"unusable trace: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _emit(io.decay_report_to_doc(report), args.out)
+    _emit(io.write_report, args.out, io.decay_report_to_doc(report))
     if report.kind == "inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_OK

@@ -1,7 +1,7 @@
-"""Serialization: kernel documents, run configs, energy traces, reports.
+"""Serialization: kernel documents, run configs, and the output of every command.
 
-All documents are JSON. Writes are atomic (temp file + rename) so a failed
-run never leaves a partial output behind.
+Each output (report, trace, spectrum table) has one writer; writes are atomic
+(temp file + rename) so a failed run never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +25,12 @@ from .kernels import (
     KernelError,
     SampledKernel,
 )
-from .modal import EnergyTrace, MediumSpec, cavity_modes
+from .modal import EnergyTrace, MediumSpec, cavity_modes, _trace_rows
+
+
+# The most cavity modes, k_range wavenumbers or trace rows a config may imply,
+# checked before anything of that length is allocated.
+MAX_COUNT = 10**6
 
 
 class ParseError(ValueError):
@@ -44,6 +49,13 @@ def _number(value, field: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ParseError(field, "must be finite") from None
+
+
+def _count(value, field: str) -> int:
+    """A JSON integer from 1 to MAX_COUNT: a mode count, a grid size or a stride."""
+    if type(value) is not int or not 1 <= value <= MAX_COUNT:
+        raise ParseError(field, f"must be an integer from 1 to {MAX_COUNT}, got {value!r}")
+    return value
 
 
 def _coefficients(value, field: str) -> list[float]:
@@ -232,10 +244,7 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     if not isinstance(cav, dict):
         raise ParseError("cavity", "expected an object")
     length = _positive(_require(cav, "length", "cavity"), "cavity.length")
-    n_max = _require(cav, "n_max", "cavity")
-    if type(n_max) is not int or n_max < 1:
-        raise ParseError("cavity.n_max", "must be a positive integer")
-    modes = tuple(cavity_modes(length, n_max))
+    modes = tuple(cavity_modes(length, _count(_require(cav, "n_max", "cavity"), "cavity.n_max")))
     if not math.isfinite(modes[-1][0]):
         raise ParseError("cavity.length", "the largest wavenumber n_max pi / length is not finite")
     return modes
@@ -266,9 +275,14 @@ def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     T = _positive(_require(doc, "T"), "T")
     if T <= dt:
         raise ParseError("T", f"must exceed dt ({dt})")
-    stride = doc.get("output_stride", 1)
-    if type(stride) is not int or stride < 1:
-        raise ParseError("output_stride", "must be a positive integer")
+    stride = _count(doc.get("output_stride", 1), "output_stride")
+    try:
+        rows = _trace_rows(T, dt, stride)
+    except OverflowError:  # T / dt beyond the float range
+        rows = math.inf
+    if rows > MAX_COUNT:
+        raise ParseError("dt", f"T / dt at output_stride {stride} gives more than "
+                               f"{MAX_COUNT} trace rows")
     _check_coupling(medium, [k for k, _ in modes])
     return SimulateConfig(medium=medium, modes=modes, dt=dt, T=T, output_stride=stride)
 
@@ -288,8 +302,8 @@ def parse_spectrum_config(doc: dict, base_dir: Path) -> SpectrumConfig:
             raise ParseError("k_range", "expected an object {k_min, k_max, num}")
         k_min = _positive(_require(rng, "k_min", "k_range"), "k_range.k_min")
         k_max = _positive(_require(rng, "k_max", "k_range"), "k_range.k_max")
-        num = _require(rng, "num", "k_range")
-        if type(num) is not int or num < 2:
+        num = _count(_require(rng, "num", "k_range"), "k_range.num")
+        if num < 2:
             raise ParseError("k_range.num", "must be an integer >= 2")
         if k_max <= k_min:
             raise ParseError("k_range.k_max", "must exceed k_min")
@@ -311,22 +325,6 @@ def load_config(path: str | os.PathLike) -> tuple[dict, Path]:
     except ValueError as exc:  # an integer literal beyond the int conversion limit
         raise ParseError("config", f"invalid JSON: {exc}") from exc
     return doc, p.parent
-
-
-# ---------------------------------------------------------------------------
-# atomic writes
-
-def _atomic_write(path: str | os.PathLike, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +351,6 @@ def format_trace(trace: EnergyTrace) -> str:
     return "".join(parts)
 
 
-def write_trace(path: str | os.PathLike, trace: EnergyTrace) -> None:
-    _atomic_write(path, format_trace(trace))
-
-
 def read_trace(path: str | os.PathLike) -> EnergyTrace:
     p = Path(path)
     if not p.is_file():
@@ -380,38 +374,58 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
 
 
 # ---------------------------------------------------------------------------
-# report documents (stable key order for golden-file comparison)
+# report documents: the report's fields in declaration order (stable for
+# golden-file comparison), tuples as lists
+
+def _report_doc(report, omit) -> dict:
+    values = ((f.name, getattr(report, f.name)) for f in fields(report) if f.name not in omit)
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
 
 def passivity_report_to_doc(report: PassivityReport) -> dict:
-    doc = {
-        "passive": report.passive,
-        "strictly_passive": report.strictly_passive,
-    }
-    if report.m is not None:
-        doc["m"] = report.m
-        doc["sigma_E"] = report.sigma_E
-        doc["sigma_H"] = report.sigma_H
-        doc["omega0"] = report.omega0
-    doc["witnesses"] = list(report.witnesses)
-    doc["certified"] = report.certified
-    return doc
+    """Every field; m, sigma_E, sigma_H and omega0 only when m is set."""
+    return _report_doc(report, ("m", "sigma_E", "sigma_H", "omega0") if report.m is None else ())
 
 
 def decay_report_to_doc(report: DecayReport) -> dict:
-    doc = {"kind": report.kind}
-    if report.rate is not None:
-        doc["rate"] = report.rate
-    if report.slope is not None:
-        doc["slope"] = report.slope
-    doc["fit_window"] = list(report.fit_window)
-    doc["r_squared"] = report.r_squared
-    doc["residual"] = report.residual
-    return doc
+    """Every field; rate and slope only when set."""
+    return _report_doc(report, [k for k in ("rate", "slope") if getattr(report, k) is None])
+
+
+# ---------------------------------------------------------------------------
+# writers: each formats one output, writes it atomically when a path is
+# given, and returns its text
+
+def _write(path: Optional[str | os.PathLike], text: str) -> str:
+    """A path that cannot be written is a ParseError naming it; no temporary
+    file is left behind."""
+    if path is None:
+        return text
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # a directory, a missing parent, no permission
+        raise ParseError("--out", f"cannot write {path}: {exc.strerror or exc}") from None
+    return text
 
 
 def write_report(path: Optional[str | os.PathLike], doc: dict) -> str:
-    """Serialize a report document; write it if a path is given."""
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is not None:
-        _atomic_write(path, text)
-    return text
+    """A report document as indented JSON."""
+    return _write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def write_trace(path: Optional[str | os.PathLike], trace: EnergyTrace) -> str:
+    """A trace as ``format_trace`` gives it."""
+    return _write(path, format_trace(trace))
+
+
+def write_spectrum(path: Optional[str | os.PathLike], rows) -> str:
+    """rows: (k, abscissa, n_eigs) per wavenumber."""
+    return _write(path, "k,abscissa,n_eigs\n" + "".join("%.17g,%.17g,%d\n" % r for r in rows))

@@ -94,13 +94,17 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     (cos y t, sin y t), turns by [[x, -y], [y, x]] (x alone when r = 1), is
     driven by group l - 1 (group 0 by f) and read out with l! (p_l, q_l).
     The entries are collected as Python floats and written in one assignment.
+    An entry beyond the float range raises ModalError: every entry of row 0 is
+    divided by eps and every entry of row 1 by mu, so the error names the
+    first such row's divisor.
     """
     if k < 0:
         raise ModalError("mode wavenumber must be nonnegative")
     for kern in (medium.nu_e, medium.nu_h):
         if isinstance(kern, SampledKernel):
             raise ModalError("sampled kernels admit no finite closure; use step_history")
-    eps, mu = medium.eps, medium.mu
+    # on Python floats an overflowing entry is inf, reported below, with no numpy warning
+    k, eps, mu = float(k), float(medium.eps), float(medium.mu)
     entries = [(0, 0, -medium.nu_e.value_at_zero() / eps),  # (row, column, value)
                (1, 1, -medium.nu_h.value_at_zero() / mu), (0, 1, k / eps), (1, 0, -k / mu)]
     pos = 2
@@ -126,30 +130,29 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
                 entries += [(slot, pos + i, -(read[i] * fact) / coef) for i in range(r)]
                 pos += r
     rows, cols, vals = zip(*entries)
+    if not all(map(math.isfinite, vals)):
+        row = min(r for r, _, v in entries if not math.isfinite(v))
+        where = f" of row {row}, divided by medium.{('eps', 'mu')[row]}," if row < 2 else ""
+        raise ModalError(f"the mode matrix is not finite: an entry{where} overflows the float range")
     A = np.zeros((pos, pos))
     A[rows, cols] = vals
-    return ModeSystem(k=float(k), A=A, medium=medium)
+    return ModeSystem(k=k, A=A, medium=medium)
 
 
 def _closure_stack(medium: MediumSpec, ks) -> np.ndarray:
     """The mode matrices for all ks, shape (n, d, d).
 
-    Only the two coupling entries depend on k, so the closure is built once
-    and those entries are rewritten per mode; A[i] is bit-identical to
-    build_mode(medium, ks[i]).A.
+    Only the two coupling entries depend on k, so the closure is built once,
+    at the largest k (where |k / eps| and |k / mu| are largest, so that
+    build_mode's finiteness check covers every k), and those entries are
+    rewritten per mode; A[i] is bit-identical to build_mode(medium, ks[i]).A.
     """
     ks = np.asarray(ks, dtype=float)
     if np.any(ks < 0):
         raise ModalError("mode wavenumber must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
-        A = np.repeat(build_mode(medium, 0.0).A[np.newaxis], ks.size, axis=0)
-        A[:, 0, 1] = ks / medium.eps
-        A[:, 1, 0] = -ks / medium.mu
-    finite = np.isfinite(A).all(axis=(0, 2))
-    if not finite.all():  # rows 0 and 1 are divided by eps and by mu
-        row = int(np.argmin(finite))
-        where = f" of row {row}, divided by medium.{('eps', 'mu')[row]}," if row < 2 else ""
-        raise ModalError(f"the mode matrix is not finite: an entry{where} overflows the float range")
+    A = np.repeat(build_mode(medium, ks.max(initial=0.0)).A[np.newaxis], ks.size, axis=0)
+    A[:, 0, 1] = ks / medium.eps
+    A[:, 1, 0] = -ks / medium.mu
     return A
 
 
@@ -357,8 +360,10 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     by trapezoidal quadrature over the stored past.  The past does not change
     within a step, so each live field takes the sums of its three stage
     offsets from one product (see ``_memory``), and the stages run on Python
-    floats.  Serves as the oracle for step_exact and is the only integrator
-    available for sampled kernels.  Every step of one history takes the medium
+    floats.  The step is state.dt, the grid spacing that _memory's weights
+    and sums are built on; dt must match it to 1e-12 relative.  Serves as the
+    oracle for step_exact and is the only integrator available for sampled
+    kernels.  Every step of one history takes the medium
     of its first step, that object or an equal one (a sampled kernel is equal
     only with the same evaluator); another medium raises ModalError, and so
     does a step whose fields are not finite, which leaves the history as it was.
@@ -377,7 +382,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
-    eps, mu, k, dt = float(medium.eps), float(medium.mu), float(k), float(dt)
+    eps, mu, k, dt = float(medium.eps), float(medium.mu), float(k), float(state.dt)
     nue0, nuh0 = state._nu0
     # a zero kernel has no memory term; skip its convolution entirely
     ye, ge = yh, gh = (0.0, 0.0, 0.0), 0.0
@@ -421,6 +426,12 @@ class EnergyTrace:
 def cavity_modes(length: float, n_max: int):
     """k_n = n pi c0 / L for a reference 1D cavity, amplitudes n^-1.5."""
     return [(n * np.pi / length, float(n) ** -1.5) for n in range(1, n_max + 1)]
+
+
+def _trace_rows(T: float, dt: float, output_stride: int = 1) -> int:
+    """The rows of a run_multimode trace: t = 0 and every output_stride-th of
+    its round(T / dt) steps.  OverflowError if T / dt is beyond the float range."""
+    return int(round(T / dt)) // output_stride + 1
 
 
 def _block_size(n_rows: int, n_modes: int, d: int) -> int:
@@ -512,11 +523,11 @@ def run_multimode(
         raise ModalError("need dt > 0 and T > dt")
     if output_stride < 1:
         raise ModalError("output_stride must be a positive integer")
-    n_steps = int(round(T / dt))
+    n_rows = _trace_rows(T, dt, output_stride)
     if not modes:
         return EnergyTrace(times=np.array([]), energy=np.array([]))
     ks, amps = zip(*modes)
-    energy = _block_energies(medium, ks, amps, dt, output_stride, n_steps // output_stride + 1)
-    times = np.arange(0, n_steps + 1, output_stride, dtype=float)
+    energy = _block_energies(medium, ks, amps, dt, output_stride, n_rows)
+    times = np.arange(0, n_rows * output_stride, output_stride, dtype=float)
     times *= dt  # in place: equal to the integer steps times dt, one array less
     return EnergyTrace(times=times, energy=energy)

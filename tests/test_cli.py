@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dispersia import ExpPolyKernel, GAUSSIAN, MediumSpec, debye, drude, fit_decay, lorentz
+from dispersia import (DampedTerm, ExpPolyKernel, GAUSSIAN, MediumSpec, debye, drude, fit_decay,
+                       lorentz)
 from dispersia import cli
 from dispersia import io as dio
 from dispersia.cli import main
@@ -17,6 +18,7 @@ def kernel_doc(kernel):
 
 
 ZERO_DOC = {"type": "exp_poly", "terms": []}
+ZERO = ExpPolyKernel.zero()
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -63,6 +65,25 @@ MALFORMED_NUMBERS = [
     (("dt",), True, "dt"),
     (("T",), "10", "T"),
     (("output_stride",), True, "output_stride"),
+]
+
+# other fields that do not hold what they must (not an object or a list, a missing
+# or out-of-range value), in the same (path, value, field) form
+MALFORMED_FIELDS = MALFORMED_NUMBERS + [
+    (("medium",), 5, "medium"),
+    (("medium", "nu_e"), 5, "medium.nu_e"),
+    (("medium", "nu_e", "terms"), {}, "medium.nu_e.terms"),
+    (_TERM, 5, "medium.nu_e.terms[0]"),
+    (_TERM + ("poly_re",), [1.0, 2.0], "medium.nu_e.terms[0].poly_re"),
+    (("medium", "nu_e"), {"type": "sampled_builtin", "name": "gaussian", "delta": 1.0},
+     "medium.nu_e.C"),
+    (("medium", "nu_e"), {"type": "sampled_builtin", "name": "gaussian", "C": 3.4},
+     "medium.nu_e.delta"),
+    (("medium", "eps"), 10**400, "medium.eps"),  # an integer beyond the float range
+    (("modes",), {}, "modes"),
+    (("modes", 0), [1.0], "modes[0]"),
+    (("modes", 0, 1), float("inf"), "modes[0][1]"),
+    (("T",), 0.01, "T"),
 ]
 
 
@@ -191,6 +212,20 @@ class TestTraceFormat:
         with pytest.raises(dio.ParseError, match="header"):
             dio.read_trace(path)
 
+    def test_header_only_trace_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(dio.TRACE_HEADER + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy notes that no rows follow
+            trace = dio.read_trace(path)
+        assert trace.times.size == trace.energy.size == trace.history_norm.size == 0
+
+    def test_two_column_trace_rejected(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text(dio.TRACE_HEADER + "\n0,1\n1,2\n")
+        with pytest.raises(dio.ParseError, match="^trace: expected 3 columns, got 2$"):
+            dio.read_trace(path)
+
 
 class TestAnalyzeCommand:
     def test_debye_report(self, tmp_path, capsys):
@@ -292,6 +327,15 @@ class TestAnalyzeCommand:
         assert err.startswith("config error: medium.nu_e.name: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_missing_config_exit1(self, tmp_path, capsys):
+        assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: config: file not found: ")
+
+    def test_no_kernel_fields_exit1(self, tmp_path, capsys):
+        assert main(["analyze", "--config", write_config(tmp_path, {"eps": 1.0})]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config: expected 'medium' or 'nu_e'/'nu_h' fields\n")
+
     def test_invalid_json_exit1(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -314,7 +358,7 @@ class TestAnalyzeCommand:
         assert err.startswith(f"config error: {field}: invalid JSON") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("path", [5, None, ["kernel.json"]])
+    @pytest.mark.parametrize("path", [5, None, ["kernel.json"], "missing.json"])
     def test_non_string_kernel_file_exit1(self, tmp_path, capsys, path):
         doc = debye_sim_config()
         doc["medium"]["nu_e"] = {"file": path}
@@ -326,7 +370,7 @@ class TestAnalyzeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("path, value, field",
-                             [case for case in MALFORMED_NUMBERS if case[0][0] == "medium"])
+                             [case for case in MALFORMED_FIELDS if case[0][0] == "medium"])
     def test_malformed_number_exit1(self, tmp_path, capsys, path, value, field):
         doc = debye_sim_config()
         set_path(doc, path, value)
@@ -432,7 +476,7 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("path, value, field", MALFORMED_NUMBERS)
+    @pytest.mark.parametrize("path, value, field", MALFORMED_FIELDS)
     def test_malformed_number_exit1(self, tmp_path, capsys, path, value, field):
         doc = debye_sim_config()
         set_path(doc, path, value)
@@ -442,6 +486,43 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(dt=1e-300, T=1.0), "dt"),  # 1e300 trace rows
+        (dict(dt=1e-300, T=1e10), "dt"),  # T / dt beyond the float range
+        (dict(output_stride=2**70), "output_stride"),
+    ])
+    def test_length_beyond_the_limit_exit1(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, debye_sim_config(**overrides)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max, T, field", [(11, 0.18, "cavity.n_max"), (10, 0.2, "dt")])
+    def test_counts_bounded_before_allocation(self, tmp_path, capsys, monkeypatch, n_max, T, field):
+        # the limit lowered to 10: 11 modes, or 10 steps (11 rows), are one too many,
+        # and the config just inside the limit (10 modes, 10 rows) runs
+        monkeypatch.setattr(dio, "MAX_COUNT", 10)
+        doc = debye_sim_config(dt=0.02, T=T, output_stride=1,
+                               cavity={"length": 1.0, "n_max": n_max})
+        del doc["modes"]
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+        doc.update(T=0.18, cavity={"length": 1.0, "n_max": 10})
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 10
+
+    @pytest.mark.parametrize("cavity", [5, None, [1.0, 3]])
+    def test_cavity_not_an_object_exit1(self, tmp_path, capsys, cavity):
+        doc = debye_sim_config(cavity=cavity)
+        del doc["modes"]
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == "config error: cavity: expected an object\n"
 
     def test_boolean_mode_count_exit1(self, tmp_path, capsys):
         doc = debye_sim_config()
@@ -584,6 +665,12 @@ class TestSpectrumCommand:
         ({"k_values": ["2.0"]}, "k_values[0]"),
         ({"k_range": {"k_min": 1.0, "k_max": 5.0, "num": True}}, "k_range.num"),
         ({"k_range": {"k_min": None, "k_max": 5.0, "num": 3}}, "k_range.k_min"),
+        ({"k_range": {"k_min": 1, "k_max": 2, "num": 2**70}}, "k_range.num"),
+        ({"k_values": []}, "k_values"),
+        ({"k_range": [1.0, 5.0, 3]}, "k_range"),
+        ({"k_range": {"k_min": 1.0, "k_max": 5.0, "num": 1}}, "k_range.num"),
+        ({"k_range": {"k_min": 5.0, "k_max": 5.0, "num": 3}}, "k_range.k_max"),
+        ({}, "config"),
     ])
     def test_malformed_grid_exit1(self, tmp_path, capsys, grid, field):
         doc = {"medium": debye_sim_config()["medium"], **grid}
@@ -692,6 +779,13 @@ class TestFitCommand:
         out = self._trace_file(tmp_path)
         assert main(["fit", str(out), "--window", "oops"]) == 1
 
+    @pytest.mark.parametrize("window", ["5", "a,b", "5,5", "1,2,3"])
+    def test_malformed_window_names_the_option(self, tmp_path, capsys, window):
+        out = self._trace_file(tmp_path)
+        assert main(["fit", str(out), "--window", window]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --window: ") and err.count("\n") == 1
+
     def test_empty_window_exit1(self, tmp_path):
         out = self._trace_file(tmp_path)
         assert main(["fit", str(out), "--window", "200,300"]) == 1
@@ -740,3 +834,100 @@ class TestParserReuse:
             err = capsys.readouterr().err
             assert err.startswith("usage: dispersia") and message in err
             assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+
+def command_argv(tmp_path, command):
+    """An argv, without --out, that runs command to exit 0 on the unit Debye medium."""
+    doc = debye_sim_config(T=50.0, k_values=[0.5, 2.0, 7.5])
+    cfg = write_config(tmp_path, doc)
+    if command != "fit":
+        return [command, "--config", cfg]
+    trace = tmp_path / "input_trace.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(trace)]) == 0
+    return ["fit", str(trace), "--window", "10,50"]
+
+
+COMMANDS = ["analyze", "simulate", "spectrum", "fit"]
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys, command):
+        argv = command_argv(tmp_path, command)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_out_exit1(self, tmp_path, capsys, command, target):
+        argv = command_argv(tmp_path, command)
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "existing_dir" if target == "directory" else work / "missing" / "out"
+        if target == "directory":
+            out.mkdir()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out: cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        # nothing written, and no temporary file left behind
+        assert sorted(p.name for p in work.rglob("*")) == (
+            ["existing_dir"] if target == "directory" else [])
+
+
+def reference_passivity_doc(report):
+    """The hand-built document that the field-driven passivity_report_to_doc replaced."""
+    doc = {"passive": report.passive, "strictly_passive": report.strictly_passive}
+    if report.m is not None:
+        doc["m"] = report.m
+        doc["sigma_E"] = report.sigma_E
+        doc["sigma_H"] = report.sigma_H
+        doc["omega0"] = report.omega0
+    doc["witnesses"] = list(report.witnesses)
+    doc["certified"] = report.certified
+    return doc
+
+
+def reference_decay_doc(report):
+    """The hand-built document that the field-driven decay_report_to_doc replaced."""
+    doc = {"kind": report.kind}
+    if report.rate is not None:
+        doc["rate"] = report.rate
+    if report.slope is not None:
+        doc["slope"] = report.slope
+    doc["fit_window"] = list(report.fit_window)
+    doc["r_squared"] = report.r_squared
+    doc["residual"] = report.residual
+    return doc
+
+
+class TestReportDocs:
+    @pytest.mark.parametrize("nu_e, nu_h", [
+        (debye(), ZERO), (lorentz(), ZERO), (drude(2.0, 0.5), debye()), (ZERO, ZERO),
+        (GAUSSIAN, ZERO), (ExpPolyKernel((DampedTerm((-1.0,), (0.0,), -1.0, 0.0),)), ZERO),
+    ], ids=["debye", "lorentz", "drude_debye", "zero", "gaussian", "negative_debye"])
+    def test_passivity_doc_matches_reference(self, nu_e, nu_h):
+        from dispersia import analyze, check_passivity
+        for report in (analyze(nu_e, nu_h), check_passivity(nu_e, nu_h)):
+            doc = dio.passivity_report_to_doc(report)
+            reference = reference_passivity_doc(report)
+            assert list(doc.items()) == list(reference.items())
+            assert dio.write_report(None, doc) == json.dumps(reference, indent=2) + "\n"
+
+    @pytest.mark.parametrize("energy, kind", [
+        (lambda t: np.exp(-0.3 * t), "exponential"),
+        (lambda t: t ** -2.0, "polynomial"),
+        (lambda t: 1.0 + 0.0 * t, "inconclusive"),
+    ])
+    def test_decay_doc_matches_reference(self, energy, kind):
+        from dispersia import EnergyTrace
+        t = np.linspace(0.0, 50.0, 501)
+        report = fit_decay(EnergyTrace(t, energy(np.maximum(t, 1.0))), (5.0, 50.0))
+        assert report.kind == kind
+        doc = dio.decay_report_to_doc(report)
+        assert list(doc.items()) == list(reference_decay_doc(report).items())

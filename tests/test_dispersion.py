@@ -12,6 +12,7 @@ from dispersia import (
     GAUSSIAN,
     SampledKernel,
     analyze,
+    certify_class_K,
     check_passivity,
     check_strict_passivity,
     debye,
@@ -23,6 +24,7 @@ from dispersia import (
 )
 from dispersia import dispersion, kernels
 from dispersia.dispersion import PassivityError
+from dispersia.kernels import _gaussian_eval
 
 from conftest import (
     debye_sum6,
@@ -249,6 +251,16 @@ class TestSampledPath:
         assert report.sigma_E == pytest.approx(1.0005564840635506, rel=1e-9)
         # Re(i w L nu(i w)) = w^2 / (1 + w^2) for the unit Debye kernel, least at w = 10
         assert report.sigma_H == pytest.approx(100.0 / 101.0, rel=1e-12)
+
+    def test_negated_gaussian_has_a_sampled_witness(self):
+        # the negated Gaussian keeps the Gaussian's certificate, and Re(i w L nu)
+        # is negative from the first frequency of the sampled grid on
+        neg = SampledKernel(lambda t, order: -_gaussian_eval(t, order), C=3.4, delta=1.0)
+        certify_class_K(neg)
+        report = check_passivity(neg, ExpPolyKernel.zero())
+        assert (report.passive, report.witnesses, report.certified) == (False, (0.01,), False)
+        full = analyze(neg, ExpPolyKernel.zero())
+        assert (full.passive, full.strictly_passive, full.certified) == (False, False, False)
 
     def test_gaussian_real_part_positive(self):
         for w in np.geomspace(0.01, 100, 60):

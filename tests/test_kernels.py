@@ -26,7 +26,7 @@ from dispersia import (
 )
 from dispersia import io as dio
 from dispersia import kernels
-from dispersia.dispersion import _SAMPLED_GRID
+from dispersia.dispersion import _SAMPLED_GRID, omega_form
 from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
 from conftest import debye_sum6, debye_sum10, lorentz_sum6, random_class_k_kernel
@@ -523,3 +523,19 @@ def test_debye_laplace_closed_form(beta, tau):
     kern = debye(beta, tau)
     for lam in (0.5, 1.0, 2 + 1j):
         assert laplace(kern, lam) == pytest.approx(beta * tau / (tau * lam + 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: DampedTerm((1.0,), (0.0,), -1.0, -2.0), KernelError, "frequency must be >= 0"),
+    (lambda: DampedTerm((1.0,), (0.5,), -1.0, 0.0), KernelError, "sine coefficients"),
+    (lambda: laplace(debye(), complex(-0.1, 1.0)), UnsupportedPoint, "Re lambda >= 0"),
+    (lambda: laplace(ExpPolyKernel((DampedTerm((1.0,), (0.0,), 0.5, 0.0),)), 1.0), NotInClassK,
+     "non-damped"),
+    (lambda: laplace(drude(), 0.0), UnsupportedPoint, "constant part"),
+    (lambda: laplace(GAUSSIAN, 0.0), UnsupportedPoint, "lambda = 0"),
+    (lambda: omega_form(GAUSSIAN), KernelError, "exponential-polynomial"),
+], ids=["negative_y", "sine_at_y0", "left_half_plane", "undamped", "offset_pole",
+        "sampled_at_0", "omega_form_sampled"])
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -208,6 +208,19 @@ class TestClosureAssembly:
         with pytest.raises(ModalError, match=r"^medium\.nu_h: .*overflows"):
             build_mode(medium, 1.0)
 
+    @pytest.mark.parametrize("medium, row, name", [
+        (MediumSpec(1e-310, 1.0, debye(), ZERO), 0, "eps"),
+        (MediumSpec(1.0, 1e-310, ZERO, debye()), 1, "mu"),
+    ])
+    def test_overflowing_entry_names_its_divisor(self, medium, row, name):
+        # at eps = 1e-310, row 0 of the unit Debye closure would be [-inf, inf, inf],
+        # on which spectral_abscissa would end in numpy's LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModalError, match=f"^the mode matrix is not finite: an entry of "
+                                                 f"row {row}, divided by medium.{name}, overflows"):
+                build_mode(medium, 1.0)
+
 
 class TestSpectra:
     def test_debye_k1_abscissa(self):
@@ -531,6 +544,18 @@ class TestHistoryIntegrator:
         with pytest.raises(ModalError, match=f"^{name} must be"):
             initial_history(**args)
 
+    def test_steps_on_the_grid_spacing(self):
+        # a dt within 1e-12 relative of the grid spacing is accepted, and the
+        # step taken is the grid's, on which the memory weights are built
+        medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
+        runs = []
+        for dt in (0.02, 0.02 * (1 + 1e-13)):
+            hist = initial_history(0.02, s_max=1.0)
+            for _ in range(20):
+                hist = step_history(medium, 1.3, hist, dt)
+            runs.append((hist.e_past.view().tobytes(), hist.h_past.view().tobytes()))
+        assert runs[0] == runs[1]
+
     def test_nan_step_size_rejected(self):
         with pytest.raises(ModalError, match="grid spacing"):
             step_history(vacuum(), 1.0, initial_history(0.1, s_max=1.0), np.nan)
@@ -739,3 +764,23 @@ class TestBlockedPropagation:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: MediumSpec(0.0, 1.0), "must be positive"),
+    (lambda: MediumSpec(1.0, -1.0), "must be positive"),
+    (lambda: modal.EnergyTrace(np.zeros(3), np.zeros(2)), "equal length"),
+    (lambda: run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=0.1), "T > dt"),
+    (lambda: step_history(vacuum(), 1.0, initial_history(0.1, s_max=1.0), 0.0), "dt must be"),
+    (lambda: step_history(vacuum(), 1.0, initial_history(0.1, s_max=1.0), -0.1), "dt must be"),
+    (lambda: step_exact(build_mode(debye_medium(), 1.0), np.zeros(3), 0.0), "dt must be"),
+    (lambda: step_exact(build_mode(debye_medium(), 1.0), np.zeros(2), 0.1), "state dimension"),
+    (lambda: step_exact(build_mode(debye_medium(), 1.0), np.array([np.nan, 0.0, 0.0]), 0.1),
+     "non-finite state"),
+    (lambda: dispersion_roots(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 1.0),
+     "exponential-polynomial"),
+], ids=["eps", "mu", "trace_columns", "T", "history_dt_zero", "history_dt_negative",
+        "exact_dt", "exact_shape", "exact_nan", "roots_sampled"])
+def test_argument_checks(call, match):
+    with pytest.raises(ModalError, match=match):
+        call()
