@@ -6,6 +6,7 @@ Each output (report, trace, spectrum table) has one writer; writes are atomic
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .kernels import (
     KernelError,
     SampledKernel,
 )
-from .modal import EnergyTrace, MediumSpec, cavity_modes, _trace_rows
+from .modal import EnergyTrace, MediumSpec, ModalError, cavity_modes, _trace_rows
 
 
 # The most cavity modes, k_range wavenumbers or trace rows a config may imply,
@@ -278,7 +279,7 @@ def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     stride = _count(doc.get("output_stride", 1), "output_stride")
     try:
         rows = _trace_rows(T, dt, stride)
-    except OverflowError:  # T / dt beyond the float range
+    except ModalError:  # T / dt not finite, or more rows than an array can hold
         rows = math.inf
     if rows > MAX_COUNT:
         raise ParseError("dt", f"T / dt at output_stride {stride} gives more than "
@@ -363,11 +364,13 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
         if header != TRACE_HEADER:
             raise ParseError("trace", f"bad header {header!r}, expected {TRACE_HEADER!r}")
         try:
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+            # the first line with a row on it; numpy warns on input without one
+            first = next((line for line in f if line.split("#", 1)[0].strip()), None)
+            if first is None:
+                return EnergyTrace(np.empty(0), np.empty(0), np.empty(0))
+            data = np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ParseError("trace", f"malformed row: {exc}") from exc
-    if data.size == 0:
-        return EnergyTrace(np.empty(0), np.empty(0), np.empty(0))
     if data.shape[1] != 3:
         raise ParseError("trace", f"expected 3 columns, got {data.shape[1]}")
     return EnergyTrace(data[:, 0], data[:, 1], data[:, 2])

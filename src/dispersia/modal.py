@@ -253,15 +253,16 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 class _GrowBuf:
     """Append-only float buffer with geometric growth from 1024 slots.
 
-    The last value is also kept as a Python float, for the stage arithmetic
-    of step_history.
+    The first and last values and max|value| are also kept as Python floats,
+    for step_history's stage arithmetic and overflow bound.
     """
 
     def __init__(self, first: float = 0.0):
         self._data = np.zeros(1024)
         self._data[0] = first
         self.n = 1
-        self.last = float(first)
+        self.first = self.last = float(first)
+        self.max_abs = abs(self.first)
 
     def append(self, value: float):
         if self.n == self._data.size:
@@ -269,6 +270,8 @@ class _GrowBuf:
         self._data[self.n] = value
         self.n += 1
         self.last = value
+        if abs(value) > self.max_abs:
+            self.max_abs = abs(value)
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
@@ -278,8 +281,9 @@ class _GrowBuf:
 class HistoryState:
     """Field history on the uniform step grid, for the reference integrator.
 
-    The kernel values cached here (lag weights, nu(0)) belong to the medium of
-    the first step, which is recorded; a history is advanced in one medium only.
+    The kernel values cached here (lag weights, their lag-0 ends and bound,
+    nu(0)) belong to the medium of the first step, which is recorded; a
+    history is advanced in one medium only.
     """
 
     dt: float
@@ -287,6 +291,7 @@ class HistoryState:
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     _weights: dict = field(default_factory=dict, repr=False)
+    _ends: dict = field(default_factory=dict, repr=False)
     _medium: MediumSpec | None = field(default=None, repr=False)
     _nu0: tuple[float, float] | None = field(default=None, repr=False)
 
@@ -322,7 +327,7 @@ def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
 
     y_c = int_0^{t + c dt} nu'(t + c dt - s) f(s) ds by the trapezoid rule on
     the stored past f_0..f_n and, for c > 0, one panel from t to the stage
-    value f(t + c dt).  Returns (y_0, y_1/2, y_1) without the stage value's
+    value f(t + c dt).  Returns (y_0, y_1/2, y_1, g) without the stage value's
     term, which is c g f(t + c dt), and g = dt nu'(0) / 2.
 
     The weights nu'((m + c) dt) are cached as one (3, size) array, one row per
@@ -330,8 +335,11 @@ def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
     step are its last n + 1 columns and the three sums are one product.  A
     short cache doubles, up to the last lag the history horizon allows, in one
     kernel evaluation; nothing is allocated for lags that the run has not
-    reached.  The caller runs this under np.errstate: a weight or a sum that
-    overflows makes the step's fields not finite, which step_history reports.
+    reached.  A growth also caches the lag-0 weights, g and max|w| as floats.
+    np.errstate is entered at a growth, and for a product only past the bound
+    (n + 1) max|w| max|f| > 1e300 (or NaN), below which no partial sum can
+    overflow.  A weight or a sum that overflows makes the step's fields not
+    finite, which step_history reports.
     """
     n = past.n - 1
     dt = state.dt
@@ -341,16 +349,28 @@ def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
         horizon = int((state.s_max + 1e-12) / dt) + 1
         size = max(n + 1, min(2 * have, horizon))
         t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * dt
-        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
-        w = state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
-    lags = w[:, w.shape[1] - 1 - n:]
-    f = past.view()
-    sums = (lags @ f).tolist()
-    far, near = lags[:, 0].tolist(), lags[:, -1].tolist()  # lags n and 0
-    f0, fn = float(f[0]), past.last
-    y = [dt * (s - 0.5 * (a * f0 + b * fn)) for s, a, b in zip(sums, far, near)] if n else [0.0] * 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
+            w = state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
+            w_max = float(np.max(np.abs(w)))
+        near = w[:, -1].tolist()  # lag 0
+        state._ends[key] = (*near, 0.5 * dt * near[0], w_max)
+    b0, b1, b2, g, w_max = state._ends[key]
+    fn = past.last
+    y0 = y1 = y2 = 0.0
+    if n:
+        col = w.shape[1] - 1 - n  # lag n
+        if (n + 1) * w_max * past.max_abs <= 1e300:
+            s0, s1, s2 = (w[:, col:] @ past.view()).tolist()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s0, s1, s2 = (w[:, col:] @ past.view()).tolist()
+        (a0, a1, a2), f0 = w[:, col].tolist(), past.first
+        y0 = dt * (s0 - 0.5 * (a0 * f0 + b0 * fn))
+        y1 = dt * (s1 - 0.5 * (a1 * f0 + b1 * fn))
+        y2 = dt * (s2 - 0.5 * (a2 * f0 + b2 * fn))
     panel = 0.5 * dt * fn
-    return (y[0], y[1] + 0.5 * panel * near[1], y[2] + panel * near[2]), 0.5 * dt * near[0]
+    return y0, y1 + 0.5 * panel * b1, y2 + panel * b2, g
 
 
 def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -> HistoryState:
@@ -359,11 +379,13 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  The past does not change
     within a step, so each live field takes the sums of its three stage
-    offsets from one product (see ``_memory``), and the stages run on Python
-    floats.  The step is state.dt, the grid spacing that _memory's weights
-    and sums are built on; dt must match it to 1e-12 relative.  Serves as the
-    oracle for step_exact and is the only integrator available for sampled
-    kernels.  Every step of one history takes the medium
+    offsets from one product (see ``_memory``; it caches the end weights and
+    enters np.errstate only at a weight growth or past an overflow bound), and
+    the four stages run as straight-line Python float code.  The step is
+    state.dt, the grid spacing that _memory's weights and sums are built on;
+    dt must match it to 1e-12 relative.  Serves as the oracle for step_exact
+    and is the only integrator available for sampled kernels.  Every step of
+    one history takes the medium
     of its first step, that object or an equal one (a sampled kernel is equal
     only with the same evaluator); another medium raises ModalError, and so
     does a step whose fields are not finite, which leaves the history as it was.
@@ -385,25 +407,26 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     eps, mu, k, dt = float(medium.eps), float(medium.mu), float(k), float(state.dt)
     nue0, nuh0 = state._nu0
     # a zero kernel has no memory term; skip its convolution entirely
-    ye, ge = yh, gh = (0.0, 0.0, 0.0), 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is reported below
-        if not medium.nu_e.is_zero:
-            ye, ge = _memory(state, medium.nu_e, "E", state.e_past)
-        if not medium.nu_h.is_zero:
-            yh, gh = _memory(state, medium.nu_h, "H", state.h_past)
-
-    def rates(i, c, e_star, h_star):  # memory term i belongs to the offset c
-        de = (-nue0 * e_star - (ye[i] + c * ge * e_star) + k * h_star) / eps
-        dh = (-nuh0 * h_star - (yh[i] + c * gh * h_star) - k * e_star) / mu
-        return de, dh
-
+    ye0 = ye1 = ye2 = ge = yh0 = yh1 = yh2 = gh = 0.0
+    if not medium.nu_e.is_zero:
+        ye0, ye1, ye2, ge = _memory(state, medium.nu_e, "E", state.e_past)
+    if not medium.nu_h.is_zero:
+        yh0, yh1, yh2, gh = _memory(state, medium.nu_h, "H", state.h_past)
+    # the stages at offsets c = 0, 1/2, 1/2, 1; the memory term at c is y_c + c g x
     e0, h0 = state.e_past.last, state.h_past.last
-    k1 = rates(0, 0.0, e0, h0)
-    k2 = rates(1, 0.5, e0 + 0.5 * dt * k1[0], h0 + 0.5 * dt * k1[1])
-    k3 = rates(1, 0.5, e0 + 0.5 * dt * k2[0], h0 + 0.5 * dt * k2[1])
-    k4 = rates(2, 1.0, e0 + dt * k3[0], h0 + dt * k3[1])
-    e1 = e0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    h1 = h0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    de1 = (-nue0 * e0 - (ye0 + 0.0 * ge * e0) + k * h0) / eps
+    dh1 = (-nuh0 * h0 - (yh0 + 0.0 * gh * h0) - k * e0) / mu
+    e, h = e0 + 0.5 * dt * de1, h0 + 0.5 * dt * dh1
+    de2 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
+    dh2 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
+    e, h = e0 + 0.5 * dt * de2, h0 + 0.5 * dt * dh2
+    de3 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
+    dh3 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
+    e, h = e0 + dt * de3, h0 + dt * dh3
+    de4 = (-nue0 * e - (ye2 + 1.0 * ge * e) + k * h) / eps
+    dh4 = (-nuh0 * h - (yh2 + 1.0 * gh * h) - k * e) / mu
+    e1 = e0 + dt / 6.0 * (de1 + 2 * de2 + 2 * de3 + de4)
+    h1 = h0 + dt / 6.0 * (dh1 + 2 * dh2 + 2 * dh3 + dh4)
     if not (math.isfinite(e1) and math.isfinite(h1)):
         raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not finite: "
                          "they or their memory sums outgrow the float range")
@@ -430,8 +453,13 @@ def cavity_modes(length: float, n_max: int):
 
 def _trace_rows(T: float, dt: float, output_stride: int = 1) -> int:
     """The rows of a run_multimode trace: t = 0 and every output_stride-th of
-    its round(T / dt) steps.  OverflowError if T / dt is beyond the float range."""
-    return int(round(T / dt)) // output_stride + 1
+    its round(T / dt) steps.  ModalError if T / dt is not finite or the count
+    exceeds the largest array length, np.iinfo(np.intp).max."""
+    steps = T / dt
+    if not math.isfinite(steps) or round(steps) // output_stride >= np.iinfo(np.intp).max:
+        raise ModalError(f"T / dt = {steps!r} is not the step count of a trace with at "
+                         f"most {np.iinfo(np.intp).max} rows")
+    return int(round(steps)) // output_stride + 1
 
 
 def _block_size(n_rows: int, n_modes: int, d: int) -> int:

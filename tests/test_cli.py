@@ -216,9 +216,16 @@ class TestTraceFormat:
         path = tmp_path / "empty.csv"
         path.write_text(dio.TRACE_HEADER + "\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy notes that no rows follow
+            warnings.simplefilter("error")  # numpy would note that no rows follow
             trace = dio.read_trace(path)
         assert trace.times.size == trace.energy.size == trace.history_norm.size == 0
+
+    def test_blank_and_comment_lines_only_trace_is_empty(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(dio.TRACE_HEADER + "\n\n  \n# no rows yet\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dio.read_trace(path).times.size == 0
 
     def test_two_column_trace_rejected(self, tmp_path):
         path = tmp_path / "two.csv"

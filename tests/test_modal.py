@@ -460,8 +460,8 @@ class TestHistoryIntegrator:
         assert hist._nu0 == (-build_mode(medium, 1.0).A[0, 0], 0.0)
         assert hist._nu0[0] == 0.6
 
-    def _run(self, medium, s_max, steps, dt=0.02):
-        hist = initial_history(dt, s_max=s_max)
+    def _run(self, medium, s_max, steps, dt=0.02, e0=1.0):
+        hist = initial_history(dt, s_max=s_max, e0=e0)
         for _ in range(steps):
             hist = step_history(medium, 1.3, hist, dt)
         return hist
@@ -478,15 +478,21 @@ class TestHistoryIntegrator:
         assert all(w[0].size <= 2 * (steps + 1) for w in long._weights.values())
         assert all(w[0].size <= 2 * (steps + 1) for w in short._weights.values())
 
-    def test_kernel_evaluations_grow_logarithmically(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        """Patch owner.name with a wrapper that records each call; returns the record."""
         calls = []
-        original = modal.eval_kernel
+        original = getattr(owner, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(modal, "eval_kernel", counting)
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_kernel_evaluations_grow_logarithmically(self, monkeypatch):
+        calls = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
         # one call per growth of the one live field's weights: sizes 1, 2, 4,
@@ -494,6 +500,34 @@ class TestHistoryIntegrator:
         growths = 1 + (steps - 1).bit_length()
         assert [order for _, _, order in calls] == [1] * growths
         assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
+
+    def test_errstate_only_at_weight_growths(self, monkeypatch):
+        # below the overflow bound a step enters no np.errstate, so the only
+        # entries are the weight growths: sizes 1, 2, ..., 4096 for each field
+        entries = self._counting(monkeypatch, modal.np, "errstate")
+        growths = self._counting(monkeypatch, modal, "eval_kernel")
+        steps = 3000
+        self._run(MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 30.0, steps, dt=0.01)
+        assert len(growths) == 2 * (1 + (steps - 1).bit_length())
+        assert len(entries) == len(growths)
+
+    @pytest.mark.parametrize("power, guarded", [(1000, True), (900, False)])
+    def test_power_of_two_scaling_is_exact(self, monkeypatch, power, guarded):
+        # the scheme is linear, so a history started at E = 2^p is 2^p times the
+        # one started at E = 1, bit for bit.  At 2^1000 the bound
+        # (n + 1) max|w| max|f| exceeds 1e300 and the products run under
+        # np.errstate; at 2^900 it stays below.  Neither overflows or warns.
+        medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
+        steps = 3000
+        unit = self._run(medium, 30.0, steps, dt=0.01)
+        entries = self._counting(monkeypatch, modal.np, "errstate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = self._run(medium, 30.0, steps, dt=0.01, e0=2.0**power)
+        for got, ref in ((scaled.e_past, unit.e_past), (scaled.h_past, unit.h_past)):
+            assert got.view().tobytes() == (ref.view() * 2.0**power).tobytes()
+        growths = 2 * (1 + (steps - 1).bit_length())
+        assert len(entries) > steps + growths if guarded else len(entries) == growths
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
@@ -692,6 +726,13 @@ class TestMultimode:
     def test_nonpositive_stride_rejected(self):
         with pytest.raises(ModalError):
             run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=1.0, output_stride=0)
+
+    @pytest.mark.parametrize("dt, T", [(1e-300, 1.0), (0.1, 1e310), (0.1, np.inf), (0.1, np.nan)],
+                             ids=["dt_tiny", "T_huge", "T_inf", "T_nan"])
+    def test_unbounded_row_count_rejected(self, dt, T):
+        # the row count is checked before anything is allocated
+        with pytest.raises(ModalError, match=r"^T / dt = \S+ is not the step count of a trace"):
+            run_multimode(MediumSpec(1, 1, debye()), [(1.0, 1.0)], dt=dt, T=T)
 
 
 class TestBlockedPropagation:

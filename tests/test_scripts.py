@@ -1,9 +1,13 @@
-"""Smoke runs of the experiment scripts."""
+"""Smoke runs of the experiment scripts, and the schema of the BENCH_*.json records."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +53,38 @@ def test_abscissa_scaling_is_negative_and_k_squared():
     assert k == 16.0
     # m = 2 media: the abscissa scales like -c/k^2 with c near 1/2
     assert 0.4 <= last[4] <= 0.6 and 0.4 <= last[6] <= 0.6, out
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_bench_records_follow_the_schema():
+    # the schema only; the numbers are the host's, and no benchmark runs here
+    bench, benchmark = _bench_module(), json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        bench.check_record(doc, benchmark)
+        assert path.name == f"BENCH_{doc['change']}.json"
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d.pop("scipy"),
+    lambda d: d["runs"][0]["metrics"].pop(next(iter(d["runs"][0]["metrics"]))),
+    lambda d: d["runs"].pop(),
+    lambda d: d["summary"].clear(),
+    lambda d: d.update(change=str(d["change"])),
+    lambda d: d["revisions"].pop("change"),
+], ids=["no_scipy", "metric_missing", "run_missing", "summary_stale", "change_not_int",
+        "revision_missing"])
+def test_bench_schema_rejects_a_spoiled_record(spoil):
+    bench, benchmark = _bench_module(), json.loads((ROOT / "BENCHMARK.json").read_text())
+    doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
+    spoil(doc)
+    with pytest.raises(ValueError, match="^BENCH record: "):
+        bench.check_record(doc, benchmark)
