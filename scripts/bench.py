@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Record the benchmark's metrics of a change and of its parent in BENCH_<change>.json.
 
-    python scripts/bench.py --change 23 --parent-tree ../parent --seeds 1 2 3 --seconds 5
+    python scripts/bench.py --change 23 ../parent
 
-Runs ``perfbench/run.py --workload all`` of each tree, untraced (end-to-end
-metrics) and traced (per-layer metrics), on every pinned seed.  The two trees
-alternate within each (seed, trace) pair, the parent first on odd seeds, so
-that drift of a shared host falls on both.  Each tree runs its own perfbench
-and src.  The record holds the machine, the Python, numpy and scipy versions,
-both git revisions, every run's metrics, and each metric's median and
-quartiles per tree and workload.  Without --parent-tree only this checkout
-is measured.  ``check_record`` is the record's schema; the tests hold every
+Runs ``perfbench/run.py --workload all --seconds 10`` of this checkout and of
+a checkout of its parent, untraced (end-to-end metrics) and traced (per-layer
+metrics), on the pinned seeds 1, 2 and 3.  The two trees alternate within each
+(seed, trace) pair, the parent first on odd seeds, so that drift of a shared
+host falls on both.  Each tree runs its own perfbench and src, and both must
+be clean git checkouts, so that each record names the commits it measured.
+The record holds the machine, the Python, numpy and scipy versions, both
+commits, every run's metrics, and each metric's median and quartiles per tree
+and workload.  ``check_record`` is the record's schema; the tests hold every
 committed BENCH_*.json to it.
 """
 
@@ -26,6 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = 1
 WORKLOADS = ("decay_chain", "verdict_sweep", "sampled_history")
+TREES = ("parent", "change")
+SEEDS = (1, 2, 3)
+SECONDS = 10.0
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -33,10 +37,12 @@ def _git(tree: Path, *args: str) -> str | None:
     return r.stdout.strip() if r.returncode == 0 else None
 
 
-def revision(tree: Path) -> dict:
-    """The tree's HEAD commit and whether its tracked files differ from it."""
-    return {"commit": _git(tree, "rev-parse", "HEAD"),
-            "dirty": bool(_git(tree, "status", "--porcelain", "--untracked-files=no"))}
+def revision(tree: Path) -> str:
+    """The tree's HEAD commit; SystemExit unless its tracked files match it."""
+    commit = _git(tree, "rev-parse", "HEAD")
+    if commit is None or _git(tree, "status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"bench: {tree} is not a clean git checkout")
+    return commit
 
 
 def environment() -> dict:
@@ -59,10 +65,10 @@ def environment() -> dict:
             "scipy": scipy_version}
 
 
-def run_all(tree: Path, seed: int, seconds: float, trace: int) -> dict:
+def run_all(tree: Path, seed: int, trace: int) -> dict:
     """One ``run.py --workload all`` of the tree: {workload: run.py's last line}."""
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=True).stdout
     return json.loads(out.rstrip("\n").splitlines()[-1])
 
@@ -88,21 +94,21 @@ def summarize(runs: list) -> dict:
                    for wl, ms in wls.items()} for tree, wls in values.items()}
 
 
-def record(change: int, trees: dict, seeds: list, seconds: float) -> dict:
+def record(change: int, trees: dict) -> dict:
+    revisions = {label: revision(tree) for label, tree in trees.items()}
     runs = []
-    for seed in seeds:
-        order = list(trees) if seed % 2 else list(trees)[::-1]
+    for seed in SEEDS:
+        order = list(TREES) if seed % 2 else list(TREES)[::-1]
         for trace in (0, 1):
             for label in order:
                 print(f"bench: {label} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-                for workload, line in run_all(trees[label], seed, seconds, trace).items():
+                for workload, line in run_all(trees[label], seed, trace).items():
                     runs.append({"tree": label, "seed": seed, "trace": trace,
                                  "workload": workload, "correct": line["correct"],
                                  "attempted": line["attempted"], "failed": line["failed"],
                                  "metrics": {k: v["value"] for k, v in line["metrics"].items()}})
-    return {"schema": SCHEMA, "change": change,
-            "revisions": {label: revision(tree) for label, tree in trees.items()},
-            **environment(), "seeds": seeds, "seconds": seconds,
+    return {"schema": SCHEMA, "change": change, "revisions": revisions,
+            **environment(), "seeds": list(SEEDS), "seconds": SECONDS,
             "command": "perfbench/run.py --workload all --seed S --seconds T --trace {0,1}",
             "runs": runs, "summary": summarize(runs)}
 
@@ -127,11 +133,11 @@ def check_record(doc: dict, benchmark: dict) -> None:
     need(isinstance(machine, dict) and {"cpu", "cpus", "arch", "system"} <= machine.keys(),
          "machine must name cpu, cpus, arch and system")
     revisions = doc.get("revisions")
-    need(isinstance(revisions, dict) and "change" in revisions, "revisions must name change")
-    for label, rev in revisions.items():
-        need(label in ("change", "parent"), f"unknown tree {label!r}")
-        need(isinstance(rev, dict) and isinstance(rev.get("commit"), (str, type(None)))
-             and isinstance(rev.get("dirty"), bool), f"revision of {label} malformed")
+    need(isinstance(revisions, dict) and set(revisions) == set(TREES),
+         "revisions must name parent and change")
+    for label, commit in revisions.items():
+        need(isinstance(commit, str) and len(commit) == 40
+             and all(c in "0123456789abcdef" for c in commit), f"commit of {label} malformed")
     seeds = doc.get("seeds")
     need(isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds),
          "seeds must be a nonempty list of integers")
@@ -155,7 +161,7 @@ def check_record(doc: dict, benchmark: dict) -> None:
              "metric values must be numbers or null")
         seen.add((run["tree"], run["seed"], run["trace"], run["workload"]))
     need(len(seen) == len(runs), "a run is recorded twice")
-    need(len(seen) == len(revisions) * len(seeds) * 2 * len(WORKLOADS),
+    need(len(seen) == len(TREES) * len(seeds) * 2 * len(WORKLOADS),
          "every tree, seed, mode and workload needs one run")
     need(doc.get("summary") == summarize(runs), "summary must be summarize(runs)")
 
@@ -163,14 +169,9 @@ def check_record(doc: dict, benchmark: dict) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--change", type=int, required=True, help="this change's number")
-    ap.add_argument("--parent-tree", type=Path, help="a checkout of the parent revision")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=5.0)
+    ap.add_argument("parent_tree", type=Path, help="a checkout of the parent revision")
     args = ap.parse_args(argv)
-    trees = {"change": ROOT}
-    if args.parent_tree:
-        trees = {"parent": args.parent_tree.resolve(), "change": ROOT}
-    doc = record(args.change, trees, args.seeds, args.seconds)
+    doc = record(args.change, {"parent": args.parent_tree.resolve(), "change": ROOT})
     check_record(doc, json.loads((ROOT / "BENCHMARK.json").read_text()))
     out = ROOT / f"BENCH_{args.change}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -385,10 +385,10 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     state.dt, the grid spacing that _memory's weights and sums are built on;
     dt must match it to 1e-12 relative.  Serves as the oracle for step_exact
     and is the only integrator available for sampled kernels.  Every step of
-    one history takes the medium
-    of its first step, that object or an equal one (a sampled kernel is equal
-    only with the same evaluator); another medium raises ModalError, and so
-    does a step whose fields are not finite, which leaves the history as it was.
+    one history takes the medium of its first step, that object or an equal
+    one (a sampled kernel is equal only with the same evaluator); another
+    medium raises ModalError, and so does a step whose fields are not finite,
+    which leaves the history as it was.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
@@ -454,11 +454,11 @@ def cavity_modes(length: float, n_max: int):
 def _trace_rows(T: float, dt: float, output_stride: int = 1) -> int:
     """The rows of a run_multimode trace: t = 0 and every output_stride-th of
     its round(T / dt) steps.  ModalError if T / dt is not finite or the count
-    exceeds the largest array length, np.iinfo(np.intp).max."""
-    steps = T / dt
-    if not math.isfinite(steps) or round(steps) // output_stride >= np.iinfo(np.intp).max:
+    exceeds the longest float array numpy can make, np.iinfo(np.intp).max // 8."""
+    steps, most = T / dt, np.iinfo(np.intp).max // np.dtype(float).itemsize
+    if not math.isfinite(steps) or round(steps) // output_stride >= most:
         raise ModalError(f"T / dt = {steps!r} is not the step count of a trace with at "
-                         f"most {np.iinfo(np.intp).max} rows")
+                         f"most {most} rows")
     return int(round(steps)) // output_stride + 1
 
 

@@ -727,8 +727,9 @@ class TestMultimode:
         with pytest.raises(ModalError):
             run_multimode(debye_medium(), [(1.0, 1.0)], dt=0.1, T=1.0, output_stride=0)
 
-    @pytest.mark.parametrize("dt, T", [(1e-300, 1.0), (0.1, 1e310), (0.1, np.inf), (0.1, np.nan)],
-                             ids=["dt_tiny", "T_huge", "T_inf", "T_nan"])
+    @pytest.mark.parametrize("dt, T", [(1e-300, 1.0), (1.5e-19, 1.0), (0.1, 1e310), (0.1, np.inf),
+                                       (0.1, np.nan)],
+                             ids=["dt_tiny", "rows_too_many_bytes", "T_huge", "T_inf", "T_nan"])
     def test_unbounded_row_count_rejected(self, dt, T):
         # the row count is checked before anything is allocated
         with pytest.raises(ModalError, match=r"^T / dt = \S+ is not the step count of a trace"):

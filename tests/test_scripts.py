@@ -80,8 +80,10 @@ def test_committed_bench_records_follow_the_schema():
     lambda d: d["summary"].clear(),
     lambda d: d.update(change=str(d["change"])),
     lambda d: d["revisions"].pop("change"),
+    lambda d: d["revisions"].pop("parent"),
+    lambda d: d["revisions"].update(change=None),
 ], ids=["no_scipy", "metric_missing", "run_missing", "summary_stale", "change_not_int",
-        "revision_missing"])
+        "revision_missing", "parent_missing", "commit_unknown"])
 def test_bench_schema_rejects_a_spoiled_record(spoil):
     bench, benchmark = _bench_module(), json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
