@@ -245,10 +245,11 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
     if not isinstance(cav, dict):
         raise ParseError("cavity", "expected an object")
     length = _positive(_require(cav, "length", "cavity"), "cavity.length")
-    modes = tuple(cavity_modes(length, _count(_require(cav, "n_max", "cavity"), "cavity.n_max")))
-    if not math.isfinite(modes[-1][0]):
-        raise ParseError("cavity.length", "the largest wavenumber n_max pi / length is not finite")
-    return modes
+    n_max = _count(_require(cav, "n_max", "cavity"), "cavity.n_max")
+    try:
+        return tuple(cavity_modes(length, n_max))
+    except ModalError as exc:  # length and n_max are checked: the largest k is not finite
+        raise ParseError("cavity.length", str(exc)) from exc
 
 
 def parse_analyze_config(doc: dict, base_dir: Path) -> tuple[Kernel, Kernel]:

@@ -31,6 +31,8 @@ from .kernels import (
 
 # doubles in one block of output states in run_multimode (128 KiB)
 _BLOCK_ELEMENTS = 2**14
+# the most modes cavity_modes makes (io.MAX_COUNT bounds a config's n_max alike)
+MAX_MODES = 10**6
 
 
 class ModalError(ValueError):
@@ -250,28 +252,37 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     return np.roots([c / char[-1] for c in char[::-1]])
 
 
-class _GrowBuf:
-    """Append-only float buffer with geometric growth from 1024 slots.
+# steps of a history that step_history computes at once (see _next_block)
+_HISTORY_BLOCK = 32
 
-    The first and last values and max|value| are also kept as Python floats,
-    for step_history's stage arithmetic and overflow bound.
+
+class _GrowBuf:
+    """A field's samples f_0..f_{n-1} on the step grid, in a float buffer
+    that grows geometrically from 1024 slots.
+
+    The slots from n on may hold steps that step_history has computed ahead
+    and not yet taken; view() does not show them.  f(0) is also kept as a
+    Python float.
     """
 
     def __init__(self, first: float = 0.0):
         self._data = np.zeros(1024)
         self._data[0] = first
         self.n = 1
-        self.first = self.last = float(first)
-        self.max_abs = abs(self.first)
+        self.first = float(first)
 
-    def append(self, value: float):
-        if self.n == self._data.size:
-            self._data = np.concatenate([self._data, np.zeros(self._data.size)])
-        self._data[self.n] = value
-        self.n += 1
-        self.last = value
-        if abs(value) > self.max_abs:
-            self.max_abs = abs(value)
+    @property
+    def last(self) -> float:
+        return float(self._data[self.n - 1])
+
+    def write_ahead(self, values: np.ndarray):
+        """Put values in the slots n, n + 1, ..., growing the buffer if needed."""
+        end = self.n + values.size
+        if end > self._data.size:
+            grown = np.zeros(max(end, 2 * self._data.size))
+            grown[: self.n] = self._data[: self.n]
+            self._data = grown
+        self._data[self.n:end] = values
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
@@ -281,9 +292,9 @@ class _GrowBuf:
 class HistoryState:
     """Field history on the uniform step grid, for the reference integrator.
 
-    The kernel values cached here (lag weights, their lag-0 ends and bound,
-    nu(0)) belong to the medium of the first step, which is recorded; a
-    history is advanced in one medium only.
+    The values cached here (lag weights, nu(0), the block map of the last k
+    and the steps computed ahead with it) belong to the medium of the first
+    step, which is recorded; a history is advanced in one medium only.
     """
 
     dt: float
@@ -291,9 +302,11 @@ class HistoryState:
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     _weights: dict = field(default_factory=dict, repr=False)
-    _ends: dict = field(default_factory=dict, repr=False)
     _medium: MediumSpec | None = field(default=None, repr=False)
     _nu0: tuple[float, float] | None = field(default=None, repr=False)
+    _k: float | None = field(default=None, repr=False)
+    _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
+    _ahead: int = field(default=0, repr=False)  # finite steps computed ahead, not yet taken
 
     @property
     def t(self) -> float:
@@ -320,75 +333,182 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
 
 # the lag offsets c of the stage times t + c dt, one row of lag weights each
 _OFFSETS = np.array([[0.0], [0.5], [1.0]])
+# per c, the weight of f_n in the sum y_c of step n, in units of dt nu'(c dt):
+# in the block, the trapezoid end 1/2 plus the panel's c/2 (see _next_block),
+# and the correction to the far sum at the block's first step, -1/2 + c/2
+_NEAR_END = np.array([0.5, 0.75, 1.0])
+_FAR_END = np.array([-0.5, -0.25, 0.0])
+# samples per np.correlate of a far sum: OpenBLAS runs a dot product of more
+# than 10000 elements on several threads, which on a busy host costs more
+# than the product
+_CORRELATE_MAX = 8192
 
 
-def _memory(state: HistoryState, kernel: Kernel, key: str, past: _GrowBuf):
-    """The memory terms of one field at the stage times t + c dt, c = 0, 1/2, 1.
+def _step_matrix(medium: MediumSpec, nu0, g, k: float, dt: float) -> np.ndarray:
+    """[P | Q], shape (2, 8), of one step of the four-stage scheme.
 
-    y_c = int_0^{t + c dt} nu'(t + c dt - s) f(s) ds by the trapezoid rule on
-    the stored past f_0..f_n and, for c > 0, one panel from t to the stage
-    value f(t + c dt).  Returns (y_0, y_1/2, y_1, g) without the stage value's
-    term, which is c g f(t + c dt), and g = dt nu'(0) / 2.
-
-    The weights nu'((m + c) dt) are cached as one (3, size) array, one row per
-    c, lag-reversed (lag m in column size - 1 - m), so that the lags n..0 of a
-    step are its last n + 1 columns and the three sums are one product.  A
-    short cache doubles, up to the last lag the history horizon allows, in one
-    kernel evaluation; nothing is allocated for lags that the run has not
-    reached.  A growth also caches the lag-0 weights, g and max|w| as floats.
-    np.errstate is entered at a growth, and for a product only past the bound
-    (n + 1) max|w| max|f| > 1e300 (or NaN), below which no partial sum can
-    overflow.  A weight or a sum that overflows makes the step's fields not
-    finite, which step_history reports.
+    (E, H) at t + dt is P (E, H) + Q (yE_0, yE_1/2, yE_1, yH_0, yH_1/2, yH_1),
+    where y_c is a field's memory sum at the stage time t + c dt without the
+    stage value's own term c g x, g = dt nu'(0) / 2, which belongs to P.  The
+    scheme is linear, so the columns are the steps of the eight unit inputs,
+    taken through the stage arithmetic below, the scheme's only statement.
     """
-    n = past.n - 1
-    dt = state.dt
+    eps, mu = float(medium.eps), float(medium.mu)
+    nue0, nuh0 = nu0
+    ge, gh = g
+    e0, h0, ye0, ye1, ye2, yh0, yh1, yh2 = np.eye(8)
+    # the stages at offsets c = 0, 1/2, 1/2, 1; the memory term at c is y_c + c g x
+    de1 = (-nue0 * e0 - (ye0 + 0.0 * ge * e0) + k * h0) / eps
+    dh1 = (-nuh0 * h0 - (yh0 + 0.0 * gh * h0) - k * e0) / mu
+    e, h = e0 + 0.5 * dt * de1, h0 + 0.5 * dt * dh1
+    de2 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
+    dh2 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
+    e, h = e0 + 0.5 * dt * de2, h0 + 0.5 * dt * dh2
+    de3 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
+    dh3 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
+    e, h = e0 + dt * de3, h0 + dt * dh3
+    de4 = (-nue0 * e - (ye2 + 1.0 * ge * e) + k * h) / eps
+    dh4 = (-nuh0 * h - (yh2 + 1.0 * gh * h) - k * e) / mu
+    e1 = e0 + dt / 6.0 * (de1 + 2 * de2 + 2 * de3 + de4)
+    h1 = h0 + dt / 6.0 * (dh1 + 2 * dh2 + 2 * dh3 + dh4)
+    return np.array([e1, h1])
+
+
+def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, horizon: int):
+    """Cache nu'((m + c) dt) for at least the lags m = 0..lags - 1 as one
+    (3, size) array, one row per c, lag-reversed (lag m in column
+    size - 1 - m).  A short cache doubles, up to the horizon's last lag, in
+    one kernel evaluation; nothing is evaluated for lags no block has reached.
+    """
     w = state._weights.get(key)
-    if w is None or w.shape[1] <= n:
-        have = 0 if w is None else w.shape[1]
-        horizon = int((state.s_max + 1e-12) / dt) + 1
-        size = max(n + 1, min(2 * have, horizon))
-        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
-            w = state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
-            w_max = float(np.max(np.abs(w)))
-        near = w[:, -1].tolist()  # lag 0
-        state._ends[key] = (*near, 0.5 * dt * near[0], w_max)
-    b0, b1, b2, g, w_max = state._ends[key]
-    fn = past.last
-    y0 = y1 = y2 = 0.0
-    if n:
-        col = w.shape[1] - 1 - n  # lag n
-        if (n + 1) * w_max * past.max_abs <= 1e300:
-            s0, s1, s2 = (w[:, col:] @ past.view()).tolist()
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                s0, s1, s2 = (w[:, col:] @ past.view()).tolist()
-        (a0, a1, a2), f0 = w[:, col].tolist(), past.first
-        y0 = dt * (s0 - 0.5 * (a0 * f0 + b0 * fn))
-        y1 = dt * (s1 - 0.5 * (a1 * f0 + b1 * fn))
-        y2 = dt * (s2 - 0.5 * (a2 * f0 + b2 * fn))
-    panel = 0.5 * dt * fn
-    return y0, y1 + 0.5 * panel * b1, y2 + panel * b2, g
+    have = 0 if w is None else w.shape[1]
+    if have < lags:
+        size = max(lags, min(2 * have, horizon))
+        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
+        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
+        state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
+
+
+def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
+    """(P, Q, G) of the blocks at wavenumber k; see ``_step_matrix`` for P, Q.
+
+    In a block of B steps from step n0, let z_i be the fields after step
+    n0 + i and r_i the part of that step known before the block: P times the
+    fields of step n0 for i = 0, plus Q times the far memory sums.  The near
+    memory sums add Q M_(i - j) z_(j - 1) for 1 <= j <= i, where M_m holds
+    each field's weights dt nu'((m + c) dt), M_0 with the weights of
+    _NEAR_END.  So z = r + T z with T strictly lower block-Toeplitz, T_1 =
+    P + Q M_0 and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
+    lower-triangular Toeplitz with blocks Gamma_0 = I and Gamma_m = sum_l
+    T_l Gamma_(m - l): forward substitution, no LAPACK call.  B is
+    min(_HISTORY_BLOCK, the horizon's steps), for every block of the history.
+    """
+    dt = state.dt
+    B = max(1, min(_HISTORY_BLOCK, horizon - 1))
+    near, g = [], []
+    for key in ("E", "H"):
+        w = state._weights.get(key)  # None for a zero kernel, which has no memory
+        if w is None:
+            near.append(np.zeros((3, B)))
+            g.append(0.0)
+            continue
+        m = dt * w[:, :-B - 1:-1]  # lags 0..B - 1
+        m[:, 0] = _NEAR_END * m[:, 0]
+        near.append(m)
+        g.append(0.5 * dt * float(w[0, -1]))
+    pq = _step_matrix(medium, state._nu0, g, k, dt)
+    P, Q = pq[:, :2], pq[:, 2:]
+    T = np.stack([Q[:, :3] @ near[0], Q[:, 3:] @ near[1]], axis=-1)  # (2, B, 2)
+    T = T.transpose(1, 0, 2).copy()
+    T[0] += P
+    gam = np.zeros((B + 1, 2, 2))  # Gamma_0..Gamma_(B - 1), and a zero block
+    gam[0] = np.eye(2)
+    for m in range(1, B):
+        gam[m] = (T[:m] @ gam[m - 1::-1]).sum(axis=0)
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    lag[lag < 0] = B
+    return P, Q, gam[lag].transpose(0, 2, 1, 3).reshape(2 * B, 2 * B)
+
+
+def _next_block(state: HistoryState, medium: MediumSpec, k: float):
+    """Compute the next b = min(_HISTORY_BLOCK, steps left before the horizon)
+    steps, at least one, and write their fields ahead in e_past and h_past;
+    state._ahead becomes the number of them, from the first, that are finite.
+
+    The memory sum of a field at stage offset c in step n is the trapezoid
+    rule on f_0..f_n, y_c = dt (sum_j w_c[n - j] f_j - (w_c[n] f_0 +
+    w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
+    to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
+    terms over j <= n0 are far: each field's and offset's far sums for the
+    whole block are one np.correlate of its lag-reversed weight row with
+    f_0..f_n0 (one per _CORRELATE_MAX samples), and the end terms of f_0
+    and, at the first step, of f_n0 (_FAR_END) are added as corrections.
+    The terms over the block's own samples are near and enter through
+    _block_map's G, rebuilt only for a new k.  Everything runs under one
+    np.errstate.  A non-finite known part cuts the block before its step:
+    G is lower-triangular, so later steps cannot change earlier ones.
+    """
+    n0, dt = state.e_past.n - 1, state.dt
+    horizon = int((state.s_max + 1e-12) / dt) + 1  # the lags 0..horizon - 1 it allows
+    b = max(1, min(_HISTORY_BLOCK, horizon - 1 - n0))
+    live = [(key, kern, past, cols) for key, kern, past, cols in
+            (("E", medium.nu_e, state.e_past, slice(0, 3)),
+             ("H", medium.nu_h, state.h_past, slice(3, 6))) if not kern.is_zero]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, kern, _, _ in live:
+            _grow_weights(state, kern, key, n0 + b, horizon)
+        if k != state._k:
+            state._map, state._k = _block_map(state, medium, k, horizon), k
+        P, Q, G = state._map
+        r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
+        for key, _, past, cols in live:
+            w = state._weights[key]
+            lo = w.shape[1] - n0 - b  # the column of lag n0 + b - 1
+            f = past.view()
+            y = np.zeros((3, b))
+            for j in range(0, f.size, _CORRELATE_MAX):
+                seg = f[j:j + _CORRELATE_MAX]
+                for c in range(3):
+                    y[c] += np.correlate(w[c, lo + j:lo + j + seg.size + b - 1], seg)
+            y *= dt
+            y -= (0.5 * dt * past.first) * w[:, lo:lo + b]  # the f_0 ends
+            y[:, -1] += (dt * past.last) * (_FAR_END * w[:, -1])
+            r += Q[:, cols] @ y
+        r = r[:, ::-1]
+        r[:, 0] += P @ (state.e_past.last, state.h_past.last)
+        bad = ~np.isfinite(r).all(axis=0)
+        if bad.any():
+            b = int(bad.argmax())
+        rows = np.zeros((G.shape[0] // 2, 2))
+        rows[:b] = r[:, :b].T
+        z = (G @ rows.ravel()).reshape(-1, 2)[:b]
+    finite = np.isfinite(z).all(axis=1)
+    b = b if finite.all() else int(finite.argmin())
+    state.e_past.write_ahead(z[:b, 0])
+    state.h_past.write_ahead(z[:b, 1])
+    state._ahead = b
 
 
 def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -> HistoryState:
     """One step of the brute-force reference integrator (any kernel type).
 
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
-    by trapezoidal quadrature over the stored past.  The past does not change
-    within a step, so each live field takes the sums of its three stage
-    offsets from one product (see ``_memory``; it caches the end weights and
-    enters np.errstate only at a weight growth or past an overflow bound), and
-    the four stages run as straight-line Python float code.  The step is
-    state.dt, the grid spacing that _memory's weights and sums are built on;
-    dt must match it to 1e-12 relative.  Serves as the oracle for step_exact
-    and is the only integrator available for sampled kernels.  Every step of
-    one history takes the medium of its first step, that object or an equal
-    one (a sampled kernel is equal only with the same evaluator); another
-    medium raises ModalError, and so does a step whose fields are not finite,
-    which leaves the history as it was.
+    by trapezoidal quadrature over the stored past.  The steps are computed
+    in blocks of _HISTORY_BLOCK = 32 steps, fewer where the horizon comes
+    first: the first call, a call with another k than the last, and a call
+    after the block is used up compute the next block at once (see
+    ``_next_block``), and each call takes one step of it.  The scheme is
+    linear with lag weights that do not change in time, so a block is the
+    same scheme, to rounding, as stepping one step at a time.  Every call
+    checks its arguments as before.  The step is state.dt, the grid spacing
+    that the weights are built on; dt must match it to 1e-12 relative.
+    Serves as the oracle for step_exact and is the only integrator available
+    for sampled kernels.  Every step of one history takes the medium of its
+    first step, that object or an equal one (a sampled kernel is equal only
+    with the same evaluator); another medium raises ModalError.  So does the
+    call of a step whose fields are not finite, which leaves the history at
+    its last finite step; a block stops before such a step, so no numpy
+    warning is raised, and the steps before it are taken as usual.
     """
     if dt <= 0:
         raise ModalError("dt must be positive")
@@ -404,34 +524,15 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
-    eps, mu, k, dt = float(medium.eps), float(medium.mu), float(k), float(state.dt)
-    nue0, nuh0 = state._nu0
-    # a zero kernel has no memory term; skip its convolution entirely
-    ye0 = ye1 = ye2 = ge = yh0 = yh1 = yh2 = gh = 0.0
-    if not medium.nu_e.is_zero:
-        ye0, ye1, ye2, ge = _memory(state, medium.nu_e, "E", state.e_past)
-    if not medium.nu_h.is_zero:
-        yh0, yh1, yh2, gh = _memory(state, medium.nu_h, "H", state.h_past)
-    # the stages at offsets c = 0, 1/2, 1/2, 1; the memory term at c is y_c + c g x
-    e0, h0 = state.e_past.last, state.h_past.last
-    de1 = (-nue0 * e0 - (ye0 + 0.0 * ge * e0) + k * h0) / eps
-    dh1 = (-nuh0 * h0 - (yh0 + 0.0 * gh * h0) - k * e0) / mu
-    e, h = e0 + 0.5 * dt * de1, h0 + 0.5 * dt * dh1
-    de2 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
-    dh2 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
-    e, h = e0 + 0.5 * dt * de2, h0 + 0.5 * dt * dh2
-    de3 = (-nue0 * e - (ye1 + 0.5 * ge * e) + k * h) / eps
-    dh3 = (-nuh0 * h - (yh1 + 0.5 * gh * h) - k * e) / mu
-    e, h = e0 + dt * de3, h0 + dt * dh3
-    de4 = (-nue0 * e - (ye2 + 1.0 * ge * e) + k * h) / eps
-    dh4 = (-nuh0 * h - (yh2 + 1.0 * gh * h) - k * e) / mu
-    e1 = e0 + dt / 6.0 * (de1 + 2 * de2 + 2 * de3 + de4)
-    h1 = h0 + dt / 6.0 * (dh1 + 2 * dh2 + 2 * dh3 + dh4)
-    if not (math.isfinite(e1) and math.isfinite(h1)):
-        raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not finite: "
-                         "they or their memory sums outgrow the float range")
-    state.e_past.append(e1)
-    state.h_past.append(h1)
+    k = float(k)
+    if not state._ahead or k != state._k:
+        _next_block(state, medium, k)
+        if not state._ahead:
+            raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not "
+                             "finite: they or their memory sums outgrow the float range")
+    state._ahead -= 1
+    state.e_past.n += 1
+    state.h_past.n += 1
     return state
 
 
@@ -447,7 +548,18 @@ class EnergyTrace:
 
 
 def cavity_modes(length: float, n_max: int):
-    """k_n = n pi c0 / L for a reference 1D cavity, amplitudes n^-1.5."""
+    """k_n = n pi c0 / L for a reference 1D cavity, amplitudes n^-1.5, n = 1..n_max.
+
+    ModalError unless length is positive and finite, n_max is an integer
+    (not a bool) from 1 to MAX_MODES, and the largest wavenumber is finite.
+    """
+    if not (math.isfinite(length) and length > 0):
+        raise ModalError(f"cavity length must be positive and finite, got {length!r}")
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) \
+            or not 1 <= n_max <= MAX_MODES:
+        raise ModalError(f"n_max must be an integer from 1 to {MAX_MODES}, got {n_max!r}")
+    if not math.isfinite(n_max * np.pi / length):
+        raise ModalError("the largest wavenumber n_max pi / length is not finite")
     return [(n * np.pi / length, float(n) ** -1.5) for n in range(1, n_max + 1)]
 
 

@@ -320,14 +320,16 @@ def former_convolution(state, kernel, key, samples, c, stage_value):
 def former_history(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     """Fields (E, H) of the former per-stage history integrator over `steps`
     steps, shape (2, steps + 1): four weight lookups and four dot products per
-    live field and step, on numpy scalars."""
+    live field and step, on numpy scalars.  k is one wavenumber or one per step."""
+    ks = [k] * steps if np.isscalar(k) else list(k)
+    assert len(ks) == steps
     state = SimpleNamespace(dt=dt, s_max=s_max, weights={})
     nue0 = float(modal.eval_kernel(medium.nu_e, 0.0, 0))
     nuh0 = float(modal.eval_kernel(medium.nu_h, 0.0, 0))
     live_e = not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero)
     live_h = not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero)
     e_hist, h_hist = [e0], [h0]
-    for _ in range(steps):
+    for k in ks:
         e_samples, h_samples = np.array(e_hist), np.array(h_hist)
 
         def rhs(c, e_star, h_star):
@@ -364,8 +366,13 @@ def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
             assert all(field != key for field, _ in ref_weights)
             continue
         w = hist._weights[key]
+        # every lag the steps read is cached; the cache may also hold the lags
+        # of the block ahead, and the former doubling could reach the
+        # horizon's last lag, which no step reads
+        assert w.shape[1] >= steps
         for row, c in zip(w[:, ::-1], (0.0, 0.5, 1.0)):
-            assert row.tobytes() == ref_weights[(key, c)].tobytes()
+            both = min(row.size, ref_weights[(key, c)].size)
+            assert row[:both].tobytes() == ref_weights[(key, c)][:both].tobytes()
     return hist
 
 
@@ -394,9 +401,11 @@ class TestStackedStageSums:
     @pytest.mark.parametrize("steps", [1, 2, 1023, 1024, 1025])
     def test_step_counts_across_doublings(self, steps):
         hist = assert_matches_former(mixed_medium(), 2.1, 0.01, steps, 30.0)
-        # lags 0..steps - 1 are read; the cache holds the next power of two
+        # the blocks reach lag ceil(steps / B) B - 1; the cache doubles from B
+        # and holds the next power of two
+        reached = -(-steps // modal._HISTORY_BLOCK) * modal._HISTORY_BLOCK
         for w in hist._weights.values():
-            assert w.shape == (3, 1 << (steps - 1).bit_length())
+            assert w.shape == (3, 1 << (reached - 1).bit_length())
 
     def test_horizon_stops_the_growth(self):
         # s_max = 5 on a 0.03 grid allows lags 0..166; doubling would reach 256
@@ -404,6 +413,52 @@ class TestStackedStageSums:
                                      0.03, 166, 5.0)
         for w in hist._weights.values():
             assert w.shape == (3, 167)
+
+
+class TestBlockedSteps:
+    """step_history, which computes its steps in blocks, against the former
+    per-step integrator, across block boundaries, the horizon and k changes."""
+
+    MEDIA = {"gaussian_debye": lambda: MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
+             "mixed": mixed_medium, "drude_lorentz": drude_lorentz_medium}
+
+    @settings(max_examples=40, deadline=None)
+    @given(medium=st.sampled_from(sorted(MEDIA)), blocks=st.integers(0, 4),
+           extra=st.integers(-1, 1), at_horizon=st.booleans(),
+           switch=st.one_of(st.none(), st.integers(1, 160)), zero=st.booleans(),
+           k=st.floats(0.0, 8.0), k2=st.floats(0.0, 8.0))
+    def test_matches_former(self, medium, blocks, extra, at_horizon, switch, zero, k, k2):
+        # steps = blocks * B + extra covers 0, 1 and several block boundaries
+        steps = max(1, blocks * modal._HISTORY_BLOCK + extra)
+        medium, dt = self.MEDIA[medium](), 0.02
+        s_max = steps * dt if at_horizon else steps * dt + 1.0
+        e0, h0 = (0.0, 0.0) if zero else (1.0, -0.4)
+        ks = [k if switch is None or i < switch else k2 for i in range(steps)]
+        hist = initial_history(dt, s_max=s_max, e0=e0, h0=h0)
+        for kk in ks:
+            hist = step_history(medium, kk, hist, dt)
+        ref, _ = former_history(medium, ks, dt, steps, s_max, e0, h0)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if zero:
+            assert not np.any(got)
+        if at_horizon:
+            with pytest.raises(HistoryTruncationError):
+                step_history(medium, ks[-1], hist, dt)
+            assert hist.t == pytest.approx(steps * dt)
+
+    def test_k_change_mid_block_recomputes_from_the_last_step(self):
+        # a new k discards the block's remaining steps; going back to the first
+        # k computes them anew from the history as it stands
+        medium, dt = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02
+        ks = [1.3] * 40 + [2.0] + [1.3] * 30
+        hist = initial_history(dt, s_max=10.0)
+        for kk in ks:
+            hist = step_history(medium, kk, hist, dt)
+        ref, _ = former_history(medium, ks, dt, len(ks), 10.0)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestHistoryIntegrator:
@@ -495,28 +550,33 @@ class TestHistoryIntegrator:
         calls = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
-        # one call per growth of the one live field's weights: sizes 1, 2, 4,
-        # ..., 4096 for lags up to 2999; nu(0) comes from value_at_zero()
-        growths = 1 + (steps - 1).bit_length()
+        # one call per growth of the one live field's weights: sizes 32, 64,
+        # ..., 4096 for the blocks' lags up to 3007; nu(0) comes from
+        # value_at_zero()
+        block = modal._HISTORY_BLOCK
+        reached = -(-steps // block) * block
+        growths = 1 + (reached - 1).bit_length() - (block - 1).bit_length()
+        assert growths == 8
         assert [order for _, _, order in calls] == [1] * growths
         assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
 
-    def test_errstate_only_at_weight_growths(self, monkeypatch):
-        # below the overflow bound a step enters no np.errstate, so the only
-        # entries are the weight growths: sizes 1, 2, ..., 4096 for each field
+    def test_errstate_once_per_block(self, monkeypatch):
+        # a step enters no np.errstate; each block enters it once, around its
+        # weight growths and sums: 93 blocks of 32 steps and one of 24 up to
+        # the horizon, and weight sizes 32, 64, ..., 2048, 3001 for each field
         entries = self._counting(monkeypatch, modal.np, "errstate")
         growths = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         self._run(MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 30.0, steps, dt=0.01)
-        assert len(growths) == 2 * (1 + (steps - 1).bit_length())
-        assert len(entries) == len(growths)
+        assert len(growths) == 2 * 8
+        assert len(entries) == -(-steps // modal._HISTORY_BLOCK) == 94
 
-    @pytest.mark.parametrize("power, guarded", [(1000, True), (900, False)])
-    def test_power_of_two_scaling_is_exact(self, monkeypatch, power, guarded):
+    @pytest.mark.parametrize("power", [1000, 900])
+    def test_power_of_two_scaling_is_exact_per_block(self, monkeypatch, power):
         # the scheme is linear, so a history started at E = 2^p is 2^p times the
-        # one started at E = 1, bit for bit.  At 2^1000 the bound
-        # (n + 1) max|w| max|f| exceeds 1e300 and the products run under
-        # np.errstate; at 2^900 it stays below.  Neither overflows or warns.
+        # one started at E = 1, bit for bit.  At 2^1000 the far sums come within
+        # a factor 2^20 of the float limit.  Neither overflows or warns, and
+        # np.errstate is entered once per block.
         medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
         steps = 3000
         unit = self._run(medium, 30.0, steps, dt=0.01)
@@ -526,8 +586,7 @@ class TestHistoryIntegrator:
             scaled = self._run(medium, 30.0, steps, dt=0.01, e0=2.0**power)
         for got, ref in ((scaled.e_past, unit.e_past), (scaled.h_past, unit.h_past)):
             assert got.view().tobytes() == (ref.view() * 2.0**power).tobytes()
-        growths = 2 * (1 + (steps - 1).bit_length())
-        assert len(entries) > steps + growths if guarded else len(entries) == growths
+        assert len(entries) == -(-steps // modal._HISTORY_BLOCK)
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
@@ -675,6 +734,30 @@ class TestMultimode:
         assert np.allclose(ks, [np.pi / 2, np.pi, 3 * np.pi / 2])
         amps = [a for _, a in modes]
         assert amps[0] == 1.0 and amps[1] == pytest.approx(2.0**-1.5)
+
+    @pytest.mark.parametrize("length, n_max, match", [
+        (0.0, 3, "^cavity length must be positive"),
+        (-1.0, 3, "^cavity length must be positive"),
+        (np.nan, 3, "^cavity length must be positive"),
+        (np.inf, 3, "^cavity length must be positive"),
+        (1.0, -3, "^n_max must be an integer from 1 to 1000000"),
+        (1.0, 0, "^n_max must be an integer from 1 to 1000000"),
+        (1.0, True, "^n_max must be an integer from 1 to 1000000"),
+        (1.0, 2.0, "^n_max must be an integer from 1 to 1000000"),
+        (1.0, modal.MAX_MODES + 1, "^n_max must be an integer from 1 to 1000000"),
+        (1e-320, 3, "^the largest wavenumber n_max pi / length is not finite"),
+    ], ids=["zero_length", "negative_length", "nan_length", "inf_length", "negative_n_max",
+            "zero_n_max", "bool_n_max", "float_n_max", "n_max_too_large", "k_overflows"])
+    def test_cavity_modes_rejects_bad_arguments(self, length, n_max, match):
+        with pytest.raises(ModalError, match=match):
+            cavity_modes(length, n_max)
+
+    def test_cavity_modes_takes_numpy_integers_up_to_the_bound(self, monkeypatch):
+        assert cavity_modes(1.0, np.int64(2)) == cavity_modes(1.0, 2)
+        monkeypatch.setattr(modal, "MAX_MODES", 5)
+        assert len(cavity_modes(1.0, 5)) == 5
+        with pytest.raises(ModalError, match="^n_max must be an integer from 1 to 5,"):
+            cavity_modes(1.0, 6)
 
     def test_superposition(self):
         medium = debye_medium()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,3 +91,24 @@ def test_bench_schema_rejects_a_spoiled_record(spoil):
     spoil(doc)
     with pytest.raises(ValueError, match="^BENCH record: "):
         bench.check_record(doc, benchmark)
+
+
+def test_bench_runs_each_tree_with_a_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # a stale __pycache__ in a tree must not be read: each run gets its own
+    # empty PYTHONPYCACHEPREFIX, removed when the run ends
+    bench, seen = _bench_module(), []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, cache, sorted(cache.iterdir())))
+        (cache / "written.pyc").write_bytes(b"")
+        return SimpleNamespace(stdout='{"decay_chain": {}}\n')
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    trees = [tmp_path / "parent", tmp_path / "change", tmp_path / "parent"]
+    for tree in trees:
+        assert bench.run_all(tree, 1, 0) == {"decay_chain": {}}
+    assert [cwd for cwd, _, _ in seen] == trees
+    assert all(entries == [] and not cache.exists() for _, cache, entries in seen)
+    assert len({cache for _, cache, _ in seen}) == 3
+    assert not any(tmp_path in cache.parents for _, cache, _ in seen)
