@@ -9,8 +9,8 @@ metrics), on the pinned seeds 1, 2 and 3.  The two trees alternate within each
 (seed, trace) pair, the parent first on odd seeds, so that drift of a shared
 host falls on both.  Each tree runs its own perfbench and src, and both must
 be clean git checkouts, so that each record names the commits it measured.
-Each run compiles into a fresh, empty bytecode cache of its own, so that no
-``__pycache__`` a tree holds is measured.
+Each run reads and writes bytecode only in a fresh, empty cache of its own,
+so that no ``__pycache__`` a tree holds is measured.
 The record holds the machine, the Python, numpy and scipy versions, both
 commits, every run's metrics, and each metric's median and quartiles per tree
 and workload.  ``check_record`` is the record's schema; the tests hold every
@@ -71,14 +71,18 @@ def environment() -> dict:
 def run_all(tree: Path, seed: int, trace: int) -> dict:
     """One ``run.py --workload all`` of the tree: {workload: run.py's last line}.
 
-    The run and its child interpreters keep bytecode only under a fresh, empty
-    PYTHONPYCACHEPREFIX, so no ``__pycache__`` of the tree is read, stale or
-    not, and every run compiles alike, whatever PYTHONDONTWRITEBYTECODE says.
+    The run and its child interpreters read and write bytecode only under a
+    fresh, empty PYTHONPYCACHEPREFIX, so no ``__pycache__`` of the tree is
+    read, stale or not.  Writing is allowed there even where
+    PYTHONDONTWRITEBYTECODE is set: otherwise every set-up interpreter would
+    compile numpy anew, and ``setup_s`` would time the compiler.  The first,
+    untimed set-up interpreter of run.py fills the cache.
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         out = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
                              check=True).stdout
     return json.loads(out.rstrip("\n").splitlines()[-1])

@@ -322,12 +322,17 @@ class HistoryState:
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
-    """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0)."""
+    """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0).
+
+    ModalError unless dt is finite and positive, s_max, e0 and h0 are finite,
+    and s_max / dt is finite."""
     if not (math.isfinite(dt) and dt > 0):
         raise ModalError(f"dt must be finite and positive, got {dt!r}")
     for name, value in (("s_max", s_max), ("e0", e0), ("h0", h0)):
         if not math.isfinite(value):
             raise ModalError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(s_max / dt):  # the horizon's step count, int((s_max + 1e-12) / dt)
+        raise ModalError(f"s_max must be a finite number of steps dt, got {s_max!r} / {dt!r}")
     return HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
 
 
@@ -418,8 +423,7 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
         g.append(0.5 * dt * float(w[0, -1]))
     pq = _step_matrix(medium, state._nu0, g, k, dt)
     P, Q = pq[:, :2], pq[:, 2:]
-    T = np.stack([Q[:, :3] @ near[0], Q[:, 3:] @ near[1]], axis=-1)  # (2, B, 2)
-    T = T.transpose(1, 0, 2).copy()
+    T = np.stack([(Q[:, :3] @ near[0]).T, (Q[:, 3:] @ near[1]).T], axis=-1)  # T_1..T_B
     T[0] += P
     gam = np.zeros((B + 1, 2, 2))  # Gamma_0..Gamma_(B - 1), and a zero block
     gam[0] = np.eye(2)

@@ -574,9 +574,9 @@ class TestHistoryIntegrator:
     @pytest.mark.parametrize("power", [1000, 900])
     def test_power_of_two_scaling_is_exact_per_block(self, monkeypatch, power):
         # the scheme is linear, so a history started at E = 2^p is 2^p times the
-        # one started at E = 1, bit for bit.  At 2^1000 the far sums come within
-        # a factor 2^20 of the float limit.  Neither overflows or warns, and
-        # np.errstate is entered once per block.
+        # one started at E = 1, bit for bit.  At 2^1000 the fields and their
+        # sums come near the float limit, 2^1024.  Neither overflows or warns,
+        # and np.errstate is entered once per block.
         medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
         steps = 3000
         unit = self._run(medium, 30.0, steps, dt=0.01)
@@ -631,6 +631,7 @@ class TestHistoryIntegrator:
         ("dt", dict(dt=np.nan)), ("dt", dict(dt=np.inf)), ("dt", dict(dt=0.0)), ("dt", dict(dt=-0.1)),
         ("s_max", dict(s_max=np.nan)), ("s_max", dict(s_max=np.inf)), ("s_max", dict(s_max=-np.inf)),
         ("e0", dict(e0=np.inf)), ("e0", dict(e0=np.nan)), ("h0", dict(h0=-np.inf)),
+        ("s_max", dict(dt=1e-300, s_max=1e300)),
     ])
     def test_initial_history_rejects_bad_arguments(self, name, kwargs):
         args = dict(dt=0.1, s_max=1.0) | kwargs

@@ -95,10 +95,13 @@ def test_bench_schema_rejects_a_spoiled_record(spoil):
 
 def test_bench_runs_each_tree_with_a_fresh_bytecode_cache(monkeypatch, tmp_path):
     # a stale __pycache__ in a tree must not be read: each run gets its own
-    # empty PYTHONPYCACHEPREFIX, removed when the run ends
+    # empty PYTHONPYCACHEPREFIX, may write bytecode there, and loses it when
+    # the run ends
     bench, seen = _bench_module(), []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
 
     def fake_run(argv, cwd, env, **kwargs):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
         cache = Path(env["PYTHONPYCACHEPREFIX"])
         seen.append((cwd, cache, sorted(cache.iterdir())))
         (cache / "written.pyc").write_bytes(b"")
