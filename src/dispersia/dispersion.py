@@ -16,10 +16,12 @@ Sampled kernels get a dense-grid check labelled as such, from one panel
 transform of nu'' for all its frequencies
 (``kernels.sampled_iw_real_part``).
 
-Each call computes what it needs of a kernel once, either the omega_form or
-the sampled real part on the 600-point grid and the 25-point tail grid of the
-exponent fit together, and shares it between the passivity, strict-passivity
-and exponent steps.
+Each call computes what it needs of a kernel once and shares it between the
+passivity, strict-passivity and exponent steps: an exp-poly kernel's
+omega_form, or a sampled kernel's real part as one array on the 600-point
+decision grid followed by the 25-point tail grid of the exponent fit.  A
+mixed pair reads its exact field on the same 625 points through
+``real_part``; ``certified`` is True exactly when both fields are exact.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -284,49 +286,35 @@ def _exponent(form: OmegaRational) -> Optional[int]:
 
 _SAMPLED_GRID = np.geomspace(1e-2, 1e3, 600)  # passivity and strict passivity
 _TAIL_GRID = np.geomspace(10.0, 60.0, 25)  # the exponent fit
-
-
-class SampledPart(NamedTuple):
-    """A sampled kernel's Re(i w L nu(i w)) on _SAMPLED_GRID and on _TAIL_GRID."""
-
-    grid: np.ndarray
-    tail: np.ndarray
+_GRIDS = np.concatenate([_SAMPLED_GRID, _TAIL_GRID])
+_SPLIT = _SAMPLED_GRID.size  # a field's values on _GRIDS split here into the two grids
 
 
 def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
-    """What the decisions need of each kernel, computed once per call.
+    """What the decisions need of each kernel, computed once per call: an
+    exponential-polynomial kernel's omega_form, or a sampled kernel's real
+    part on _GRIDS from one ``sampled_iw_real_part`` call."""
+    return tuple(omega_form(kernel) if isinstance(kernel, ExpPolyKernel)
+                 else sampled_iw_real_part(kernel, _GRIDS) for kernel in (nu_e, nu_h))
 
-    An exponential-polynomial kernel gives its omega_form; a sampled kernel
-    gives its real part on both frequency grids from one
-    ``sampled_iw_real_part`` call.
-    """
-    data = []
-    for kernel in (nu_e, nu_h):
-        if isinstance(kernel, ExpPolyKernel):
-            data.append(omega_form(kernel))
-        else:
-            vals = sampled_iw_real_part(kernel, np.concatenate([_SAMPLED_GRID, _TAIL_GRID]))
-            data.append(SampledPart(vals[:_SAMPLED_GRID.size], vals[_SAMPLED_GRID.size:]))
-    return tuple(data)
+
+def _on_grids(item) -> np.ndarray:
+    """A field's Re(i w L nu(i w)) on _GRIDS, an exact form's through ``real_part``."""
+    return item.real_part(_GRIDS) if isinstance(item, OmegaRational) else item
 
 
 def _passivity(data: tuple) -> PassivityReport:
     witnesses: list[float] = []
-    passive = True
-    certified = True
     for item in data:
         if isinstance(item, OmegaRational):
             witness = _negative_frequency(item)
-            if witness is not None:
-                passive = False
-                witnesses.append(witness)
         else:
-            certified = False
-            bad = item.grid < -1e-9
-            if np.any(bad):
-                passive = False
-                witnesses.append(float(_SAMPLED_GRID[np.argmax(bad)]))
-    return PassivityReport(passive=passive, witnesses=tuple(witnesses), certified=certified)
+            bad = item[:_SPLIT] < -1e-9
+            witness = float(_SAMPLED_GRID[np.argmax(bad)]) if np.any(bad) else None
+        if witness is not None:
+            witnesses.append(witness)
+    return PassivityReport(passive=not witnesses, witnesses=tuple(witnesses),
+                           certified=all(isinstance(item, OmegaRational) for item in data))
 
 
 def check_passivity(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
@@ -341,16 +329,13 @@ def _combined_numerator(fe: OmegaRational, fh: OmegaRational) -> list[int]:
 
 def _strict_passivity(data: tuple) -> PassivityReport:
     base = _passivity(data)
-    fe, fh = data
-    if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
-        vals = np.zeros_like(_SAMPLED_GRID)
-        for item in data:
-            vals += item.real_part(_SAMPLED_GRID) if isinstance(item, OmegaRational) else item.grid
+    if not base.certified:
+        vals = (_on_grids(data[0]) + _on_grids(data[1]))[:_SPLIT]
         strict = bool(np.all(vals > 0.0))
         witness = () if strict else (float(_SAMPLED_GRID[np.argmin(vals)]),)
         return replace(base, strictly_passive=strict and base.passive,
-                       witnesses=base.witnesses + witness, certified=False)
-    num = _combined_numerator(fe, fh)
+                       witnesses=base.witnesses + witness)
+    num = _combined_numerator(*data)
     # N is a field's own P when the other kernel is zero: reuse its isolated roots
     same = [form for form in data if form.p == num]
     roots = same[0]._roots if same else _positive_roots(num)
@@ -378,8 +363,7 @@ def decay_exponent(nu_e: Kernel, nu_h: Kernel) -> PassivityReport:
 
 def _decay_exponent(data: tuple, report: PassivityReport) -> PassivityReport:
     """decay_exponent on the kernel data and strict-passivity report of one call."""
-    fe, fh = data
-    if not (isinstance(fe, OmegaRational) and isinstance(fh, OmegaRational)):
+    if not report.certified:
         return _decay_exponent_sampled(data, report)
 
     # each P is 0 or has lc(P) > 0 (strict passivity) and lc(D) > 0, so N's leading
@@ -400,22 +384,17 @@ def _decay_exponent_sampled(data: tuple, report: PassivityReport) -> PassivityRe
     deficit, or for a sampled kernel the fit to its own tail) equals m.
     """
     wgrid = _TAIL_GRID
-    tails, own = [], []
-    for item in data:
-        if isinstance(item, SampledPart):
-            vals = item.tail
-            own.append(_fitted_exponent(wgrid, vals) if np.all(vals > 0) else None)
-        else:
-            vals = item.real_part(wgrid)
-            own.append(_exponent(item))
-        tails.append(vals)
+    tails = [_on_grids(item)[_SPLIT:] for item in data]
+    own = [_exponent(item) if isinstance(item, OmegaRational)
+           else _fitted_exponent(wgrid, vals) if np.all(vals > 0) else None
+           for item, vals in zip(data, tails)]
     total = tails[0] + tails[1]
     if np.any(total <= 0):
         raise PassivityError("sampled real part not positive at large frequency")
     m = _fitted_exponent(wgrid, total)
     sig_e, sig_h = (float(np.min(np.abs(wgrid) ** m * vals)) if field_m == m else 0.0
                     for vals, field_m in zip(tails, own))
-    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=10.0, certified=False)
+    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=10.0)
 
 
 def _fitted_exponent(wgrid: np.ndarray, vals: np.ndarray) -> int:

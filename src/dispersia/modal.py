@@ -53,8 +53,9 @@ class MediumSpec:
     nu_h: Kernel = ExpPolyKernel.zero()
 
     def __post_init__(self):
-        if self.eps <= 0 or self.mu <= 0:
-            raise ModalError("permittivity and permeability must be positive")
+        if not (0 < self.eps < math.inf and 0 < self.mu < math.inf):
+            raise ModalError("permittivity and permeability must be positive and finite, "
+                             f"got eps = {self.eps!r}, mu = {self.mu!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +84,14 @@ class ModeSystem:
         return 0.5 * (self.medium.eps * state[0] ** 2 + self.medium.mu * state[1] ** 2)
 
 
+def _wavenumber(k) -> float:
+    """k as a float; ModalError naming k unless it is finite and nonnegative."""
+    k = float(k)
+    if not 0.0 <= k < math.inf:
+        raise ModalError(f"mode wavenumber must be finite and nonnegative, got {k!r}")
+    return k
+
+
 def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     """Exact finite closure of the per-mode Volterra system.
 
@@ -100,13 +109,12 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     divided by eps and every entry of row 1 by mu, so the error names the
     first such row's divisor.
     """
-    if k < 0:
-        raise ModalError("mode wavenumber must be nonnegative")
+    k = _wavenumber(k)
     for kern in (medium.nu_e, medium.nu_h):
         if isinstance(kern, SampledKernel):
             raise ModalError("sampled kernels admit no finite closure; use step_history")
     # on Python floats an overflowing entry is inf, reported below, with no numpy warning
-    k, eps, mu = float(k), float(medium.eps), float(medium.mu)
+    eps, mu = float(medium.eps), float(medium.mu)
     entries = [(0, 0, -medium.nu_e.value_at_zero() / eps),  # (row, column, value)
                (1, 1, -medium.nu_h.value_at_zero() / mu), (0, 1, k / eps), (1, 0, -k / mu)]
     pos = 2
@@ -150,8 +158,9 @@ def _closure_stack(medium: MediumSpec, ks) -> np.ndarray:
     rewritten per mode; A[i] is bit-identical to build_mode(medium, ks[i]).A.
     """
     ks = np.asarray(ks, dtype=float)
-    if np.any(ks < 0):
-        raise ModalError("mode wavenumber must be nonnegative")
+    bad = ~((ks >= 0) & (ks < np.inf))
+    if bad.any():
+        _wavenumber(ks[bad][0])
     A = np.repeat(build_mode(medium, ks.max(initial=0.0)).A[np.newaxis], ks.size, axis=0)
     A[:, 0, 1] = ks / medium.eps
     A[:, 1, 0] = -ks / medium.mu
@@ -236,10 +245,12 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     lambda^2 (eps + L nu_E)(mu + L nu_H) + k^2 = 0, denominators cleared.
 
     The characteristic polynomial is assembled exactly in integers from
-    ``laplace_rational`` and the floats eps, mu and k, and rounded once."""
+    ``laplace_rational`` and the floats eps, mu and k (finite and
+    nonnegative, as in ``build_mode``), and rounded once."""
     for kern in (medium.nu_e, medium.nu_h):
         if isinstance(kern, SampledKernel):
             raise ModalError("dispersion relation needs exponential-polynomial kernels")
+    k = _wavenumber(k)
     # lambda (c + L nu) = (c_num lambda B + c_den A) / (c_den B) with c = c_num / c_den
     parts, dens = [], []
     for kern, coef in ((medium.nu_e, medium.eps), (medium.nu_h, medium.mu)):
@@ -504,7 +515,8 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     ``_next_block``), and each call takes one step of it.  The scheme is
     linear with lag weights that do not change in time, so a block is the
     same scheme, to rounding, as stepping one step at a time.  Every call
-    checks its arguments as before.  The step is state.dt, the grid spacing
+    checks its arguments as before; k must be finite and nonnegative, as in
+    ``build_mode``.  The step is state.dt, the grid spacing
     that the weights are built on; dt must match it to 1e-12 relative.
     Serves as the oracle for step_exact and is the only integrator available
     for sampled kernels.  Every step of one history takes the medium of its
@@ -518,6 +530,9 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         raise ModalError("dt must be positive")
     if not abs(dt - state.dt) <= 1e-12 * state.dt:
         raise ModalError("step size must match the history grid spacing")
+    k = float(k)
+    if k != state._k:  # the k of the block ahead passed this check
+        _wavenumber(k)
     if state.t + dt > state.s_max + 1e-12:
         raise HistoryTruncationError(
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
@@ -528,7 +543,6 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")
-    k = float(k)
     if not state._ahead or k != state._k:
         _next_block(state, medium, k)
         if not state._ahead:

@@ -262,6 +262,21 @@ class TestSampledPath:
         full = analyze(neg, ExpPolyKernel.zero())
         assert (full.passive, full.strictly_passive, full.certified) == (False, False, False)
 
+    def test_non_passive_exact_field_with_sampled_partner(self):
+        # the exact field's witness, then the grid minimum of the summed real parts
+        nu_e, nu_h = debye(-0.5, 2.0), GAUSSIAN
+        assert check_passivity(nu_e, nu_h) == dispersion.PassivityReport(
+            passive=False, witnesses=(1.0,), certified=False)
+        strict = dispersion.PassivityReport(passive=False, strictly_passive=False,
+                                            witnesses=(1.0, 0.5242428962312068), certified=False)
+        assert check_strict_passivity(nu_e, nu_h) == strict
+        assert analyze(nu_e, nu_h) == strict
+
+    def test_mixed_analyze_pinned(self):
+        assert analyze(GAUSSIAN, debye(0.5, 2.0)) == dispersion.PassivityReport(
+            passive=True, strictly_passive=True, m=0, sigma_E=1.0005564840635506,
+            sigma_H=0.49875311720698257, omega0=10.0, witnesses=(), certified=False)
+
     def test_gaussian_real_part_positive(self):
         for w in np.geomspace(0.01, 100, 60):
             assert (1j * w * laplace(GAUSSIAN, 1j * w)).real > 0

@@ -461,6 +461,20 @@ class TestBlockedSteps:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+    @pytest.mark.parametrize("limit", [40, 7, 1])
+    def test_far_sums_in_chunks(self, monkeypatch, limit):
+        # the far sums correlate the past in chunks of _CORRELATE_MAX samples;
+        # a small limit splits a 300-step history into many
+        monkeypatch.setattr(modal, "_CORRELATE_MAX", limit)
+        medium, dt, steps = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02, 300
+        hist = initial_history(dt, s_max=steps * dt)
+        for _ in range(steps):
+            hist = step_history(medium, 1.3, hist, dt)
+        ref, _ = former_history(medium, 1.3, dt, steps, steps * dt)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestHistoryIntegrator:
     def test_matches_exact_on_debye(self):
         medium = debye_medium()
@@ -910,3 +924,39 @@ class TestBlockedPropagation:
 def test_argument_checks(call, match):
     with pytest.raises(ModalError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call, k", [
+    (lambda k: build_mode(debye_medium(), k), np.nan),
+    (lambda k: build_mode(debye_medium(), k), np.inf),
+    (lambda k: build_modes(debye_medium(), [1.0, k]), np.inf),
+    (lambda k: build_modes(debye_medium(), [1.0, k]), np.nan),
+    (lambda k: run_multimode(debye_medium(), [(1.0, 1.0), (k, 1.0)], dt=0.1, T=1.0), np.nan),
+    (lambda k: dispersion_roots(debye_medium(), k), np.nan),
+    (lambda k: dispersion_roots(debye_medium(), k), np.inf),
+], ids=["build_mode_nan", "build_mode_inf", "build_modes_inf", "build_modes_nan",
+        "run_multimode_nan", "roots_nan", "roots_inf"])
+def test_non_finite_wavenumber(call, k):
+    with pytest.raises(ModalError, match=f"^mode wavenumber must be finite and nonnegative, "
+                                         f"got {k!r}$"):
+        call(k)
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, -1.0])
+def test_step_history_wavenumber(k):
+    # the check comes before the step: the history stays where it was
+    hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=1.0), 0.1)
+    with pytest.raises(ModalError, match=f"^mode wavenumber must be finite and nonnegative, "
+                                         f"got {k!r}$"):
+        step_history(debye_medium(), k, hist, 0.1)
+    assert hist.t == pytest.approx(0.1)
+    assert step_history(debye_medium(), 1.0, hist, 0.1).t == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("eps, mu", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_medium_non_finite_eps_mu(eps, mu):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModalError, match="^permittivity and permeability must be positive "
+                                             "and finite"):
+            MediumSpec(eps, mu, debye(), ZERO)
