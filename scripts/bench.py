@@ -11,10 +11,19 @@ host falls on both.  Each tree runs its own perfbench and src, and both must
 be clean git checkouts, so that each record names the commits it measured.
 Each run reads and writes bytecode only in a fresh, empty cache of its own,
 so that no ``__pycache__`` a tree holds is measured.
+
+It then times each CLI command in fresh interpreters (``time_commands``): a
+bare interpreter, ``import dispersia.cli``, ``analyze`` on a strictly passive
+Lorentz and on a non-passive Debye, ``simulate``, ``spectrum`` and ``fit``, on
+the configs in scripts/bench_configs/.  Every command runs once per tree to
+fill that tree's fresh bytecode cache, and then REPEATS times, the two trees
+interleaved command by command, the parent first on odd repeats.
+
 The record holds the machine, the Python, numpy and scipy versions, both
 commits, every run's metrics, and each metric's median and quartiles per tree
-and workload.  ``check_record`` is the record's schema; the tests hold every
-committed BENCH_*.json to it.
+and workload, and every command's times with their median and quartiles per
+tree.  ``check_record`` is the record's schema; the tests hold every committed
+BENCH_*.json to it.
 """
 
 import argparse
@@ -25,14 +34,37 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2  # 2 adds "commands"; records of schema 1 have none
 WORKLOADS = ("decay_chain", "verdict_sweep", "sampled_history")
 TREES = ("parent", "change")
 SEEDS = (1, 2, 3)
 SECONDS = 10.0
+
+CONFIGS = ROOT / "scripts" / "bench_configs"
+REPEATS = 21
+_CLI = ["-c", "import sys; from dispersia.cli import main; sys.exit(main())"]
+# name: (interpreter arguments, exit code); {configs} is CONFIGS and {out} a
+# directory of the tree's own, and fit reads the trace that simulate wrote
+COMMANDS = {
+    "bare": (["-c", "pass"], 0),
+    "import": (["-c", "import dispersia.cli"], 0),
+    "analyze_passive": (_CLI + ["analyze", "--config", "{configs}/lorentz.json",
+                                "--out", "{out}/lorentz.json"], 0),
+    "analyze_nonpassive": (_CLI + ["analyze", "--config", "{configs}/debye_negative.json",
+                                   "--out", "{out}/debye_negative.json"], 3),
+    "simulate": (_CLI + ["simulate", "--config", "{configs}/run.json",
+                         "--out", "{out}/trace.csv"], 0),
+    "spectrum": (_CLI + ["spectrum", "--config", "{configs}/sweep.json",
+                         "--out", "{out}/spectrum.csv"], 0),
+    "fit": (_CLI + ["fit", "{out}/trace.csv", "--window", "5,50", "--out", "{out}/fit.json"], 0),
+}
+# as perfbench/run.py sets them for its own set-up interpreters
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -109,6 +141,54 @@ def summarize(runs: list) -> dict:
                    for wl, ms in wls.items()} for tree, wls in values.items()}
 
 
+def time_commands(trees: dict, repeats: int = REPEATS) -> dict:
+    """Seconds of each fresh interpreter of COMMANDS: {tree: {command: [repeats times]}}.
+
+    Each tree runs its own src, with bytecode read and written only in a
+    fresh cache of its own; the first, untimed run of every command fills it.
+    A command that exits with another code than COMMANDS names is a SystemExit.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-commands-") as tmp:
+        envs, argvs = {}, {}
+        for label, tree in trees.items():
+            work = Path(tmp) / label
+            (work / "cache").mkdir(parents=True)
+            env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
+                       PYTHONPYCACHEPREFIX=str(work / "cache"))
+            env.update(dict.fromkeys(BLAS_VARS, "1"))
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            envs[label] = env
+            argvs[label] = {name: [sys.executable] + [a.format(configs=CONFIGS, out=work)
+                                                      for a in args]
+                            for name, (args, _) in COMMANDS.items()}
+
+        def timed(label: str, name: str) -> float:
+            start = time.perf_counter()
+            code = subprocess.run(argvs[label][name], env=envs[label], cwd=trees[label],
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            seconds = time.perf_counter() - start
+            if code != COMMANDS[name][1]:
+                raise SystemExit(f"bench: {name} of the {label} tree exited with {code}")
+            return seconds
+
+        for label in trees:
+            for name in COMMANDS:
+                timed(label, name)
+        times = {label: {name: [] for name in COMMANDS} for label in trees}
+        for i in range(repeats):
+            order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+            for name in COMMANDS:
+                for label in order:
+                    times[label][name].append(timed(label, name))
+    return times
+
+
+def summarize_commands(times: dict) -> dict:
+    """{tree: {command: quartiles}}."""
+    return {label: {name: quartiles(v) for name, v in cmds.items()}
+            for label, cmds in times.items()}
+
+
 def record(change: int, trees: dict) -> dict:
     revisions = {label: revision(tree) for label, tree in trees.items()}
     runs = []
@@ -122,23 +202,30 @@ def record(change: int, trees: dict) -> dict:
                                  "workload": workload, "correct": line["correct"],
                                  "attempted": line["attempted"], "failed": line["failed"],
                                  "metrics": {k: v["value"] for k, v in line["metrics"].items()}})
+    print("bench: commands", file=sys.stderr, flush=True)
+    times = time_commands(trees)
     return {"schema": SCHEMA, "change": change, "revisions": revisions,
             **environment(), "seeds": list(SEEDS), "seconds": SECONDS,
             "command": "perfbench/run.py --workload all --seed S --seconds T --trace {0,1}",
-            "runs": runs, "summary": summarize(runs)}
+            "runs": runs, "summary": summarize(runs),
+            "commands": {"repeats": REPEATS,
+                         "argv": {name: args for name, (args, _) in COMMANDS.items()},
+                         "exit": {name: code for name, (_, code) in COMMANDS.items()},
+                         "times": times, "summary": summarize_commands(times)}}
 
 
 def check_record(doc: dict, benchmark: dict) -> None:
     """Raise ValueError unless doc has the schema of a BENCH_*.json record.
 
-    Checks keys and types, and that every run carries exactly the metric
-    names that BENCHMARK.json declares for its mode; not the numbers.
+    Checks keys and types, that every run carries exactly the metric names
+    that BENCHMARK.json declares for its mode, and from schema 2 on that
+    every command of COMMANDS has its times per tree; not the numbers.
     """
     def need(cond, what):
         if not cond:
             raise ValueError(f"BENCH record: {what}")
 
-    need(doc.get("schema") == SCHEMA, f"schema must be {SCHEMA}")
+    need(doc.get("schema") in range(1, SCHEMA + 1), f"schema must be 1 to {SCHEMA}")
     need(type(doc.get("change")) is int and doc["change"] >= 0, "change must be a PR number")
     for key in ("python", "numpy"):
         need(isinstance(doc.get(key), str), f"{key} must be a version string")
@@ -179,6 +266,26 @@ def check_record(doc: dict, benchmark: dict) -> None:
     need(len(seen) == len(TREES) * len(seeds) * 2 * len(WORKLOADS),
          "every tree, seed, mode and workload needs one run")
     need(doc.get("summary") == summarize(runs), "summary must be summarize(runs)")
+    if doc["schema"] < 2:
+        return
+    commands = doc.get("commands")
+    need(isinstance(commands, dict), "commands must be an object")
+    repeats = commands.get("repeats")
+    need(type(repeats) is int and repeats > 0, "commands.repeats must be a positive integer")
+    for key in ("argv", "exit"):
+        need(isinstance(commands.get(key), dict) and set(commands[key]) == set(COMMANDS),
+             f"commands.{key} must name every command of COMMANDS")
+    times = commands.get("times")
+    need(isinstance(times, dict) and set(times) == set(TREES), "commands.times must name both trees")
+    for label, cmds in times.items():
+        need(isinstance(cmds, dict) and set(cmds) == set(COMMANDS),
+             f"commands.times.{label} must name every command of COMMANDS")
+        for name, values in cmds.items():
+            need(isinstance(values, list) and len(values) == repeats
+                 and all(isinstance(v, (int, float)) and v > 0 for v in values),
+                 f"commands.times.{label}.{name} must hold {repeats} positive seconds")
+    need(commands.get("summary") == summarize_commands(times),
+         "commands.summary must be summarize_commands(commands.times)")
 
 
 def main(argv=None) -> int:

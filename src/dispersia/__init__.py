@@ -1,87 +1,40 @@
 """dispersia: passivity certification and modal energy-decay simulation
-for Maxwell media with dispersive memory kernels."""
+for Maxwell media with dispersive memory kernels.
 
-from .kernels import (
-    GAUSSIAN,
-    CertificationFailure,
-    ClassKCertificate,
-    DampedTerm,
-    ExpPolyKernel,
-    KernelError,
-    NotInClassK,
-    SampledKernel,
-    certify_class_K,
-    debye,
-    drude,
-    eval_kernel,
-    laplace,
-    lorentz,
-)
-from .dispersion import (
-    OmegaRational,
-    PassivityError,
-    PassivityReport,
-    analyze,
-    check_passivity,
-    check_strict_passivity,
-    decay_exponent,
-    omega_form,
-)
-from .modal import (
-    EnergyTrace,
-    HistoryState,
-    MediumSpec,
-    ModeSystem,
-    build_mode,
-    build_modes,
-    cavity_modes,
-    dispersion_roots,
-    initial_history,
-    run_multimode,
-    spectral_abscissa,
-    step_exact,
-    step_history,
-)
-from .decay import DecayReport, ExpectedDecay, fit_decay, predict
+Every name of ``__all__``, and every submodule, is loaded on first access
+(PEP 562), so ``import dispersia`` loads no numpy: ``dispersia.analyze``
+imports ``dispersia.dispersion``, ``dispersia.run_multimode`` imports
+``dispersia.modal`` and numpy with it.  A name always reads its home
+module's current binding.
+"""
 
-__all__ = [
-    "GAUSSIAN",
-    "CertificationFailure",
-    "ClassKCertificate",
-    "DampedTerm",
-    "DecayReport",
-    "EnergyTrace",
-    "ExpPolyKernel",
-    "ExpectedDecay",
-    "HistoryState",
-    "KernelError",
-    "MediumSpec",
-    "ModeSystem",
-    "NotInClassK",
-    "OmegaRational",
-    "PassivityError",
-    "PassivityReport",
-    "SampledKernel",
-    "analyze",
-    "build_mode",
-    "build_modes",
-    "cavity_modes",
-    "certify_class_K",
-    "check_passivity",
-    "check_strict_passivity",
-    "debye",
-    "decay_exponent",
-    "dispersion_roots",
-    "drude",
-    "eval_kernel",
-    "fit_decay",
-    "initial_history",
-    "laplace",
-    "lorentz",
-    "omega_form",
-    "predict",
-    "run_multimode",
-    "spectral_abscissa",
-    "step_exact",
-    "step_history",
-]
+import importlib
+
+_HOMES = {
+    "kernels": ("GAUSSIAN", "CertificationFailure", "ClassKCertificate", "DampedTerm",
+                "ExpPolyKernel", "KernelError", "NotInClassK", "SampledKernel",
+                "certify_class_K", "debye", "drude", "eval_kernel", "laplace", "lorentz"),
+    "dispersion": ("OmegaRational", "PassivityError", "PassivityReport", "analyze",
+                   "check_passivity", "check_strict_passivity", "decay_exponent", "omega_form"),
+    "medium": ("MediumSpec",),
+    "modal": ("EnergyTrace", "HistoryState", "ModeSystem", "build_mode", "build_modes",
+              "cavity_modes", "dispersion_roots", "initial_history", "run_multimode",
+              "spectral_abscissa", "step_exact", "step_history"),
+    "decay": ("DecayReport", "ExpectedDecay", "fit_decay", "predict"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = ("cli", "decay", "dispersion", "io", "kernels", "medium", "modal")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -7,6 +7,11 @@ Exit codes:
   3 passivity failure
   4 unsupported kernel type for the requested command
   5 inconclusive decay fit
+
+The numeric modules load in the commands that use them: ``simulate`` and
+``spectrum`` import ``modal``, ``fit`` imports ``decay``, and numpy comes with
+them.  Parsing arguments and configs, and ``analyze`` on a medium that is not
+strictly passive, import no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import os
 import sys
 from functools import lru_cache
 
-from . import decay, dispersion, io, kernels, modal
+from . import dispersion, io, kernels
+from .medium import MediumSpec, ModalError
 
 log = logging.getLogger("dispersia")
 
@@ -74,7 +80,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_exp_poly(medium: modal.MediumSpec, what: str) -> bool:
+def _require_exp_poly(medium: MediumSpec, what: str) -> bool:
     """Report the first kernel without a finite closure; the modal commands need one."""
     for which, kernel in (("nu_e", medium.nu_e), ("nu_h", medium.nu_h)):
         if not isinstance(kernel, kernels.ExpPolyKernel):
@@ -88,6 +94,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = io.parse_simulate_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "simulation"):
         return EXIT_UNSUPPORTED
+    from . import modal
+
     trace = modal.run_multimode(
         config.medium,
         list(config.modes),
@@ -104,6 +112,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     config = io.parse_spectrum_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "spectrum"):
         return EXIT_UNSUPPORTED
+    from . import modal
+
     rows = []
     for k, system in zip(config.k_values, modal.build_modes(config.medium, config.k_values)):
         abscissa, eigs = modal.spectral_abscissa(system)
@@ -115,6 +125,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     trace = io.read_trace(args.trace)
     window = _parse_window(args.window)
+    from . import decay
+
     try:
         report = decay.fit_decay(trace, window)
     except decay.UnusableTrace as exc:
@@ -182,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     except kernels.KernelError as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_CERT
-    except modal.ModalError as exc:
+    except ModalError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -22,17 +22,19 @@ omega_form, or a sampled kernel's real part as one array on the 600-point
 decision grid followed by the 25-point tail grid of the exponent fit.  A
 mixed pair reads its exact field on the same 625 points through
 ``real_part``; ``certified`` is True exactly when both fields are exact.
+
+Importing this module loads no numpy.  The exact decisions run on Python
+ints; numpy is imported where arrays first appear: sigma's frequency grid of
+a strictly passive exact medium, and the sampled grids, built on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .kernels import (
     ExpPolyKernel,
@@ -44,6 +46,9 @@ from .kernels import (
     laplace_rational,
     sampled_iw_real_part,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PassivityError(KernelError):
@@ -284,23 +289,29 @@ def _exponent(form: OmegaRational) -> Optional[int]:
     return 2 * (len(form.d) - len(form.p)) if any(form.p) else None
 
 
-_SAMPLED_GRID = np.geomspace(1e-2, 1e3, 600)  # passivity and strict passivity
-_TAIL_GRID = np.geomspace(10.0, 60.0, 25)  # the exponent fit
-_GRIDS = np.concatenate([_SAMPLED_GRID, _TAIL_GRID])
-_SPLIT = _SAMPLED_GRID.size  # a field's values on _GRIDS split here into the two grids
+_SPLIT = 600  # a field's values on _grids() split here into the two grids
+
+
+@lru_cache(maxsize=1)
+def _grids() -> np.ndarray:
+    """The 600-point decision grid of passivity and strict passivity, then the
+    25-point tail grid of the exponent fit, as one array built on first use."""
+    import numpy as np
+
+    return np.concatenate([np.geomspace(1e-2, 1e3, _SPLIT), np.geomspace(10.0, 60.0, 25)])
 
 
 def _kernel_data(nu_e: Kernel, nu_h: Kernel) -> tuple:
     """What the decisions need of each kernel, computed once per call: an
     exponential-polynomial kernel's omega_form, or a sampled kernel's real
-    part on _GRIDS from one ``sampled_iw_real_part`` call."""
+    part on _grids() from one ``sampled_iw_real_part`` call."""
     return tuple(omega_form(kernel) if isinstance(kernel, ExpPolyKernel)
-                 else sampled_iw_real_part(kernel, _GRIDS) for kernel in (nu_e, nu_h))
+                 else sampled_iw_real_part(kernel, _grids()) for kernel in (nu_e, nu_h))
 
 
 def _on_grids(item) -> np.ndarray:
-    """A field's Re(i w L nu(i w)) on _GRIDS, an exact form's through ``real_part``."""
-    return item.real_part(_GRIDS) if isinstance(item, OmegaRational) else item
+    """A field's Re(i w L nu(i w)) on _grids(), an exact form's through ``real_part``."""
+    return item.real_part(_grids()) if isinstance(item, OmegaRational) else item
 
 
 def _passivity(data: tuple) -> PassivityReport:
@@ -310,7 +321,7 @@ def _passivity(data: tuple) -> PassivityReport:
             witness = _negative_frequency(item)
         else:
             bad = item[:_SPLIT] < -1e-9
-            witness = float(_SAMPLED_GRID[np.argmax(bad)]) if np.any(bad) else None
+            witness = float(_grids()[bad.argmax()]) if bad.any() else None
         if witness is not None:
             witnesses.append(witness)
     return PassivityReport(passive=not witnesses, witnesses=tuple(witnesses),
@@ -331,8 +342,8 @@ def _strict_passivity(data: tuple) -> PassivityReport:
     base = _passivity(data)
     if not base.certified:
         vals = (_on_grids(data[0]) + _on_grids(data[1]))[:_SPLIT]
-        strict = bool(np.all(vals > 0.0))
-        witness = () if strict else (float(_SAMPLED_GRID[np.argmin(vals)]),)
+        strict = bool((vals > 0.0).all())
+        witness = () if strict else (float(_grids()[vals.argmin()]),)
         return replace(base, strictly_passive=strict and base.passive,
                        witnesses=base.witnesses + witness)
     num = _combined_numerator(*data)
@@ -370,8 +381,10 @@ def _decay_exponent(data: tuple, report: PassivityReport) -> PassivityReport:
     # terms cannot cancel: m = 2 (deg D_E D_H - deg N) is the least field exponent
     m = min(e for e in map(_exponent, data) if e is not None)
     omega0 = _beyond([r for form in data if any(form.p) for r in form._roots])
+    import numpy as np  # sigma's grid: the exact path's one use of numpy
+
     wgrid = np.geomspace(omega0, 1e4, 4000)
-    sig_e, sig_h = (float(np.min(wgrid ** m * form.real_part(wgrid)))
+    sig_e, sig_h = (float((wgrid ** m * form.real_part(wgrid)).min())
                     if _exponent(form) == m else 0.0 for form in data)
     return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=omega0)
 
@@ -383,22 +396,24 @@ def _decay_exponent_sampled(data: tuple, report: PassivityReport) -> PassivityRe
     path's rule, nonzero only when that field's own exponent (its degree
     deficit, or for a sampled kernel the fit to its own tail) equals m.
     """
-    wgrid = _TAIL_GRID
+    wgrid = _grids()[_SPLIT:]
     tails = [_on_grids(item)[_SPLIT:] for item in data]
     own = [_exponent(item) if isinstance(item, OmegaRational)
-           else _fitted_exponent(wgrid, vals) if np.all(vals > 0) else None
+           else _fitted_exponent(wgrid, vals) if (vals > 0).all() else None
            for item, vals in zip(data, tails)]
     total = tails[0] + tails[1]
-    if np.any(total <= 0):
+    if (total <= 0).any():
         raise PassivityError("sampled real part not positive at large frequency")
     m = _fitted_exponent(wgrid, total)
-    sig_e, sig_h = (float(np.min(np.abs(wgrid) ** m * vals)) if field_m == m else 0.0
+    sig_e, sig_h = (float((abs(wgrid) ** m * vals).min()) if field_m == m else 0.0
                     for vals, field_m in zip(tails, own))
     return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=10.0)
 
 
 def _fitted_exponent(wgrid: np.ndarray, vals: np.ndarray) -> int:
     """m from the log-log slope of a positive tail, vals ~ |w|^-m."""
+    import numpy as np
+
     slope = np.polyfit(np.log(wgrid), np.log(vals), 1)[0]
     return max(0, int(round(-slope)))
 

@@ -2,6 +2,9 @@
 
 Each output (report, trace, spectrum table) has one writer; writes are atomic
 (temp file + rename) so a failed run never leaves a partial output behind.
+Parsing a kernel or an analyze config needs no numpy: numpy is imported by
+the trace formatter and reader and by a k_range grid, and ``modal`` by the
+cavity and trace-length checks of a run config.
 """
 
 from __future__ import annotations
@@ -13,20 +16,15 @@ import os
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from .kernels import ExpPolyKernel, Kernel, KernelError, SampledKernel
+from .medium import MediumSpec, ModalError
 
-from .dispersion import PassivityReport
-from .decay import DecayReport
-from .kernels import (
-    BUILTIN_SAMPLED,
-    ExpPolyKernel,
-    Kernel,
-    KernelError,
-    SampledKernel,
-)
-from .modal import EnergyTrace, MediumSpec, ModalError, cavity_modes, _trace_rows
+if TYPE_CHECKING:
+    from .decay import DecayReport
+    from .dispersion import PassivityReport
+    from .modal import EnergyTrace
 
 
 # The most cavity modes, k_range wavenumbers or trace rows a config may imply,
@@ -135,6 +133,8 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
         except KernelError as exc:
             raise ParseError(f"{where}.terms", str(exc)) from exc
     if ktype == "sampled_builtin":
+        from .kernels import BUILTIN_SAMPLED
+
         name = doc.get("name")
         if not isinstance(name, str):
             raise ParseError(f"{where}.name", f"expected a string, got {name!r}")
@@ -246,8 +246,10 @@ def _parse_modes(doc: dict) -> tuple[tuple[float, float], ...]:
         raise ParseError("cavity", "expected an object")
     length = _positive(_require(cav, "length", "cavity"), "cavity.length")
     n_max = _count(_require(cav, "n_max", "cavity"), "cavity.n_max")
+    from . import modal
+
     try:
-        return tuple(cavity_modes(length, n_max))
+        return tuple(modal.cavity_modes(length, n_max))
     except ModalError as exc:  # length and n_max are checked: the largest k is not finite
         raise ParseError("cavity.length", str(exc)) from exc
 
@@ -278,8 +280,10 @@ def parse_simulate_config(doc: dict, base_dir: Path) -> SimulateConfig:
     if T <= dt:
         raise ParseError("T", f"must exceed dt ({dt})")
     stride = _count(doc.get("output_stride", 1), "output_stride")
+    from . import modal
+
     try:
-        rows = _trace_rows(T, dt, stride)
+        rows = modal._trace_rows(T, dt, stride)
     except ModalError:  # T / dt not finite, or more rows than an array can hold
         rows = math.inf
     if rows > MAX_COUNT:
@@ -309,6 +313,8 @@ def parse_spectrum_config(doc: dict, base_dir: Path) -> SpectrumConfig:
             raise ParseError("k_range.num", "must be an integer >= 2")
         if k_max <= k_min:
             raise ParseError("k_range.k_max", "must exceed k_min")
+        import numpy as np
+
         ks = tuple(np.linspace(k_min, k_max, num))
     else:
         raise ParseError("config", "one of 'k_values' or 'k_range' is required")
@@ -337,6 +343,8 @@ _FORMAT_CHUNK = 1024  # trace rows turned into Python floats at a time
 
 
 def format_trace(trace: EnergyTrace) -> str:
+    import numpy as np
+
     columns = [trace.times, trace.energy]
     if trace.history_norm is None:
         row = "%.17g,%.17g,0\n"  # what %.17g makes of the reserved column's 0.0
@@ -364,6 +372,10 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
             raise ParseError("trace", f"not UTF-8 text: {exc}") from exc
         if header != TRACE_HEADER:
             raise ParseError("trace", f"bad header {header!r}, expected {TRACE_HEADER!r}")
+        import numpy as np
+
+        from .modal import EnergyTrace
+
         try:
             # the first line with a row on it; numpy warns on input without one
             first = next((line for line in f if line.split("#", 1)[0].strip()), None)

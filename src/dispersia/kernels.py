@@ -7,10 +7,13 @@ reals.  The family is closed under differentiation, so an exp-poly class-K
 certificate is read off the terms of nu'' in closed form.  ``SampledKernel``
 wraps a black-box evaluator together with a user-supplied exponential bound
 on the second derivative; its Laplace values come from one Filon-Legendre
-panel transform: the sampled function is interpolated at 16 Gauss-Legendre
-nodes on panels chosen from it alone, and each panel is integrated against
-e^{-i w s} exactly, for a whole array of frequencies at once.  Nothing here
-uses scipy.
+panel transform (``dispersia._sampled``).  Nothing here uses scipy.
+
+Parsing, the exact derivative, ``certify_class_K`` and ``laplace_rational``
+of an exp-poly kernel run on Python floats and ints, so importing this
+module loads no numpy.  Evaluation on arrays imports numpy when first called,
+and the sampled path, with the builtin ``GAUSSIAN`` and ``BUILTIN_SAMPLED``,
+is imported from ``dispersia._sampled`` on first use.
 """
 
 from __future__ import annotations
@@ -20,10 +23,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from numbers import Real
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+if TYPE_CHECKING:
+    import numpy as np
+
+_SAMPLED_NAMES = ("GAUSSIAN", "BUILTIN_SAMPLED")
+
+
+def __getattr__(name: str):
+    # the builtin sampled kernels live with the sampled path, loaded on first use
+    if name in _SAMPLED_NAMES:
+        from . import _sampled
+
+        return getattr(_sampled, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class KernelError(ValueError):
@@ -124,6 +138,9 @@ class ExpPolyKernel:
         """nu at t, or its derivative of that order (term-wise, cached); a float t gives a float."""
         if order:
             return _nth_derivative(self, order)(t)
+        import numpy as np
+        from numpy.polynomial import polynomial as npoly
+
         t = np.asarray(t, dtype=float)
         out = np.full(t.shape, float(self.offset), dtype=float)
         for term in self.terms:
@@ -138,6 +155,8 @@ class ExpPolyKernel:
 
         The constant offset is *not* included.
         """
+        import numpy as np
+
         for t in self.terms:
             p, q = np.asarray(t.p, dtype=complex), np.asarray(t.q, dtype=complex)
             if t.y == 0:
@@ -155,7 +174,8 @@ class ExpPolyKernel:
     def from_complex_terms(terms) -> "ExpPolyKernel":
         """Fold a conjugate-closed list of (complex poly coeffs, z) into real form.
 
-        The coefficients are a list or array of numbers, or one number.  A
+        The coefficients are a list, tuple or 1-d array of numbers, or one
+        number (a numpy scalar or a 0-d array too).  A
         term with z == 0 is only admissible as a real constant (degree 0 once
         trailing zeros are dropped); it becomes the kernel offset, summed
         exactly (a Fraction when the float sum would round, so that Drude
@@ -165,7 +185,11 @@ class ExpPolyKernel:
         constants: list[float] = []
         pending: list[tuple[list[complex], complex]] = []
         for coeffs, z in terms:
-            c = [complex(v) for v in coeffs] if np.iterable(coeffs) else [complex(coeffs)]
+            try:
+                values = iter(coeffs)
+            except TypeError:  # one number: iterating a scalar or a 0-d array fails
+                values = (coeffs,)
+            c = [complex(v) for v in values]
             z = complex(z)
             if z == 0:
                 while len(c) > 1 and c[-1] == 0:
@@ -252,30 +276,13 @@ class SampledKernel:
             raise KernelError(f"delta={self.delta} is too small: 60/delta overflows")
 
     def __call__(self, t, order: int = 0):
+        import numpy as np
+
         return self.evaluator(np.asarray(t, dtype=float), order)
 
     def value_at_zero(self) -> float:
         return float(self(0.0, 0))
 
-
-def _gaussian_eval(t: np.ndarray, order: int) -> np.ndarray:
-    # e^{-t^2} is 0.0 beyond |t| = 27.3, so clipping at 40 changes no value and
-    # keeps t^2 finite where it would overflow (and 0 * inf give NaN)
-    t = np.clip(t, -40.0, 40.0)
-    g = np.exp(-(t**2))
-    if order == 0:
-        return g
-    if order == 1:
-        return -2.0 * t * g
-    return (4.0 * t**2 - 2.0) * g
-
-
-# max_t |(4 t^2 - 2) e^{-t^2}| e^t = 3.3414 at t = 1.428, so C = 3.4 leaves margin
-GAUSSIAN = SampledKernel(_gaussian_eval, C=3.4, delta=1.0, name="gaussian")
-
-BUILTIN_SAMPLED: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "gaussian": _gaussian_eval,
-}
 
 Kernel = Union[ExpPolyKernel, SampledKernel]
 
@@ -302,6 +309,8 @@ def eval_kernel(kernel: Kernel, t, order: int = 0):
     """
     if order not in (0, 1, 2):
         raise KernelError(f"order must be 0, 1 or 2, got {order}")
+    import numpy as np
+
     tarr = np.asarray(t, dtype=float)
     if np.any(tarr < 0):
         raise KernelError("kernel evaluation requires t >= 0")
@@ -321,22 +330,9 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     spot-checked; a non-finite sample fails the certificate.
     """
     if isinstance(kernel, SampledKernel):
-        horizon = 50.0 / kernel.delta
-        tgrid = np.concatenate(([0.0], np.geomspace(1e-6, horizon, 2000)))
-        samples = np.abs(kernel(tgrid, 2))
-        if not np.all(np.isfinite(samples)):
-            bad = float(tgrid[~np.isfinite(samples)][0])
-            raise CertificationFailure(f"kernel evaluator returned a non-finite nu'' at t={bad:.6g}",
-                                       bad)
-        excess = samples - kernel.C * np.exp(-kernel.delta * tgrid)
-        worst = int(np.argmax(excess))
-        if excess[worst] > 1e-9:
-            raise CertificationFailure(
-                f"claimed bound C={kernel.C}, delta={kernel.delta} violated at "
-                f"t={tgrid[worst]:.6g} by {excess[worst]:.3g}",
-                float(tgrid[worst]),
-            )
-        return ClassKCertificate(kernel.C, kernel.delta)
+        from ._sampled import certify
+
+        return certify(kernel)
 
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError(f"unknown kernel type {type(kernel)!r}")
@@ -355,154 +351,17 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
         terms = _nth_derivative(kernel, 2).terms
     except KernelError:  # a coefficient of nu'' overflows, and so does C
         terms, C = (), math.inf
-    with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
+    try:
         for t in terms:
-            ell = np.arange(t.degree + 1)
-            size = np.hypot(t.p, t.q)
+            scale = (abs(t.x) - delta) * math.e
             # sup_s s^l e^{-(|x| - delta) s} = (l / ((|x| - delta) e))^l, with 0^0 = 1
-            peak = (ell / ((abs(t.x) - delta) * math.e)) ** ell
-            C += float(size @ peak)
+            C += sum(math.hypot(p, q) * ((ell / scale) ** ell if ell else 1.0)
+                     for ell, (p, q) in enumerate(zip(t.p, t.q)))
+    except (OverflowError, ZeroDivisionError):  # a peak beyond the float range, or
+        C = math.inf  # (|x| - delta) e rounded to 0
     if not math.isfinite(C):
         raise NotInClassK(f"the bound C on |nu''| e^{{delta t}} overflows at delta={delta:.6g}")
     return ClassKCertificate(C, delta)
-
-
-# The 16-point Gauss-Legendre rule on [-1, 1] of the Filon-Legendre panels,
-# tabulated from numpy's leggauss(16): computing it calls LAPACK, whose
-# workspace would then stay resident in every process.
-_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                  0.9445750230732326, 0.9894009349916499)
-_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                    0.062253523938647456, 0.027152459411754176)
-_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
-_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
-_BLOCK_PANELS = 128  # Filon panels per sampled-function call, so memory stays bounded
-
-
-def _legendre_table(x: np.ndarray) -> np.ndarray:
-    """P_0 .. P_15 at x, one row per degree, by Bonnet's recurrence."""
-    table = np.ones((_GL_NODES.size, x.size))
-    table[1] = x
-    for n in range(1, _GL_NODES.size - 1):
-        table[n + 1] = ((2 * n + 1) * x * table[n] - n * table[n - 1]) / (n + 1)
-    return table
-
-
-# c = samples @ _TO_LEGENDRE: the Legendre coefficients c_n = (n + 1/2) sum_k
-# w_k P_n(x_k) g(x_k) of the degree-15 interpolant of g at the 16 nodes x_k
-_TO_LEGENDRE = ((np.arange(_GL_NODES.size) + 0.5)[:, None]
-                * _legendre_table(_GL_NODES) * _GL_WEIGHTS).T
-_FILON_TOL = 1e-15  # accepted |c_14|, |c_15| of a panel, relative to the largest sample
-_MAX_BISECTIONS = 50  # bisections of a first-level panel before it is accepted as is
-_MILLER_START = 60  # first index of the backward recurrence, well above 15 + 16
-
-
-def _spherical_jn(x: np.ndarray) -> np.ndarray:
-    """j_0(x) .. j_15(x) for x >= 0, shape x.shape + (16,), in numpy only.
-
-    For x >= 16 > n the forward recurrence j_(n+1) = (2n + 1)/x j_n - j_(n-1)
-    from j_0 = sin x / x and j_1 = (j_0 - cos x) / x is stable.  Below, Miller's
-    backward recurrence runs from index _MILLER_START, rescaled against
-    overflow, and is normalized by sum_n (2n + 1) j_n^2 = 1, which, unlike
-    j_0, never vanishes; the sign is the one that agrees with j_0 and j_1.
-    Positive arguments below 1e-200 are read as 1e-200, which moves j_n by less
-    than 1e-200 and keeps (2n + 1)/x finite; at x = 0, j_0 = 1 and j_n = 0
-    exactly, so a real Laplace argument gives a real transform.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (_GL_NODES.size,))
-    big = x >= _GL_NODES.size
-    xb = x[big]
-    fwd = np.empty(xb.shape + (_GL_NODES.size,))
-    fwd[:, 0] = np.sin(xb) / xb
-    fwd[:, 1] = (fwd[:, 0] - np.cos(xb)) / xb
-    for n in range(1, _GL_NODES.size - 1):
-        fwd[:, n + 1] = (2 * n + 1) / xb * fwd[:, n] - fwd[:, n - 1]
-    out[big] = fwd
-
-    xs = np.maximum(x[~big], 1e-200)
-    back = np.zeros(xs.shape + (_GL_NODES.size,))
-    upper, cur = np.zeros_like(xs), np.ones_like(xs)  # y_(n+1), y_n from n = _MILLER_START
-    total = np.zeros_like(xs)
-    for n in range(_MILLER_START, 0, -1):
-        total += (2 * n + 1) * cur**2
-        upper, cur = cur, (2 * n + 1) / xs * cur - upper
-        scale = 1.0 / np.maximum(1.0, np.abs(cur))
-        upper, cur, total = upper * scale, cur * scale, total * scale**2
-        if n <= _GL_NODES.size:
-            back[:, n - 1:] *= scale[:, None]
-            back[:, n - 1] = cur
-    total += cur**2
-    j0 = np.sin(xs) / xs
-    sign = np.where(back[:, 0] * j0 + 3.0 * back[:, 1] * (j0 - np.cos(xs)) / xs < 0, -1.0, 1.0)
-    out[~big] = back * (sign / np.sqrt(total))[:, None]
-    out[x == 0.0] = np.eye(1, _GL_NODES.size)[0]
-    return out
-
-
-def _filon_panels(f, upper: float):
-    """Panels of [0, upper] on which f is a degree-15 polynomial to rounding.
-
-    The first level is the geometric partition [0, 1], [1, 2], [2, 4], ...,
-    cut at upper.  f is sampled at the 16 Gauss-Legendre nodes of every panel,
-    _BLOCK_PANELS panels per call, and each panel is bisected until the top
-    two Legendre coefficients of its interpolant are below _FILON_TOL times
-    the largest sample so far, of any level (at most _MAX_BISECTIONS times):
-    a peak that the first level misses raises the scale once it is sampled.
-    Panels on which f vanishes are dropped.  Returns (left ends, half-widths,
-    Legendre coefficients).  Nothing here depends on a frequency.
-    """
-    edges = np.concatenate(([0.0], 2.0 ** np.arange(math.ceil(math.log2(upper)))
-                            if upper > 1.0 else [], [upper]))
-    left, half = edges[:-1], 0.5 * np.diff(edges)
-    kept, scale = [], 0.0
-    for level in range(_MAX_BISECTIONS + 1):
-        nodes = left[:, None] + half[:, None] * (_GL_NODES + 1.0)
-        samples = np.concatenate([f(nodes[i:i + _BLOCK_PANELS].ravel())
-                                  for i in range(0, len(nodes), _BLOCK_PANELS)])
-        samples = samples.reshape(nodes.shape)
-        if not np.all(np.isfinite(samples)):
-            bad = nodes[~np.isfinite(samples)][0]
-            raise KernelError(f"kernel evaluator returned a non-finite value at t={bad:.6g}")
-        scale = max(scale, float(np.max(np.abs(samples))))
-        coeffs = samples @ _TO_LEGENDRE
-        done = (np.max(np.abs(coeffs[:, -2:]), axis=1) <= _FILON_TOL * scale) | (
-            level == _MAX_BISECTIONS)
-        keep = done & np.any(coeffs != 0.0, axis=1)
-        kept.append((left[keep], half[keep], coeffs[keep]))
-        left, half = left[~done], 0.5 * half[~done]
-        if not left.size:
-            break
-        left = np.concatenate([left, left + 2.0 * half])
-        half = np.concatenate([half, half])
-    return tuple(np.concatenate(parts) for parts in zip(*kept))
-
-
-def _filon_transform(f, upper: float, w: np.ndarray) -> np.ndarray:
-    """int_0^upper f(s) e^{-i w s} ds for every w of the array w.
-
-    On a panel with centre c and half-width h, f = sum_n c_n P_n((s - c)/h),
-    and int_{-1}^{1} P_n(x) e^{-i a x} dx = 2 (-i)^n j_n(a) gives the panel's
-    integral h e^{-i w c} sum_n c_n 2 (-i)^n j_n(w h) exactly, at any w.  The
-    panels come from ``_filon_panels`` and depend on f only; each distinct
-    panel width then costs one matrix product over all frequencies.
-    """
-    w = np.asarray(w, dtype=float)
-    flat = w.ravel()
-    left, half, coeffs = _filon_panels(f, upper)
-    widths, group = np.unique(half, return_inverse=True)
-    x = np.multiply.outer(flat, widths)
-    jn = _spherical_jn(np.abs(x))
-    jn[x < 0] *= (-1.0) ** np.arange(_GL_NODES.size)  # j_n(-a) = (-1)^n j_n(a)
-    moments = 2.0 * (-1j) ** np.arange(_GL_NODES.size) * jn
-    total = np.zeros(flat.shape, dtype=complex)
-    for k, h in enumerate(widths):
-        sel = group == k
-        phase = np.exp(-1j * np.multiply.outer(flat, left[sel] + h))
-        total += h * np.sum((phase @ coeffs[sel]) * moments[:, k], axis=1)
-    return total.reshape(w.shape)
 
 
 def laplace(kernel: Kernel, lam: complex) -> complex:
@@ -510,7 +369,7 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
 
     ExpPolyKernel uses the exact partial-fraction sum.  SampledKernel reads
     L nu(lambda) = (nu(0) + (nu'(0) + L nu''(lambda)) / lambda) / lambda, with
-    L nu'' from the Filon-Legendre panel transform (``_filon_transform``) of
+    L nu'' from the Filon-Legendre panel transform (``_sampled._filon_transform``) of
     e^{-Re lambda s} nu''(s) over [0, 60/delta]: nu itself need not be
     integrable on and near the imaginary axis, and at large Re lambda the
     transform, however coarse, is divided by lambda^2.  On the axis its real
@@ -534,14 +393,9 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
                 total += c * fact / (lam - z) ** (ell + 1)
         return complex(total)
 
-    # sampled path
-    if lam == 0:
-        raise UnsupportedPoint("lambda = 0 is not supported on the sampled path")
-    sigma = lam.real
-    lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
-                                    60.0 / kernel.delta, np.array([lam.imag]))[0])
-    nup0 = float(kernel(0.0, 1))
-    return (kernel.value_at_zero() + (nup0 + lap2) / lam) / lam
+    from ._sampled import laplace as sampled_laplace
+
+    return sampled_laplace(kernel, lam)
 
 
 def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float | np.ndarray:
@@ -549,14 +403,11 @@ def sampled_iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float 
 
     The same nu'' route and horizon as ``laplace`` on the imaginary axis, for
     every frequency of the array w at once: nu'' is sampled once, on panels
-    that do not depend on w (``_filon_transform``).  A float w gives a float.
+    that do not depend on w (``_sampled._filon_transform``).  A float w gives a float.
     """
-    w = np.asarray(w, dtype=float)
-    if np.any(w == 0.0):
-        raise UnsupportedPoint("w = 0 is not supported on the sampled path")
-    sine = -_filon_transform(lambda s: kernel(s, 2), 60.0 / kernel.delta, w).imag
-    out = kernel.value_at_zero() - sine / w
-    return out if out.shape else float(out)
+    from ._sampled import iw_real_part
+
+    return iw_real_part(kernel, w)
 
 
 def _poly_sum(*polys: list[int]) -> list[int]:

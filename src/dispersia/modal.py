@@ -7,6 +7,8 @@ per damped term), so the mode becomes a small constant-coefficient ODE that
 is advanced with the matrix exponential (``expm``: Pade-13 scaling and
 squaring in numpy, vectorized over a stack of mode matrices).  A
 history-quadrature integrator is kept as the independent reference.
+``MediumSpec`` and ``ModalError`` are defined in ``dispersia.medium``, which
+needs no numpy, and are exported here too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .kernels import (
-    ExpPolyKernel,
     Kernel,
     KernelError,
     SampledKernel,
@@ -27,6 +28,7 @@ from .kernels import (
     eval_kernel,
     laplace_rational,
 )
+from .medium import MediumSpec, ModalError
 
 
 # doubles in one block of output states in run_multimode (128 KiB)
@@ -35,27 +37,10 @@ _BLOCK_ELEMENTS = 2**14
 MAX_MODES = 10**6
 
 
-class ModalError(ValueError):
-    pass
-
-
 class HistoryTruncationError(ModalError):
     def __init__(self, message: str, s_max: float):
         super().__init__(message)
         self.s_max = s_max
-
-
-@dataclass(frozen=True)
-class MediumSpec:
-    eps: float
-    mu: float
-    nu_e: Kernel = ExpPolyKernel.zero()
-    nu_h: Kernel = ExpPolyKernel.zero()
-
-    def __post_init__(self):
-        if not (0 < self.eps < math.inf and 0 < self.mu < math.inf):
-            raise ModalError("permittivity and permeability must be positive and finite, "
-                             f"got eps = {self.eps!r}, mu = {self.mu!r}")
 
 
 @dataclass(frozen=True, eq=False)

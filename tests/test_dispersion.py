@@ -24,7 +24,7 @@ from dispersia import (
 )
 from dispersia import dispersion, kernels
 from dispersia.dispersion import PassivityError
-from dispersia.kernels import _gaussian_eval
+from dispersia._sampled import _gaussian_eval
 
 from conftest import (
     debye_sum6,
@@ -117,7 +117,8 @@ class TestFloatView:
         for _ in range(40):
             form = omega_form(random_class_k_kernel(rng, 3, 4))
             sigma_grid = np.geomspace(1.0 + 3.0 * rng.random(), 1e4, 4000)
-            for w in (dispersion._SAMPLED_GRID, -dispersion._SAMPLED_GRID, sigma_grid,
+            decision = dispersion._grids()[:dispersion._SPLIT]
+            for w in (decision, -decision, sigma_grid,
                       rng.uniform(-100, 100, 50), np.array([0.0, -0.0, -2.5])):
                 self.assert_bitwise(form.real_part(w), polyval_in_w(form, w))
             for w in (0.0, -0.0, 3.0, -3.0):

@@ -24,12 +24,15 @@ from dispersia import (
     laplace,
     lorentz,
 )
+from dispersia import _sampled, dispersion, kernels
 from dispersia import io as dio
-from dispersia import kernels
-from dispersia.dispersion import _SAMPLED_GRID, omega_form
-from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
+from dispersia._sampled import _gaussian_eval
+from dispersia.dispersion import omega_form
+from dispersia.kernels import UnsupportedPoint, sampled_iw_real_part
 
 from conftest import debye_sum6, debye_sum10, lorentz_sum6, random_class_k_kernel
+
+_SAMPLED_GRID = dispersion._grids()[:dispersion._SPLIT]  # the decision grid
 
 
 class TestEval:
@@ -185,8 +188,8 @@ class TestCertify:
 
     def test_gauss_legendre_rule_matches_numpy(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
-        np.testing.assert_allclose(kernels._GL_NODES, nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(kernels._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_sampled._GL_NODES, nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_sampled._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
 
     def test_exp_poly_certificate_makes_no_quad_call(self, monkeypatch):
         def no_quad(*args, **kwargs):
@@ -259,6 +262,66 @@ class TestCertify:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _former_certificate_C(kernel):
+    """C as certify_class_K computed it with numpy: np.hypot and a dot product per term."""
+    delta = 0.9 * min(abs(t.x) for t in kernel.terms)
+    C = 0.0
+    with np.errstate(all="ignore"):
+        for t in kernels._nth_derivative(kernel, 2).terms:
+            ell = np.arange(t.degree + 1)
+            C += float(np.hypot(t.p, t.q) @ ((ell / ((abs(t.x) - delta) * math.e)) ** ell))
+    return C
+
+
+damped_term = st.builds(
+    lambda p, q, x, y: DampedTerm(tuple(p), tuple(q) if y else (0.0,), x, y),
+    p=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+    q=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+    x=st.floats(-50.0, -1e-3),
+    y=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(damped_term, min_size=1, max_size=4))
+def test_certificate_C_within_4_ulp_of_the_numpy_form(terms):
+    # C reaches only the INFO log; summing on Python floats may round apart
+    # from numpy's dot product, by a few ulp at most
+    kernel = ExpPolyKernel(tuple(terms))
+    cert, former = certify_class_K(kernel), _former_certificate_C(kernel)
+    assert cert.delta == 0.9 * min(abs(t.x) for t in terms)
+    assert abs(cert.C - former) <= 4 * math.ulp(former)
+
+
+class TestFromComplexTermsInputs:
+    """Coefficients as a list, a tuple or a 1-d array, or as one number: a
+    Python or numpy scalar, or a 0-d array."""
+
+    @pytest.mark.parametrize("coeffs", [[0.5, 2.0], (0.5, 2.0), np.array([0.5, 2.0])],
+                             ids=["list", "tuple", "array"])
+    def test_sequences(self, coeffs):
+        got = ExpPolyKernel.from_complex_terms([(coeffs, -1.0)])
+        assert got == ExpPolyKernel((DampedTerm((0.5, 2.0), (0.0,), -1.0, 0.0),))
+
+    @pytest.mark.parametrize("coeff", [0.5, 0.5 + 0j, np.float64(0.5), np.complex128(0.5),
+                                       np.array(0.5), np.array(0.5 + 0j)],
+                             ids=["float", "complex", "np_float", "np_complex", "0d", "0d_complex"])
+    def test_one_number(self, coeff):
+        assert ExpPolyKernel.from_complex_terms([(coeff, -1.0)]) == debye(0.5, 1.0)
+        # a Drude constant at z = 0 too
+        assert ExpPolyKernel.from_complex_terms([(coeff, 0.0)]).offset == 0.5
+
+    def test_complex_array_pair(self):
+        c = np.array([0.25 - 0.5j])
+        got = ExpPolyKernel.from_complex_terms([(c, complex(-0.5, 2.0)),
+                                                (np.conj(c), complex(-0.5, -2.0))])
+        assert got == ExpPolyKernel((DampedTerm((0.5,), (1.0,), -0.5, 2.0),))
+
+    def test_not_a_number(self):
+        with pytest.raises(TypeError):
+            ExpPolyKernel.from_complex_terms([(None, -1.0)])
 
 
 def _quadrature_laplace(kernel, lam, upper=80.0):
@@ -435,7 +498,7 @@ class TestFilon:
         # j_0 (where Miller's sign comes from j_1), tiny arguments and x = 0
         x = np.concatenate([[0.0, 1e-300, 1e-12, 1e-5], np.geomspace(1e-3, 1e5, 4000),
                             np.pi * np.arange(1, 6), [16.0 - 1e-9, 16.0, 16.0 + 1e-9]])
-        got = kernels._spherical_jn(x)
+        got = _sampled._spherical_jn(x)
         ref = np.stack([spherical_jn(n, x) for n in range(16)], axis=-1)
         assert got.shape == (x.size, 16)
         assert np.max(np.abs(got - ref)) <= 1e-14
@@ -450,15 +513,15 @@ class TestFilon:
             assert laplace(GAUSSIAN, lam).imag == 0.0
         # no argument of the decision grid is 0: reading 0 as 1e-200 changes nothing
         got = sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID)
-        exact_zero = kernels._spherical_jn
-        monkeypatch.setattr(kernels, "_spherical_jn", lambda x: exact_zero(np.maximum(x, 1e-200)))
+        exact_zero = _sampled._spherical_jn
+        monkeypatch.setattr(_sampled, "_spherical_jn", lambda x: exact_zero(np.maximum(x, 1e-200)))
         assert np.array_equal(sampled_iw_real_part(GAUSSIAN, _SAMPLED_GRID), got)
 
     def test_exact_on_polynomials(self):
         # a cubic is its own interpolant on every panel of [0, 1], [1, 2], [2, 4],
         # [4, 6], so only rounding separates the transform from the integral
         w = np.array([-3.0, 0.0, 1e-3, 0.7, 5.0, 40.0])
-        got = kernels._filon_transform(lambda s: s**3 - 2.0 * s, 6.0, w)
+        got = _sampled._filon_transform(lambda s: s**3 - 2.0 * s, 6.0, w)
         for wi, gi in zip(w, got):
             def moment(k):  # int_0^6 s^k e^{-i wi s} ds by quad
                 re = quad(lambda s: s**k * np.cos(wi * s), 0, 6, epsabs=1e-13)[0]
@@ -469,7 +532,7 @@ class TestFilon:
     def test_panels_follow_the_function_not_the_horizon(self):
         g = lambda s: _gaussian_eval(s, 2)  # noqa: E731
         for upper in (60.0, 6e4, 6e7):
-            left, half, coeffs = kernels._filon_panels(g, upper)
+            left, half, coeffs = _sampled._filon_panels(g, upper)
             # nu'' underflows to 0 beyond |t| = 27.3, and those panels are dropped
             assert np.all(left < 28.0) and left.size <= 40
             assert np.all(np.abs(coeffs[:, -2:]) <= 1e-15 * 2.0)

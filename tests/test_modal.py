@@ -27,7 +27,7 @@ from dispersia import (
     step_history,
 )
 from dispersia import modal
-from dispersia.kernels import _gaussian_eval
+from dispersia._sampled import _gaussian_eval
 from dispersia.modal import HistoryTruncationError, ModalError
 
 from conftest import defective_medium, mixed_medium, random_class_k_kernel, random_passive_kernel

@@ -1,20 +1,30 @@
-"""Cold start: a fresh ``dispersia`` process loads no scipy module.
+"""Cold start: what a fresh ``dispersia`` process loads, and the lazy package.
 
 The runtime is numpy-only (``modal.expm`` is a numpy Pade-13 scaling and
 squaring), so no command -- ``analyze`` (exp-poly and sampled), ``simulate``,
 ``spectrum`` or ``fit`` -- loads scipy; the tests use it only as a reference.
 The exact decisions run on Python ints, so ``fractions`` (imported only to
 keep an inexact sum of Drude constants exact) and ``decimal`` stay unloaded too.
+numpy itself loads on first use: ``import dispersia.cli`` and its parser, a
+config error and ``analyze`` on a medium that is not strictly passive load
+none, and write the bytes that an in-process run writes; a strictly passive
+``analyze`` loads numpy for sigma's grid only, and no modal, decay or
+sampled-path module.  ``dispersia`` exports its names lazily (PEP 562), each
+the object of its home module.
 Each case runs in a fresh interpreter, because an import is only seen once per
 process.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import dispersia
 from dispersia import ExpPolyKernel, GAUSSIAN, debye, lorentz
 from dispersia import io as dio
 from dispersia.cli import main
@@ -22,24 +32,39 @@ from dispersia.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 # runs cli.main on each argv of argv[1] (a JSON list) and prints the exit codes,
-# the scipy modules and which of fractions and decimal are loaded by then
+# the scipy modules, which of fractions and decimal are loaded by then, whether
+# numpy is, and which of the modules that numpy comes with
 SNIPPET = """
 import json, sys
+NUMERIC = ("dispersia._sampled", "dispersia.decay", "dispersia.modal")
 import dispersia.cli
 dispersia.cli.build_parser()
 codes = [dispersia.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "stdlib": sorted(m for m in ("fractions", "decimal") if m in sys.modules)}))
+                  "stdlib": sorted(m for m in ("fractions", "decimal") if m in sys.modules),
+                  "numpy": "numpy" in sys.modules,
+                  "numeric": sorted(m for m in NUMERIC if m in sys.modules)}))
 """
 
 
-def fresh(*argvs):
+def python(*args):
+    """A fresh interpreter on this checkout's src; its stdout and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", SNIPPET, json.dumps(list(argvs))],
-                         env=env, capture_output=True, text=True, timeout=120, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout, proc.stderr
+
+
+def run_fresh(*argvs):
+    """SNIPPET's report and the process's stderr."""
+    out, err = python("-c", SNIPPET, json.dumps(list(argvs)))
+    return json.loads(out.splitlines()[-1]), err
+
+
+def fresh(*argvs):
+    return run_fresh(*argvs)[0]
 
 
 def medium_doc(nu_e):
@@ -54,7 +79,7 @@ def write(tmp_path, name, doc):
 
 
 def test_import_and_parser_load_no_scipy():
-    assert fresh() == {"codes": [], "scipy": [], "stdlib": []}
+    assert fresh() == {"codes": [], "scipy": [], "stdlib": [], "numpy": False, "numeric": []}
 
 
 def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
@@ -68,7 +93,8 @@ def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
     got = fresh(["analyze", "--config", analyze, "--out", str(tmp_path / "report.json")],
                 ["spectrum", "--config", spectrum, "--out", str(tmp_path / "spectrum.csv")],
                 ["fit", str(trace), "--window", "2,20", "--out", str(tmp_path / "fit.json")])
-    assert got == {"codes": [0, 0, 0], "scipy": [], "stdlib": []}
+    assert got == {"codes": [0, 0, 0], "scipy": [], "stdlib": [], "numpy": True,
+                   "numeric": ["dispersia.decay", "dispersia.modal"]}
     assert json.loads((tmp_path / "report.json").read_text())["m"] == 2
     assert json.loads((tmp_path / "fit.json").read_text())["kind"] == "exponential"
 
@@ -80,6 +106,7 @@ def test_simulate_loads_no_scipy(tmp_path):
     got = fresh(["simulate", "--config", sim, "--out", str(out)])
     assert got["codes"] == [0]
     assert got["scipy"] == []
+    assert got["numeric"] == ["dispersia.modal"]
     # a fresh process writes the trace this process writes
     here = tmp_path / "here.csv"
     assert main(["simulate", "--config", sim, "--out", str(here)]) == 0
@@ -90,7 +117,8 @@ def test_sampled_analyze_report_unchanged(tmp_path):
     cfg = write(tmp_path, "gauss.json", {"nu_e": dio.kernel_to_doc(GAUSSIAN)})
     out = tmp_path / "report.json"
     got = fresh(["analyze", "--config", cfg, "--out", str(out)])
-    assert got == {"codes": [0], "scipy": [], "stdlib": []}
+    assert got == {"codes": [0], "scipy": [], "stdlib": [], "numpy": True,
+                   "numeric": ["dispersia._sampled"]}
     report = json.loads(out.read_text())
     sigma_e = report.pop("sigma_E")
     assert report == {"passive": True, "strictly_passive": True, "m": 0, "sigma_H": 0.0,
@@ -99,3 +127,83 @@ def test_sampled_analyze_report_unchanged(tmp_path):
     here = tmp_path / "here.json"
     assert main(["analyze", "--config", cfg, "--out", str(here)]) == 0
     assert out.read_bytes() == here.read_bytes()
+
+
+def test_strictly_passive_analyze_loads_numpy_for_sigma_only(tmp_path):
+    cfg = write(tmp_path, "lorentz.json", {"medium": medium_doc(lorentz())})
+    out = tmp_path / "report.json"
+    got = fresh(["analyze", "--config", cfg, "--out", str(out)])
+    assert got == {"codes": [0], "scipy": [], "stdlib": [], "numpy": True, "numeric": []}
+    here = tmp_path / "here.json"
+    assert main(["analyze", "--config", cfg, "--out", str(here)]) == 0
+    assert out.read_bytes() == here.read_bytes()
+
+
+def test_non_passive_analyze_and_config_error_load_no_numpy(tmp_path, capsys):
+    debye_cfg = write(tmp_path, "debye.json", {"medium": medium_doc(debye(-0.5, 2.0))})
+    doc = {"medium": medium_doc(debye())}
+    doc["medium"]["nu_e"]["terms"][0]["z_re"] = "abc"
+    bad_cfg = write(tmp_path, "bad.json", doc)
+    argvs = [["analyze", "--config", debye_cfg, "--out", str(tmp_path / "fresh.json")],
+             ["analyze", "--config", bad_cfg, "--out", str(tmp_path / "fresh_bad.json")]]
+    got, err = run_fresh(*argvs)
+    assert got == {"codes": [3, 1], "scipy": [], "stdlib": [], "numpy": False, "numeric": []}
+    # the same bytes as in this process
+    capsys.readouterr()
+    assert [main(["analyze", "--config", debye_cfg, "--out", str(tmp_path / "here.json")]),
+            main(["analyze", "--config", bad_cfg, "--out", str(tmp_path / "here_bad.json")])] \
+        == [3, 1]
+    assert err == capsys.readouterr().err
+    assert err == ("config error: medium.nu_e.terms[0].z_re: expected a number, got 'abc'\n")
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+    report = json.loads((tmp_path / "fresh.json").read_text())
+    assert (report["passive"], report["strictly_passive"], report["certified"]) == \
+        (False, False, True)
+    assert not (tmp_path / "fresh_bad.json").exists()
+
+
+# the home of each exported name, as the package has always bound it
+HOMES = {
+    "kernels": ["GAUSSIAN", "CertificationFailure", "ClassKCertificate", "DampedTerm",
+                "ExpPolyKernel", "KernelError", "NotInClassK", "SampledKernel",
+                "certify_class_K", "debye", "drude", "eval_kernel", "laplace", "lorentz"],
+    "dispersion": ["OmegaRational", "PassivityError", "PassivityReport", "analyze",
+                   "check_passivity", "check_strict_passivity", "decay_exponent", "omega_form"],
+    "modal": ["EnergyTrace", "HistoryState", "MediumSpec", "ModeSystem", "build_mode",
+              "build_modes", "cavity_modes", "dispersion_roots", "initial_history",
+              "run_multimode", "spectral_abscissa", "step_exact", "step_history"],
+    "decay": ["DecayReport", "ExpectedDecay", "fit_decay", "predict"],
+}
+
+
+class TestLazyExports:
+    def test_all_names_their_home_objects(self):
+        homes = {name: module for module, names in HOMES.items() for name in names}
+        assert sorted(dispersia.__all__) == sorted(homes)
+        for name, module in homes.items():
+            home = importlib.import_module(f"dispersia.{module}")
+            assert getattr(dispersia, name) is getattr(home, name), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from dispersia import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(dispersia.__all__)
+        assert all(namespace[name] is getattr(dispersia, name) for name in namespace)
+
+    def test_dir_lists_every_export(self):
+        listed = dir(dispersia)
+        assert set(dispersia.__all__) <= set(listed)
+        assert {"cli", "io", "kernels", "modal"} <= set(listed)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="'dispersia' has no attribute 'no_such_name'"):
+            dispersia.no_such_name  # noqa: B018
+        assert not hasattr(dispersia, "numpy")
+
+    def test_a_name_loads_its_home_on_first_access(self):
+        code = ("import sys, dispersia; dispersia.analyze, dispersia.MediumSpec; "
+                "before = 'numpy' in sys.modules; dispersia.run_multimode; "
+                "print(before, 'numpy' in sys.modules, 'dispersia.modal' in sys.modules)")
+        out, _ = python("-c", code)
+        assert out.split() == ["False", "True", "True"]
