@@ -28,12 +28,10 @@ from typing import TYPE_CHECKING, Callable, Iterator, Union
 if TYPE_CHECKING:
     import numpy as np
 
-_SAMPLED_NAMES = ("GAUSSIAN", "BUILTIN_SAMPLED")
-
 
 def __getattr__(name: str):
     # the builtin sampled kernels live with the sampled path, loaded on first use
-    if name in _SAMPLED_NAMES:
+    if name in ("GAUSSIAN", "BUILTIN_SAMPLED"):
         from . import _sampled
 
         return getattr(_sampled, name)

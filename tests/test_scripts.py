@@ -83,11 +83,20 @@ def test_committed_bench_records_follow_the_schema():
     lambda d: d["revisions"].pop("change"),
     lambda d: d["revisions"].pop("parent"),
     lambda d: d["revisions"].update(change=None),
+    lambda d: d.pop("commands"),
+    lambda d: d["commands"]["times"]["change"].pop("fit"),
+    lambda d: d["commands"]["times"]["parent"]["bare"].pop(),
+    lambda d: d["commands"]["exit"].pop("analyze_nonpassive"),
+    lambda d: d["commands"]["summary"]["parent"].clear(),
+    lambda d: d.update(schema=3),
 ], ids=["no_scipy", "metric_missing", "run_missing", "summary_stale", "change_not_int",
-        "revision_missing", "parent_missing", "commit_unknown"])
+        "revision_missing", "parent_missing", "commit_unknown", "commands_missing",
+        "command_missing", "command_times_short", "command_exit_missing",
+        "command_summary_stale", "schema_unknown"])
 def test_bench_schema_rejects_a_spoiled_record(spoil):
     bench, benchmark = _bench_module(), json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
+    assert doc["schema"] == bench.SCHEMA  # the latest record has commands to spoil
     spoil(doc)
     with pytest.raises(ValueError, match="^BENCH record: "):
         bench.check_record(doc, benchmark)
@@ -115,3 +124,45 @@ def test_bench_runs_each_tree_with_a_fresh_bytecode_cache(monkeypatch, tmp_path)
     assert all(entries == [] and not cache.exists() for _, cache, entries in seen)
     assert len({cache for _, cache, _ in seen}) == 3
     assert not any(tmp_path in cache.parents for _, cache, _ in seen)
+
+
+def test_bench_times_commands_interleaved_with_a_fresh_cache_per_tree(monkeypatch, tmp_path):
+    bench, calls = _bench_module(), []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def fake_run(argv, env, cwd, **kwargs):
+        name = next(n for n, (args, _) in bench.COMMANDS.items()
+                    if argv[1:] == [a.format(configs=bench.CONFIGS,
+                                             out=Path(env["PYTHONPYCACHEPREFIX"]).parent)
+                                    for a in args])
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        calls.append((cwd, name, env["PYTHONPATH"], env["PYTHONPYCACHEPREFIX"]))
+        return SimpleNamespace(returncode=bench.COMMANDS[name][1])
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    times = bench.time_commands(trees, repeats=2)
+    n = len(bench.COMMANDS)
+    assert {label: {name: len(v) for name, v in cmds.items()} for label, cmds in times.items()} \
+        == {label: dict.fromkeys(bench.COMMANDS, 2) for label in trees}
+    # one untimed run of every command per tree, then command by command, the
+    # parent first on the first repeat and the change first on the second
+    assert [(cwd, name) for cwd, name, _, _ in calls[:2 * n]] == \
+        [(trees[label], name) for label in trees for name in bench.COMMANDS]
+    timed = [(cwd, name) for cwd, name, _, _ in calls[2 * n:]]
+    assert timed == [(trees[label], name) for order in (("parent", "change"), ("change", "parent"))
+                     for name in bench.COMMANDS for label in order]
+    for label, tree in trees.items():
+        mine = {(path, cache) for cwd, _, path, cache in calls if cwd == tree}
+        assert mine == {(str(tree / "src"), next(iter(mine))[1])}  # one cache per tree
+    assert len({cache for *_, cache in calls}) == 2
+    assert not any(Path(cache).exists() for *_, cache in calls)
+
+
+def test_bench_refuses_a_command_with_an_unexpected_exit_code(monkeypatch, tmp_path):
+    bench = _bench_module()
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kwargs: SimpleNamespace(
+        returncode=0))  # the non-passive Debye must exit 3
+    with pytest.raises(SystemExit, match="analyze_nonpassive of the parent tree exited with 0"):
+        bench.time_commands({"parent": tmp_path, "change": tmp_path}, repeats=1)
