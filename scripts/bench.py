@@ -17,7 +17,8 @@ bare interpreter, ``import dispersia.cli``, ``analyze`` on a strictly passive
 Lorentz and on a non-passive Debye, ``simulate``, ``spectrum`` and ``fit``, on
 the configs in scripts/bench_configs/.  Every command runs once per tree to
 fill that tree's fresh bytecode cache, and then REPEATS times, the two trees
-interleaved command by command, the parent first on odd repeats.
+interleaved command by command, the parent first on the first repeat and
+every other one after it.
 
 The record holds the machine, the Python, numpy and scipy versions, both
 commits, every run's metrics, and each metric's median and quartiles per tree
