@@ -9,16 +9,19 @@ metrics), on the pinned seeds 1, 2 and 3.  The two trees alternate within each
 (seed, trace) pair, the parent first on odd seeds, so that drift of a shared
 host falls on both.  Each tree runs its own perfbench and src, and both must
 be clean git checkouts, so that each record names the commits it measured.
-Each run reads and writes bytecode only in a fresh, empty cache of its own,
-so that no ``__pycache__`` a tree holds is measured.
+
+Every interpreter runs as in a fresh checkout: with PYTHONDONTWRITEBYTECODE=1
+and no PYTHONPYCACHEPREFIX, and a tree that holds a ``__pycache__`` under
+src/ or perfbench/ is refused.  So ``setup_s`` and the command times include
+compiling the package's source, while numpy and the standard library read
+their installed bytecode.
 
 It then times each CLI command in fresh interpreters (``time_commands``): a
 bare interpreter, ``import dispersia.cli``, ``analyze`` on a strictly passive
 Lorentz and on a non-passive Debye, ``simulate``, ``spectrum`` and ``fit``, on
-the configs in scripts/bench_configs/.  Every command runs once per tree to
-fill that tree's fresh bytecode cache, and then REPEATS times, the two trees
-interleaved command by command, the parent first on the first repeat and
-every other one after it.
+the configs in scripts/bench_configs/.  Every command runs once per tree,
+untimed, and then REPEATS times, the two trees interleaved command by
+command, the parent first on the first repeat and every other one after it.
 
 The record holds the machine, the Python, numpy and scipy versions, both
 commits, every run's metrics, and each metric's median and quartiles per tree
@@ -81,6 +84,22 @@ def revision(tree: Path) -> str:
     return commit
 
 
+def no_bytecode_env(**extra) -> dict:
+    """This process's environment, with bytecode neither written nor read from a prefix."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
+
+
+def refuse_bytecode(tree: Path) -> None:
+    """SystemExit if the tree holds a ``__pycache__`` under src/ or perfbench/,
+    which an interpreter would read instead of compiling the source."""
+    for top in ("src", "perfbench"):
+        found = next((Path(tree) / top).rglob("__pycache__"), None)
+        if found is not None:
+            raise SystemExit(f"bench: {found} holds bytecode; remove it before measuring")
+
+
 def environment() -> dict:
     import numpy
     try:
@@ -104,20 +123,14 @@ def environment() -> dict:
 def run_all(tree: Path, seed: int, trace: int) -> dict:
     """One ``run.py --workload all`` of the tree: {workload: run.py's last line}.
 
-    The run and its child interpreters read and write bytecode only under a
-    fresh, empty PYTHONPYCACHEPREFIX, so no ``__pycache__`` of the tree is
-    read, stale or not.  Writing is allowed there even where
-    PYTHONDONTWRITEBYTECODE is set: otherwise every set-up interpreter would
-    compile numpy anew, and ``setup_s`` would time the compiler.  The first,
-    untimed set-up interpreter of run.py fills the cache.
+    The run and its set-up interpreters compile the package's source and
+    write no bytecode, so every set-up interpreter compiles it again.
     """
+    refuse_bytecode(tree)
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        out = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
-                             check=True).stdout
+    out = subprocess.run(argv, cwd=tree, env=no_bytecode_env(), stdout=subprocess.PIPE,
+                         text=True, check=True).stdout
     return json.loads(out.rstrip("\n").splitlines()[-1])
 
 
@@ -145,20 +158,18 @@ def summarize(runs: list) -> dict:
 def time_commands(trees: dict, repeats: int = REPEATS) -> dict:
     """Seconds of each fresh interpreter of COMMANDS: {tree: {command: [repeats times]}}.
 
-    Each tree runs its own src, with bytecode read and written only in a
-    fresh cache of its own; the first, untimed run of every command fills it.
-    A command that exits with another code than COMMANDS names is a SystemExit.
+    Each tree runs its own src, compiled afresh by every interpreter, and
+    writes its outputs in a directory of its own.  A command that exits with
+    another code than COMMANDS names is a SystemExit.
     """
     with tempfile.TemporaryDirectory(prefix="bench-commands-") as tmp:
         envs, argvs = {}, {}
         for label, tree in trees.items():
+            refuse_bytecode(tree)
             work = Path(tmp) / label
-            (work / "cache").mkdir(parents=True)
-            env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"),
-                       PYTHONPYCACHEPREFIX=str(work / "cache"))
-            env.update(dict.fromkeys(BLAS_VARS, "1"))
-            env.pop("PYTHONDONTWRITEBYTECODE", None)
-            envs[label] = env
+            work.mkdir()
+            envs[label] = no_bytecode_env(PYTHONPATH=str(Path(tree) / "src"),
+                                          **dict.fromkeys(BLAS_VARS, "1"))
             argvs[label] = {name: [sys.executable] + [a.format(configs=CONFIGS, out=work)
                                                       for a in args]
                             for name, (args, _) in COMMANDS.items()}

@@ -12,14 +12,14 @@ import importlib
 
 _HOMES = {
     "kernels": ("GAUSSIAN", "CertificationFailure", "ClassKCertificate", "DampedTerm",
-                "ExpPolyKernel", "KernelError", "NotInClassK", "SampledKernel",
-                "certify_class_K", "debye", "drude", "eval_kernel", "laplace", "lorentz"),
+                "ExpPolyKernel", "NotInClassK", "SampledKernel", "certify_class_K", "debye",
+                "drude", "eval_kernel", "laplace", "lorentz"),
     "dispersion": ("OmegaRational", "PassivityError", "PassivityReport", "analyze",
                    "check_passivity", "check_strict_passivity", "decay_exponent", "omega_form"),
-    "medium": ("MediumSpec",),
-    "modal": ("EnergyTrace", "HistoryState", "ModeSystem", "build_mode", "build_modes",
-              "cavity_modes", "dispersion_roots", "initial_history", "run_multimode",
-              "spectral_abscissa", "step_exact", "step_history"),
+    "medium": ("EnergyTrace", "KernelError", "MediumSpec"),
+    "modal": ("HistoryState", "ModeSystem", "build_mode", "build_modes", "cavity_modes",
+              "dispersion_roots", "initial_history", "run_multimode", "spectral_abscissa",
+              "step_exact", "step_history"),
     "decay": ("DecayReport", "ExpectedDecay", "fit_decay", "predict"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

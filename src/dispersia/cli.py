@@ -8,24 +8,21 @@ Exit codes:
   4 unsupported kernel type for the requested command
   5 inconclusive decay fit
 
-The numeric modules load in the commands that use them: ``simulate`` and
-``spectrum`` import ``modal``, ``fit`` imports ``decay``, and numpy comes with
-them.  Parsing arguments and configs, and ``analyze`` on a medium that is not
-strictly passive, import no numpy.
+Importing this module and building the parser load argparse and nothing of
+the package; ``--help`` and a usage error stop there.  Each command imports
+what it runs: ``analyze`` imports ``kernels`` and ``dispersion``, ``simulate``
+and ``spectrum`` ``kernels`` and ``modal``, ``fit`` ``decay``, and every one
+``io``; numpy comes with ``modal`` and ``decay``.  ``analyze`` on a medium
+that is not strictly passive, and a config error, import no numpy.  logging
+loads once the arguments are parsed.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from functools import lru_cache
-
-from . import dispersion, io, kernels
-from .medium import MediumSpec, ModalError
-
-log = logging.getLogger("dispersia")
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -37,6 +34,8 @@ EXIT_INCONCLUSIVE = 5
 
 def _configure_logging() -> None:
     # DISPERSIA_LOG controls verbosity only; outputs never depend on it
+    import logging
+
     level_name = os.environ.get("DISPERSIA_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
     logging.basicConfig(level=level, stream=sys.stderr,
@@ -44,6 +43,8 @@ def _configure_logging() -> None:
 
 
 def _parse_window(text: str) -> tuple[float, float]:
+    from . import io
+
     parts = text.split(",")
     if len(parts) != 2:
         raise io.ParseError("--window", f"expected 'a,b', got {text!r}")
@@ -64,6 +65,11 @@ def _emit(write, out: str | None, payload) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    import logging
+
+    from . import dispersion, io, kernels
+
+    log = logging.getLogger("dispersia")
     doc, base_dir = io.load_config(args.config)
     nu_e, nu_h = io.parse_analyze_config(doc, base_dir)
     try:
@@ -80,8 +86,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_exp_poly(medium: MediumSpec, what: str) -> bool:
-    """Report the first kernel without a finite closure; the modal commands need one."""
+def _require_exp_poly(medium, what: str) -> bool:
+    """Report the first kernel of a MediumSpec without a finite closure; the
+    modal commands need one."""
+    from . import kernels
+
     for which, kernel in (("nu_e", medium.nu_e), ("nu_h", medium.nu_h)):
         if not isinstance(kernel, kernels.ExpPolyKernel):
             print(f"medium.{which}: {what} requires an exp_poly kernel", file=sys.stderr)
@@ -90,6 +99,8 @@ def _require_exp_poly(medium: MediumSpec, what: str) -> bool:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import io
+
     doc, base_dir = io.load_config(args.config)
     config = io.parse_simulate_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "simulation"):
@@ -108,6 +119,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from . import io
+
     doc, base_dir = io.load_config(args.config)
     config = io.parse_spectrum_config(doc, base_dir)
     if not _require_exp_poly(config.medium, "spectrum"):
@@ -123,6 +136,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import io
+
     trace = io.read_trace(args.trace)
     window = _parse_window(args.window)
     from . import decay
@@ -180,8 +195,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     args = _parser().parse_args(argv)
+    _configure_logging()
+    # every command imports io, and medium with it
+    from . import io
+    from .medium import KernelError, ModalError
+
     # the handlers are looked up on every call, not stored in the reused
     # parser, so a later rebinding of a cmd_* function is the one that runs
     command = {"analyze": cmd_analyze, "simulate": cmd_simulate,
@@ -191,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except io.ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except kernels.KernelError as exc:
+    except KernelError as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_CERT
     except ModalError as exc:

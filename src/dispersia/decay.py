@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .dispersion import PassivityReport
-from .modal import EnergyTrace
+if TYPE_CHECKING:
+    from .dispersion import PassivityReport
+    from .medium import EnergyTrace
 
 
 class UnusableTrace(ValueError):

@@ -4,7 +4,8 @@ Each output (report, trace, spectrum table) has one writer; writes are atomic
 (temp file + rename) so a failed run never leaves a partial output behind.
 Parsing a kernel or an analyze config needs no numpy: numpy is imported by
 the trace formatter and reader and by a k_range grid, and ``modal`` by the
-cavity and trace-length checks of a run config.
+cavity and trace-length checks of a run config.  ``kernels`` is imported by
+the kernel document reader and writer, so reading a trace loads neither.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .kernels import ExpPolyKernel, Kernel, KernelError, SampledKernel
-from .medium import MediumSpec, ModalError
+from .medium import EnergyTrace, KernelError, MediumSpec, ModalError
 
 if TYPE_CHECKING:
     from .decay import DecayReport
     from .dispersion import PassivityReport
-    from .modal import EnergyTrace
+    from .kernels import Kernel
 
 
 # The most cavity modes, k_range wavenumbers or trace rows a config may imply,
@@ -67,6 +67,8 @@ def _coefficients(value, field: str) -> list[float]:
 # kernel documents
 
 def kernel_to_doc(kernel: Kernel) -> dict:
+    from .kernels import SampledKernel
+
     if isinstance(kernel, SampledKernel):
         return {
             "type": "sampled_builtin",
@@ -96,6 +98,8 @@ def kernel_to_doc(kernel: Kernel) -> dict:
 
 
 def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
+    from .kernels import ExpPolyKernel, SampledKernel
+
     if not isinstance(doc, dict):
         raise ParseError(where, "expected an object")
     ktype = doc.get("type")
@@ -373,8 +377,6 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
         if header != TRACE_HEADER:
             raise ParseError("trace", f"bad header {header!r}, expected {TRACE_HEADER!r}")
         import numpy as np
-
-        from .modal import EnergyTrace
 
         try:
             # the first line with a row on it; numpy warns on input without one

@@ -13,7 +13,9 @@ Parsing, the exact derivative, ``certify_class_K`` and ``laplace_rational``
 of an exp-poly kernel run on Python floats and ints, so importing this
 module loads no numpy.  Evaluation on arrays imports numpy when first called,
 and the sampled path, with the builtin ``GAUSSIAN`` and ``BUILTIN_SAMPLED``,
-is imported from ``dispersia._sampled`` on first use.
+is imported from ``dispersia._sampled`` on first use.  ``KernelError`` is
+defined in ``dispersia.medium``, so that ``io`` and ``cli`` name it without
+loading this module, and is exported here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from functools import lru_cache
 from itertools import zip_longest
 from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterator, Union
+
+from .medium import KernelError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,10 +40,6 @@ def __getattr__(name: str):
 
         return getattr(_sampled, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class KernelError(ValueError):
-    """Invalid kernel data or an operation outside a kernel's domain."""
 
 
 class NotInClassK(KernelError):

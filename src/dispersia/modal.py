@@ -7,8 +7,8 @@ per damped term), so the mode becomes a small constant-coefficient ODE that
 is advanced with the matrix exponential (``expm``: Pade-13 scaling and
 squaring in numpy, vectorized over a stack of mode matrices).  A
 history-quadrature integrator is kept as the independent reference.
-``MediumSpec`` and ``ModalError`` are defined in ``dispersia.medium``, which
-needs no numpy, and are exported here too.
+``MediumSpec``, ``EnergyTrace`` and ``ModalError`` are defined in
+``dispersia.medium``, which needs no numpy, and are exported here too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .kernels import (
     eval_kernel,
     laplace_rational,
 )
-from .medium import MediumSpec, ModalError
+from .medium import EnergyTrace, MediumSpec, ModalError
 
 
 # doubles in one block of output states in run_multimode (128 KiB)
@@ -537,17 +537,6 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     state.e_past.n += 1
     state.h_past.n += 1
     return state
-
-
-@dataclass(frozen=True)
-class EnergyTrace:
-    times: np.ndarray
-    energy: np.ndarray
-    history_norm: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.times.shape != self.energy.shape:
-            raise ModalError("times and energy must have equal length")
 
 
 def cavity_modes(length: float, n_max: int):

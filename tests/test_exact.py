@@ -170,6 +170,15 @@ class TestExactPolynomials:
         assert (_poly_sum(), _poly_product()) == ([0], [1])
 
 
+def sympy_positive_roots(poly):
+    """The distinct roots in (0, inf) of a sympy Poly with their multiplicities,
+    each the midpoint of an isolating interval of width at most 1e-40.  sympy's
+    ``real_roots`` can fail in its factorization, as on 9986525 x^2 +
+    6283752651480354816 x + 9986525; root isolation needs none."""
+    return sorted((float((a + b) / 2), mult)
+                  for (a, b), mult in poly.intervals(eps=sympy.Rational(1, 10**40)) if a + b > 0)
+
+
 @st.composite
 def root_polys(draw):
     """Nonzero integer polynomials with known roots in (0, inf): a signed constant
@@ -198,11 +207,9 @@ class TestRoots:
     @example([0, 0, 3, 0, 1])  # leading zeros and no sign change
     @example([-1, -2, 0, -5])  # every coefficient negative
     @example(_poly_product([-1, 3], [-1, 3], [-1, 3], [7, -2], [4, 0, 1]))  # 1/3 thrice, 7/2
+    @example([19973050, 12567505302960709632, 19973050])  # sympy's real_roots fails on it
     def test_positive_roots_match_sympy(self, p):
-        x = sympy.symbols("x")
-        _, factors = sympy.Poly(p[::-1], x).sqf_list()
-        expected = sorted((float(sympy.N(r, 40)), mult) for f, mult in factors
-                          for r in sympy.Poly(f, x).real_roots() if r > 0)
+        expected = sympy_positive_roots(sympy.Poly(p[::-1], sympy.symbols("x")))
         got = _positive_roots(p)
         assert [m for _, m in got] == [m for _, m in expected]
         for (r, _), (want, _) in zip(got, expected):
@@ -292,10 +299,8 @@ def test_sympy_oracle():
         num, den = sympy_real_part(kern, w)
         p_w, d_w = (sympy.Poly(e.subs(u, w**2), w, domain="QQ_I") for e in (p, d))
         assert (p_w * den - num * d_w).is_zero
-        # distinct roots in (0, inf) and their multiplicities, from sympy's factorization
-        _, factors = sympy.Poly(p, u).sqf_list()
-        expected = sorted((float(r), mult) for f, mult in factors
-                          for r in sympy.Poly(f, u).real_roots() if r > 0)
+        # distinct roots in (0, inf) and their multiplicities, from sympy's root isolation
+        expected = sympy_positive_roots(sympy.Poly(p, u))
         got = _positive_roots(form.p) if any(form.p) else []
         assert [m for _, m in got] == [m for _, m in expected]
         assert np.allclose([r for r, _ in got], [r for r, _ in expected], rtol=1e-12)

@@ -102,42 +102,69 @@ def test_bench_schema_rejects_a_spoiled_record(spoil):
         bench.check_record(doc, benchmark)
 
 
-def test_bench_runs_each_tree_with_a_fresh_bytecode_cache(monkeypatch, tmp_path):
-    # a stale __pycache__ in a tree must not be read: each run gets its own
-    # empty PYTHONPYCACHEPREFIX, may write bytecode there, and loses it when
-    # the run ends
+def test_bench_runs_each_tree_without_bytecode(monkeypatch, tmp_path):
+    # every run compiles the package as a fresh checkout does: no bytecode is
+    # written, and none is read from a cache prefix
     bench, seen = _bench_module(), []
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
 
     def fake_run(argv, cwd, env, **kwargs):
-        assert "PYTHONDONTWRITEBYTECODE" not in env
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cwd, cache, sorted(cache.iterdir())))
-        (cache / "written.pyc").write_bytes(b"")
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert "PYTHONPYCACHEPREFIX" not in env
+        seen.append(cwd)
         return SimpleNamespace(stdout='{"decay_chain": {}}\n')
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     trees = [tmp_path / "parent", tmp_path / "change", tmp_path / "parent"]
     for tree in trees:
         assert bench.run_all(tree, 1, 0) == {"decay_chain": {}}
-    assert [cwd for cwd, _, _ in seen] == trees
-    assert all(entries == [] and not cache.exists() for _, cache, entries in seen)
-    assert len({cache for _, cache, _ in seen}) == 3
-    assert not any(tmp_path in cache.parents for _, cache, _ in seen)
+    assert seen == trees
 
 
-def test_bench_times_commands_interleaved_with_a_fresh_cache_per_tree(monkeypatch, tmp_path):
+@pytest.mark.parametrize("where", ["src/dispersia", "perfbench"])
+def test_bench_refuses_a_tree_holding_bytecode(monkeypatch, tmp_path, where):
+    bench = _bench_module()
+    (tmp_path / "change" / where / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("measured"))
+    with pytest.raises(SystemExit, match=f"{where}/__pycache__ holds bytecode"):
+        bench.run_all(tmp_path / "change", 1, 0)
+    with pytest.raises(SystemExit, match=f"{where}/__pycache__ holds bytecode"):
+        bench.time_commands({"parent": tmp_path / "parent", "change": tmp_path / "change"},
+                            repeats=1)
+
+
+def command_name(bench, argv):
+    """The COMMANDS entry that argv runs, and the directories its {out} arguments name."""
+    for name, (args, _) in bench.COMMANDS.items():
+        if len(args) != len(argv) - 1:
+            continue
+        outs = set()
+        for arg, got in zip(args, argv[1:]):
+            head, sep, tail = arg.format(configs=bench.CONFIGS, out="\0").partition("\0")
+            if not sep:
+                if got != head:
+                    break
+            elif got.startswith(head) and got.endswith(tail):
+                outs.add(got[len(head):len(got) - len(tail)])
+            else:
+                break
+        else:
+            return name, outs
+    raise AssertionError(f"no command runs {argv}")
+
+
+def test_bench_times_commands_interleaved_without_bytecode(monkeypatch, tmp_path):
     bench, calls = _bench_module(), []
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
 
     def fake_run(argv, env, cwd, **kwargs):
-        name = next(n for n, (args, _) in bench.COMMANDS.items()
-                    if argv[1:] == [a.format(configs=bench.CONFIGS,
-                                             out=Path(env["PYTHONPYCACHEPREFIX"]).parent)
-                                    for a in args])
-        assert "PYTHONDONTWRITEBYTECODE" not in env
+        name, outs = command_name(bench, argv)
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert "PYTHONPYCACHEPREFIX" not in env
         assert env["OPENBLAS_NUM_THREADS"] == "1"
-        calls.append((cwd, name, env["PYTHONPATH"], env["PYTHONPYCACHEPREFIX"]))
+        calls.append((cwd, name, env["PYTHONPATH"], outs))
         return SimpleNamespace(returncode=bench.COMMANDS[name][1])
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
@@ -153,11 +180,14 @@ def test_bench_times_commands_interleaved_with_a_fresh_cache_per_tree(monkeypatc
     timed = [(cwd, name) for cwd, name, _, _ in calls[2 * n:]]
     assert timed == [(trees[label], name) for order in (("parent", "change"), ("change", "parent"))
                      for name in bench.COMMANDS for label in order]
-    for label, tree in trees.items():
-        mine = {(path, cache) for cwd, _, path, cache in calls if cwd == tree}
-        assert mine == {(str(tree / "src"), next(iter(mine))[1])}  # one cache per tree
-    assert len({cache for *_, cache in calls}) == 2
-    assert not any(Path(cache).exists() for *_, cache in calls)
+    outs = {}
+    for cwd, _, path, out in calls:
+        assert path == str(cwd / "src")
+        outs.setdefault(cwd, set()).update(out)
+    # one output directory per tree, gone when the timing ends
+    assert all(len(dirs) == 1 for dirs in outs.values())
+    assert len(set.union(*outs.values())) == 2
+    assert not any(Path(d).exists() for dirs in outs.values() for d in dirs)
 
 
 def test_bench_refuses_a_command_with_an_unexpected_exit_code(monkeypatch, tmp_path):

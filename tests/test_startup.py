@@ -5,12 +5,17 @@ squaring), so no command -- ``analyze`` (exp-poly and sampled), ``simulate``,
 ``spectrum`` or ``fit`` -- loads scipy; the tests use it only as a reference.
 The exact decisions run on Python ints, so ``fractions`` (imported only to
 keep an inexact sum of Drude constants exact) and ``decimal`` stay unloaded too.
-numpy itself loads on first use: ``import dispersia.cli`` and its parser, a
-config error and ``analyze`` on a medium that is not strictly passive load
-none, and write the bytes that an in-process run writes; a strictly passive
-``analyze`` loads numpy for sigma's grid only, and no modal, decay or
-sampled-path module.  ``dispersia`` exports its names lazily (PEP 562), each
-the object of its home module.
+``import dispersia.cli``, its parser, ``--help`` and a usage error load
+nothing of the package beyond ``dispersia`` and ``dispersia.cli``, and no
+logging, json or dataclasses.  Each command loads the modules it runs: ``fit``
+no ``kernels``, ``dispersion`` or ``modal``; ``simulate`` and ``spectrum`` no
+``dispersion``.  numpy itself loads on first use: a config error and
+``analyze`` on a medium that is not strictly passive load none; a strictly
+passive ``analyze`` loads numpy for sigma's grid only, and no modal, decay or
+sampled-path module.  Every command writes the bytes that an in-process run
+writes, and ``DISPERSIA_LOG`` changes what goes to stderr, never those bytes.
+``dispersia`` exports its names lazily (PEP 562), each the object of its home
+module.
 Each case runs in a fresh interpreter, because an import is only seen once per
 process.
 """
@@ -18,6 +23,7 @@ process.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # runs cli.main on each argv of argv[1] (a JSON list) and prints the exit codes,
 # the scipy modules, which of fractions and decimal are loaded by then, whether
-# numpy is, and which of the modules that numpy comes with
+# numpy is, which of the modules that numpy comes with, and every dispersia module
 SNIPPET = """
 import json, sys
 NUMERIC = ("dispersia._sampled", "dispersia.decay", "dispersia.modal")
@@ -44,13 +50,36 @@ print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "stdlib": sorted(m for m in ("fractions", "decimal") if m in sys.modules),
                   "numpy": "numpy" in sys.modules,
-                  "numeric": sorted(m for m in NUMERIC if m in sys.modules)}))
+                  "numeric": sorted(m for m in NUMERIC if m in sys.modules),
+                  "package": sorted(m for m in sys.modules if m.split(".")[0] == "dispersia")}))
 """
 
+# imports dispersia.cli, builds the parser and runs cli.main on argv[1:], which
+# may exit; prints the exit code, every dispersia module and which of logging,
+# json and dataclasses were loaded after the interpreter's own start-up
+PARSER_SNIPPET = """
+import json, sys
+STDLIB = ("dataclasses", "json", "logging")
+before = {m for m in STDLIB if m in sys.modules}
+import dispersia.cli
+dispersia.cli.build_parser()
+try:
+    code = dispersia.cli.main(sys.argv[1:]) if sys.argv[1:] else None
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code,
+                  "package": sorted(m for m in sys.modules if m.split(".")[0] == "dispersia"),
+                  "stdlib": sorted(m for m in STDLIB if m in sys.modules and m not in before)}))
+"""
 
-def python(*args):
-    """A fresh interpreter on this checkout's src; its stdout and stderr."""
-    env = dict(os.environ)
+CLI = "import sys; from dispersia.cli import main; sys.exit(main())"
+CORE = ["dispersia", "dispersia.cli", "dispersia.io", "dispersia.medium"]
+
+
+def python(*args, env=None):
+    """A fresh interpreter on this checkout's src, with env added to this
+    process's environment; its stdout and stderr."""
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
@@ -79,7 +108,21 @@ def write(tmp_path, name, doc):
 
 
 def test_import_and_parser_load_no_scipy():
-    assert fresh() == {"codes": [], "scipy": [], "stdlib": [], "numpy": False, "numeric": []}
+    assert fresh() == {"codes": [], "scipy": [], "stdlib": [], "numpy": False, "numeric": [],
+                       "package": ["dispersia", "dispersia.cli"]}
+
+
+@pytest.mark.parametrize("argv, code", [([], None), (["--help"], 0), (["analyze", "--help"], 0),
+                                        (["no_such_command"], 2), (["fit"], 2)],
+                         ids=["parser", "help", "command_help", "usage_error", "missing_args"])
+def test_parser_help_and_usage_errors_load_nothing_of_the_package(argv, code):
+    out, err = python("-c", PARSER_SNIPPET, *argv)
+    assert json.loads(out.splitlines()[-1]) == {
+        "code": code, "package": ["dispersia", "dispersia.cli"], "stdlib": []}
+    if code == 0:
+        assert out.startswith("usage: dispersia")
+    if code == 2:
+        assert err.startswith("usage: dispersia") and "error: " in err
 
 
 def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
@@ -94,7 +137,9 @@ def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
                 ["spectrum", "--config", spectrum, "--out", str(tmp_path / "spectrum.csv")],
                 ["fit", str(trace), "--window", "2,20", "--out", str(tmp_path / "fit.json")])
     assert got == {"codes": [0, 0, 0], "scipy": [], "stdlib": [], "numpy": True,
-                   "numeric": ["dispersia.decay", "dispersia.modal"]}
+                   "numeric": ["dispersia.decay", "dispersia.modal"],
+                   "package": sorted(CORE + ["dispersia.decay", "dispersia.dispersion",
+                                             "dispersia.kernels", "dispersia.modal"])}
     assert json.loads((tmp_path / "report.json").read_text())["m"] == 2
     assert json.loads((tmp_path / "fit.json").read_text())["kind"] == "exponential"
 
@@ -107,6 +152,7 @@ def test_simulate_loads_no_scipy(tmp_path):
     assert got["codes"] == [0]
     assert got["scipy"] == []
     assert got["numeric"] == ["dispersia.modal"]
+    assert got["package"] == sorted(CORE + ["dispersia.kernels", "dispersia.modal"])
     # a fresh process writes the trace this process writes
     here = tmp_path / "here.csv"
     assert main(["simulate", "--config", sim, "--out", str(here)]) == 0
@@ -118,7 +164,9 @@ def test_sampled_analyze_report_unchanged(tmp_path):
     out = tmp_path / "report.json"
     got = fresh(["analyze", "--config", cfg, "--out", str(out)])
     assert got == {"codes": [0], "scipy": [], "stdlib": [], "numpy": True,
-                   "numeric": ["dispersia._sampled"]}
+                   "numeric": ["dispersia._sampled"],
+                   "package": sorted(CORE + ["dispersia._sampled", "dispersia.dispersion",
+                                             "dispersia.kernels"])}
     report = json.loads(out.read_text())
     sigma_e = report.pop("sigma_E")
     assert report == {"passive": True, "strictly_passive": True, "m": 0, "sigma_H": 0.0,
@@ -133,7 +181,8 @@ def test_strictly_passive_analyze_loads_numpy_for_sigma_only(tmp_path):
     cfg = write(tmp_path, "lorentz.json", {"medium": medium_doc(lorentz())})
     out = tmp_path / "report.json"
     got = fresh(["analyze", "--config", cfg, "--out", str(out)])
-    assert got == {"codes": [0], "scipy": [], "stdlib": [], "numpy": True, "numeric": []}
+    assert got == {"codes": [0], "scipy": [], "stdlib": [], "numpy": True, "numeric": [],
+                   "package": sorted(CORE + ["dispersia.dispersion", "dispersia.kernels"])}
     here = tmp_path / "here.json"
     assert main(["analyze", "--config", cfg, "--out", str(here)]) == 0
     assert out.read_bytes() == here.read_bytes()
@@ -147,7 +196,8 @@ def test_non_passive_analyze_and_config_error_load_no_numpy(tmp_path, capsys):
     argvs = [["analyze", "--config", debye_cfg, "--out", str(tmp_path / "fresh.json")],
              ["analyze", "--config", bad_cfg, "--out", str(tmp_path / "fresh_bad.json")]]
     got, err = run_fresh(*argvs)
-    assert got == {"codes": [3, 1], "scipy": [], "stdlib": [], "numpy": False, "numeric": []}
+    assert got == {"codes": [3, 1], "scipy": [], "stdlib": [], "numpy": False, "numeric": [],
+                   "package": sorted(CORE + ["dispersia.dispersion", "dispersia.kernels"])}
     # the same bytes as in this process
     capsys.readouterr()
     assert [main(["analyze", "--config", debye_cfg, "--out", str(tmp_path / "here.json")]),
@@ -160,6 +210,56 @@ def test_non_passive_analyze_and_config_error_load_no_numpy(tmp_path, capsys):
     assert (report["passive"], report["strictly_passive"], report["certified"]) == \
         (False, False, True)
     assert not (tmp_path / "fresh_bad.json").exists()
+
+
+def test_spectrum_loads_no_dispersion(tmp_path):
+    cfg = write(tmp_path, "spectrum.json",
+                {"medium": medium_doc(lorentz()), "k_values": [1.0, 4.0, 16.0]})
+    got = fresh(["spectrum", "--config", cfg, "--out", str(tmp_path / "fresh.csv")])
+    assert got["codes"] == [0]
+    assert got["package"] == sorted(CORE + ["dispersia.kernels", "dispersia.modal"])
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
+def test_fit_loads_no_kernels_dispersion_or_modal(tmp_path):
+    sim = write(tmp_path, "sim.json", {"medium": medium_doc(debye()), "modes": [[1.0, 1.0]],
+                                       "dt": 0.02, "T": 20.0, "output_stride": 5})
+    trace = str(tmp_path / "trace.csv")
+    assert main(["simulate", "--config", sim, "--out", trace]) == 0
+    got = fresh(["fit", trace, "--window", "2,20", "--out", str(tmp_path / "fresh.json")])
+    assert got["codes"] == [0]
+    assert got["numpy"] is True
+    assert got["package"] == sorted(CORE + ["dispersia.decay"])
+    assert main(["fit", trace, "--window", "2,20", "--out", str(tmp_path / "here.json")]) == 0
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+class TestLogLevel:
+    """DISPERSIA_LOG sets what goes to stderr; the report is the same bytes at any level."""
+
+    LEVELS = ("WARNING", "INFO", "DEBUG", "no_such_level")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("log")
+        cfg = write(tmp_path, "lorentz.json", {"medium": medium_doc(lorentz())})
+        return {level: python("-c", CLI, "analyze", "--config", cfg,
+                              env={"DISPERSIA_LOG": level}) for level in self.LEVELS}
+
+    def test_info_and_debug_print_both_certificates(self, runs):
+        pattern = r"INFO dispersia: (nu_e|nu_h) certified: C=\S+ delta=\S+"
+        for level in ("INFO", "DEBUG"):
+            lines = runs[level][1].splitlines()
+            assert [re.fullmatch(pattern, line).group(1) for line in lines] == ["nu_e", "nu_h"]
+
+    def test_warning_and_an_unknown_level_print_nothing(self, runs):
+        assert runs["WARNING"][1] == runs["no_such_level"][1] == ""
+
+    def test_report_bytes_do_not_depend_on_the_level(self, runs):
+        reports = {runs[level][0] for level in self.LEVELS}
+        assert len(reports) == 1
+        assert json.loads(reports.pop())["m"] == 2
 
 
 # the home of each exported name, as the package has always bound it
