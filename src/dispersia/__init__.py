@@ -16,14 +16,16 @@ _HOMES = {
                 "drude", "eval_kernel", "laplace", "lorentz"),
     "dispersion": ("OmegaRational", "PassivityError", "PassivityReport", "analyze",
                    "check_passivity", "check_strict_passivity", "decay_exponent", "omega_form"),
-    "medium": ("EnergyTrace", "KernelError", "MediumSpec"),
+    "medium": ("KernelError", "MediumSpec"),
+    "energy_trace": ("EnergyTrace",),
     "modal": ("HistoryState", "ModeSystem", "build_mode", "build_modes", "cavity_modes",
               "dispersion_roots", "initial_history", "run_multimode", "spectral_abscissa",
               "step_exact", "step_history"),
     "decay": ("DecayReport", "ExpectedDecay", "fit_decay", "predict"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("cli", "decay", "dispersion", "io", "kernels", "medium", "modal")
+_SUBMODULES = ("cli", "decay", "dispersion", "energy_trace", "io", "kernels", "medium",
+               "modal")
 
 __all__ = sorted(_HOME)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .dispersion import PassivityReport
-    from .medium import EnergyTrace
+    from .energy_trace import EnergyTrace
 
 
 class UnusableTrace(ValueError):

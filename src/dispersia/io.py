@@ -19,11 +19,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .medium import EnergyTrace, KernelError, MediumSpec, ModalError
+from .medium import KernelError, MediumSpec, ModalError
 
 if TYPE_CHECKING:
     from .decay import DecayReport
     from .dispersion import PassivityReport
+    from .energy_trace import EnergyTrace
     from .kernels import Kernel
 
 
@@ -377,6 +378,8 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
         if header != TRACE_HEADER:
             raise ParseError("trace", f"bad header {header!r}, expected {TRACE_HEADER!r}")
         import numpy as np
+
+        from .energy_trace import EnergyTrace
 
         try:
             # the first line with a row on it; numpy warns on input without one

@@ -1,10 +1,10 @@
-"""The medium of a modal run, an energy trace, and the errors of the kernel and
-modal layers, without numpy and without ``kernels``.
+"""The medium of a modal run, and the errors of the kernel and modal layers,
+without numpy and without ``kernels``.
 
-``io`` builds a ``MediumSpec`` while it parses a config and an ``EnergyTrace``
-while it reads one, and ``cli`` catches ``KernelError`` and ``ModalError``, so
-they live here rather than in ``kernels`` and ``modal``, which export them as
-their own.  ``fit`` thereby loads neither: it reads a trace and fits it.
+``io`` builds a ``MediumSpec`` while it parses a config and ``cli`` catches
+``KernelError`` and ``ModalError``, so they live here rather than in
+``kernels`` and ``modal``, which export them as their own.  So ``fit``, which
+reads a trace and fits it, loads neither.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .kernels import Kernel
 
 
@@ -44,14 +42,3 @@ class MediumSpec:
         if not (0 < self.eps < math.inf and 0 < self.mu < math.inf):
             raise ModalError("permittivity and permeability must be positive and finite, "
                              f"got eps = {self.eps!r}, mu = {self.mu!r}")
-
-
-@dataclass(frozen=True)
-class EnergyTrace:
-    times: np.ndarray
-    energy: np.ndarray
-    history_norm: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.times.shape != self.energy.shape:
-            raise ModalError("times and energy must have equal length")

@@ -7,8 +7,9 @@ per damped term), so the mode becomes a small constant-coefficient ODE that
 is advanced with the matrix exponential (``expm``: Pade-13 scaling and
 squaring in numpy, vectorized over a stack of mode matrices).  A
 history-quadrature integrator is kept as the independent reference.
-``MediumSpec``, ``EnergyTrace`` and ``ModalError`` are defined in
-``dispersia.medium``, which needs no numpy, and are exported here too.
+``MediumSpec`` and ``ModalError`` are defined in ``dispersia.medium`` and
+``EnergyTrace`` in ``dispersia.energy_trace``, which need no numpy; all three
+are exported here too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .energy_trace import EnergyTrace
 from .kernels import (
     Kernel,
     KernelError,
@@ -28,7 +30,7 @@ from .kernels import (
     eval_kernel,
     laplace_rational,
 )
-from .medium import EnergyTrace, MediumSpec, ModalError
+from .medium import MediumSpec, ModalError
 
 
 # doubles in one block of output states in run_multimode (128 KiB)

@@ -139,7 +139,8 @@ def test_exp_poly_analyze_spectrum_fit_load_no_scipy(tmp_path):
     assert got == {"codes": [0, 0, 0], "scipy": [], "stdlib": [], "numpy": True,
                    "numeric": ["dispersia.decay", "dispersia.modal"],
                    "package": sorted(CORE + ["dispersia.decay", "dispersia.dispersion",
-                                             "dispersia.kernels", "dispersia.modal"])}
+                                             "dispersia.energy_trace", "dispersia.kernels",
+                                             "dispersia.modal"])}
     assert json.loads((tmp_path / "report.json").read_text())["m"] == 2
     assert json.loads((tmp_path / "fit.json").read_text())["kind"] == "exponential"
 
@@ -152,7 +153,8 @@ def test_simulate_loads_no_scipy(tmp_path):
     assert got["codes"] == [0]
     assert got["scipy"] == []
     assert got["numeric"] == ["dispersia.modal"]
-    assert got["package"] == sorted(CORE + ["dispersia.kernels", "dispersia.modal"])
+    assert got["package"] == sorted(CORE + ["dispersia.energy_trace", "dispersia.kernels",
+                                            "dispersia.modal"])
     # a fresh process writes the trace this process writes
     here = tmp_path / "here.csv"
     assert main(["simulate", "--config", sim, "--out", str(here)]) == 0
@@ -217,7 +219,8 @@ def test_spectrum_loads_no_dispersion(tmp_path):
                 {"medium": medium_doc(lorentz()), "k_values": [1.0, 4.0, 16.0]})
     got = fresh(["spectrum", "--config", cfg, "--out", str(tmp_path / "fresh.csv")])
     assert got["codes"] == [0]
-    assert got["package"] == sorted(CORE + ["dispersia.kernels", "dispersia.modal"])
+    assert got["package"] == sorted(CORE + ["dispersia.energy_trace", "dispersia.kernels",
+                                            "dispersia.modal"])
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "here.csv")]) == 0
     assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
@@ -230,7 +233,7 @@ def test_fit_loads_no_kernels_dispersion_or_modal(tmp_path):
     got = fresh(["fit", trace, "--window", "2,20", "--out", str(tmp_path / "fresh.json")])
     assert got["codes"] == [0]
     assert got["numpy"] is True
-    assert got["package"] == sorted(CORE + ["dispersia.decay"])
+    assert got["package"] == sorted(CORE + ["dispersia.decay", "dispersia.energy_trace"])
     assert main(["fit", trace, "--window", "2,20", "--out", str(tmp_path / "here.json")]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
