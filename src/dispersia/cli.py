@@ -198,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     _configure_logging()
     # every command imports io, and medium with it
-    from . import io
-    from .medium import KernelError, ModalError
+    from . import io, medium
 
     # the handlers are looked up on every call, not stored in the reused
     # parser, so a later rebinding of a cmd_* function is the one that runs
@@ -210,10 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     except io.ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except KernelError as exc:
+    except medium.KernelError as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_CERT
-    except ModalError as exc:
+    except medium.ModalError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -68,9 +68,9 @@ def _coefficients(value, field: str) -> list[float]:
 # kernel documents
 
 def kernel_to_doc(kernel: Kernel) -> dict:
-    from .kernels import SampledKernel
+    from . import kernels
 
-    if isinstance(kernel, SampledKernel):
+    if isinstance(kernel, kernels.SampledKernel):
         return {
             "type": "sampled_builtin",
             "name": kernel.name,
@@ -99,7 +99,9 @@ def kernel_to_doc(kernel: Kernel) -> dict:
 
 
 def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
-    from .kernels import ExpPolyKernel, SampledKernel
+    # "from . import": a "from .kernels import" would probe kernels.__path__
+    # through the module's __getattr__, and raise, on every call
+    from . import kernels
 
     if not isinstance(doc, dict):
         raise ParseError(where, "expected an object")
@@ -134,25 +136,23 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
             coeffs = [complex(a + 0.0 * b, b + 0.0) for a, b in zip(pre, pim)]
             pairs.append((coeffs, complex(z_re, z_im)))
         try:  # an unpaired complex term, or a z = 0 term that is not a constant
-            return ExpPolyKernel.from_complex_terms(pairs)
+            return kernels.ExpPolyKernel.from_complex_terms(pairs)
         except KernelError as exc:
             raise ParseError(f"{where}.terms", str(exc)) from exc
     if ktype == "sampled_builtin":
-        from .kernels import BUILTIN_SAMPLED
-
         name = doc.get("name")
         if not isinstance(name, str):
             raise ParseError(f"{where}.name", f"expected a string, got {name!r}")
-        if name not in BUILTIN_SAMPLED:
+        if name not in kernels.BUILTIN_SAMPLED:
             raise ParseError(
                 f"{where}.name",
-                f"unknown builtin {name!r}; known: {sorted(BUILTIN_SAMPLED)}",
+                f"unknown builtin {name!r}; known: {sorted(kernels.BUILTIN_SAMPLED)}",
             )
         for key in ("C", "delta"):
             if key not in doc:
                 raise ParseError(f"{where}.{key}", "missing required field")
-        return SampledKernel(
-            BUILTIN_SAMPLED[name],
+        return kernels.SampledKernel(
+            kernels.BUILTIN_SAMPLED[name],
             C=_number(doc["C"], f"{where}.C"),
             delta=_number(doc["delta"], f"{where}.delta"),
             name=name,
