@@ -58,7 +58,7 @@ print(json.dumps({"codes": codes,
 # may exit; prints the exit code, every dispersia module and which of logging,
 # json and dataclasses were loaded after the interpreter's own start-up
 PARSER_SNIPPET = """
-import json, sys
+import sys
 STDLIB = ("dataclasses", "json", "logging")
 before = {m for m in STDLIB if m in sys.modules}
 import dispersia.cli
@@ -67,9 +67,11 @@ try:
     code = dispersia.cli.main(sys.argv[1:]) if sys.argv[1:] else None
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code,
-                  "package": sorted(m for m in sys.modules if m.split(".")[0] == "dispersia"),
-                  "stdlib": sorted(m for m in STDLIB if m in sys.modules and m not in before)}))
+report = {"code": code,
+          "package": sorted(m for m in sys.modules if m.split(".")[0] == "dispersia"),
+          "stdlib": sorted(m for m in STDLIB if m in sys.modules and m not in before)}
+import json
+print(json.dumps(report))
 """
 
 CLI = "import sys; from dispersia.cli import main; sys.exit(main())"
