@@ -5,7 +5,8 @@ Each output (report, trace, spectrum table) has one writer; writes are atomic
 Parsing a kernel or an analyze config needs no numpy: numpy is imported by
 the trace formatter and reader and by a k_range grid, and ``modal`` by the
 cavity and trace-length checks of a run config.  ``kernels`` is imported by
-the kernel document reader and writer, so reading a trace loads neither.
+the kernel document reader and writer, so reading a trace loads neither
+``kernels`` nor ``modal``.
 """
 
 from __future__ import annotations
