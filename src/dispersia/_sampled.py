@@ -1,9 +1,10 @@
 """The sampled-kernel path of ``kernels``, loaded with numpy on its first use.
 
 ``kernels.certify_class_K``, ``kernels.laplace`` and
-``kernels.sampled_iw_real_part`` call in here for a ``SampledKernel``, and
-``kernels.GAUSSIAN`` and ``kernels.BUILTIN_SAMPLED`` are read from here, so a
-process that never touches a sampled kernel never imports this module.
+``kernels.sampled_iw_real_part`` call in here for a ``SampledKernel``: the
+certificate spot-check and the Filon transform.  The builtin kernels live in
+``kernels``, so a process that never certifies or transforms a sampled kernel
+never imports this module.
 Laplace values come from one Filon-Legendre panel transform: the sampled
 function is interpolated at 16 Gauss-Legendre nodes on panels chosen from it
 alone, and each panel is integrated against e^{-i w s} exactly, for a whole
@@ -13,7 +14,6 @@ array of frequencies at once.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -24,26 +24,6 @@ from .kernels import (
     SampledKernel,
     UnsupportedPoint,
 )
-
-
-def _gaussian_eval(t: np.ndarray, order: int) -> np.ndarray:
-    # e^{-t^2} is 0.0 beyond |t| = 27.3, so clipping at 40 changes no value and
-    # keeps t^2 finite where it would overflow (and 0 * inf give NaN)
-    t = np.clip(t, -40.0, 40.0)
-    g = np.exp(-(t**2))
-    if order == 0:
-        return g
-    if order == 1:
-        return -2.0 * t * g
-    return (4.0 * t**2 - 2.0) * g
-
-
-# max_t |(4 t^2 - 2) e^{-t^2}| e^t = 3.3414 at t = 1.428, so C = 3.4 leaves margin
-GAUSSIAN = SampledKernel(_gaussian_eval, C=3.4, delta=1.0, name="gaussian")
-
-BUILTIN_SAMPLED: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {
-    "gaussian": _gaussian_eval,
-}
 
 
 def certify(kernel: SampledKernel) -> ClassKCertificate:

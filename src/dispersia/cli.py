@@ -5,7 +5,7 @@ Exit codes:
   1 parse or usage error
   2 class-K certification failure
   3 passivity failure
-  4 unsupported kernel type for the requested command
+  4 unsupported kernel type for the requested command (``UnsupportedKernel``)
   5 inconclusive decay fit
 
 Importing this module and building the parser load argparse and nothing of
@@ -86,25 +86,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_exp_poly(medium, what: str) -> bool:
-    """Report the first kernel of a MediumSpec without a finite closure; the
-    modal commands need one."""
-    from . import kernels
-
-    for which, kernel in (("nu_e", medium.nu_e), ("nu_h", medium.nu_h)):
-        if not isinstance(kernel, kernels.ExpPolyKernel):
-            print(f"medium.{which}: {what} requires an exp_poly kernel", file=sys.stderr)
-            return False
-    return True
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import io
 
     doc, base_dir = io.load_config(args.config)
     config = io.parse_simulate_config(doc, base_dir)
-    if not _require_exp_poly(config.medium, "simulation"):
-        return EXIT_UNSUPPORTED
     from . import modal
 
     trace = modal.run_multimode(
@@ -123,8 +109,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     doc, base_dir = io.load_config(args.config)
     config = io.parse_spectrum_config(doc, base_dir)
-    if not _require_exp_poly(config.medium, "spectrum"):
-        return EXIT_UNSUPPORTED
     from . import modal
 
     rows = []
@@ -212,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     except medium.KernelError as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except medium.UnsupportedKernel as exc:  # a ModalError: caught first
+        print(f"unsupported kernel: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except medium.ModalError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,7 +1,8 @@
 """Serialization: kernel documents, run configs, and the output of every command.
 
 Each output (report, trace, spectrum table) has one writer; writes are atomic
-(temp file + rename) so a failed run never leaves a partial output behind.
+(temp file + rename, mode 0o666 less the umask) so a failed run never leaves a
+partial output behind.  An input that cannot be opened is a ``ParseError``.
 Parsing a kernel or an analyze config needs no numpy: numpy is imported by
 the trace formatter and reader and by a k_range grid, and ``modal`` by the
 cavity and trace-length checks of a run config.  ``kernels`` is imported by
@@ -15,7 +16,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -100,8 +100,6 @@ def kernel_to_doc(kernel: Kernel) -> dict:
 
 
 def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
-    # "from . import": a "from .kernels import" would probe kernels.__path__
-    # through the module's __getattr__, and raise, on every call
     from . import kernels
 
     if not isinstance(doc, dict):
@@ -163,6 +161,14 @@ def kernel_from_doc(doc: dict, where: str = "kernel") -> Kernel:
     )
 
 
+def _open(path: Path, field: str):
+    """path opened for reading; an OSError is a ParseError naming field and path."""
+    try:
+        return path.open()
+    except OSError as exc:
+        raise ParseError(field, f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _resolve_kernel(doc, where: str, base_dir: Path) -> Kernel:
     """A kernel field is either an inline document or {"file": path}."""
     if isinstance(doc, dict) and set(doc) == {"file"}:
@@ -171,10 +177,11 @@ def _resolve_kernel(doc, where: str, base_dir: Path) -> Kernel:
         path = base_dir / doc["file"]
         if not path.is_file():
             raise ParseError(f"{where}.file", f"kernel file not found: {path}")
-        try:
-            inner = json.loads(path.read_text())
-        except ValueError as exc:  # malformed JSON, or an integer beyond the conversion limit
-            raise ParseError(f"{where}.file", f"invalid JSON in {path}: {exc}") from exc
+        with _open(path, f"{where}.file") as f:
+            try:
+                inner = json.load(f)
+            except ValueError as exc:  # malformed JSON, or an integer beyond the conversion limit
+                raise ParseError(f"{where}.file", f"invalid JSON in {path}: {exc}") from exc
         return kernel_from_doc(inner, where)
     return kernel_from_doc(doc, where)
 
@@ -332,12 +339,13 @@ def load_config(path: str | os.PathLike) -> tuple[dict, Path]:
     p = Path(path)
     if not p.is_file():
         raise ParseError("config", f"file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond the int conversion limit
-        raise ParseError("config", f"invalid JSON: {exc}") from exc
+    with _open(p, "config") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ParseError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # an integer literal beyond the int conversion limit
+            raise ParseError("config", f"invalid JSON: {exc}") from exc
     return doc, p.parent
 
 
@@ -371,7 +379,7 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
     p = Path(path)
     if not p.is_file():
         raise ParseError("trace", f"file not found: {p}")
-    with p.open() as f:
+    with _open(p, "trace") as f:
         try:
             header = f.readline().strip()
         except UnicodeDecodeError as exc:
@@ -420,12 +428,13 @@ def decay_report_to_doc(report: DecayReport) -> dict:
 
 def _write(path: Optional[str | os.PathLike], text: str) -> str:
     """A path that cannot be written is a ParseError naming it; no temporary
-    file is left behind."""
+    file is left behind.  The file, also one replaced, gets 0o666 less the umask."""
     if path is None:
         return text
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(text)

@@ -11,9 +11,9 @@ panel transform (``dispersia._sampled``).  Nothing here uses scipy.
 
 Parsing, the exact derivative, ``certify_class_K`` and ``laplace_rational``
 of an exp-poly kernel run on Python floats and ints, so importing this
-module loads no numpy.  Evaluation on arrays imports numpy when first called,
-and the sampled path, with the builtin ``GAUSSIAN`` and ``BUILTIN_SAMPLED``,
-is imported from ``dispersia._sampled`` on first use.  ``KernelError`` is
+module loads no numpy.  Evaluation on arrays, the builtin ``GAUSSIAN``'s too,
+imports numpy when first called, and the sampled certificate and transforms
+are imported from ``dispersia._sampled`` on first use.  ``KernelError`` is
 defined in ``dispersia.medium``, so that ``io`` and ``cli`` name it without
 loading this module, and is exported here.
 """
@@ -31,15 +31,6 @@ from .medium import KernelError
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def __getattr__(name: str):
-    # the builtin sampled kernels live with the sampled path, loaded on first use
-    if name in ("GAUSSIAN", "BUILTIN_SAMPLED"):
-        from . import _sampled
-
-        return getattr(_sampled, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotInClassK(KernelError):
@@ -281,6 +272,25 @@ class SampledKernel:
     def value_at_zero(self) -> float:
         return float(self(0.0, 0))
 
+
+def _gaussian_eval(t: np.ndarray, order: int) -> np.ndarray:
+    import numpy as np
+
+    # e^{-t^2} is 0.0 beyond |t| = 27.3, so clipping at 40 changes no value and
+    # keeps t^2 finite where it would overflow (and 0 * inf give NaN)
+    t = np.clip(t, -40.0, 40.0)
+    g = np.exp(-(t**2))
+    if order == 0:
+        return g
+    if order == 1:
+        return -2.0 * t * g
+    return (4.0 * t**2 - 2.0) * g
+
+
+# max_t |(4 t^2 - 2) e^{-t^2}| e^t = 3.3414 at t = 1.428, so C = 3.4 leaves margin
+GAUSSIAN = SampledKernel(_gaussian_eval, C=3.4, delta=1.0, name="gaussian")
+
+BUILTIN_SAMPLED: dict[str, Callable[[np.ndarray, int], np.ndarray]] = {"gaussian": _gaussian_eval}
 
 Kernel = Union[ExpPolyKernel, SampledKernel]
 

@@ -2,9 +2,9 @@
 without numpy and without ``kernels``.
 
 ``io`` builds a ``MediumSpec`` while it parses a config and ``cli`` catches
-``KernelError`` and ``ModalError``, so they live here rather than in
-``kernels`` and ``modal``, which export them as their own.  So ``fit``, which
-reads a trace and fits it, loads neither.
+``KernelError``, ``ModalError`` and ``UnsupportedKernel``, so they live here
+rather than in ``kernels`` and ``modal``, which export them as their own.  So
+``fit``, which reads a trace and fits it, loads neither.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ class KernelError(ValueError):
 
 class ModalError(ValueError):
     pass
+
+
+class UnsupportedKernel(ModalError):
+    """A kernel without a finite modal closure; ``cli`` exits 4 on it."""
 
 
 def _zero_kernel() -> Kernel:

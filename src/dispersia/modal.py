@@ -7,8 +7,9 @@ per damped term), so the mode becomes a small constant-coefficient ODE that
 is advanced with the matrix exponential (``expm``: Pade-13 scaling and
 squaring in numpy, vectorized over a stack of mode matrices).  A
 history-quadrature integrator is kept as the independent reference.
-``MediumSpec`` and ``ModalError`` are defined in ``dispersia.medium`` and
-``EnergyTrace`` in ``dispersia.energy_trace``, which need no numpy; all three
+``MediumSpec``, ``ModalError`` and ``UnsupportedKernel`` (raised for a sampled
+kernel, which has no finite closure) are defined in ``dispersia.medium`` and
+``EnergyTrace`` in ``dispersia.energy_trace``, which need no numpy; all four
 are exported here too.
 """
 
@@ -22,15 +23,15 @@ import numpy as np
 
 from .energy_trace import EnergyTrace
 from .kernels import (
+    ExpPolyKernel,
     Kernel,
     KernelError,
-    SampledKernel,
     _poly_product,
     _poly_sum,
     eval_kernel,
     laplace_rational,
 )
-from .medium import MediumSpec, ModalError
+from .medium import MediumSpec, ModalError, UnsupportedKernel
 
 
 # doubles in one block of output states in run_multimode (128 KiB)
@@ -79,6 +80,14 @@ def _wavenumber(k) -> float:
     return k
 
 
+def _require_closure(medium: MediumSpec) -> None:
+    """UnsupportedKernel naming the first field of medium whose kernel has no finite closure."""
+    for name in ("nu_e", "nu_h"):
+        if not isinstance(getattr(medium, name), ExpPolyKernel):
+            raise UnsupportedKernel(f"medium.{name}: the modal closure needs an exp_poly "
+                                    "(exponential-polynomial) kernel; use step_history")
+
+
 def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     """Exact finite closure of the per-mode Volterra system.
 
@@ -97,9 +106,7 @@ def build_mode(medium: MediumSpec, k: float) -> ModeSystem:
     first such row's divisor.
     """
     k = _wavenumber(k)
-    for kern in (medium.nu_e, medium.nu_h):
-        if isinstance(kern, SampledKernel):
-            raise ModalError("sampled kernels admit no finite closure; use step_history")
+    _require_closure(medium)
     # on Python floats an overflowing entry is inf, reported below, with no numpy warning
     eps, mu = float(medium.eps), float(medium.mu)
     entries = [(0, 0, -medium.nu_e.value_at_zero() / eps),  # (row, column, value)
@@ -234,9 +241,7 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     The characteristic polynomial is assembled exactly in integers from
     ``laplace_rational`` and the floats eps, mu and k (finite and
     nonnegative, as in ``build_mode``), and rounded once."""
-    for kern in (medium.nu_e, medium.nu_h):
-        if isinstance(kern, SampledKernel):
-            raise ModalError("dispersion relation needs exponential-polynomial kernels")
+    _require_closure(medium)
     k = _wavenumber(k)
     # lambda (c + L nu) = (c_num lambda B + c_den A) / (c_den B) with c = c_num / c_den
     parts, dens = [], []
@@ -651,8 +656,10 @@ def run_multimode(
     samples.  b is a power of two capped so that the blocks take no more
     memory than expm did (see ``_block_size``).  The energies of a block are
     reduced over modes in a fixed order, and the trace is bit-identical
-    across runs.  Fields that outgrow the float range raise ModalError.
+    across runs.  Fields that outgrow the float range raise ModalError, and a
+    sampled kernel UnsupportedKernel, with no modes too.
     """
+    _require_closure(medium)
     if dt <= 0 or T <= dt:
         raise ModalError("need dt > 0 and T > dt")
     if output_stride < 1:

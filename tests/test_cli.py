@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +121,14 @@ def malformed_config(tmp_path, terms):
 
 NON_FINITE_FIELDS = [(field, value) for field in ("poly_re", "poly_im", "z_re", "z_im")
                      for value in (float("nan"), float("inf"))]
+
+
+def assert_one_unsupported_line(capsys, field):
+    """The one stderr line of exit 4, naming the field; nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"unsupported kernel: medium.{field}: ")
+    assert "exp_poly" in captured.err and captured.err.count("\n") == 1
 
 
 def debye_sim_config(**overrides):
@@ -403,13 +414,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert np.all(dio.read_trace(out).energy == 0.0)
 
-    def test_sampled_kernel_exit4(self, tmp_path):
-        doc = debye_sim_config()
-        doc["medium"]["nu_e"] = kernel_doc(GAUSSIAN)
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "trace.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
-        assert not out.exists()
+    def test_sampled_kernel_exit4(self, tmp_path, capsys):
+        for field in ("nu_e", "nu_h"):
+            for modes in ([[1.0, 1.0]], []):
+                doc = debye_sim_config(modes=modes)
+                doc["medium"][field] = kernel_doc(GAUSSIAN)
+                cfg = write_config(tmp_path, doc)
+                out = tmp_path / "trace.csv"
+                assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+                assert_one_unsupported_line(capsys, field)
+                assert not out.exists()
 
     def test_invalid_field_named_no_partial_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, debye_sim_config(dt=-1.0))
@@ -702,13 +716,14 @@ class TestSpectrumCommand:
         assert not out.exists()
 
     def test_sampled_kernel_exit4(self, tmp_path, capsys):
-        doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}
-        doc["medium"]["nu_e"] = kernel_doc(GAUSSIAN)
-        cfg = write_config(tmp_path, doc)
-        out = tmp_path / "spectrum.csv"
-        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
-        assert "exp_poly" in capsys.readouterr().err
-        assert not out.exists()
+        for field in ("nu_e", "nu_h"):
+            doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}
+            doc["medium"][field] = kernel_doc(GAUSSIAN)
+            cfg = write_config(tmp_path, doc)
+            out = tmp_path / "spectrum.csv"
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+            assert_one_unsupported_line(capsys, field)
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("command, doc, field", overflowing_configs().values(),
@@ -885,6 +900,76 @@ class TestOutputs:
         # nothing written, and no temporary file left behind
         assert sorted(p.name for p in work.rglob("*")) == (
             ["existing_dir"] if target == "directory" else [])
+
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_file_mode_follows_the_umask(self, tmp_path, command):
+        argv = command_argv(tmp_path, command)
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(argv + ["--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+            out.chmod(0o600)  # a replaced file takes the new file's mode too
+            assert main(argv + ["--out", str(out)]) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+
+def deny_reading(monkeypatch, target):
+    """Opening target raises PermissionError, as a file without read permission does."""
+    real_open = Path.open
+
+    def open_(self, *args, **kwargs):
+        if self == target:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+class TestUnreadableInputs:
+    """An input that exists but cannot be read is one config error line, exit 1."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "spectrum"])
+    def test_config(self, tmp_path, capsys, monkeypatch, command):
+        argv = command_argv(tmp_path, command)
+        deny_reading(monkeypatch, Path(argv[2]))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config: cannot read {argv[2]}: Permission denied\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["medium.nu_e", "nu_h"])
+    def test_kernel_file(self, tmp_path, capsys, monkeypatch, where):
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps(kernel_doc(debye())))
+        if where == "nu_h":
+            doc = {"nu_h": {"file": "kernel.json"}}
+        else:
+            doc = {"medium": {"eps": 1.0, "mu": 1.0, "nu_e": {"file": "kernel.json"},
+                              "nu_h": ZERO_DOC}}
+        cfg = write_config(tmp_path, doc)
+        deny_reading(monkeypatch, kernel)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {where}.file: cannot read {kernel}: Permission denied\n")
+        assert not out.exists()
+
+    def test_trace(self, tmp_path, capsys, monkeypatch):
+        argv = command_argv(tmp_path, "fit")
+        deny_reading(monkeypatch, Path(argv[1]))
+        capsys.readouterr()
+        out = tmp_path / "fit.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: trace: cannot read {argv[1]}: Permission denied\n")
+        assert not out.exists()
 
 
 def reference_passivity_doc(report):

@@ -24,7 +24,7 @@ from dispersia import (
 )
 from dispersia import dispersion, kernels
 from dispersia.dispersion import PassivityError
-from dispersia._sampled import _gaussian_eval
+from dispersia.kernels import _gaussian_eval
 
 from conftest import (
     debye_sum6,

@@ -26,9 +26,8 @@ from dispersia import (
 )
 from dispersia import _sampled, dispersion, kernels
 from dispersia import io as dio
-from dispersia._sampled import _gaussian_eval
 from dispersia.dispersion import omega_form
-from dispersia.kernels import UnsupportedPoint, sampled_iw_real_part
+from dispersia.kernels import UnsupportedPoint, _gaussian_eval, sampled_iw_real_part
 
 from conftest import debye_sum6, debye_sum10, lorentz_sum6, random_class_k_kernel
 

@@ -27,8 +27,8 @@ from dispersia import (
     step_history,
 )
 from dispersia import modal
-from dispersia._sampled import _gaussian_eval
-from dispersia.modal import HistoryTruncationError, ModalError
+from dispersia.kernels import _gaussian_eval
+from dispersia.modal import HistoryTruncationError, ModalError, UnsupportedKernel
 
 from conftest import defective_medium, mixed_medium, random_class_k_kernel, random_passive_kernel
 
@@ -92,8 +92,17 @@ class TestBuildMode:
         assert np.allclose(state, [1.0, 0.0], atol=1e-10)
 
     def test_sampled_kernel_rejected(self):
-        with pytest.raises(ModalError):
-            build_mode(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 1.0)
+        """Every modal entry point names the sampled field, with no modes too."""
+        calls = [lambda m: build_mode(m, 1.0), lambda m: build_modes(m, [1.0, 2.0]),
+                 lambda m: build_modes(m, []), lambda m: dispersion_roots(m, 1.0),
+                 lambda m: run_multimode(m, [(1.0, 1.0)], dt=0.1, T=1.0),
+                 lambda m: run_multimode(m, [], dt=0.1, T=1.0)]
+        for field in ("nu_e", "nu_h"):
+            medium = MediumSpec(1.0, 1.0, **{"nu_e": debye(), "nu_h": ZERO, field: GAUSSIAN})
+            for call in calls:
+                with pytest.raises(UnsupportedKernel, match=f"^medium\\.{field}: .*exp_poly "
+                                                            r"\(exponential-polynomial\)"):
+                    call(medium)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ModalError):

@@ -181,6 +181,15 @@ def test_sampled_analyze_report_unchanged(tmp_path):
     assert out.read_bytes() == here.read_bytes()
 
 
+def test_builtin_sampled_kernels_load_no_numpy():
+    code = ("import sys; from dispersia import kernels; "
+            "g = kernels.GAUSSIAN, kernels.BUILTIN_SAMPLED['gaussian']; "
+            "print(g[0].evaluator is g[1], 'numpy' in sys.modules, "
+            "'dispersia._sampled' in sys.modules, hasattr(kernels, '__getattr__'))")
+    out, _ = python("-c", code)
+    assert out.split() == ["True", "False", "False", "False"]
+
+
 def test_strictly_passive_analyze_loads_numpy_for_sigma_only(tmp_path):
     cfg = write(tmp_path, "lorentz.json", {"medium": medium_doc(lorentz())})
     out = tmp_path / "report.json"
