@@ -376,6 +376,9 @@ def format_trace(trace: EnergyTrace) -> str:
 
 
 def read_trace(path: str | os.PathLike) -> EnergyTrace:
+    """The trace at path.  A value that is not finite, which ``write_trace``
+    never writes, is a ParseError naming the first data row that holds one
+    (rows counted from 1 after the header, blank and comment lines skipped)."""
     p = Path(path)
     if not p.is_file():
         raise ParseError("trace", f"file not found: {p}")
@@ -400,6 +403,11 @@ def read_trace(path: str | os.PathLike) -> EnergyTrace:
             raise ParseError("trace", f"malformed row: {exc}") from exc
     if data.shape[1] != 3:
         raise ParseError("trace", f"expected 3 columns, got {data.shape[1]}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = int(finite.all(axis=1).argmin())
+        values = ",".join(f"{v:.17g}" for v in data[row].tolist())
+        raise ParseError("trace", f"data row {row + 1} is not finite: {values}")
     return EnergyTrace(data[:, 0], data[:, 1], data[:, 2])
 
 

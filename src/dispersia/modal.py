@@ -256,7 +256,7 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 
 
 # steps of a history that step_history computes at once (see _next_block)
-_HISTORY_BLOCK = 32
+_HISTORY_BLOCK = 64
 
 
 class _GrowBuf:
@@ -409,7 +409,8 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
     P + Q M_0 and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
     lower-triangular Toeplitz with blocks Gamma_0 = I and Gamma_m = sum_l
     T_l Gamma_(m - l): forward substitution, no LAPACK call.  B is
-    min(_HISTORY_BLOCK, the horizon's steps), for every block of the history.
+    min(_HISTORY_BLOCK, the horizon's steps), for every block of the history;
+    G has (2 B)^2 entries, 128 x 128 at B = 64.
     """
     dt = state.dt
     B = max(1, min(_HISTORY_BLOCK, horizon - 1))
@@ -446,10 +447,15 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     rule on f_0..f_n, y_c = dt (sum_j w_c[n - j] f_j - (w_c[n] f_0 +
     w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
     to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
-    terms over j <= n0 are far: each field's and offset's far sums for the
-    whole block are one np.correlate of its lag-reversed weight row with
-    f_0..f_n0 (one per _CORRELATE_MAX samples), and the end terms of f_0
-    and, at the first step, of f_n0 (_FAR_END) are added as corrections.
+    terms over j <= n0 are far: a field's far sums for the whole block at
+    c = 0 and c = 1/2 are one np.correlate each of the lag-reversed weight
+    row with f_0..f_n0 (one per _CORRELATE_MAX samples).  Those at c = 1
+    need no correlate of their own: w_1[m] = w_0[m + 1], both nu' at the
+    float (m + 1) dt, so the cached row of c = 1 is that of c = 0 shifted by
+    one lag, bit for bit, and the c = 0 far sums of steps n0 + 1..n0 + b - 1
+    are the c = 1 far sums of steps n0..n0 + b - 2.  Only the block's last
+    step takes one dot product.  The end terms of f_0 and, at the first
+    step, of f_n0 (_FAR_END) are added as corrections.
     The terms over the block's own samples are near and enter through
     _block_map's G, rebuilt only for a new k.  Everything runs under one
     np.errstate.  A non-finite known part cuts the block before its step:
@@ -473,10 +479,13 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
             lo = w.shape[1] - n0 - b  # the column of lag n0 + b - 1
             f = past.view()
             y = np.zeros((3, b))
-            for j in range(0, f.size, _CORRELATE_MAX):
-                seg = f[j:j + _CORRELATE_MAX]
-                for c in range(3):
-                    y[c] += np.correlate(w[c, lo + j:lo + j + seg.size + b - 1], seg)
+            for j in range(lo, lo + f.size, _CORRELATE_MAX):
+                seg = f[j - lo:j - lo + _CORRELATE_MAX]
+                y0 = np.correlate(w[0, j:j + seg.size + b - 1], seg)
+                y[0] += y0
+                y[1] += np.correlate(w[1, j:j + seg.size + b - 1], seg)
+                y[2, 0] += np.dot(w[2, j:j + seg.size], seg)
+                y[2, 1:] += y0[:-1]  # w[2, 1:] is w[0, :-1]
             y *= dt
             y -= (0.5 * dt * past.first) * w[:, lo:lo + b]  # the f_0 ends
             y[:, -1] += (dt * past.last) * (_FAR_END * w[:, -1])
@@ -501,7 +510,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
 
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  The steps are computed
-    in blocks of _HISTORY_BLOCK = 32 steps, fewer where the horizon comes
+    in blocks of _HISTORY_BLOCK = 64 steps, fewer where the horizon comes
     first: the first call, a call with another k than the last, and a call
     after the block is used up compute the next block at once (see
     ``_next_block``), and each call takes one step of it.  The scheme is

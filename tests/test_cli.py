@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import warnings
@@ -795,6 +796,23 @@ class TestFitCommand:
         assert main(["fit", str(path), "--window", "0,1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: trace: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, column", [("inf", 1), ("nan", 1), ("-inf", 0), ("nan", 2)])
+    def test_non_finite_trace_exit1(self, tmp_path, capsys, bad, column):
+        # inside the window an inf energy made the fit's residual NaN, and a nan
+        # energy row was dropped; the comment line is not a data row
+        rows = [[f"{t * 0.5:.17g}", f"{math.exp(-0.1 * t):.17g}", "0"] for t in range(100)]
+        rows[40][column] = bad
+        lines = [",".join(r) for r in rows]
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join([dio.TRACE_HEADER, "# simulate writes no such row"] + lines) + "\n")
+        out = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(path), "--window", "5,45", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: trace: data row 41 is not finite: {lines[40]}\n"
         assert not out.exists()
 
     def test_bad_window_exit1(self, tmp_path):

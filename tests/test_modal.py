@@ -401,6 +401,13 @@ class TestStackedStageSums:
     def test_gaussian(self, nu_h):
         assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, nu_h), 1.3, 0.02, 400, 8.0)
 
+    def test_gaussian_past_its_zero_lags(self):
+        # nu' of the Gaussian is subnormal from t = 26.7 and exactly 0 from
+        # t = 27.3; a history to t = 35 sums over all three kinds of weight
+        hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 1.3, 0.05, 700, 35.0)
+        lags = hist._weights["E"][0, ::-1][:701]
+        assert lags[-1] == 0.0 and np.any((lags != 0.0) & (np.abs(lags) < np.finfo(float).tiny))
+
     @pytest.mark.parametrize("medium", [MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
                                         mixed_medium()], ids=["gaussian", "mixed"])
     def test_zero_fields(self, medium):
@@ -469,6 +476,27 @@ class TestBlockedSteps:
         got = np.array([hist.e_past.view(), hist.h_past.view()])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+
+    @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
+                             ids=["gaussian", "debye", "lorentz"])
+    @pytest.mark.parametrize("dt, s_max, sizes", [
+        (0.01, 30.0, [64, 128, 256, 512, 1024, 2048, 3001]),
+        (0.05, 50.0, [64, 128, 256, 512, 1001]),
+    ], ids=["3001_lags", "1001_lags"])
+    def test_c1_weights_are_c0_weights_one_lag_on(self, kernel, dt, s_max, sizes):
+        # the far sums at c = 1 are those at c = 0 one step on, so w[2, 1:]
+        # must be w[0, :-1] bit for bit, signed zeros too, after every growth
+        # of the cache up to the horizon
+        medium = MediumSpec(1.0, 1.0, kernel, ZERO)
+        hist = initial_history(dt, s_max=s_max)
+        seen = []
+        for _ in range(sizes[-1] - 1):
+            hist = step_history(medium, 1.3, hist, dt)
+            w = hist._weights["E"]
+            if seen[-1:] != [w.shape[1]]:
+                seen.append(w.shape[1])
+                assert np.array_equal(w[2, 1:].view(np.int64), w[0, :-1].view(np.int64))
+        assert seen == sizes
 
     @pytest.mark.parametrize("limit", [40, 7, 1])
     def test_far_sums_in_chunks(self, monkeypatch, limit):
@@ -573,26 +601,26 @@ class TestHistoryIntegrator:
         calls = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
-        # one call per growth of the one live field's weights: sizes 32, 64,
+        # one call per growth of the one live field's weights: sizes 64, 128,
         # ..., 4096 for the blocks' lags up to 3007; nu(0) comes from
         # value_at_zero()
         block = modal._HISTORY_BLOCK
         reached = -(-steps // block) * block
         growths = 1 + (reached - 1).bit_length() - (block - 1).bit_length()
-        assert growths == 8
+        assert growths == 7
         assert [order for _, _, order in calls] == [1] * growths
         assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
 
     def test_errstate_once_per_block(self, monkeypatch):
         # a step enters no np.errstate; each block enters it once, around its
-        # weight growths and sums: 93 blocks of 32 steps and one of 24 up to
-        # the horizon, and weight sizes 32, 64, ..., 2048, 3001 for each field
+        # weight growths and sums: 46 blocks of 64 steps and one of 56 up to
+        # the horizon, and weight sizes 64, 128, ..., 2048, 3001 for each field
         entries = self._counting(monkeypatch, modal.np, "errstate")
         growths = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         self._run(MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 30.0, steps, dt=0.01)
-        assert len(growths) == 2 * 8
-        assert len(entries) == -(-steps // modal._HISTORY_BLOCK) == 94
+        assert len(growths) == 2 * 7
+        assert len(entries) == -(-steps // modal._HISTORY_BLOCK) == 47
 
     @pytest.mark.parametrize("power", [1000, 900])
     def test_power_of_two_scaling_is_exact_per_block(self, monkeypatch, power):
