@@ -435,7 +435,12 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
         gam[m] = (T[:m] @ gam[m - 1::-1]).sum(axis=0)
     lag = np.subtract.outer(np.arange(B), np.arange(B))
     lag[lag < 0] = B
-    return P, Q, gam[lag].transpose(0, 2, 1, 3).reshape(2 * B, 2 * B)
+    # G[2i + a, 2j + b] = Gamma_(i - j)[a, b].  G is allocated before the
+    # gather (128 KiB at B = 64), so that the gather is freed at the top of
+    # the heap, not as a hole below G; such holes add up over many histories
+    G = np.empty((B, 2, B, 2))
+    G.transpose(0, 2, 1, 3)[...] = gam[lag]
+    return P, Q, G.reshape(2 * B, 2 * B)
 
 
 def _next_block(state: HistoryState, medium: MediumSpec, k: float):
