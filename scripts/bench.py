@@ -3,12 +3,15 @@
 
     python scripts/bench.py --change 23 ../parent
 
-Runs ``perfbench/run.py --workload all --seconds 10`` of this checkout and of
-a checkout of its parent, untraced (end-to-end metrics) and traced (per-layer
-metrics), on the pinned seeds 1, 2 and 3.  The two trees alternate within each
-(seed, trace) pair, the parent first on odd seeds, so that drift of a shared
-host falls on both.  Each tree runs its own perfbench and src, and both must
-be clean git checkouts, so that each record names the commits it measured.
+Runs ``perfbench/run.py --workload W --seconds 10`` of this checkout and of
+a checkout of its parent, for each workload W, untraced (end-to-end metrics)
+and traced (per-layer metrics), on the pinned seeds 1, 2 and 3.  The two
+trees' runs of one (seed, trace, workload) follow each other, so that drift
+of a shared host falls on both, and the parent runs first where seed + trace
++ the workload's index is odd: on every other pair in run order, and on
+alternate seeds for each workload and mode.  Each tree runs its own
+perfbench and src, and both must be clean git checkouts, so that each record
+names the commits it measured.
 
 Every interpreter runs as in a fresh checkout: with PYTHONDONTWRITEBYTECODE=1
 and no PYTHONPYCACHEPREFIX, and a tree that holds a ``__pycache__`` under
@@ -120,14 +123,14 @@ def environment() -> dict:
             "scipy": scipy_version}
 
 
-def run_all(tree: Path, seed: int, trace: int) -> dict:
-    """One ``run.py --workload all`` of the tree: {workload: run.py's last line}.
+def run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One ``run.py --workload <workload>`` of the tree: run.py's last line.
 
     The run and its set-up interpreters compile the package's source and
     write no bytecode, so every set-up interpreter compiles it again.
     """
     refuse_bytecode(tree)
-    argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=tree, env=no_bytecode_env(), stdout=subprocess.PIPE,
                          text=True, check=True).stdout
@@ -205,11 +208,13 @@ def record(change: int, trees: dict) -> dict:
     revisions = {label: revision(tree) for label, tree in trees.items()}
     runs = []
     for seed in SEEDS:
-        order = list(TREES) if seed % 2 else list(TREES)[::-1]
         for trace in (0, 1):
-            for label in order:
-                print(f"bench: {label} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-                for workload, line in run_all(trees[label], seed, trace).items():
+            for i, workload in enumerate(WORKLOADS):
+                order = TREES if (seed + trace + i) % 2 else TREES[::-1]
+                for label in order:
+                    print(f"bench: {label} {workload} seed {seed} trace {trace}",
+                          file=sys.stderr, flush=True)
+                    line = run_one(trees[label], workload, seed, trace)
                     runs.append({"tree": label, "seed": seed, "trace": trace,
                                  "workload": workload, "correct": line["correct"],
                                  "attempted": line["attempted"], "failed": line["failed"],
@@ -218,7 +223,7 @@ def record(change: int, trees: dict) -> dict:
     times = time_commands(trees)
     return {"schema": SCHEMA, "change": change, "revisions": revisions,
             **environment(), "seeds": list(SEEDS), "seconds": SECONDS,
-            "command": "perfbench/run.py --workload all --seed S --seconds T --trace {0,1}",
+            "command": "perfbench/run.py --workload W --seed S --seconds T --trace {0,1}",
             "runs": runs, "summary": summarize(runs),
             "commands": {"repeats": REPEATS,
                          "argv": {name: args for name, (args, _) in COMMANDS.items()},

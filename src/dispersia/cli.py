@@ -50,6 +50,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         raise io.ParseError("--window", f"expected 'a,b', got {text!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
+        if a != a or b != b:  # float() reads "nan" as NaN; an end must be a number
+            raise ValueError
     except ValueError:
         raise io.ParseError("--window", f"expected two numbers, got {text!r}") from None
     if b <= a:

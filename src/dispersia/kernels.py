@@ -326,6 +326,17 @@ def eval_kernel(kernel: Kernel, t, order: int = 0):
     return out if out.shape else float(out)
 
 
+def _require_damped(kernel: ExpPolyKernel) -> None:
+    """NotInClassK, naming the first term's Re z, unless every term has Re z < 0.
+
+    The rule of class K and of the Laplace transforms; ``modal.build_mode``
+    closes a growing term too.
+    """
+    bad = next((t.x for t in kernel.terms if t.x >= 0), None)
+    if bad is not None:
+        raise NotInClassK(f"kernel has a non-damped term: Re z = {bad} >= 0")
+
+
 def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     """Produce (C, delta) with |nu''(t)| <= C e^{-delta t}, or raise.
 
@@ -345,10 +356,7 @@ def certify_class_K(kernel: Kernel) -> ClassKCertificate:
     if not isinstance(kernel, ExpPolyKernel):
         raise KernelError(f"unknown kernel type {type(kernel)!r}")
 
-    bad = [t.x for t in kernel.terms if t.x >= 0]
-    if bad:
-        raise NotInClassK(f"term with Re z = {bad[0]} >= 0: second derivative cannot decay")
-
+    _require_damped(kernel)
     if not kernel.terms:
         # constant or zero kernel: nu'' vanishes identically
         return ClassKCertificate(1e-12, 1.0)
@@ -388,8 +396,7 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
     if lam.real < 0:
         raise UnsupportedPoint("Laplace transform only defined for Re lambda >= 0")
     if isinstance(kernel, ExpPolyKernel):
-        if any(t.x >= 0 for t in kernel.terms):
-            raise NotInClassK("kernel has a non-damped term")
+        _require_damped(kernel)
         if lam == 0 and kernel.offset != 0.0:
             raise UnsupportedPoint("pole at lambda = 0 (kernel has a constant part)")
         total = float(kernel.offset) / lam if kernel.offset else 0.0
@@ -456,8 +463,7 @@ def laplace_rational(kernel: ExpPolyKernel) -> tuple[list[int], list[int]]:
     and B are exact polynomials (``_poly_sum``) sharing no integer content.
     The zero kernel gives ([0], [1]).
     """
-    if any(t.x >= 0 for t in kernel.terms):
-        raise NotInClassK("kernel has a non-damped term")
+    _require_damped(kernel)
 
     def exponent(v) -> int:  # the power of two in the denominator of v
         return v.as_integer_ratio()[1].bit_length() - 1

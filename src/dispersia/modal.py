@@ -264,15 +264,13 @@ class _GrowBuf:
     that grows geometrically from 1024 slots.
 
     The slots from n on may hold steps that step_history has computed ahead
-    and not yet taken; view() does not show them.  f(0) is also kept as a
-    Python float.
+    and not yet taken; view() does not show them.
     """
 
     def __init__(self, first: float = 0.0):
         self._data = np.zeros(1024)
         self._data[0] = first
         self.n = 1
-        self.first = float(first)
 
     @property
     def last(self) -> float:
@@ -295,21 +293,46 @@ class _GrowBuf:
 class HistoryState:
     """Field history on the uniform step grid, for the reference integrator.
 
-    The values cached here (lag weights, nu(0), the block map of the last k
-    and the steps computed ahead with it) belong to the medium of the first
-    step, which is recorded; a history is advanced in one medium only.
+    ``budget`` is the number of steps the horizon allows, the largest n with
+    n dt <= s_max + 1e-12; it is set once, here, and every step and block
+    reads it.  The values cached here (lag weights, the block map of the
+    last k and the steps computed ahead with it) belong to the medium of the
+    first step, which is recorded; a history is advanced in one medium only.
+    ModalError unless dt is finite and positive, s_max is finite, and
+    the horizon's step count (s_max + 1e-12) / dt is finite.
     """
 
     dt: float
     s_max: float
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
+    budget: int = field(init=False)
     _weights: dict = field(default_factory=dict, repr=False)
     _medium: MediumSpec | None = field(default=None, repr=False)
-    _nu0: tuple[float, float] | None = field(default=None, repr=False)
     _k: float | None = field(default=None, repr=False)
     _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
     _ahead: int = field(default=0, repr=False)  # finite steps computed ahead, not yet taken
+
+    def __post_init__(self):
+        dt, s_max = self.dt, self.s_max
+        if not (math.isfinite(dt) and dt > 0):
+            raise ModalError(f"dt must be finite and positive, got {dt!r}")
+        if not math.isfinite(s_max):
+            raise ModalError(f"s_max must be finite, got {s_max!r}")
+        end = s_max + 1e-12
+        steps = end / dt
+        if not math.isfinite(steps):
+            raise ModalError(f"s_max must be a finite number of steps dt, got {s_max!r} / {dt!r}")
+        # the rounded quotient can miss the largest n by a step either way, and
+        # n dt rounds monotonically in n; from 2^53 on, n dt no longer tells
+        # n from n + 1, and the quotient stands
+        n = max(0, int(steps))
+        if n < 2**53:
+            while (n + 1) * dt <= end:
+                n += 1
+            while n and n * dt > end:
+                n -= 1
+        self.budget = n
 
     @property
     def t(self) -> float:
@@ -328,15 +351,12 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
     """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0).
 
     ModalError unless dt is finite and positive, s_max, e0 and h0 are finite,
-    and s_max / dt is finite."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ModalError(f"dt must be finite and positive, got {dt!r}")
-    for name, value in (("s_max", s_max), ("e0", e0), ("h0", h0)):
+    and s_max / dt is finite (HistoryState checks dt and s_max)."""
+    state = HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
+    for name, value in (("e0", e0), ("h0", h0)):
         if not math.isfinite(value):
             raise ModalError(f"{name} must be finite, got {value!r}")
-    if not math.isfinite(s_max / dt):  # the horizon's step count, int((s_max + 1e-12) / dt)
-        raise ModalError(f"s_max must be a finite number of steps dt, got {s_max!r} / {dt!r}")
-    return HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
+    return state
 
 
 # the lag offsets c of the stage times t + c dt, one row of lag weights each
@@ -382,22 +402,23 @@ def _step_matrix(medium: MediumSpec, nu0, g, k: float, dt: float) -> np.ndarray:
     return np.array([e1, h1])
 
 
-def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, horizon: int):
+def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int):
     """Cache nu'((m + c) dt) for at least the lags m = 0..lags - 1 as one
     (3, size) array, one row per c, lag-reversed (lag m in column
-    size - 1 - m).  A short cache doubles, up to the horizon's last lag, in
-    one kernel evaluation; nothing is evaluated for lags no block has reached.
+    size - 1 - m).  A short cache doubles, up to the lag of the horizon's
+    last step, state.budget, in one kernel evaluation; nothing is evaluated
+    for lags no block has reached.
     """
     w = state._weights.get(key)
     have = 0 if w is None else w.shape[1]
     if have < lags:
-        size = max(lags, min(2 * have, horizon))
+        size = max(lags, min(2 * have, state.budget + 1))
         t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
         grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
         state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
 
 
-def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
+def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     """(P, Q, G) of the blocks at wavenumber k; see ``_step_matrix`` for P, Q.
 
     In a block of B steps from step n0, let z_i be the fields after step
@@ -409,11 +430,11 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
     P + Q M_0 and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
     lower-triangular Toeplitz with blocks Gamma_0 = I and Gamma_m = sum_l
     T_l Gamma_(m - l): forward substitution, no LAPACK call.  B is
-    min(_HISTORY_BLOCK, the horizon's steps), for every block of the history;
+    min(_HISTORY_BLOCK, state.budget), for every block of the history;
     G has (2 B)^2 entries, 128 x 128 at B = 64.
     """
     dt = state.dt
-    B = max(1, min(_HISTORY_BLOCK, horizon - 1))
+    B = min(_HISTORY_BLOCK, state.budget)
     near, g = [], []
     for key in ("E", "H"):
         w = state._weights.get(key)  # None for a zero kernel, which has no memory
@@ -425,7 +446,8 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
         m[:, 0] = _NEAR_END * m[:, 0]
         near.append(m)
         g.append(0.5 * dt * float(w[0, -1]))
-    pq = _step_matrix(medium, state._nu0, g, k, dt)
+    nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
+    pq = _step_matrix(medium, nu0, g, k, dt)
     P, Q = pq[:, :2], pq[:, 2:]
     T = np.stack([(Q[:, :3] @ near[0]).T, (Q[:, 3:] @ near[1]).T], axis=-1)  # T_1..T_B
     T[0] += P
@@ -444,7 +466,7 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float, horizon: int):
 
 
 def _next_block(state: HistoryState, medium: MediumSpec, k: float):
-    """Compute the next b = min(_HISTORY_BLOCK, steps left before the horizon)
+    """Compute the next b = min(_HISTORY_BLOCK, steps left in state.budget)
     steps, at least one, and write their fields ahead in e_past and h_past;
     state._ahead becomes the number of them, from the first, that are finite.
 
@@ -467,16 +489,15 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     G is lower-triangular, so later steps cannot change earlier ones.
     """
     n0, dt = state.e_past.n - 1, state.dt
-    horizon = int((state.s_max + 1e-12) / dt) + 1  # the lags 0..horizon - 1 it allows
-    b = max(1, min(_HISTORY_BLOCK, horizon - 1 - n0))
+    b = min(_HISTORY_BLOCK, state.budget - n0)
     live = [(key, kern, past, cols) for key, kern, past, cols in
             (("E", medium.nu_e, state.e_past, slice(0, 3)),
              ("H", medium.nu_h, state.h_past, slice(3, 6))) if not kern.is_zero]
     with np.errstate(over="ignore", invalid="ignore"):
         for key, kern, _, _ in live:
-            _grow_weights(state, kern, key, n0 + b, horizon)
+            _grow_weights(state, kern, key, n0 + b)
         if k != state._k:
-            state._map, state._k = _block_map(state, medium, k, horizon), k
+            state._map, state._k = _block_map(state, medium, k), k
         P, Q, G = state._map
         r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
         for key, _, past, cols in live:
@@ -492,7 +513,7 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
                 y[2, 0] += np.dot(w[2, j:j + seg.size], seg)
                 y[2, 1:] += y0[:-1]  # w[2, 1:] is w[0, :-1]
             y *= dt
-            y -= (0.5 * dt * past.first) * w[:, lo:lo + b]  # the f_0 ends
+            y -= (0.5 * dt * f[0]) * w[:, lo:lo + b]  # the f_0 ends
             y[:, -1] += (dt * past.last) * (_FAR_END * w[:, -1])
             r += Q[:, cols] @ y
         r = r[:, ::-1]
@@ -521,7 +542,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     ``_next_block``), and each call takes one step of it.  The scheme is
     linear with lag weights that do not change in time, so a block is the
     same scheme, to rounding, as stepping one step at a time.  Every call
-    checks its arguments as before; k must be finite and nonnegative, as in
+    checks its arguments; k must be finite and nonnegative, as in
     ``build_mode``.  The step is state.dt, the grid spacing
     that the weights are built on; dt must match it to 1e-12 relative.
     Serves as the oracle for step_exact and is the only integrator available
@@ -539,13 +560,12 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     k = float(k)
     if k != state._k:  # the k of the block ahead passed this check
         _wavenumber(k)
-    if state.t + dt > state.s_max + 1e-12:
+    if state.e_past.n > state.budget:
         raise HistoryTruncationError(
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
         )
     if state._medium is None:
         state._medium = medium
-        state._nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
     elif medium is not state._medium and medium != state._medium:
         raise ModalError("this history was started in another medium; a history "
                          "is advanced in one medium only")

@@ -819,12 +819,22 @@ class TestFitCommand:
         out = self._trace_file(tmp_path)
         assert main(["fit", str(out), "--window", "oops"]) == 1
 
-    @pytest.mark.parametrize("window", ["5", "a,b", "5,5", "1,2,3"])
+    @pytest.mark.parametrize("window", ["5", "a,b", "5,5", "1,2,3", "nan,50", "5,nan"])
     def test_malformed_window_names_the_option(self, tmp_path, capsys, window):
         out = self._trace_file(tmp_path)
-        assert main(["fit", str(out), "--window", window]) == 1
+        report = tmp_path / "fit.json"
+        assert main(["fit", str(out), "--window", window, "--out", str(report)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: --window: ") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_infinite_window_end_fits_to_the_trace_end(self, tmp_path):
+        out = self._trace_file(tmp_path)
+        reports = [tmp_path / "inf.json", tmp_path / "end.json"]
+        t_end = out.read_text().splitlines()[-1].split(",")[0]
+        assert main(["fit", str(out), "--window", "5,inf", "--out", str(reports[0])]) in (0, 5)
+        assert main(["fit", str(out), "--window", f"5,{t_end}", "--out", str(reports[1])]) in (0, 5)
+        assert json.loads(reports[0].read_text()) == json.loads(reports[1].read_text())
 
     def test_empty_window_exit1(self, tmp_path):
         out = self._trace_file(tmp_path)

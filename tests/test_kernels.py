@@ -601,3 +601,16 @@ def test_debye_laplace_closed_form(beta, tau):
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("call", [certify_class_K, lambda k: laplace(k, 1.0),
+                                  kernels.laplace_rational],
+                         ids=["certify_class_K", "laplace", "laplace_rational"])
+@pytest.mark.parametrize("x", [0.5, 0.0])
+def test_one_damping_rule(call, x):
+    # a growing or an undamped term after a damped one: all three name its Re z
+    kernel = ExpPolyKernel((DampedTerm((1.0,), (0.0,), -1.0, 0.0),
+                            DampedTerm((1.0,), (0.5,), x, 2.0)))
+    with pytest.raises(NotInClassK) as err:
+        call(kernel)
+    assert str(err.value) == f"kernel has a non-damped term: Re z = {x} >= 0"

@@ -562,9 +562,50 @@ class TestHistoryIntegrator:
         kern = ExpPolyKernel((DampedTerm((0.2,), (0.0,), -1.0, 0.0),
                               DampedTerm((0.3,), (0.0,), -2.0, 0.0)), 0.1)
         medium = MediumSpec(1.0, 1.0, kern, ZERO)
-        hist = step_history(medium, 1.0, initial_history(0.1, s_max=1.0), 0.1)
-        assert hist._nu0 == (-build_mode(medium, 1.0).A[0, 0], 0.0)
-        assert hist._nu0[0] == 0.6
+        assert -build_mode(medium, 1.0).A[0, 0] == 0.6
+        hist = step_history(medium, 1.0, initial_history(1.0, s_max=1.0), 1.0)
+        g = (0.5 * float(hist._weights["E"][0, -1]), 0.0)
+
+        def p_at(nu0):
+            return modal._step_matrix(medium, nu0, g, 1.0, 1.0)[:, :2]
+
+        # the block map's P is the step of nu(0) = 0.6, not of the sum's other
+        # rounding; at dt = 1 one ulp of nu(0) shows in P
+        assert np.array_equal(hist._map[0], p_at((0.6, 0.0)))
+        assert not np.array_equal(hist._map[0], p_at((0.6000000000000001, 0.0)))
+
+    @pytest.mark.parametrize("dt, s_max, steps", [
+        (0.9900299115600074, 16848 * 0.9900299115600074, 16848),
+        (0.01, 0.06 - 1e-12, 6),
+    ], ids=["s_max_steps_dt", "tolerance_edge"])
+    def test_takes_exactly_the_steps_of_its_budget(self, dt, s_max, steps):
+        # the step check and the blocks once read the horizon from two float
+        # formulas: the first history stopped one step short, the second's
+        # blocks planned one step more than its steps allowed
+        hist = initial_history(dt, s_max=s_max)
+        assert hist.budget == steps
+        for _ in range(steps):
+            hist = step_history(debye_medium(), 1.0, hist, dt)
+        assert hist.e_past.n == steps + 1
+        assert all(w.shape[1] <= steps + 1 for w in hist._weights.values())
+        with pytest.raises(HistoryTruncationError):
+            step_history(debye_medium(), 1.0, hist, dt)
+        assert hist.e_past.n == steps + 1
+
+    def test_budget_is_the_largest_step_count_in_the_horizon(self):
+        # with s_max = steps dt the budget is steps, and in general the largest
+        # n with n dt <= s_max + 1e-12
+        rng = np.random.default_rng(30)
+        dts = 10.0 ** rng.uniform(-4.0, 1.0, 10_000)
+        counts = rng.integers(1, 10**6, 10_000, endpoint=True)
+        for dt, steps in zip(dts.tolist(), counts.tolist()):
+            s_max = steps * dt
+            budget = modal.HistoryState(dt=dt, s_max=s_max).budget
+            assert budget == steps
+            assert budget * dt <= s_max + 1e-12 < (budget + 1) * dt
+        assert modal.HistoryState(dt=0.1, s_max=-0.5).budget == 0
+        with pytest.raises(HistoryTruncationError):
+            step_history(vacuum(), 1.0, initial_history(0.1, s_max=-0.5), 0.1)
 
     def _run(self, medium, s_max, steps, dt=0.02, e0=1.0):
         hist = initial_history(dt, s_max=s_max, e0=e0)
@@ -683,11 +724,16 @@ class TestHistoryIntegrator:
         ("s_max", dict(s_max=np.nan)), ("s_max", dict(s_max=np.inf)), ("s_max", dict(s_max=-np.inf)),
         ("e0", dict(e0=np.inf)), ("e0", dict(e0=np.nan)), ("h0", dict(h0=-np.inf)),
         ("s_max", dict(dt=1e-300, s_max=1e300)),
+        # the horizon's step count, (s_max + 1e-12) / dt, overflows
+        ("s_max", dict(dt=5e-324, s_max=0.0)),
     ])
     def test_initial_history_rejects_bad_arguments(self, name, kwargs):
         args = dict(dt=0.1, s_max=1.0) | kwargs
         with pytest.raises(ModalError, match=f"^{name} must be"):
             initial_history(**args)
+        if name in ("dt", "s_max"):  # a HistoryState built directly checks its grid
+            with pytest.raises(ModalError, match=f"^{name} must be"):
+                modal.HistoryState(dt=args["dt"], s_max=args["s_max"])
 
     def test_steps_on_the_grid_spacing(self):
         # a dt within 1e-12 relative of the grid spacing is accepted, and the

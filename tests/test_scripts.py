@@ -113,13 +113,56 @@ def test_bench_runs_each_tree_without_bytecode(monkeypatch, tmp_path):
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         assert "PYTHONPYCACHEPREFIX" not in env
         seen.append(cwd)
-        return SimpleNamespace(stdout='{"decay_chain": {}}\n')
+        return SimpleNamespace(stdout='{"correct": true}\n')
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     trees = [tmp_path / "parent", tmp_path / "change", tmp_path / "parent"]
     for tree in trees:
-        assert bench.run_all(tree, 1, 0) == {"decay_chain": {}}
+        assert bench.run_one(tree, "decay_chain", 1, 0) == {"correct": True}
     assert seen == trees
+
+
+def test_bench_alternates_the_trees_per_workload(monkeypatch, tmp_path):
+    # one run.py per tree, workload, seed and mode; a workload's two runs
+    # follow each other, and the record holds them all
+    bench, calls = _bench_module(), []
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {"0": benchmark["end_to_end"], "1": benchmark["per_layer"]}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        assert argv[1] == "perfbench/run.py" and opts["--seconds"] == str(bench.SECONDS)
+        calls.append((cwd.name, opts["--workload"], int(opts["--seed"]), int(opts["--trace"])))
+        line = {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {m["name"]: {"value": 1.0} for m in names[opts["--trace"]]}}
+        return SimpleNamespace(stdout="progress\n" + json.dumps(line) + "\n")
+
+    machine = bench.environment()  # before the fake: platform may run uname
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "environment", lambda: machine)
+    monkeypatch.setattr(bench, "revision", lambda tree: "0" * 39 + str(len(tree.name)))
+    monkeypatch.setattr(bench, "time_commands", lambda trees: {
+        label: {name: [1.0] * bench.REPEATS for name in bench.COMMANDS} for label in trees})
+    trees = {label: tmp_path / label for label in bench.TREES}
+    doc = bench.record(30, trees)
+    bench.check_record(doc, benchmark)
+    pairs = [(seed, trace, workload) for seed in bench.SEEDS for trace in (0, 1)
+             for workload in bench.WORKLOADS]
+    assert [c[1:] for c in calls[::2]] == [c[1:] for c in calls[1::2]] == \
+        [(w, s, t) for s, t, w in pairs]
+    assert all({a[0], b[0]} == set(bench.TREES) for a, b in zip(calls[::2], calls[1::2]))
+    firsts = [c[0] for c in calls[::2]]
+    # every other pair in run order within a seed, and alternate seeds for
+    # each workload and mode
+    for start in range(0, len(pairs), 2 * len(bench.WORKLOADS)):
+        run = firsts[start:start + 2 * len(bench.WORKLOADS)]
+        assert all(a != b for a, b in zip(run, run[1:]))
+    for w in bench.WORKLOADS:
+        for t in (0, 1):
+            got = [first for first, (_, tt, ww) in zip(firsts, pairs) if (ww, tt) == (w, t)]
+            assert got[0] != got[1] != got[2]
+    assert firsts[0] == "parent"
+    assert doc["command"] == "perfbench/run.py --workload W --seed S --seconds T --trace {0,1}"
 
 
 @pytest.mark.parametrize("where", ["src/dispersia", "perfbench"])
@@ -128,7 +171,7 @@ def test_bench_refuses_a_tree_holding_bytecode(monkeypatch, tmp_path, where):
     (tmp_path / "change" / where / "__pycache__").mkdir(parents=True)
     monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: pytest.fail("measured"))
     with pytest.raises(SystemExit, match=f"{where}/__pycache__ holds bytecode"):
-        bench.run_all(tmp_path / "change", 1, 0)
+        bench.run_one(tmp_path / "change", "decay_chain", 1, 0)
     with pytest.raises(SystemExit, match=f"{where}/__pycache__ holds bytecode"):
         bench.time_commands({"parent": tmp_path / "parent", "change": tmp_path / "change"},
                             repeats=1)
