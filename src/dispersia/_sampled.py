@@ -95,15 +95,17 @@ def _spherical_jn(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape + (_GL_NODES.size,))
     big = x >= _GL_NODES.size
     xb = x[big]
-    fwd = np.empty(xb.shape + (_GL_NODES.size,))
-    fwd[:, 0] = np.sin(xb) / xb
-    fwd[:, 1] = (fwd[:, 0] - np.cos(xb)) / xb
+    # both recurrences run degree-major, one contiguous row per degree, and
+    # are transposed once into out
+    fwd = np.empty((_GL_NODES.size,) + xb.shape)
+    fwd[0] = np.sin(xb) / xb
+    fwd[1] = (fwd[0] - np.cos(xb)) / xb
     for n in range(1, _GL_NODES.size - 1):
-        fwd[:, n + 1] = (2 * n + 1) / xb * fwd[:, n] - fwd[:, n - 1]
-    out[big] = fwd
+        fwd[n + 1] = (2 * n + 1) / xb * fwd[n] - fwd[n - 1]
+    out[big] = fwd.T
 
     xs = np.maximum(x[~big], 1e-200)
-    back = np.zeros(xs.shape + (_GL_NODES.size,))
+    back = np.zeros((_GL_NODES.size,) + xs.shape)
     upper, cur = np.zeros_like(xs), np.ones_like(xs)  # y_(n+1), y_n from n = _MILLER_START
     total = np.zeros_like(xs)
     for n in range(_MILLER_START, 0, -1):
@@ -112,12 +114,13 @@ def _spherical_jn(x: np.ndarray) -> np.ndarray:
         scale = 1.0 / np.maximum(1.0, np.abs(cur))
         upper, cur, total = upper * scale, cur * scale, total * scale**2
         if n <= _GL_NODES.size:
-            back[:, n - 1:] *= scale[:, None]
-            back[:, n - 1] = cur
+            back[n - 1:] *= scale
+            back[n - 1] = cur
     total += cur**2
     j0 = np.sin(xs) / xs
-    sign = np.where(back[:, 0] * j0 + 3.0 * back[:, 1] * (j0 - np.cos(xs)) / xs < 0, -1.0, 1.0)
-    out[~big] = back * (sign / np.sqrt(total))[:, None]
+    sign = np.where(back[0] * j0 + 3.0 * back[1] * (j0 - np.cos(xs)) / xs < 0, -1.0, 1.0)
+    back *= sign / np.sqrt(total)
+    out[~big] = back.T
     out[x == 0.0] = np.eye(1, _GL_NODES.size)[0]
     return out
 

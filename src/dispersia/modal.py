@@ -264,13 +264,16 @@ class _GrowBuf:
     that grows geometrically from 1024 slots.
 
     The slots from n on may hold steps that step_history has computed ahead
-    and not yet taken; view() does not show them.
+    and not yet taken; view() does not show them.  peak is the largest
+    |value| ever written, those steps ahead included, which bounds |f_j|
+    for the far sums' scaling (see ``_far_weights``).
     """
 
     def __init__(self, first: float = 0.0):
         self._data = np.zeros(1024)
         self._data[0] = first
         self.n = 1
+        self.peak = abs(float(first))
 
     @property
     def last(self) -> float:
@@ -284,6 +287,8 @@ class _GrowBuf:
             grown[: self.n] = self._data[: self.n]
             self._data = grown
         self._data[self.n:end] = values
+        if values.size:
+            self.peak = max(self.peak, float(np.abs(values).max()))
 
     def view(self) -> np.ndarray:
         return self._data[: self.n]
@@ -295,9 +300,10 @@ class HistoryState:
 
     ``budget`` is the number of steps the horizon allows, the largest n with
     n dt <= s_max + 1e-12; it is set once, here, and every step and block
-    reads it.  The values cached here (lag weights, the block map of the
-    last k and the steps computed ahead with it) belong to the medium of the
-    first step, which is recorded; a history is advanced in one medium only.
+    reads it.  The values cached here (lag weights and their scaled copies
+    for the far sums, the block map of the last k and the steps computed
+    ahead with it) belong to the medium of the first step, which is
+    recorded; a history is advanced in one medium only.
     ModalError unless dt is finite and positive, s_max is finite, and
     the horizon's step count (s_max + 1e-12) / dt is finite.
     """
@@ -308,6 +314,7 @@ class HistoryState:
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     budget: int = field(init=False)
     _weights: dict = field(default_factory=dict, repr=False)
+    _far: dict = field(default_factory=dict, repr=False)  # per field, see _far_weights
     _medium: MediumSpec | None = field(default=None, repr=False)
     _k: float | None = field(default=None, repr=False)
     _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
@@ -370,6 +377,10 @@ _FAR_END = np.array([-0.5, -0.25, 0.0])
 # than 10000 elements on several threads, which on a busy host costs more
 # than the product
 _CORRELATE_MAX = 8192
+# the far sums skip leading samples in multiples of this many, so that each
+# term keeps its place in OpenBLAS's unrolled dot product and the sums their
+# bits
+_SKIP_ALIGN = 64
 
 
 def _step_matrix(medium: MediumSpec, nu0, g, k: float, dt: float) -> np.ndarray:
@@ -416,6 +427,52 @@ def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int):
         t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
         grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
         state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
+
+
+def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
+    """The power s >= 0 of the far sums' weight scaling 2^s (see ``_far_weights``).
+
+    With |w| < 2^a and |f| < 2^b (a, b the frexp exponents of the largest
+    |w| and |f|) and at most size terms, every product and partial sum of
+    2^s w against f is below 2^(s + a + b + size.bit_length()), finite for
+    s = 1023 - a - b - size.bit_length(), the largest s this bound allows.
+    So a product is subnormal only where the weights' and the fields'
+    nonzero magnitudes together span most of the float range.  s is capped
+    so that dt 2^-s is a normal float, and y dt 2^-s is the one rounding of
+    the product that y dt was unscaled.  s = 0, the unscaled sums, where
+    the bound is negative or either maximum is 0 or not finite.
+    """
+    if not (0.0 < wmax < math.inf and 0.0 < fmax < math.inf):
+        return 0
+    s = 1023 - math.frexp(wmax)[1] - math.frexp(fmax)[1] - size.bit_length()
+    return max(0, min(s, math.frexp(dt)[1] + 1021))
+
+
+def _far_weights(state: HistoryState, key: str, fmax: float):
+    """(s, 2^s w, first) for the far sums of the field key, whose samples
+    have |f| <= fmax: w is the field's cached weight array, s is
+    ``_far_scale``'s power and first the first column of w that is nonzero
+    in any of its three rows (w.shape[1] if none is).
+
+    The far sums of the Gaussian's nu' run through weights that are
+    subnormal (t ~ 26.7-27.3), and through products with the fields that
+    are subnormal over a wider band; subnormal arithmetic is slow.  2^s w
+    lifts them into the normal range, and each product and partial sum is
+    2^s times its unscaled value, exactly, wherever that is normal.  The
+    copy is rebuilt when the weights grow and when a larger fmax lowers s.
+    """
+    w = state._weights[key]
+    s_was, ws, first, wmax = state._far.get(key, (None, None, 0, 0.0))
+    if ws is None or ws.shape != w.shape:
+        wmax = float(np.max(np.abs(w)))
+        nonzero = w.any(axis=0)
+        first = int(nonzero.argmax()) if nonzero.any() else w.shape[1]
+        s_was = None
+    s = _far_scale(wmax, fmax, w.shape[1], state.dt)
+    if s != s_was:
+        ws = np.ldexp(w, s) if s else w
+        state._far[key] = (s, ws, first, wmax)
+    return s, ws, first
 
 
 def _block_map(state: HistoryState, medium: MediumSpec, k: float):
@@ -481,8 +538,11 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     float (m + 1) dt, so the cached row of c = 1 is that of c = 0 shifted by
     one lag, bit for bit, and the c = 0 far sums of steps n0 + 1..n0 + b - 1
     are the c = 1 far sums of steps n0..n0 + b - 2.  Only the block's last
-    step takes one dot product.  The end terms of f_0 and, at the first
-    step, of f_n0 (_FAR_END) are added as corrections.
+    step takes one dot product.  The far sums start at the first sample
+    that meets a nonzero weight, rounded down to a multiple of _SKIP_ALIGN,
+    and run on the weights times 2^s, undone in y dt 2^-s (see
+    ``_far_weights``).  The end terms of f_0 and, at the first step, of
+    f_n0 (_FAR_END) are added as corrections, on the unscaled weights.
     The terms over the block's own samples are near and enter through
     _block_map's G, rebuilt only for a new k.  Everything runs under one
     np.errstate.  A non-finite known part cuts the block before its step:
@@ -502,17 +562,22 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
         r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
         for key, _, past, cols in live:
             w = state._weights[key]
+            s, ws, first = _far_weights(state, key, past.peak)
             lo = w.shape[1] - n0 - b  # the column of lag n0 + b - 1
             f = past.view()
             y = np.zeros((3, b))
-            for j in range(lo, lo + f.size, _CORRELATE_MAX):
-                seg = f[j - lo:j - lo + _CORRELATE_MAX]
-                y0 = np.correlate(w[0, j:j + seg.size + b - 1], seg)
+            # sample m meets the weight columns lo + m..lo + m + b - 1 only;
+            # for each sample before skip, all of them are zero
+            skip = max(0, min(first - lo - (b - 1), n0)) // _SKIP_ALIGN * _SKIP_ALIGN
+            for a in range(skip - skip % _CORRELATE_MAX, f.size, _CORRELATE_MAX):
+                i = max(a, skip)
+                seg, j = f[i:a + _CORRELATE_MAX], lo + i
+                y0 = np.correlate(ws[0, j:j + seg.size + b - 1], seg)
                 y[0] += y0
-                y[1] += np.correlate(w[1, j:j + seg.size + b - 1], seg)
-                y[2, 0] += np.dot(w[2, j:j + seg.size], seg)
+                y[1] += np.correlate(ws[1, j:j + seg.size + b - 1], seg)
+                y[2, 0] += np.dot(ws[2, j:j + seg.size], seg)
                 y[2, 1:] += y0[:-1]  # w[2, 1:] is w[0, :-1]
-            y *= dt
+            y *= math.ldexp(dt, -s)
             y -= (0.5 * dt * f[0]) * w[:, lo:lo + b]  # the f_0 ends
             y[:, -1] += (dt * past.last) * (_FAR_END * w[:, -1])
             r += Q[:, cols] @ y

@@ -506,6 +506,56 @@ class TestFilon:
         sizable = np.abs(ref[small]) > 1e-280
         assert np.max(np.abs(got[small] - ref[small])[sizable] / np.abs(ref[small][sizable])) <= 1e-13
 
+    @staticmethod
+    def former_spherical_jn(x):
+        """The former ``_sampled._spherical_jn``, which built both recurrences
+        in an (N, 16) layout, one strided column per degree; kept as the reference."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (16,))
+        big = x >= 16
+        xb = x[big]
+        fwd = np.empty(xb.shape + (16,))
+        fwd[:, 0] = np.sin(xb) / xb
+        fwd[:, 1] = (fwd[:, 0] - np.cos(xb)) / xb
+        for n in range(1, 15):
+            fwd[:, n + 1] = (2 * n + 1) / xb * fwd[:, n] - fwd[:, n - 1]
+        out[big] = fwd
+        xs = np.maximum(x[~big], 1e-200)
+        back = np.zeros(xs.shape + (16,))
+        upper, cur = np.zeros_like(xs), np.ones_like(xs)
+        total = np.zeros_like(xs)
+        for n in range(60, 0, -1):
+            total += (2 * n + 1) * cur**2
+            upper, cur = cur, (2 * n + 1) / xs * cur - upper
+            scale = 1.0 / np.maximum(1.0, np.abs(cur))
+            upper, cur, total = upper * scale, cur * scale, total * scale**2
+            if n <= 16:
+                back[:, n - 1:] *= scale[:, None]
+                back[:, n - 1] = cur
+        total += cur**2
+        j0 = np.sin(xs) / xs
+        sign = np.where(back[:, 0] * j0 + 3.0 * back[:, 1] * (j0 - np.cos(xs)) / xs < 0, -1.0, 1.0)
+        out[~big] = back * (sign / np.sqrt(total))[:, None]
+        out[x == 0.0] = np.eye(1, 16)[0]
+        return out
+
+    def test_spherical_bessel_layout_is_bitwise_the_former(self, monkeypatch):
+        # the degree-major recurrences do the same arithmetic in the same order
+        # as the former ones: x = 0, below 1e-200, on both sides of 16, and the
+        # (frequency, panel width) arguments of an analyze's decision grid
+        edges = np.array([0.0, 5e-324, 1e-300, 1e-201, np.nextafter(16.0, 0.0), 16.0,
+                          np.nextafter(16.0, 32.0), 16.0 + 1e-9])
+        seen = []
+        jn = _sampled._spherical_jn
+        monkeypatch.setattr(_sampled, "_spherical_jn", lambda x: seen.append(x) or jn(x))
+        sampled_iw_real_part(GAUSSIAN, dispersion._grids())
+        (grid,) = seen
+        assert grid.ndim == 2 and np.any(grid < 16.0) and np.any(grid >= 16.0)
+        for x in (edges, grid):
+            got = jn(x)
+            assert got.shape == x.shape + (16,)
+            assert got.tobytes() == self.former_spherical_jn(x).tobytes()
+
     def test_real_argument_gives_real_laplace(self, monkeypatch):
         # j_n(0) = 0 exactly for n >= 1, so w = 0 adds no imaginary part
         for lam in (0.3, 2.0):

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -486,7 +488,8 @@ class TestBlockedSteps:
     def test_c1_weights_are_c0_weights_one_lag_on(self, kernel, dt, s_max, sizes):
         # the far sums at c = 1 are those at c = 0 one step on, so w[2, 1:]
         # must be w[0, :-1] bit for bit, signed zeros too, after every growth
-        # of the cache up to the horizon
+        # of the cache up to the horizon; so too in the 2^s scaled copy that
+        # the far sums read, which is w times 2^s exactly
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         hist = initial_history(dt, s_max=s_max)
         seen = []
@@ -496,6 +499,10 @@ class TestBlockedSteps:
             if seen[-1:] != [w.shape[1]]:
                 seen.append(w.shape[1])
                 assert np.array_equal(w[2, 1:].view(np.int64), w[0, :-1].view(np.int64))
+                s, ws = hist._far["E"][:2]
+                assert s > 0
+                assert ws.tobytes() == np.ldexp(w, s).tobytes()
+                assert np.array_equal(ws[2, 1:].view(np.int64), ws[0, :-1].view(np.int64))
         assert seen == sizes
 
     @pytest.mark.parametrize("limit", [40, 7, 1])
@@ -510,6 +517,60 @@ class TestBlockedSteps:
         ref, _ = former_history(medium, 1.3, dt, steps, steps * dt)
         got = np.array([hist.e_past.view(), hist.h_past.view()])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("limit", [modal._CORRELATE_MAX, 40, 7])
+    @settings(max_examples=15, deadline=None)
+    @given(dt=st.sampled_from([0.01, 0.02, 0.05]),
+           lag=st.integers(1, 300).filter(lambda m: m % modal._HISTORY_BLOCK),
+           frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           extra=st.integers(130, 260), k=st.floats(0.0, 8.0))
+    def test_far_sums_skip_only_zero_weights(self, limit, dt, lag, frac, extra, k):
+        # nu' is exactly 0 from t* = (lag + frac) dt, inside a block's lags; the
+        # far sums start at the first sample that meets a nonzero weight, and
+        # every column of weights that a skipped sample would have met is 0 in
+        # all three rows
+        t_star = (lag + frac) * dt
+        cut = SampledKernel(lambda t, order: np.where(t < t_star, _gaussian_eval(t, order), 0.0),
+                            3.4, 1.0, "cut")
+        medium, steps = MediumSpec(1.0, 1.0, cut, debye(0.5, 2.0)), lag + extra
+        calls, correlate = [], np.correlate
+
+        def spy(a, v, *args):
+            calls.append((a, v))
+            return correlate(a, v, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modal, "_CORRELATE_MAX", limit)
+            mp.setattr(modal.np, "correlate", spy)
+            hist = initial_history(dt, s_max=steps * dt)
+            for _ in range(steps):
+                hist = step_history(medium, k, hist, dt)
+        ref, _ = former_history(medium, k, dt, steps, steps * dt)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        def offset(view):  # of view's first element in the array that owns it
+            return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
+
+        blocks = {}  # (weights, lo, b) -> [(first sample, samples)] of weight row 0
+        for a, v in calls:
+            weights = a.base.reshape(3, -1)
+            row, col = divmod(offset(a), weights.shape[1])
+            i, b = offset(v), a.size - v.size + 1
+            if row == 0:
+                blocks.setdefault((id(weights.base), col - i, b), (weights, []))[1].append(
+                    (i, v.size))
+        skipped = 0
+        for (_, lo, b), (weights, chunks) in blocks.items():
+            chunks.sort()
+            start = chunks[0][0]
+            # the chunks run on from the first sample to the block's last
+            assert all(i + n == j for (i, n), (j, _) in zip(chunks, chunks[1:]))
+            if start:
+                skipped += 1
+                assert start % modal._SKIP_ALIGN == 0
+                assert not np.any(weights[:, lo:lo + start + b - 1])
+        assert skipped
 
 
 class TestHistoryIntegrator:
@@ -679,6 +740,41 @@ class TestHistoryIntegrator:
         for got, ref in ((scaled.e_past, unit.e_past), (scaled.h_past, unit.h_past)):
             assert got.view().tobytes() == (ref.view() * 2.0**power).tobytes()
         assert len(entries) == -(-steps // modal._HISTORY_BLOCK)
+
+    @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
+                             ids=["gaussian", "debye", "lorentz"])
+    def test_far_sum_scaling_changes_no_bit(self, monkeypatch, kernel):
+        # the far sums run on 2^s times the weights and are scaled back in
+        # y dt 2^-s; with s forced to 0, the unscaled sums, the history is the same
+        medium = MediumSpec(1.0, 1.0, kernel, ZERO)
+        scaled = self._run(medium, 30.0, 3000, dt=0.01)
+        assert scaled._far["E"][0] > 900
+        monkeypatch.setattr(modal, "_far_scale", lambda *args: 0)
+        plain = self._run(medium, 30.0, 3000, dt=0.01)
+        assert plain._far["E"][0] == 0 and plain._far["E"][1] is plain._weights["E"]
+        assert scaled.e_past.view().tobytes() == plain.e_past.view().tobytes()
+        assert scaled.h_past.view().tobytes() == plain.h_past.view().tobytes()
+
+    def test_far_scale_keeps_every_sum_finite_and_dt_normal(self):
+        # s keeps 2^s max|w| max|f| size below the float limit and dt 2^-s a
+        # normal float, and is within a factor 16 of the largest such power;
+        # s = 0 where either maximum is 0 or not finite, or no s > 0 would fit
+        rng = np.random.default_rng(31)
+        tiny, top = np.finfo(float).tiny, Fraction(2) ** 1024
+        for _ in range(2000):
+            wmax, fmax, dt = 10.0 ** rng.uniform(-320.0, 300.0, 3)
+            size = int(rng.integers(1, 10**7))
+            s = modal._far_scale(wmax, fmax, size, dt)
+            assert s >= 0
+            if s:
+                assert Fraction(wmax) * Fraction(fmax) * size * 2**s < top
+                assert math.ldexp(dt, -s) >= tiny
+                assert (Fraction(wmax) * Fraction(fmax) * size * 2 ** (s + 4) >= top
+                        or math.ldexp(dt, -s - 1) < tiny)
+        for bad in (0.0, math.inf, math.nan):
+            assert modal._far_scale(bad, 1.0, 64, 0.02) == 0
+            assert modal._far_scale(1.0, bad, 64, 0.02) == 0
+        assert modal._far_scale(1e300, 1e300, 64, 0.02) == 0
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
