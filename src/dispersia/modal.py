@@ -427,6 +427,16 @@ def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int):
         t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
         grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
         state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
+        # the far sums' max|w| and first nonzero column; the grown lags lead
+        nonzero = grown.any(axis=0)
+        if nonzero.any():
+            first = int(nonzero.argmax())
+        else:
+            first = grown.shape[1] + (0 if w is None else state._far[key][2])
+        wmax = float(np.max(np.abs(grown)))
+        if w is not None:
+            wmax = float(np.maximum(wmax, state._far[key][3]))  # keeps a nan
+        state._far[key] = (None, None, first, wmax)
 
 
 def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
@@ -438,14 +448,17 @@ def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
     s = 1023 - a - b - size.bit_length(), the largest s this bound allows.
     So a product is subnormal only where the weights' and the fields'
     nonzero magnitudes together span most of the float range.  s is capped
-    so that dt 2^-s is a normal float, and y dt 2^-s is the one rounding of
-    the product that y dt was unscaled.  s = 0, the unscaled sums, where
-    the bound is negative or either maximum is 0 or not finite.
+    so that the scaled weights, below 2^(s + a), stay finite where the
+    fields are small, and so that dt 2^-s is a normal float, and y dt 2^-s
+    is the one rounding of the product that y dt was unscaled.  s = 0, the
+    unscaled sums, where the bound is negative or either maximum is 0 or
+    not finite.
     """
     if not (0.0 < wmax < math.inf and 0.0 < fmax < math.inf):
         return 0
-    s = 1023 - math.frexp(wmax)[1] - math.frexp(fmax)[1] - size.bit_length()
-    return max(0, min(s, math.frexp(dt)[1] + 1021))
+    a, b = math.frexp(wmax)[1], math.frexp(fmax)[1]
+    s = min(1023 - a - b - size.bit_length(), 1023 - a, math.frexp(dt)[1] + 1021)
+    return max(0, s)
 
 
 def _far_weights(state: HistoryState, key: str, fmax: float):
@@ -459,15 +472,11 @@ def _far_weights(state: HistoryState, key: str, fmax: float):
     are subnormal over a wider band; subnormal arithmetic is slow.  2^s w
     lifts them into the normal range, and each product and partial sum is
     2^s times its unscaled value, exactly, wherever that is normal.  The
-    copy is rebuilt when the weights grow and when a larger fmax lowers s.
+    copy is rebuilt when s changes: ``_grow_weights`` resets it, with
+    max|w| and first, when the weights grow, and a larger fmax can lower s.
     """
     w = state._weights[key]
-    s_was, ws, first, wmax = state._far.get(key, (None, None, 0, 0.0))
-    if ws is None or ws.shape != w.shape:
-        wmax = float(np.max(np.abs(w)))
-        nonzero = w.any(axis=0)
-        first = int(nonzero.argmax()) if nonzero.any() else w.shape[1]
-        s_was = None
+    s_was, ws, first, wmax = state._far[key]
     s = _far_scale(wmax, fmax, w.shape[1], state.dt)
     if s != s_was:
         ws = np.ldexp(w, s) if s else w

@@ -489,7 +489,8 @@ class TestBlockedSteps:
         # the far sums at c = 1 are those at c = 0 one step on, so w[2, 1:]
         # must be w[0, :-1] bit for bit, signed zeros too, after every growth
         # of the cache up to the horizon; so too in the 2^s scaled copy that
-        # the far sums read, which is w times 2^s exactly
+        # the far sums read, which is w times 2^s exactly.  The max|w| and
+        # first nonzero column kept over the growths are those of the whole w
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         hist = initial_history(dt, s_max=s_max)
         seen = []
@@ -503,6 +504,9 @@ class TestBlockedSteps:
                 assert s > 0
                 assert ws.tobytes() == np.ldexp(w, s).tobytes()
                 assert np.array_equal(ws[2, 1:].view(np.int64), ws[0, :-1].view(np.int64))
+                first, wmax = hist._far["E"][2:]
+                assert first == int(w.any(axis=0).argmax())
+                assert wmax == np.max(np.abs(w))
         assert seen == sizes
 
     @pytest.mark.parametrize("limit", [40, 7, 1])
@@ -571,6 +575,9 @@ class TestBlockedSteps:
                 assert start % modal._SKIP_ALIGN == 0
                 assert not np.any(weights[:, lo:lo + start + b - 1])
         assert skipped
+        # the first nonzero column, kept over the growths of all-zero lags
+        w = hist._weights["E"]
+        assert hist._far["E"][2] == int(w.any(axis=0).argmax())
 
 
 class TestHistoryIntegrator:
@@ -741,6 +748,22 @@ class TestHistoryIntegrator:
             assert got.view().tobytes() == (ref.view() * 2.0**power).tobytes()
         assert len(entries) == -(-steps // modal._HISTORY_BLOCK)
 
+    @pytest.mark.parametrize("dt", [0.05, 0.1])
+    def test_small_fields_scale_exactly_on_a_stiff_kernel(self, dt):
+        # downward too: started at E = 2^-40, a history is 2^-40 times the one
+        # started at E = 1, bit for bit.  A stiff Debye's |nu'| dt is large and
+        # the fields small, so the far sums' 2^s is bounded by the weights,
+        # not by their products with the fields, and must keep 2^s w finite
+        medium = MediumSpec(1.0, 1.0, debye(2.0, 0.01), ZERO)
+        unit = self._run(medium, 5.0, int(5.0 / dt), dt=dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = self._run(medium, 5.0, int(5.0 / dt), dt=dt, e0=2.0**-40)
+        s, ws = small._far["E"][:2]
+        assert s > 0 and np.isfinite(ws).all()
+        for got, ref in ((small.e_past, unit.e_past), (small.h_past, unit.h_past)):
+            assert got.view().tobytes() == (ref.view() * 2.0**-40).tobytes()
+
     @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
                              ids=["gaussian", "debye", "lorentz"])
     def test_far_sum_scaling_changes_no_bit(self, monkeypatch, kernel):
@@ -756,9 +779,10 @@ class TestHistoryIntegrator:
         assert scaled.h_past.view().tobytes() == plain.h_past.view().tobytes()
 
     def test_far_scale_keeps_every_sum_finite_and_dt_normal(self):
-        # s keeps 2^s max|w| max|f| size below the float limit and dt 2^-s a
-        # normal float, and is within a factor 16 of the largest such power;
-        # s = 0 where either maximum is 0 or not finite, or no s > 0 would fit
+        # s keeps 2^s max|w| max|f| size and 2^s max|w| below the float limit
+        # and dt 2^-s a normal float, and is within a factor 16 of the largest
+        # such power; s = 0 where either maximum is 0 or not finite, or no
+        # s > 0 would fit
         rng = np.random.default_rng(31)
         tiny, top = np.finfo(float).tiny, Fraction(2) ** 1024
         for _ in range(2000):
@@ -768,13 +792,17 @@ class TestHistoryIntegrator:
             assert s >= 0
             if s:
                 assert Fraction(wmax) * Fraction(fmax) * size * 2**s < top
+                assert Fraction(wmax) * 2**s < top
                 assert math.ldexp(dt, -s) >= tiny
                 assert (Fraction(wmax) * Fraction(fmax) * size * 2 ** (s + 4) >= top
+                        or Fraction(wmax) * 2 ** (s + 4) >= top
                         or math.ldexp(dt, -s - 1) < tiny)
         for bad in (0.0, math.inf, math.nan):
             assert modal._far_scale(bad, 1.0, 64, 0.02) == 0
             assert modal._far_scale(1.0, bad, 64, 0.02) == 0
         assert modal._far_scale(1e300, 1e300, 64, 0.02) == 0
+        # small fields: the weights' own bound, 2^s 200 < 2^1023
+        assert modal._far_scale(200.0, 1e-6, 64, 0.05) == 1023 - 8
 
     def test_second_medium_rejected(self):
         hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
