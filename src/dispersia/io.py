@@ -20,18 +20,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .medium import KernelError, MediumSpec, ModalError
+from .medium import MAX_COUNT, KernelError, MediumSpec, ModalError
 
 if TYPE_CHECKING:
     from .decay import DecayReport
     from .dispersion import PassivityReport
     from .energy_trace import EnergyTrace
     from .kernels import Kernel
-
-
-# The most cavity modes, k_range wavenumbers or trace rows a config may imply,
-# checked before anything of that length is allocated.
-MAX_COUNT = 10**6
 
 
 class ParseError(ValueError):

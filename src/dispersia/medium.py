@@ -17,6 +17,12 @@ if TYPE_CHECKING:
     from .kernels import Kernel
 
 
+# The most cavity modes, k_range wavenumbers or trace rows a config may imply,
+# checked before anything of that length is allocated, and the most modes
+# modal.cavity_modes makes; io.MAX_COUNT and modal.MAX_MODES are this bound.
+MAX_COUNT = 10**6
+
+
 class KernelError(ValueError):
     """Invalid kernel data or an operation outside a kernel's domain."""
 

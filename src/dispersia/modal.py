@@ -31,13 +31,11 @@ from .kernels import (
     eval_kernel,
     laplace_rational,
 )
-from .medium import MediumSpec, ModalError, UnsupportedKernel
+from .medium import MAX_COUNT as MAX_MODES, MediumSpec, ModalError, UnsupportedKernel
 
 
 # doubles in one block of output states in run_multimode (128 KiB)
 _BLOCK_ELEMENTS = 2**14
-# the most modes cavity_modes makes (io.MAX_COUNT bounds a config's n_max alike)
-MAX_MODES = 10**6
 
 
 class HistoryTruncationError(ModalError):
@@ -266,7 +264,7 @@ class _GrowBuf:
     The slots from n on may hold steps that step_history has computed ahead
     and not yet taken; view() does not show them.  peak is the largest
     |value| ever written, those steps ahead included, which bounds |f_j|
-    for the far sums' scaling (see ``_far_weights``).
+    for the far sums' scaling (see ``_hold_weights``).
     """
 
     def __init__(self, first: float = 0.0):
@@ -300,10 +298,10 @@ class HistoryState:
 
     ``budget`` is the number of steps the horizon allows, the largest n with
     n dt <= s_max + 1e-12; it is set once, here, and every step and block
-    reads it.  The values cached here (lag weights and their scaled copies
-    for the far sums, the block map of the last k and the steps computed
-    ahead with it) belong to the medium of the first step, which is
-    recorded; a history is advanced in one medium only.
+    reads it.  The values cached here (each live field's lag weights, the
+    block map of the last k and the steps computed ahead with it) belong to
+    the medium of the first step, which is recorded; a history is advanced
+    in one medium only.
     ModalError unless dt is finite and positive, s_max is finite, and
     the horizon's step count (s_max + 1e-12) / dt is finite.
     """
@@ -313,8 +311,7 @@ class HistoryState:
     e_past: _GrowBuf = field(default_factory=_GrowBuf)
     h_past: _GrowBuf = field(default_factory=_GrowBuf)
     budget: int = field(init=False)
-    _weights: dict = field(default_factory=dict, repr=False)
-    _far: dict = field(default_factory=dict, repr=False)  # per field, see _far_weights
+    _weights: dict = field(default_factory=dict, repr=False)  # per field, see _hold_weights
     _medium: MediumSpec | None = field(default=None, repr=False)
     _k: float | None = field(default=None, repr=False)
     _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
@@ -377,10 +374,6 @@ _FAR_END = np.array([-0.5, -0.25, 0.0])
 # than 10000 elements on several threads, which on a busy host costs more
 # than the product
 _CORRELATE_MAX = 8192
-# the far sums skip leading samples in multiples of this many, so that each
-# term keeps its place in OpenBLAS's unrolled dot product and the sums their
-# bits
-_SKIP_ALIGN = 64
 
 
 def _step_matrix(medium: MediumSpec, nu0, g, k: float, dt: float) -> np.ndarray:
@@ -413,34 +406,8 @@ def _step_matrix(medium: MediumSpec, nu0, g, k: float, dt: float) -> np.ndarray:
     return np.array([e1, h1])
 
 
-def _grow_weights(state: HistoryState, kernel: Kernel, key: str, lags: int):
-    """Cache nu'((m + c) dt) for at least the lags m = 0..lags - 1 as one
-    (3, size) array, one row per c, lag-reversed (lag m in column
-    size - 1 - m).  A short cache doubles, up to the lag of the horizon's
-    last step, state.budget, in one kernel evaluation; nothing is evaluated
-    for lags no block has reached.
-    """
-    w = state._weights.get(key)
-    have = 0 if w is None else w.shape[1]
-    if have < lags:
-        size = max(lags, min(2 * have, state.budget + 1))
-        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
-        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
-        state._weights[key] = grown if w is None else np.concatenate([grown, w], axis=1)
-        # the far sums' max|w| and first nonzero column; the grown lags lead
-        nonzero = grown.any(axis=0)
-        if nonzero.any():
-            first = int(nonzero.argmax())
-        else:
-            first = grown.shape[1] + (0 if w is None else state._far[key][2])
-        wmax = float(np.max(np.abs(grown)))
-        if w is not None:
-            wmax = float(np.maximum(wmax, state._far[key][3]))  # keeps a nan
-        state._far[key] = (None, None, first, wmax)
-
-
 def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
-    """The power s >= 0 of the far sums' weight scaling 2^s (see ``_far_weights``).
+    """The power s >= 0 of the far sums' weight scaling 2^s (see ``_hold_weights``).
 
     With |w| < 2^a and |f| < 2^b (a, b the frexp exponents of the largest
     |w| and |f|) and at most size terms, every product and partial sum of
@@ -461,27 +428,40 @@ def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
     return max(0, s)
 
 
-def _far_weights(state: HistoryState, key: str, fmax: float):
-    """(s, 2^s w, first) for the far sums of the field key, whose samples
-    have |f| <= fmax: w is the field's cached weight array, s is
-    ``_far_scale``'s power and first the first column of w that is nonzero
-    in any of its three rows (w.shape[1] if none is).
+def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax: float):
+    """Hold the record (s, ws, first, wmax) of the field key, whose samples
+    have |f| <= fmax, in state._weights: ws is 2^s nu'((m + c) dt) for at
+    least the lags m = 0..lags - 1 as one (3, size) array, one row per c,
+    lag-reversed (lag m in column size - 1 - m); s is ``_far_scale``'s
+    power, first the first column nonzero in any row (size if none is) and
+    wmax the largest |nu'|.
 
-    The far sums of the Gaussian's nu' run through weights that are
-    subnormal (t ~ 26.7-27.3), and through products with the fields that
-    are subnormal over a wider band; subnormal arithmetic is slow.  2^s w
-    lifts them into the normal range, and each product and partial sum is
-    2^s times its unscaled value, exactly, wherever that is normal.  The
-    copy is rebuilt when s changes: ``_grow_weights`` resets it, with
-    max|w| and first, when the weights grow, and a larger fmax can lower s.
+    A short array doubles, up to the lag of the horizon's last step,
+    state.budget, in one kernel evaluation; nothing is evaluated for lags no
+    block has reached.  The far sums of the Gaussian's nu' run through
+    weights that are subnormal (t ~ 26.7-27.3), and through products with
+    the fields that are subnormal over a wider band; subnormal arithmetic is
+    slow.  2^s lifts them into the normal range, and each product and
+    partial sum is 2^s times its unscaled value, exactly, wherever that is
+    normal.  A new s, after a growth or a larger fmax, rescales ws by
+    2^(s - s_was), exactly both ways since s >= 0: ldexp(ws, -s) is nu'.
     """
-    w = state._weights[key]
-    s_was, ws, first, wmax = state._far[key]
-    s = _far_scale(wmax, fmax, w.shape[1], state.dt)
+    s_was, ws, first, wmax = state._weights.get(key, (0, np.zeros((3, 0)), 0, 0.0))
+    grown = np.zeros((3, 0))
+    if ws.shape[1] < lags:
+        have = ws.shape[1]
+        size = max(lags, min(2 * have, state.budget + 1))
+        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
+        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
+        nonzero = grown.any(axis=0)  # the grown lags lead
+        first = int(nonzero.argmax()) if nonzero.any() else first + size - have
+        wmax = float(np.maximum(wmax, np.max(np.abs(grown))))  # keeps a nan
+    s = _far_scale(wmax, fmax, ws.shape[1] + grown.shape[1], state.dt)
     if s != s_was:
-        ws = np.ldexp(w, s) if s else w
-        state._far[key] = (s, ws, first, wmax)
-    return s, ws, first
+        ws = np.ldexp(ws, s - s_was)
+    if grown.size:
+        ws = np.concatenate([np.ldexp(grown, s), ws], axis=1)
+    state._weights[key] = (s, ws, first, wmax)
 
 
 def _block_map(state: HistoryState, medium: MediumSpec, k: float):
@@ -503,12 +483,13 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     B = min(_HISTORY_BLOCK, state.budget)
     near, g = [], []
     for key in ("E", "H"):
-        w = state._weights.get(key)  # None for a zero kernel, which has no memory
-        if w is None:
+        if key not in state._weights:  # a zero kernel, which has no memory
             near.append(np.zeros((3, B)))
             g.append(0.0)
             continue
-        m = dt * w[:, :-B - 1:-1]  # lags 0..B - 1
+        s, ws = state._weights[key][:2]
+        w = np.ldexp(ws[:, -B:], -s)  # lags B - 1..0 of nu', exactly
+        m = dt * w[:, ::-1]  # lags 0..B - 1
         m[:, 0] = _NEAR_END * m[:, 0]
         near.append(m)
         g.append(0.5 * dt * float(w[0, -1]))
@@ -548,10 +529,10 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     one lag, bit for bit, and the c = 0 far sums of steps n0 + 1..n0 + b - 1
     are the c = 1 far sums of steps n0..n0 + b - 2.  Only the block's last
     step takes one dot product.  The far sums start at the first sample
-    that meets a nonzero weight, rounded down to a multiple of _SKIP_ALIGN,
-    and run on the weights times 2^s, undone in y dt 2^-s (see
-    ``_far_weights``).  The end terms of f_0 and, at the first step, of
-    f_n0 (_FAR_END) are added as corrections, on the unscaled weights.
+    that meets a nonzero weight and run on the held weights, 2^s nu' (see
+    ``_hold_weights``).  The end terms of f_0 and, at the first step, of
+    f_n0 (_FAR_END) are added as corrections on those weights too, and the
+    sums are scaled once, by dt 2^-s.
     The terms over the block's own samples are near and enter through
     _block_map's G, rebuilt only for a new k.  Everything runs under one
     np.errstate.  A non-finite known part cuts the block before its step:
@@ -563,32 +544,30 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
             (("E", medium.nu_e, state.e_past, slice(0, 3)),
              ("H", medium.nu_h, state.h_past, slice(3, 6))) if not kern.is_zero]
     with np.errstate(over="ignore", invalid="ignore"):
-        for key, kern, _, _ in live:
-            _grow_weights(state, kern, key, n0 + b)
+        for key, kern, past, _ in live:
+            _hold_weights(state, kern, key, n0 + b, past.peak)
         if k != state._k:
             state._map, state._k = _block_map(state, medium, k), k
         P, Q, G = state._map
         r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
         for key, _, past, cols in live:
-            w = state._weights[key]
-            s, ws, first = _far_weights(state, key, past.peak)
-            lo = w.shape[1] - n0 - b  # the column of lag n0 + b - 1
+            s, ws, first, _ = state._weights[key]
+            lo = ws.shape[1] - n0 - b  # the column of lag n0 + b - 1
             f = past.view()
             y = np.zeros((3, b))
             # sample m meets the weight columns lo + m..lo + m + b - 1 only;
             # for each sample before skip, all of them are zero
-            skip = max(0, min(first - lo - (b - 1), n0)) // _SKIP_ALIGN * _SKIP_ALIGN
-            for a in range(skip - skip % _CORRELATE_MAX, f.size, _CORRELATE_MAX):
-                i = max(a, skip)
-                seg, j = f[i:a + _CORRELATE_MAX], lo + i
+            skip = max(0, min(first - lo - (b - 1), n0))
+            for i in range(skip, f.size, _CORRELATE_MAX):
+                seg, j = f[i:i + _CORRELATE_MAX], lo + i
                 y0 = np.correlate(ws[0, j:j + seg.size + b - 1], seg)
                 y[0] += y0
                 y[1] += np.correlate(ws[1, j:j + seg.size + b - 1], seg)
                 y[2, 0] += np.dot(ws[2, j:j + seg.size], seg)
-                y[2, 1:] += y0[:-1]  # w[2, 1:] is w[0, :-1]
+                y[2, 1:] += y0[:-1]  # ws[2, 1:] is ws[0, :-1]
+            y -= (0.5 * f[0]) * ws[:, lo:lo + b]  # the f_0 ends
+            y[:, -1] += past.last * (_FAR_END * ws[:, -1])
             y *= math.ldexp(dt, -s)
-            y -= (0.5 * dt * f[0]) * w[:, lo:lo + b]  # the f_0 ends
-            y[:, -1] += (dt * past.last) * (_FAR_END * w[:, -1])
             r += Q[:, cols] @ y
         r = r[:, ::-1]
         r[:, 0] += P @ (state.e_past.last, state.h_past.last)

@@ -362,6 +362,20 @@ def former_history(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     return np.array([e_hist, h_hist]), state.weights
 
 
+def held_weights(hist, key):
+    """nu'((m + c) dt) as the history holds it for field key: its (3, size)
+    array 2^s nu', lag-reversed, times 2^-s."""
+    s, ws = hist._weights[key][:2]
+    return np.ldexp(ws, -s)
+
+
+def fresh_weights(kernel, size, dt):
+    """nu'((m + c) dt) for the lags m = 0..size - 1 from one kernel
+    evaluation, lag-reversed as the history holds it."""
+    t = (np.arange(size - 1, -1, -1) + modal._OFFSETS) * dt
+    return modal.eval_kernel(kernel, t.ravel(), 1).reshape(t.shape)
+
+
 def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     """Fields within 1e-12 of the largest |field| of the former integrator, and
     every lag weight bit for bit (the stacked rows are lag-reversed)."""
@@ -376,7 +390,7 @@ def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
         if key not in hist._weights:
             assert all(field != key for field, _ in ref_weights)
             continue
-        w = hist._weights[key]
+        w = held_weights(hist, key)
         # every lag the steps read is cached; the cache may also hold the lags
         # of the block ahead, and the former doubling could reach the
         # horizon's last lag, which no step reads
@@ -407,7 +421,7 @@ class TestStackedStageSums:
         # nu' of the Gaussian is subnormal from t = 26.7 and exactly 0 from
         # t = 27.3; a history to t = 35 sums over all three kinds of weight
         hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 1.3, 0.05, 700, 35.0)
-        lags = hist._weights["E"][0, ::-1][:701]
+        lags = held_weights(hist, "E")[0, ::-1][:701]
         assert lags[-1] == 0.0 and np.any((lags != 0.0) & (np.abs(lags) < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("medium", [MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
@@ -422,15 +436,15 @@ class TestStackedStageSums:
         # the blocks reach lag ceil(steps / B) B - 1; the cache doubles from B
         # and holds the next power of two
         reached = -(-steps // modal._HISTORY_BLOCK) * modal._HISTORY_BLOCK
-        for w in hist._weights.values():
-            assert w.shape == (3, 1 << (reached - 1).bit_length())
+        for _, ws, _, _ in hist._weights.values():
+            assert ws.shape == (3, 1 << (reached - 1).bit_length())
 
     def test_horizon_stops_the_growth(self):
         # s_max = 5 on a 0.03 grid allows lags 0..166; doubling would reach 256
         hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, drude(0.2, 1.5)), 1.3,
                                      0.03, 166, 5.0)
-        for w in hist._weights.values():
-            assert w.shape == (3, 167)
+        for _, ws, _, _ in hist._weights.values():
+            assert ws.shape == (3, 167)
 
 
 class TestBlockedSteps:
@@ -486,25 +500,23 @@ class TestBlockedSteps:
         (0.05, 50.0, [64, 128, 256, 512, 1001]),
     ], ids=["3001_lags", "1001_lags"])
     def test_c1_weights_are_c0_weights_one_lag_on(self, kernel, dt, s_max, sizes):
-        # the far sums at c = 1 are those at c = 0 one step on, so w[2, 1:]
-        # must be w[0, :-1] bit for bit, signed zeros too, after every growth
-        # of the cache up to the horizon; so too in the 2^s scaled copy that
-        # the far sums read, which is w times 2^s exactly.  The max|w| and
-        # first nonzero column kept over the growths are those of the whole w
+        # the far sums at c = 1 are those at c = 0 one step on, so in the
+        # held array 2^s w, ws[2, 1:] must be ws[0, :-1] bit for bit, signed
+        # zeros too, after every growth of the cache up to the horizon; ws is
+        # the weights of one fresh evaluation times 2^s exactly.  The max|w|
+        # and first nonzero column kept over the growths are those of the whole w
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         hist = initial_history(dt, s_max=s_max)
         seen = []
         for _ in range(sizes[-1] - 1):
             hist = step_history(medium, 1.3, hist, dt)
-            w = hist._weights["E"]
-            if seen[-1:] != [w.shape[1]]:
-                seen.append(w.shape[1])
-                assert np.array_equal(w[2, 1:].view(np.int64), w[0, :-1].view(np.int64))
-                s, ws = hist._far["E"][:2]
+            s, ws, first, wmax = hist._weights["E"]
+            if seen[-1:] != [ws.shape[1]]:
+                seen.append(ws.shape[1])
                 assert s > 0
-                assert ws.tobytes() == np.ldexp(w, s).tobytes()
                 assert np.array_equal(ws[2, 1:].view(np.int64), ws[0, :-1].view(np.int64))
-                first, wmax = hist._far["E"][2:]
+                w = fresh_weights(kernel, ws.shape[1], dt)
+                assert ws.tobytes() == np.ldexp(w, s).tobytes()
                 assert first == int(w.any(axis=0).argmax())
                 assert wmax == np.max(np.abs(w))
         assert seen == sizes
@@ -572,12 +584,11 @@ class TestBlockedSteps:
             assert all(i + n == j for (i, n), (j, _) in zip(chunks, chunks[1:]))
             if start:
                 skipped += 1
-                assert start % modal._SKIP_ALIGN == 0
                 assert not np.any(weights[:, lo:lo + start + b - 1])
         assert skipped
         # the first nonzero column, kept over the growths of all-zero lags
-        w = hist._weights["E"]
-        assert hist._far["E"][2] == int(w.any(axis=0).argmax())
+        _, ws, first, _ = hist._weights["E"]
+        assert first == int(ws.any(axis=0).argmax())
 
 
 class TestHistoryIntegrator:
@@ -632,7 +643,7 @@ class TestHistoryIntegrator:
         medium = MediumSpec(1.0, 1.0, kern, ZERO)
         assert -build_mode(medium, 1.0).A[0, 0] == 0.6
         hist = step_history(medium, 1.0, initial_history(1.0, s_max=1.0), 1.0)
-        g = (0.5 * float(hist._weights["E"][0, -1]), 0.0)
+        g = (0.5 * float(held_weights(hist, "E")[0, -1]), 0.0)
 
         def p_at(nu0):
             return modal._step_matrix(medium, nu0, g, 1.0, 1.0)[:, :2]
@@ -655,7 +666,7 @@ class TestHistoryIntegrator:
         for _ in range(steps):
             hist = step_history(debye_medium(), 1.0, hist, dt)
         assert hist.e_past.n == steps + 1
-        assert all(w.shape[1] <= steps + 1 for w in hist._weights.values())
+        assert all(ws.shape[1] <= steps + 1 for _, ws, _, _ in hist._weights.values())
         with pytest.raises(HistoryTruncationError):
             step_history(debye_medium(), 1.0, hist, dt)
         assert hist.e_past.n == steps + 1
@@ -690,8 +701,8 @@ class TestHistoryIntegrator:
         assert short.e_past.view().tobytes() == long.e_past.view().tobytes()
         assert short.h_past.view().tobytes() == long.h_past.view().tobytes()
         steps = 300
-        assert all(w[0].size <= 2 * (steps + 1) for w in long._weights.values())
-        assert all(w[0].size <= 2 * (steps + 1) for w in short._weights.values())
+        for hist in (long, short):
+            assert all(ws.shape[1] <= 2 * (steps + 1) for _, ws, _, _ in hist._weights.values())
 
     @staticmethod
     def _counting(monkeypatch, owner, name):
@@ -718,7 +729,7 @@ class TestHistoryIntegrator:
         growths = 1 + (reached - 1).bit_length() - (block - 1).bit_length()
         assert growths == 7
         assert [order for _, _, order in calls] == [1] * growths
-        assert all(w[0].size <= 2 * (steps + 1) for w in hist._weights.values())
+        assert all(ws.shape[1] <= 2 * (steps + 1) for _, ws, _, _ in hist._weights.values())
 
     def test_errstate_once_per_block(self, monkeypatch):
         # a step enters no np.errstate; each block enters it once, around its
@@ -759,7 +770,7 @@ class TestHistoryIntegrator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             small = self._run(medium, 5.0, int(5.0 / dt), dt=dt, e0=2.0**-40)
-        s, ws = small._far["E"][:2]
+        s, ws = small._weights["E"][:2]
         assert s > 0 and np.isfinite(ws).all()
         for got, ref in ((small.e_past, unit.e_past), (small.h_past, unit.h_past)):
             assert got.view().tobytes() == (ref.view() * 2.0**-40).tobytes()
@@ -771,12 +782,32 @@ class TestHistoryIntegrator:
         # y dt 2^-s; with s forced to 0, the unscaled sums, the history is the same
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         scaled = self._run(medium, 30.0, 3000, dt=0.01)
-        assert scaled._far["E"][0] > 900
+        assert scaled._weights["E"][0] > 900
         monkeypatch.setattr(modal, "_far_scale", lambda *args: 0)
         plain = self._run(medium, 30.0, 3000, dt=0.01)
-        assert plain._far["E"][0] == 0 and plain._far["E"][1] is plain._weights["E"]
+        s, ws = plain._weights["E"][:2]
+        assert s == 0 and ws.tobytes() == held_weights(scaled, "E").tobytes()
         assert scaled.e_past.view().tobytes() == plain.e_past.view().tobytes()
         assert scaled.h_past.view().tobytes() == plain.h_past.view().tobytes()
+
+    def test_held_weights_rescale_upward(self):
+        # started at E = 0, E's far sums have s = 0 until its first block makes
+        # E nonzero; s then rises, and the held array 2^0 nu' is rescaled to
+        # 2^s nu', which must be exact
+        medium, dt, steps = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02, 400
+        hist = initial_history(dt, s_max=8.0, e0=0.0, h0=1.0)
+        scales = []
+        for _ in range(steps):
+            hist = step_history(medium, 1.3, hist, dt)
+            s, ws = hist._weights["E"][:2]
+            if scales[-1:] != [s]:
+                scales.append(s)
+                w = fresh_weights(GAUSSIAN, ws.shape[1], dt)
+                assert ws.tobytes() == np.ldexp(w, s).tobytes()
+        assert scales[0] == 0 and len(scales) > 1 and min(scales[1:]) > 0
+        ref, _ = former_history(medium, 1.3, dt, steps, 8.0, e0=0.0, h0=1.0)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_far_scale_keeps_every_sum_finite_and_dt_normal(self):
         # s keeps 2^s max|w| max|f| size and 2^s max|w| below the float limit
