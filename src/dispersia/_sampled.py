@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .kernels import (
+    LAPLACE_HORIZON,
     CertificationFailure,
     ClassKCertificate,
     KernelError,
@@ -194,7 +195,7 @@ def laplace(kernel: SampledKernel, lam: complex) -> complex:
         raise UnsupportedPoint("lambda = 0 is not supported on the sampled path")
     sigma = lam.real
     lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
-                                    60.0 / kernel.delta, np.array([lam.imag]))[0])
+                                    LAPLACE_HORIZON / kernel.delta, np.array([lam.imag]))[0])
     nup0 = float(kernel(0.0, 1))
     return (kernel.value_at_zero() + (nup0 + lap2) / lam) / lam
 
@@ -204,6 +205,6 @@ def iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float | np.nda
     w = np.asarray(w, dtype=float)
     if np.any(w == 0.0):
         raise UnsupportedPoint("w = 0 is not supported on the sampled path")
-    sine = -_filon_transform(lambda s: kernel(s, 2), 60.0 / kernel.delta, w).imag
+    sine = -_filon_transform(lambda s: kernel(s, 2), LAPLACE_HORIZON / kernel.delta, w).imag
     out = kernel.value_at_zero() - sine / w
     return out if out.shape else float(out)

@@ -246,6 +246,10 @@ def drude(beta: float = 1.0, nu: float = 1.0) -> ExpPolyKernel:
     return ExpPolyKernel((DampedTerm((-beta,), (0.0,), -nu, 0.0),), offset=beta)
 
 
+# a sampled kernel's Laplace transforms integrate over [0, LAPLACE_HORIZON / delta]
+LAPLACE_HORIZON = 60.0
+
+
 @dataclass(frozen=True)
 class SampledKernel:
     """Black-box kernel t -> (nu, nu', nu'') with a claimed |nu''| <= C e^{-delta t};
@@ -261,8 +265,9 @@ class SampledKernel:
         if not (0 < self.C < math.inf and 0 < self.delta < math.inf):
             raise KernelError("decay certificate needs finite C > 0 and delta > 0, got "
                               f"C={self.C}, delta={self.delta}")
-        if 60.0 / self.delta == math.inf:  # the Laplace horizon
-            raise KernelError(f"delta={self.delta} is too small: 60/delta overflows")
+        if LAPLACE_HORIZON / self.delta == math.inf:
+            raise KernelError(f"delta={self.delta} is too small: "
+                              f"{LAPLACE_HORIZON:g}/delta overflows")
 
     def __call__(self, t, order: int = 0):
         import numpy as np

@@ -363,13 +363,13 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
     return state
 
 
-# the lag offsets c of the stage times t + c dt, one row of lag weights each
-_OFFSETS = np.array([[0.0], [0.5], [1.0]])
+# the lag offsets c of the two held rows of lag weights (see _hold_weights)
+_OFFSETS = np.array([[0.0], [0.5]])
 # per c, the weight of f_n in the sum y_c of step n, in units of dt nu'(c dt):
 # in the block, the trapezoid end 1/2 plus the panel's c/2 (see _next_block),
 # and the correction to the far sum at the block's first step, -1/2 + c/2
 _NEAR_END = np.array([0.5, 0.75, 1.0])
-_FAR_END = np.array([-0.5, -0.25, 0.0])
+_FAR_END = np.array([-0.5, -0.25])  # and 0 at c = 1
 # samples per np.correlate of a far sum: OpenBLAS runs a dot product of more
 # than 10000 elements on several threads, which on a busy host costs more
 # than the product
@@ -430,31 +430,34 @@ def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
 
 def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax: float):
     """Hold the record (s, ws, first, wmax) of the field key, whose samples
-    have |f| <= fmax, in state._weights: ws is 2^s nu'((m + c) dt) for at
-    least the lags m = 0..lags - 1 as one (3, size) array, one row per c,
-    lag-reversed (lag m in column size - 1 - m); s is ``_far_scale``'s
-    power, first the first column nonzero in any row (size if none is) and
-    wmax the largest |nu'|.
+    have |f| <= fmax, in state._weights: ws is 2^s nu'((m + c) dt) at the
+    lags m = size..0, size >= lags, as one (2, size + 1) array, one row per
+    c = 0, 1/2, lag-reversed (lag m in column size - m).  The row of c = 1
+    is ws[0, :-1]: nu' at the float (m + 1) dt is the c = 0 weight of lag
+    m + 1, so each nu'(j dt) is evaluated and held once.  s is
+    ``_far_scale``'s power, first the first column nonzero in either row
+    (size + 1 if none is) and wmax the largest |nu'|.
 
-    A short array doubles, up to the lag of the horizon's last step,
-    state.budget, in one kernel evaluation; nothing is evaluated for lags no
-    block has reached.  The far sums of the Gaussian's nu' run through
-    weights that are subnormal (t ~ 26.7-27.3), and through products with
-    the fields that are subnormal over a wider band; subnormal arithmetic is
-    slow.  2^s lifts them into the normal range, and each product and
-    partial sum is 2^s times its unscaled value, exactly, wherever that is
-    normal.  A new s, after a growth or a larger fmax, rescales ws by
-    2^(s - s_was), exactly both ways since s >= 0: ldexp(ws, -s) is nu'.
+    A short array doubles its lags, up to the lag of the horizon's last
+    step, state.budget, in one kernel evaluation; nothing is evaluated for
+    lags no block has reached.  The far sums of the Gaussian's nu' run
+    through weights that are subnormal (t ~ 26.7-27.3), and through products
+    with the fields that are subnormal over a wider band; subnormal
+    arithmetic is slow.  2^s lifts them into the normal range, and each
+    product and partial sum is 2^s times its unscaled value, exactly,
+    wherever that is normal.  A new s, after a growth or a larger fmax,
+    rescales ws by 2^(s - s_was), exactly both ways since s >= 0:
+    ldexp(ws, -s) is nu'.
     """
-    s_was, ws, first, wmax = state._weights.get(key, (0, np.zeros((3, 0)), 0, 0.0))
-    grown = np.zeros((3, 0))
-    if ws.shape[1] < lags:
-        have = ws.shape[1]
-        size = max(lags, min(2 * have, state.budget + 1))
-        t = (np.arange(size - 1, have - 1, -1) + _OFFSETS) * state.dt
+    s_was, ws, first, wmax = state._weights.get(key, (0, np.zeros((2, 0)), 0, 0.0))
+    grown = np.zeros((2, 0))
+    if ws.shape[1] <= lags:
+        have = ws.shape[1]  # the lags have - 1..0
+        size = max(lags, min(2 * (have - 1), state.budget))
+        t = (np.arange(size, have - 1, -1) + _OFFSETS) * state.dt
         grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
         nonzero = grown.any(axis=0)  # the grown lags lead
-        first = int(nonzero.argmax()) if nonzero.any() else first + size - have
+        first = int(nonzero.argmax()) if nonzero.any() else first + size + 1 - have
         wmax = float(np.maximum(wmax, np.max(np.abs(grown))))  # keeps a nan
     s = _far_scale(wmax, fmax, ws.shape[1] + grown.shape[1], state.dt)
     if s != s_was:
@@ -471,9 +474,10 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     n0 + i and r_i the part of that step known before the block: P times the
     fields of step n0 for i = 0, plus Q times the far memory sums.  The near
     memory sums add Q M_(i - j) z_(j - 1) for 1 <= j <= i, where M_m holds
-    each field's weights dt nu'((m + c) dt), M_0 with the weights of
-    _NEAR_END.  So z = r + T z with T strictly lower block-Toeplitz, T_1 =
-    P + Q M_0 and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
+    each field's weights dt nu'((m + c) dt), c = 0, 1/2, 1, read off its
+    two held rows as in ``_next_block``, M_0 with the weights of _NEAR_END.
+    So z = r + T z with T strictly lower block-Toeplitz, T_1 = P + Q M_0
+    and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
     lower-triangular Toeplitz with blocks Gamma_0 = I and Gamma_m = sum_l
     T_l Gamma_(m - l): forward substitution, no LAPACK call.  B is
     min(_HISTORY_BLOCK, state.budget), for every block of the history;
@@ -488,7 +492,8 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
             g.append(0.0)
             continue
         s, ws = state._weights[key][:2]
-        w = np.ldexp(ws[:, -B:], -s)  # lags B - 1..0 of nu', exactly
+        w = np.ldexp(ws[:, -B - 1:], -s)  # lags B..0 of nu', exactly
+        w = np.concatenate([w[:, 1:], w[:1, :-1]])  # lags B - 1..0 at c = 0, 1/2, 1
         m = dt * w[:, ::-1]  # lags 0..B - 1
         m[:, 0] = _NEAR_END * m[:, 0]
         near.append(m)
@@ -521,18 +526,17 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     rule on f_0..f_n, y_c = dt (sum_j w_c[n - j] f_j - (w_c[n] f_0 +
     w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
     to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
-    terms over j <= n0 are far: a field's far sums for the whole block at
-    c = 0 and c = 1/2 are one np.correlate each of the lag-reversed weight
-    row with f_0..f_n0 (one per _CORRELATE_MAX samples).  Those at c = 1
-    need no correlate of their own: w_1[m] = w_0[m + 1], both nu' at the
-    float (m + 1) dt, so the cached row of c = 1 is that of c = 0 shifted by
-    one lag, bit for bit, and the c = 0 far sums of steps n0 + 1..n0 + b - 1
-    are the c = 1 far sums of steps n0..n0 + b - 2.  Only the block's last
-    step takes one dot product.  The far sums start at the first sample
-    that meets a nonzero weight and run on the held weights, 2^s nu' (see
-    ``_hold_weights``).  The end terms of f_0 and, at the first step, of
-    f_n0 (_FAR_END) are added as corrections on those weights too, and the
-    sums are scaled once, by dt 2^-s.
+    terms over j <= n0 are far.  A field's far sums for the whole block are
+    one np.correlate of each held row, c = 0 and c = 1/2, with f_0..f_n0
+    (one per _CORRELATE_MAX samples), over the lags n0 + b..0: the sums of
+    the steps n0..n0 + b.  Those at c = 1 need no correlate of their own:
+    w_1[m] = w_0[m + 1] (see ``_hold_weights``), so the c = 0 far sums of
+    steps n0 + 1..n0 + b are the c = 1 far sums of steps n0..n0 + b - 1.
+    The far sums start at the first sample that meets a nonzero weight and
+    run on the held weights, 2^s nu'.  The end terms of f_0 and, at the
+    first step, of f_n0 (_FAR_END) are added as corrections on those
+    weights too, before the c = 1 sums are read off, and the sums are
+    scaled once, by dt 2^-s.
     The terms over the block's own samples are near and enter through
     _block_map's G, rebuilt only for a new k.  Everything runs under one
     np.errstate.  A non-finite known part cuts the block before its step:
@@ -552,23 +556,19 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
         r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
         for key, _, past, cols in live:
             s, ws, first, _ = state._weights[key]
-            lo = ws.shape[1] - n0 - b  # the column of lag n0 + b - 1
+            lo = ws.shape[1] - 1 - n0 - b  # the column of lag n0 + b
             f = past.view()
-            y = np.zeros((3, b))
-            # sample m meets the weight columns lo + m..lo + m + b - 1 only;
+            z = np.zeros((2, b + 1))
+            # sample m meets the weight columns lo + m..lo + m + b only;
             # for each sample before skip, all of them are zero
-            skip = max(0, min(first - lo - (b - 1), n0))
+            skip = max(0, min(first - lo - b, n0))
             for i in range(skip, f.size, _CORRELATE_MAX):
                 seg, j = f[i:i + _CORRELATE_MAX], lo + i
-                y0 = np.correlate(ws[0, j:j + seg.size + b - 1], seg)
-                y[0] += y0
-                y[1] += np.correlate(ws[1, j:j + seg.size + b - 1], seg)
-                y[2, 0] += np.dot(ws[2, j:j + seg.size], seg)
-                y[2, 1:] += y0[:-1]  # ws[2, 1:] is ws[0, :-1]
-            y -= (0.5 * f[0]) * ws[:, lo:lo + b]  # the f_0 ends
-            y[:, -1] += past.last * (_FAR_END * ws[:, -1])
-            y *= math.ldexp(dt, -s)
-            r += Q[:, cols] @ y
+                z += [np.correlate(w, seg) for w in ws[:, j:j + seg.size + b]]
+            z -= (0.5 * f[0]) * ws[:, lo:lo + b + 1]  # the f_0 ends
+            z[:, -1] += past.last * (_FAR_END * ws[:, -1])
+            y = np.concatenate([z[:, 1:], z[:1, :-1]])  # c = 0, 1/2, 1
+            r += Q[:, cols] @ (y * math.ldexp(dt, -s))
         r = r[:, ::-1]
         r[:, 0] += P @ (state.e_past.last, state.h_past.last)
         bad = ~np.isfinite(r).all(axis=0)

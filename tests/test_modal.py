@@ -362,18 +362,32 @@ def former_history(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     return np.array([e_hist, h_hist]), state.weights
 
 
+def stage_rows(ws):
+    """The rows c = 0, 1/2, 1 of the lags size - 1..0 read off a held (2,
+    size + 1) array of rows c = 0, 1/2: c = 1 is c = 0 one lag on."""
+    return np.concatenate([ws[:, 1:], ws[:1, :-1]])
+
+
 def held_weights(hist, key):
-    """nu'((m + c) dt) as the history holds it for field key: its (3, size)
-    array 2^s nu', lag-reversed, times 2^-s."""
+    """nu'((m + c) dt), c = 0, 1/2, 1, as the history holds it for field key:
+    the stage rows of its array 2^s nu', lag-reversed, times 2^-s."""
     s, ws = hist._weights[key][:2]
-    return np.ldexp(ws, -s)
+    return np.ldexp(stage_rows(ws), -s)
 
 
 def fresh_weights(kernel, size, dt):
-    """nu'((m + c) dt) for the lags m = 0..size - 1 from one kernel
-    evaluation, lag-reversed as the history holds it."""
-    t = (np.arange(size - 1, -1, -1) + modal._OFFSETS) * dt
+    """nu'((m + c) dt) for c = 0, 1/2, 1 and the lags m = 0..size - 1 from one
+    kernel evaluation at each (m + c) dt, lag-reversed as the stage rows."""
+    t = (np.arange(size - 1, -1, -1) + np.array([[0.0], [0.5], [1.0]])) * dt
     return modal.eval_kernel(kernel, t.ravel(), 1).reshape(t.shape)
+
+
+def assert_held_exactly(ws, s, kernel, dt):
+    """The held array is 2^s times fresh weights, bit for bit, signed zeros
+    too: its two rows over all its lags, and the three stage rows read off it."""
+    size = ws.shape[1] - 1
+    assert ws.tobytes() == np.ldexp(fresh_weights(kernel, size + 1, dt)[:2], s).tobytes()
+    assert stage_rows(ws).tobytes() == np.ldexp(fresh_weights(kernel, size, dt), s).tobytes()
 
 
 def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
@@ -433,18 +447,20 @@ class TestStackedStageSums:
     @pytest.mark.parametrize("steps", [1, 2, 1023, 1024, 1025])
     def test_step_counts_across_doublings(self, steps):
         hist = assert_matches_former(mixed_medium(), 2.1, 0.01, steps, 30.0)
-        # the blocks reach lag ceil(steps / B) B - 1; the cache doubles from B
-        # and holds the next power of two
+        # the blocks reach lag ceil(steps / B) B - 1 at c = 1, which is lag
+        # ceil(steps / B) B at c = 0; the held lags double from B and reach
+        # the next power of two
         reached = -(-steps // modal._HISTORY_BLOCK) * modal._HISTORY_BLOCK
         for _, ws, _, _ in hist._weights.values():
-            assert ws.shape == (3, 1 << (reached - 1).bit_length())
+            assert ws.shape == (2, (1 << (reached - 1).bit_length()) + 1)
 
     def test_horizon_stops_the_growth(self):
-        # s_max = 5 on a 0.03 grid allows lags 0..166; doubling would reach 256
+        # s_max = 5 on a 0.03 grid allows 166 steps, held lags 0..166;
+        # doubling would reach 256
         hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, drude(0.2, 1.5)), 1.3,
                                      0.03, 166, 5.0)
         for _, ws, _, _ in hist._weights.values():
-            assert ws.shape == (3, 167)
+            assert ws.shape == (2, 167)
 
 
 class TestBlockedSteps:
@@ -496,15 +512,16 @@ class TestBlockedSteps:
     @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
                              ids=["gaussian", "debye", "lorentz"])
     @pytest.mark.parametrize("dt, s_max, sizes", [
-        (0.01, 30.0, [64, 128, 256, 512, 1024, 2048, 3001]),
-        (0.05, 50.0, [64, 128, 256, 512, 1001]),
+        (0.01, 30.0, [65, 129, 257, 513, 1025, 2049, 3001]),
+        (0.05, 50.0, [65, 129, 257, 513, 1001]),
     ], ids=["3001_lags", "1001_lags"])
     def test_c1_weights_are_c0_weights_one_lag_on(self, kernel, dt, s_max, sizes):
-        # the far sums at c = 1 are those at c = 0 one step on, so in the
-        # held array 2^s w, ws[2, 1:] must be ws[0, :-1] bit for bit, signed
-        # zeros too, after every growth of the cache up to the horizon; ws is
-        # the weights of one fresh evaluation times 2^s exactly.  The max|w|
-        # and first nonzero column kept over the growths are those of the whole w
+        # the history holds the rows c = 0, 1/2 and reads the row of c = 1 as
+        # that of c = 0 one lag on, ws[0, :-1]; after every growth up to the
+        # horizon, the three stage rows must be 2^s times nu' evaluated at
+        # each (m + c) dt, c = 1 too, bit for bit, signed zeros too.  The
+        # max|w| and first nonzero column kept over the growths are those of
+        # the whole held array
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         hist = initial_history(dt, s_max=s_max)
         seen = []
@@ -514,9 +531,8 @@ class TestBlockedSteps:
             if seen[-1:] != [ws.shape[1]]:
                 seen.append(ws.shape[1])
                 assert s > 0
-                assert np.array_equal(ws[2, 1:].view(np.int64), ws[0, :-1].view(np.int64))
-                w = fresh_weights(kernel, ws.shape[1], dt)
-                assert ws.tobytes() == np.ldexp(w, s).tobytes()
+                assert_held_exactly(ws, s, kernel, dt)
+                w = np.ldexp(ws, -s)
                 assert first == int(w.any(axis=0).argmax())
                 assert wmax == np.max(np.abs(w))
         assert seen == sizes
@@ -544,7 +560,7 @@ class TestBlockedSteps:
         # nu' is exactly 0 from t* = (lag + frac) dt, inside a block's lags; the
         # far sums start at the first sample that meets a nonzero weight, and
         # every column of weights that a skipped sample would have met is 0 in
-        # all three rows
+        # both held rows
         t_star = (lag + frac) * dt
         cut = SampledKernel(lambda t, order: np.where(t < t_star, _gaussian_eval(t, order), 0.0),
                             3.4, 1.0, "cut")
@@ -568,23 +584,24 @@ class TestBlockedSteps:
         def offset(view):  # of view's first element in the array that owns it
             return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
 
-        blocks = {}  # (weights, lo, b) -> [(first sample, samples)] of weight row 0
+        # a block of b steps correlates each held row into b + 1 sums
+        blocks = {}  # (weights, lo, b + 1) -> [(first sample, samples)] of weight row 0
         for a, v in calls:
-            weights = a.base.reshape(3, -1)
+            weights = a.base.reshape(2, -1)
             row, col = divmod(offset(a), weights.shape[1])
-            i, b = offset(v), a.size - v.size + 1
+            i, sums = offset(v), a.size - v.size + 1
             if row == 0:
-                blocks.setdefault((id(weights.base), col - i, b), (weights, []))[1].append(
+                blocks.setdefault((id(weights.base), col - i, sums), (weights, []))[1].append(
                     (i, v.size))
         skipped = 0
-        for (_, lo, b), (weights, chunks) in blocks.items():
+        for (_, lo, sums), (weights, chunks) in blocks.items():
             chunks.sort()
             start = chunks[0][0]
             # the chunks run on from the first sample to the block's last
             assert all(i + n == j for (i, n), (j, _) in zip(chunks, chunks[1:]))
             if start:
                 skipped += 1
-                assert not np.any(weights[:, lo:lo + start + b - 1])
+                assert not np.any(weights[:, lo:lo + start + sums - 1])
         assert skipped
         # the first nonzero column, kept over the growths of all-zero lags
         _, ws, first, _ = hist._weights["E"]
@@ -721,9 +738,9 @@ class TestHistoryIntegrator:
         calls = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
-        # one call per growth of the one live field's weights: sizes 64, 128,
-        # ..., 4096 for the blocks' lags up to 3007; nu(0) comes from
-        # value_at_zero()
+        # one call per growth of the one live field's weights: held lags up
+        # to 64, 128, ..., 4096 for the blocks' lags up to 3008 at c = 0;
+        # nu(0) comes from value_at_zero()
         block = modal._HISTORY_BLOCK
         reached = -(-steps // block) * block
         growths = 1 + (reached - 1).bit_length() - (block - 1).bit_length()
@@ -731,10 +748,23 @@ class TestHistoryIntegrator:
         assert [order for _, _, order in calls] == [1] * growths
         assert all(ws.shape[1] <= 2 * (steps + 1) for _, ws, _, _ in hist._weights.values())
 
+    def test_each_lag_weight_is_evaluated_once(self, monkeypatch):
+        # the stage at c = 1 reads nu'((m + 1) dt) from the c = 0 row, so a
+        # history evaluates each field's nu' at the held lags m dt and
+        # (m + 1/2) dt only, each once, over its growths up to the horizon
+        calls = self._counting(monkeypatch, modal, "eval_kernel")
+        medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
+        hist = self._run(medium, 30.0, 3000, dt=0.01)
+        for key, kernel in (("E", medium.nu_e), ("H", medium.nu_h)):
+            t = np.concatenate([np.ravel(ts) for kern, ts, _ in calls if kern is kernel])
+            held = hist._weights[key][1].shape[1] - 1
+            assert held == hist.budget == 3000
+            assert np.unique(t).size == t.size == 2 * (held + 1)
+
     def test_errstate_once_per_block(self, monkeypatch):
         # a step enters no np.errstate; each block enters it once, around its
         # weight growths and sums: 46 blocks of 64 steps and one of 56 up to
-        # the horizon, and weight sizes 64, 128, ..., 2048, 3001 for each field
+        # the horizon, and held lags up to 64, 128, ..., 2048, 3000 for each field
         entries = self._counting(monkeypatch, modal.np, "errstate")
         growths = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
@@ -786,14 +816,15 @@ class TestHistoryIntegrator:
         monkeypatch.setattr(modal, "_far_scale", lambda *args: 0)
         plain = self._run(medium, 30.0, 3000, dt=0.01)
         s, ws = plain._weights["E"][:2]
-        assert s == 0 and ws.tobytes() == held_weights(scaled, "E").tobytes()
+        s_scaled, ws_scaled = scaled._weights["E"][:2]
+        assert s == 0 and ws.tobytes() == np.ldexp(ws_scaled, -s_scaled).tobytes()
         assert scaled.e_past.view().tobytes() == plain.e_past.view().tobytes()
         assert scaled.h_past.view().tobytes() == plain.h_past.view().tobytes()
 
     def test_held_weights_rescale_upward(self):
         # started at E = 0, E's far sums have s = 0 until its first block makes
         # E nonzero; s then rises, and the held array 2^0 nu' is rescaled to
-        # 2^s nu', which must be exact
+        # 2^s nu', which must be exact, its stage rows too
         medium, dt, steps = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02, 400
         hist = initial_history(dt, s_max=8.0, e0=0.0, h0=1.0)
         scales = []
@@ -802,8 +833,7 @@ class TestHistoryIntegrator:
             s, ws = hist._weights["E"][:2]
             if scales[-1:] != [s]:
                 scales.append(s)
-                w = fresh_weights(GAUSSIAN, ws.shape[1], dt)
-                assert ws.tobytes() == np.ldexp(w, s).tobytes()
+                assert_held_exactly(ws, s, GAUSSIAN, dt)
         assert scales[0] == 0 and len(scales) > 1 and min(scales[1:]) > 0
         ref, _ = former_history(medium, 1.3, dt, steps, 8.0, e0=0.0, h0=1.0)
         got = np.array([hist.e_past.view(), hist.h_past.view()])
