@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .energy_trace import EnergyTrace
 from .kernels import (
@@ -253,8 +254,10 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
     return np.roots([c / char[-1] for c in char[::-1]])
 
 
-# steps of a history that step_history computes at once (see _next_block)
-_HISTORY_BLOCK = 64
+# steps of a history that step_history computes at once (see _next_block);
+# each block applies the block map G, (2 B)^2 entries (512 KiB at B = 128),
+# whose cost outgrows the saved per-block work beyond 128
+_HISTORY_BLOCK = 128
 
 
 class _GrowBuf:
@@ -363,8 +366,6 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
     return state
 
 
-# the lag offsets c of the two held rows of lag weights (see _hold_weights)
-_OFFSETS = np.array([[0.0], [0.5]])
 # per c, the weight of f_n in the sum y_c of step n, in units of dt nu'(c dt):
 # in the block, the trapezoid end 1/2 plus the panel's c/2 (see _next_block),
 # and the correction to the far sum at the block's first step, -1/2 + c/2
@@ -434,37 +435,59 @@ def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax
     lags m = size..0, size >= lags, as one (2, size + 1) array, one row per
     c = 0, 1/2, lag-reversed (lag m in column size - m).  The row of c = 1
     is ws[0, :-1]: nu' at the float (m + 1) dt is the c = 0 weight of lag
-    m + 1, so each nu'(j dt) is evaluated and held once.  s is
-    ``_far_scale``'s power, first the first column nonzero in either row
-    (size + 1 if none is) and wmax the largest |nu'|.
+    m + 1, so each nu'(j dt) is evaluated and held once.  No sum reads the
+    c = 1/2 weight of the top lag, so it is not evaluated: ws[1, 0] is 0.
+    s is ``_far_scale``'s power, first the first column nonzero in either
+    row (size + 1 if none is) and wmax the largest |nu'|.
 
     A short array doubles its lags, up to the lag of the horizon's last
-    step, state.budget, in one kernel evaluation; nothing is evaluated for
-    lags no block has reached.  The far sums of the Gaussian's nu' run
-    through weights that are subnormal (t ~ 26.7-27.3), and through products
-    with the fields that are subnormal over a wider band; subnormal
-    arithmetic is slow.  2^s lifts them into the normal range, and each
-    product and partial sum is 2^s times its unscaled value, exactly,
-    wherever that is normal.  A new s, after a growth or a larger fmax,
-    rescales ws by 2^(s - s_was), exactly both ways since s >= 0:
-    ldexp(ws, -s) is nu'.
+    step, state.budget, in one kernel evaluation at the new half-lags
+    j dt / 2 (c = 0 at j = 2 m, c = 1/2 at j = 2 m + 1); nothing is
+    evaluated for lags no block has reached.  The far sums of the
+    Gaussian's nu' run through weights that are subnormal (t ~ 26.7-27.3),
+    and through products with the fields that are subnormal over a wider
+    band; subnormal arithmetic is slow.  2^s lifts them into the normal
+    range, and each product and partial sum is 2^s times its unscaled
+    value, exactly, wherever that is normal.  A new s, after a growth or a
+    larger fmax, rescales ws by 2^(s - s_was), exactly both ways since
+    s >= 0: ldexp(ws, -s) is nu'.
     """
     s_was, ws, first, wmax = state._weights.get(key, (0, np.zeros((2, 0)), 0, 0.0))
-    grown = np.zeros((2, 0))
-    if ws.shape[1] <= lags:
-        have = ws.shape[1]  # the lags have - 1..0
-        size = max(lags, min(2 * (have - 1), state.budget))
-        t = (np.arange(size, have - 1, -1) + _OFFSETS) * state.dt
-        grown = np.reshape(eval_kernel(kernel, t.ravel(), 1), t.shape)
-        nonzero = grown.any(axis=0)  # the grown lags lead
-        first = int(nonzero.argmax()) if nonzero.any() else first + size + 1 - have
-        wmax = float(np.maximum(wmax, np.max(np.abs(grown))))  # keeps a nan
-    s = _far_scale(wmax, fmax, ws.shape[1] + grown.shape[1], state.dt)
-    if s != s_was:
+    size = ws.shape[1] - 1  # the top lag held, -1 if none
+    top, v = size, None
+    if size < lags:
+        top = max(lags, min(2 * size, state.budget))
+        # half-lags 2 top..2 size + 1, lag-reversed: c = 0 at the lags
+        # top..size + 1, c = 1/2 at the lags top - 1..size (none below 0)
+        v = eval_kernel(kernel, np.arange(2 * top, max(2 * size, -1), -1) * 0.5 * state.dt, 1)
+        wmax = float(np.maximum(wmax, np.max(np.abs(v))))  # keeps a nan
+    s = _far_scale(wmax, fmax, top + 1, state.dt)
+    if v is not None:
+        new = top - size
+        held = np.zeros((2, top + 1))
+        np.ldexp(ws, s - s_was, out=held[:, new:])
+        np.ldexp(v[::2], s, out=held[0, :new])
+        np.ldexp(v[1::2], s, out=held[1, 1:1 + v.size // 2])  # fills ws[1, 0]
+        nonzero = held[:, :new + 1].any(axis=0)  # the grown lags lead
+        first = int(nonzero.argmax()) if nonzero.any() else first + new
+        ws = held
+    elif s != s_was:
         ws = np.ldexp(ws, s - s_was)
-    if grown.size:
-        ws = np.concatenate([np.ldexp(grown, s), ws], axis=1)
     state._weights[key] = (s, ws, first, wmax)
+
+
+def _block_toeplitz(seq: np.ndarray, lag: int, n: int) -> np.ndarray:
+    """The (2 n, 2 n) matrix of the 2 x 2 blocks X_(lag + i - j), i, j < n
+    (lag - n + 1 >= 0), of a sequence X_0..X_(L - 1) held by rows and
+    lag-reversed: seq, C-contiguous of shape (2, L, 2), is
+    seq[a, L - 1 - l, b] = X_l[a, b].  The matrix's row 2 i + a is 2 n
+    consecutive entries of seq[a], so the matrix is one copy of a window
+    view."""
+    rows = seq.reshape(2, -1)
+    s0, s1 = rows.strides
+    out = np.empty((n, 2, 2 * n))
+    out[...] = as_strided(rows[:, rows.shape[1] - 2 - 2 * lag:], out.shape, (-2 * s1, s0, s1))
+    return out.reshape(2 * n, 2 * n)
 
 
 def _block_map(state: HistoryState, medium: MediumSpec, k: float):
@@ -478,43 +501,54 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     two held rows as in ``_next_block``, M_0 with the weights of _NEAR_END.
     So z = r + T z with T strictly lower block-Toeplitz, T_1 = P + Q M_0
     and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
-    lower-triangular Toeplitz with blocks Gamma_0 = I and Gamma_m = sum_l
-    T_l Gamma_(m - l): forward substitution, no LAPACK call.  B is
+    lower-triangular Toeplitz with blocks Gamma_0 = I, Gamma_1, ....
+    These are built by doubling: Gamma_0..Gamma_(h - 1) invert the first h
+    block rows of I - T, and the next h are the first column of the
+    lower-left block of the inverse of the first 2 h, Gamma_(h + i) =
+    sum_j Gamma_(i - j) c_j with c_i = sum_j T_(h + i - j) Gamma_j: two
+    products with Toeplitz matrices per doubling, log2 B of them, and no
+    LAPACK call.  T_l = 0 from l = B on, which changes no Gamma_m, m < B.
+    G is one copy of a window of the Gamma sequence.  B is
     min(_HISTORY_BLOCK, state.budget), for every block of the history;
-    G has (2 B)^2 entries, 128 x 128 at B = 64.
+    G has (2 B)^2 entries, 256 x 256 (512 KiB) at B = 128.
     """
     dt = state.dt
     B = min(_HISTORY_BLOCK, state.budget)
     near, g = [], []
     for key in ("E", "H"):
         if key not in state._weights:  # a zero kernel, which has no memory
-            near.append(np.zeros((3, B)))
+            near.append(None)
             g.append(0.0)
             continue
         s, ws = state._weights[key][:2]
         w = np.ldexp(ws[:, -B - 1:], -s)  # lags B..0 of nu', exactly
-        w = np.concatenate([w[:, 1:], w[:1, :-1]])  # lags B - 1..0 at c = 0, 1/2, 1
-        m = dt * w[:, ::-1]  # lags 0..B - 1
-        m[:, 0] = _NEAR_END * m[:, 0]
+        m = dt * np.concatenate([w[:, 1:], w[:1, :-1]])  # lags B - 1..0 at c = 0, 1/2, 1
+        m[:, -1] = _NEAR_END * m[:, -1]
         near.append(m)
         g.append(0.5 * dt * float(w[0, -1]))
     nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
     pq = _step_matrix(medium, nu0, g, k, dt)
     P, Q = pq[:, :2], pq[:, 2:]
-    T = np.stack([(Q[:, :3] @ near[0]).T, (Q[:, 3:] @ near[1]).T], axis=-1)  # T_1..T_B
-    T[0] += P
-    gam = np.zeros((B + 1, 2, 2))  # Gamma_0..Gamma_(B - 1), and a zero block
-    gam[0] = np.eye(2)
-    for m in range(1, B):
-        gam[m] = (T[:m] @ gam[m - 1::-1]).sum(axis=0)
-    lag = np.subtract.outer(np.arange(B), np.arange(B))
-    lag[lag < 0] = B
-    # G[2i + a, 2j + b] = Gamma_(i - j)[a, b].  G is allocated before the
-    # gather (128 KiB at B = 64), so that the gather is freed at the top of
-    # the heap, not as a hole below G; such holes add up over many histories
-    G = np.empty((B, 2, B, 2))
-    G.transpose(0, 2, 1, 3)[...] = gam[lag]
-    return P, Q, G.reshape(2 * B, 2 * B)
+    n = 1 << (B - 1).bit_length()  # the doublings reach n >= B blocks
+    # the sequences T_0..T_(n - 1), T_0 = 0, and Gamma_(-n)..Gamma_(n - 1),
+    # zero for m < 0, as _block_toeplitz takes them: T_l in column n - 1 - l
+    # of T, Gamma_m in column n - 1 - m of gam
+    T = np.zeros((2, n, 2))
+    for col, m in enumerate(near):
+        if m is not None:
+            T[:, n - B:n - 1, col] = Q[:, 3 * col:3 * col + 3] @ m[:, 1:]  # T_(B - 1)..T_1
+    if B > 1:
+        T[:, n - 2] += P
+    gam = np.zeros((2, 2 * n, 2))
+    gam[:, n - 1] = np.eye(2)
+    h = 1
+    while h < B:
+        # Gamma_0..Gamma_(h - 1) stacked, shape (2 h, 2), and Gamma_h..Gamma_(2 h - 1)
+        head = gam[:, n - h:n][:, ::-1].transpose(1, 0, 2).reshape(2 * h, 2)
+        tail = _block_toeplitz(gam, n, h) @ (_block_toeplitz(T, h, h) @ head)
+        gam[:, n - 2 * h:n - h][:, ::-1] = tail.reshape(h, 2, 2).transpose(1, 0, 2)
+        h *= 2
+    return P, Q, _block_toeplitz(gam, n, B)
 
 
 def _next_block(state: HistoryState, medium: MediumSpec, k: float):
@@ -527,23 +561,28 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
     to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
     terms over j <= n0 are far.  A field's far sums for the whole block are
-    one np.correlate of each held row, c = 0 and c = 1/2, with f_0..f_n0
-    (one per _CORRELATE_MAX samples), over the lags n0 + b..0: the sums of
-    the steps n0..n0 + b.  Those at c = 1 need no correlate of their own:
-    w_1[m] = w_0[m + 1] (see ``_hold_weights``), so the c = 0 far sums of
-    steps n0 + 1..n0 + b are the c = 1 far sums of steps n0..n0 + b - 1.
-    The far sums start at the first sample that meets a nonzero weight and
-    run on the held weights, 2^s nu'.  The end terms of f_0 and, at the
-    first step, of f_n0 (_FAR_END) are added as corrections on those
-    weights too, before the c = 1 sums are read off, and the sums are
-    scaled once, by dt 2^-s.
+    one np.correlate of each held row with f_0..f_n0 (one per
+    _CORRELATE_MAX samples), each into its own row of z: that of c = 0
+    over the lags n0 + b..0, the sums of the steps n0..n0 + b, and that of
+    c = 1/2 over the lags n0 + b - 1..0, the sums of the steps
+    n0..n0 + b - 1 that the block takes.  Those at c = 1 need no correlate
+    of their own: w_1[m] = w_0[m + 1] (see ``_hold_weights``), so the c = 0
+    far sums of steps n0 + 1..n0 + b are the c = 1 far sums of steps
+    n0..n0 + b - 1.  The far sums start at the first sample that meets a
+    nonzero weight and run on the held weights, 2^s nu'.  The end terms of
+    f_0 and, at the first step, of f_n0 (_FAR_END) are added as
+    corrections on those weights too, before the c = 1 sums are read off,
+    and the sums are scaled once, by dt 2^-s.
     The terms over the block's own samples are near and enter through
     _block_map's G, rebuilt only for a new k.  Everything runs under one
-    np.errstate.  A non-finite known part cuts the block before its step:
-    G is lower-triangular, so later steps cannot change earlier ones.
+    np.errstate.  A non-finite known part or field cuts the block before
+    its step: G is lower-triangular, so later steps cannot change earlier
+    ones.  Finiteness is checked once, on the fields; only a block with a
+    non-finite field looks for the step where it starts.
     """
     n0, dt = state.e_past.n - 1, state.dt
     b = min(_HISTORY_BLOCK, state.budget - n0)
+    e, h = state.e_past.last, state.h_past.last
     live = [(key, kern, past, cols) for key, kern, past, cols in
             (("E", medium.nu_e, state.e_past, slice(0, 3)),
              ("H", medium.nu_h, state.h_past, slice(3, 6))) if not kern.is_zero]
@@ -553,32 +592,39 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
         if k != state._k:
             state._map, state._k = _block_map(state, medium, k), k
         P, Q, G = state._map
-        r = np.zeros((2, b))  # reversed: column b - 1 - i is step n0 + i
+        r = np.zeros((G.shape[0] // 2, 2))  # row i is step n0 + i; rows from b on stay 0
         for key, _, past, cols in live:
             s, ws, first, _ = state._weights[key]
             lo = ws.shape[1] - 1 - n0 - b  # the column of lag n0 + b
             f = past.view()
-            z = np.zeros((2, b + 1))
+            z = np.zeros((2, b + 1))  # column b - i is step n0 + i; z[1, 0] is not taken
             # sample m meets the weight columns lo + m..lo + m + b only;
             # for each sample before skip, all of them are zero
             skip = max(0, min(first - lo - b, n0))
             for i in range(skip, f.size, _CORRELATE_MAX):
                 seg, j = f[i:i + _CORRELATE_MAX], lo + i
-                z += [np.correlate(w, seg) for w in ws[:, j:j + seg.size + b]]
+                z[0] += np.correlate(ws[0, j:j + seg.size + b], seg)
+                z[1, 1:] += np.correlate(ws[1, j + 1:j + seg.size + b], seg)
             z -= (0.5 * f[0]) * ws[:, lo:lo + b + 1]  # the f_0 ends
             z[:, -1] += past.last * (_FAR_END * ws[:, -1])
             y = np.concatenate([z[:, 1:], z[:1, :-1]])  # c = 0, 1/2, 1
-            r += Q[:, cols] @ (y * math.ldexp(dt, -s))
-        r = r[:, ::-1]
-        r[:, 0] += P @ (state.e_past.last, state.h_past.last)
-        bad = ~np.isfinite(r).all(axis=0)
-        if bad.any():
-            b = int(bad.argmax())
-        rows = np.zeros((G.shape[0] // 2, 2))
-        rows[:b] = r[:, :b].T
-        z = (G @ rows.ravel()).reshape(-1, 2)[:b]
-    finite = np.isfinite(z).all(axis=1)
-    b = b if finite.all() else int(finite.argmin())
+            r[:b] += (y * math.ldexp(dt, -s)).T[::-1] @ Q[:, cols].T
+        (p00, p01), (p10, p11) = P.tolist()
+        r[0] += (p00 * e + p01 * h, p10 * e + p11 * h)
+        z = G @ r.ravel()
+        if not np.isfinite(z[:2 * b]).all():
+            # the block stops before its first step whose known part r or
+            # fields are not finite; a non-finite r_i makes z_i so (Gamma_0
+            # = I), and is cleared before G is applied anew, as G's zero
+            # entries would carry it to the steps before i
+            known = np.isfinite(r[:b]).all(axis=1)
+            if not known.all():
+                b = int(known.argmin())
+                r[b:] = 0.0
+                z = G @ r.ravel()
+            finite = np.isfinite(z[:2 * b]).reshape(b, 2).all(axis=1)
+            b = b if finite.all() else int(finite.argmin())
+    z = z.reshape(-1, 2)
     state.e_past.write_ahead(z[:b, 0])
     state.h_past.write_ahead(z[:b, 1])
     state._ahead = b
@@ -589,10 +635,11 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
 
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  The steps are computed
-    in blocks of _HISTORY_BLOCK = 64 steps, fewer where the horizon comes
+    in blocks of _HISTORY_BLOCK = 128 steps, fewer where the horizon comes
     first: the first call, a call with another k than the last, and a call
     after the block is used up compute the next block at once (see
-    ``_next_block``), and each call takes one step of it.  The scheme is
+    ``_next_block``), and each call takes one step of it; a new k also
+    rebuilds the block's map, by doubling (see ``_block_map``).  The scheme is
     linear with lag weights that do not change in time, so a block is the
     same scheme, to rounding, as stepping one step at a time.  Every call
     checks its arguments; k must be finite and nonnegative, as in
@@ -606,29 +653,33 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     its last finite step; a block stops before such a step, so no numpy
     warning is raised, and the steps before it are taken as usual.
     """
-    if dt <= 0:
-        raise ModalError("dt must be positive")
-    if not abs(dt - state.dt) <= 1e-12 * state.dt:
-        raise ModalError("step size must match the history grid spacing")
+    if dt != state.dt:  # a dt equal to the grid spacing passes both checks
+        if dt <= 0:
+            raise ModalError("dt must be positive")
+        if not abs(dt - state.dt) <= 1e-12 * state.dt:
+            raise ModalError("step size must match the history grid spacing")
     k = float(k)
-    if k != state._k:  # the k of the block ahead passed this check
+    new_k = k != state._k
+    if new_k:  # the k of the block ahead passed this check
         _wavenumber(k)
-    if state.e_past.n > state.budget:
+    e_past = state.e_past
+    if e_past.n > state.budget:
         raise HistoryTruncationError(
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
         )
-    if state._medium is None:
-        state._medium = medium
-    elif medium is not state._medium and medium != state._medium:
-        raise ModalError("this history was started in another medium; a history "
-                         "is advanced in one medium only")
-    if not state._ahead or k != state._k:
+    if medium is not state._medium:
+        if state._medium is None:
+            state._medium = medium
+        elif medium != state._medium:
+            raise ModalError("this history was started in another medium; a history "
+                             "is advanced in one medium only")
+    if new_k or not state._ahead:
         _next_block(state, medium, k)
         if not state._ahead:
-            raise ModalError(f"the fields at t = {state.e_past.n * state.dt:.17g} are not "
+            raise ModalError(f"the fields at t = {e_past.n * state.dt:.17g} are not "
                              "finite: they or their memory sums outgrow the float range")
     state._ahead -= 1
-    state.e_past.n += 1
+    e_past.n += 1
     state.h_past.n += 1
     return state
 

@@ -384,9 +384,13 @@ def fresh_weights(kernel, size, dt):
 
 def assert_held_exactly(ws, s, kernel, dt):
     """The held array is 2^s times fresh weights, bit for bit, signed zeros
-    too: its two rows over all its lags, and the three stage rows read off it."""
+    too: its two rows over all its lags, but for the c = 1/2 weight of the
+    top lag, which no sum reads and which is held as 0, and the three stage
+    rows read off it."""
     size = ws.shape[1] - 1
-    assert ws.tobytes() == np.ldexp(fresh_weights(kernel, size + 1, dt)[:2], s).tobytes()
+    fresh = np.ldexp(fresh_weights(kernel, size + 1, dt)[:2], s)
+    fresh[1, 0] = 0.0
+    assert ws.tobytes() == fresh.tobytes()
     assert stage_rows(ws).tobytes() == np.ldexp(fresh_weights(kernel, size, dt), s).tobytes()
 
 
@@ -512,8 +516,8 @@ class TestBlockedSteps:
     @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
                              ids=["gaussian", "debye", "lorentz"])
     @pytest.mark.parametrize("dt, s_max, sizes", [
-        (0.01, 30.0, [65, 129, 257, 513, 1025, 2049, 3001]),
-        (0.05, 50.0, [65, 129, 257, 513, 1001]),
+        (0.01, 30.0, [129, 257, 513, 1025, 2049, 3001]),
+        (0.05, 50.0, [129, 257, 513, 1001]),
     ], ids=["3001_lags", "1001_lags"])
     def test_c1_weights_are_c0_weights_one_lag_on(self, kernel, dt, s_max, sizes):
         # the history holds the rows c = 0, 1/2 and reads the row of c = 1 as
@@ -584,28 +588,109 @@ class TestBlockedSteps:
         def offset(view):  # of view's first element in the array that owns it
             return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
 
-        # a block of b steps correlates each held row into b + 1 sums
-        blocks = {}  # (weights, lo, b + 1) -> [(first sample, samples)] of weight row 0
+        # a block of b steps correlates the held c = 0 row into b + 1 sums,
+        # from the weight column lo + i of sample i on, and the c = 1/2 row
+        # into the b sums it takes, one column on, over the same samples
+        blocks = {}  # (weights, lo, b) -> [(first sample, samples)] per weight row
         for a, v in calls:
             weights = a.base.reshape(2, -1)
             row, col = divmod(offset(a), weights.shape[1])
             i, sums = offset(v), a.size - v.size + 1
-            if row == 0:
-                blocks.setdefault((id(weights.base), col - i, sums), (weights, []))[1].append(
-                    (i, v.size))
+            key = (id(weights.base), col - i - row, sums + row - 1)
+            blocks.setdefault(key, (weights, [], []))[1 + row].append((i, v.size))
         skipped = 0
-        for (_, lo, sums), (weights, chunks) in blocks.items():
+        for (_, lo, b), (weights, chunks, half) in blocks.items():
             chunks.sort()
+            assert sorted(half) == chunks
             start = chunks[0][0]
             # the chunks run on from the first sample to the block's last
             assert all(i + n == j for (i, n), (j, _) in zip(chunks, chunks[1:]))
             if start:
                 skipped += 1
-                assert not np.any(weights[:, lo:lo + start + sums - 1])
+                assert not np.any(weights[:, lo:lo + start + b])
         assert skipped
         # the first nonzero column, kept over the growths of all-zero lags
         _, ws, first, _ = hist._weights["E"]
         assert first == int(ws.any(axis=0).argmax())
+
+
+def former_gammas(state, medium, k):
+    """P, Q and the blocks Gamma_0..Gamma_(B - 1) of G = (I - T)^-1 by the
+    former forward substitution, Gamma_m = sum_l T_l Gamma_(m - l), on the
+    near weights read off the held rows: the former ``modal._block_map``,
+    kept as the reference."""
+    dt = state.dt
+    B = min(modal._HISTORY_BLOCK, state.budget)
+    near, g = [], []
+    for key in ("E", "H"):
+        if key not in state._weights:
+            near.append(np.zeros((3, B)))
+            g.append(0.0)
+            continue
+        s, ws = state._weights[key][:2]
+        w = np.ldexp(stage_rows(ws[:, -B - 1:]), -s)  # lags B - 1..0 at c = 0, 1/2, 1
+        m = dt * w[:, ::-1]
+        m[:, 0] = modal._NEAR_END * m[:, 0]
+        near.append(m)
+        g.append(0.5 * dt * float(w[0, -1]))
+    nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
+    pq = modal._step_matrix(medium, nu0, g, k, dt)
+    P, Q = pq[:, :2], pq[:, 2:]
+    T = np.stack([(Q[:, :3] @ near[0]).T, (Q[:, 3:] @ near[1]).T], axis=-1)  # T_1..T_B
+    T[0] += P
+    gam = np.zeros((B, 2, 2))
+    gam[0] = np.eye(2)
+    for m in range(1, B):
+        gam[m] = (T[:m] @ gam[m - 1::-1]).sum(axis=0)
+    return P, Q, gam
+
+
+class TestBlockMap:
+    """The block map G, built by doubling, against the former recurrence."""
+
+    MEDIA = {"gaussian_debye": lambda: MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
+             "gaussian_zero": lambda: MediumSpec(1.0, 1.0, GAUSSIAN, ZERO),
+             "zero_debye": lambda: MediumSpec(1.0, 1.0, ZERO, debye(0.5, 2.0))}
+
+    @pytest.mark.parametrize("medium", sorted(MEDIA))
+    @pytest.mark.parametrize("B", [1, 2, 3, 50, 127, 128])
+    def test_doubling_matches_the_recurrence(self, medium, B):
+        # a budget of B steps makes blocks of B < _HISTORY_BLOCK steps;
+        # B = 128 with a longer horizon.  G is block-lower-triangular and
+        # block-Toeplitz exactly, and its first block column is the
+        # recurrence's Gamma sequence to rounding
+        medium, dt, k = self.MEDIA[medium](), 0.02, 1.3
+        hist = initial_history(dt, s_max=B * dt if B < modal._HISTORY_BLOCK else 10.0)
+        hist = step_history(medium, k, hist, dt)
+        assert min(modal._HISTORY_BLOCK, hist.budget) == B
+        P, Q, G = modal._block_map(hist, medium, k)
+        P_ref, Q_ref, gam = former_gammas(hist, medium, k)
+        assert np.array_equal(P, P_ref) and np.array_equal(Q, Q_ref)
+        assert G.shape == (2 * B, 2 * B) and G.flags.c_contiguous
+        blocks = G.reshape(B, 2, B, 2).transpose(0, 2, 1, 3)  # blocks[i, j] = Gamma_(i - j)
+        column = blocks[:, 0]
+        lag = np.subtract.outer(np.arange(B), np.arange(B))
+        toeplitz = np.where((lag >= 0)[..., None, None], column[np.maximum(lag, 0)], 0.0)
+        assert blocks.tobytes() == toeplitz.tobytes()
+        assert np.array_equal(column[0], np.eye(2))
+        assert np.max(np.abs(column - gam)) <= 1e-13 * np.max(np.abs(gam))
+
+    @pytest.mark.parametrize("medium", sorted(MEDIA))
+    def test_k_change_mid_block_and_a_ragged_horizon(self, medium):
+        # 300 steps to the horizon: two blocks of 128 and one of 44; k
+        # changes inside the second block and back inside the third
+        medium, dt, steps = self.MEDIA[medium](), 0.02, 300
+        assert steps % modal._HISTORY_BLOCK
+        ks = [1.3] * 170 + [2.6] * 60 + [1.3] * 70
+        hist = initial_history(dt, s_max=steps * dt, e0=1.0, h0=-0.4)
+        for kk in ks:
+            hist = step_history(medium, kk, hist, dt)
+        with pytest.raises(HistoryTruncationError):
+            step_history(medium, 1.3, hist, dt)
+        ref, _ = former_history(medium, ks, dt, steps, steps * dt, 1.0, -0.4)
+        got = np.array([hist.e_past.view(), hist.h_past.view()])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestHistoryIntegrator:
@@ -739,19 +824,20 @@ class TestHistoryIntegrator:
         steps = 3000
         hist = self._run(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 600.0, steps)
         # one call per growth of the one live field's weights: held lags up
-        # to 64, 128, ..., 4096 for the blocks' lags up to 3008 at c = 0;
+        # to 128, 256, ..., 4096 for the blocks' lags up to 3072 at c = 0;
         # nu(0) comes from value_at_zero()
         block = modal._HISTORY_BLOCK
         reached = -(-steps // block) * block
         growths = 1 + (reached - 1).bit_length() - (block - 1).bit_length()
-        assert growths == 7
+        assert growths == 6
         assert [order for _, _, order in calls] == [1] * growths
         assert all(ws.shape[1] <= 2 * (steps + 1) for _, ws, _, _ in hist._weights.values())
 
     def test_each_lag_weight_is_evaluated_once(self, monkeypatch):
         # the stage at c = 1 reads nu'((m + 1) dt) from the c = 0 row, so a
         # history evaluates each field's nu' at the held lags m dt and
-        # (m + 1/2) dt only, each once, over its growths up to the horizon
+        # (m + 1/2) dt only, each once, over its growths up to the horizon;
+        # no sum reads the c = 1/2 weight of the top lag, which is not evaluated
         calls = self._counting(monkeypatch, modal, "eval_kernel")
         medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
         hist = self._run(medium, 30.0, 3000, dt=0.01)
@@ -759,18 +845,18 @@ class TestHistoryIntegrator:
             t = np.concatenate([np.ravel(ts) for kern, ts, _ in calls if kern is kernel])
             held = hist._weights[key][1].shape[1] - 1
             assert held == hist.budget == 3000
-            assert np.unique(t).size == t.size == 2 * (held + 1)
+            assert np.unique(t).size == t.size == 2 * held + 1
 
     def test_errstate_once_per_block(self, monkeypatch):
         # a step enters no np.errstate; each block enters it once, around its
-        # weight growths and sums: 46 blocks of 64 steps and one of 56 up to
-        # the horizon, and held lags up to 64, 128, ..., 2048, 3000 for each field
+        # weight growths and sums: 23 blocks of 128 steps and one of 56 up to
+        # the horizon, and held lags up to 128, 256, ..., 2048, 3000 for each field
         entries = self._counting(monkeypatch, modal.np, "errstate")
         growths = self._counting(monkeypatch, modal, "eval_kernel")
         steps = 3000
         self._run(MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 30.0, steps, dt=0.01)
-        assert len(growths) == 2 * 7
-        assert len(entries) == -(-steps // modal._HISTORY_BLOCK) == 47
+        assert len(growths) == 2 * 6
+        assert len(entries) == -(-steps // modal._HISTORY_BLOCK) == 24
 
     @pytest.mark.parametrize("power", [1000, 900])
     def test_power_of_two_scaling_is_exact_per_block(self, monkeypatch, power):
