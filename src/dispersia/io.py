@@ -64,9 +64,14 @@ def _coefficients(value, field: str) -> list[float]:
 # kernel documents
 
 def kernel_to_doc(kernel: Kernel) -> dict:
+    """The document that kernel_from_doc reads back to an equal kernel; a
+    sampled kernel has one only if its evaluator is the builtin of its name."""
     from . import kernels
 
     if isinstance(kernel, kernels.SampledKernel):
+        if kernels.BUILTIN_SAMPLED.get(kernel.name) is not kernel.evaluator:
+            raise KernelError(f"sampled kernel {kernel.name!r} has no document: its "
+                              "evaluator is not the builtin of that name")
         return {
             "type": "sampled_builtin",
             "name": kernel.name,

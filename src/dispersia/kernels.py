@@ -163,23 +163,26 @@ class ExpPolyKernel:
     def from_complex_terms(terms) -> "ExpPolyKernel":
         """Fold a conjugate-closed list of (complex poly coeffs, z) into real form.
 
-        The coefficients are a list, tuple or 1-d array of numbers, or one
-        number (a numpy scalar or a 0-d array too).  A
-        term with z == 0 is only admissible as a real constant (degree 0 once
-        trailing zeros are dropped); it becomes the kernel offset, summed
-        exactly (a Fraction when the float sum would round, so that Drude
-        constants cancelling their damped partners leave nu(0) = 0 exact).
-        Any other term needs Re z < 0, enforced at certification time.
+        The coefficients are a nonempty list, tuple or 1-d array of numbers,
+        or one number (a numpy scalar or a 0-d array too); a term with none
+        is a KernelError that names it.  A term with z == 0 is only
+        admissible as a real constant (degree 0 once trailing zeros are
+        dropped); it becomes the kernel offset, summed exactly (a Fraction
+        when the float sum would round, so that Drude constants cancelling
+        their damped partners leave nu(0) = 0 exact).  Any other term needs
+        Re z < 0, enforced at certification time.
         """
         constants: list[float] = []
         pending: list[tuple[list[complex], complex]] = []
-        for coeffs, z in terms:
+        for index, (coeffs, z) in enumerate(terms):
             try:
                 values = iter(coeffs)
             except TypeError:  # one number: iterating a scalar or a 0-d array fails
                 values = (coeffs,)
             c = [complex(v) for v in values]
             z = complex(z)
+            if not c:
+                raise KernelError(f"term {index} (z = {z}) has no polynomial coefficients")
             if z == 0:
                 while len(c) > 1 and c[-1] == 0:
                     c.pop()

@@ -260,61 +260,34 @@ def dispersion_roots(medium: MediumSpec, k: float) -> np.ndarray:
 _HISTORY_BLOCK = 128
 
 
-class _GrowBuf:
-    """A field's samples f_0..f_{n-1} on the step grid, in a float buffer
-    that grows geometrically from 1024 slots.
-
-    The slots from n on may hold steps that step_history has computed ahead
-    and not yet taken; view() does not show them.  peak is the largest
-    |value| ever written, those steps ahead included, which bounds |f_j|
-    for the far sums' scaling (see ``_hold_weights``).
-    """
-
-    def __init__(self, first: float = 0.0):
-        self._data = np.zeros(1024)
-        self._data[0] = first
-        self.n = 1
-        self.peak = abs(float(first))
-
-    @property
-    def last(self) -> float:
-        return float(self._data[self.n - 1])
-
-    def write_ahead(self, values: np.ndarray):
-        """Put values in the slots n, n + 1, ..., growing the buffer if needed."""
-        end = self.n + values.size
-        if end > self._data.size:
-            grown = np.zeros(max(end, 2 * self._data.size))
-            grown[: self.n] = self._data[: self.n]
-            self._data = grown
-        self._data[self.n:end] = values
-        if values.size:
-            self.peak = max(self.peak, float(np.abs(values).max()))
-
-    def view(self) -> np.ndarray:
-        return self._data[: self.n]
-
-
-@dataclass
+@dataclass(eq=False)  # a mutable state: equal only to itself
 class HistoryState:
     """Field history on the uniform step grid, for the reference integrator.
 
+    The fields are one (2, capacity) float array, row 0 E and row 1 H,
+    grown geometrically from 1024 columns; its first n columns are the
+    steps f_0..f_(n - 1) taken, and the columns from n on may hold steps
+    that step_history has computed ahead and not yet taken.  e_past and
+    h_past are read-only views of the rows' taken steps.  Per row, _peak
+    is the largest |value| ever written, the steps ahead included, which
+    bounds |f_j| for the far sums' scaling (see ``_hold_weights``).
     ``budget`` is the number of steps the horizon allows, the largest n with
     n dt <= s_max + 1e-12; it is set once, here, and every step and block
-    reads it.  The values cached here (each live field's lag weights, the
-    block map of the last k and the steps computed ahead with it) belong to
-    the medium of the first step, which is recorded; a history is advanced
-    in one medium only.
+    reads it.  The values cached here (each live field's lag weights, keyed
+    by its row, the block map of the last k and the steps computed ahead
+    with it) belong to the medium of the first step, which is recorded; a
+    history is advanced in one medium only.
     ModalError unless dt is finite and positive, s_max is finite, and
     the horizon's step count (s_max + 1e-12) / dt is finite.
     """
 
     dt: float
     s_max: float
-    e_past: _GrowBuf = field(default_factory=_GrowBuf)
-    h_past: _GrowBuf = field(default_factory=_GrowBuf)
     budget: int = field(init=False)
-    _weights: dict = field(default_factory=dict, repr=False)  # per field, see _hold_weights
+    n: int = field(default=1, init=False)  # the steps taken, t = 0 included
+    _fields: np.ndarray = field(default_factory=lambda: np.zeros((2, 1024)), repr=False)
+    _peak: list = field(default_factory=lambda: [0.0, 0.0], repr=False)  # per row
+    _weights: dict = field(default_factory=dict, repr=False)  # per row, see _hold_weights
     _medium: MediumSpec | None = field(default=None, repr=False)
     _k: float | None = field(default=None, repr=False)
     _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
@@ -342,16 +315,24 @@ class HistoryState:
         self.budget = n
 
     @property
+    def e_past(self) -> np.ndarray:  # a read-only view
+        return as_strided(self._fields[0, :self.n], writeable=False)
+
+    @property
+    def h_past(self) -> np.ndarray:
+        return as_strided(self._fields[1, :self.n], writeable=False)
+
+    @property
     def t(self) -> float:
-        return (self.e_past.n - 1) * self.dt
+        return (self.n - 1) * self.dt
 
     @property
     def e(self) -> float:
-        return self.e_past.last
+        return float(self._fields[0, self.n - 1])
 
     @property
     def h(self) -> float:
-        return self.h_past.last
+        return float(self._fields[1, self.n - 1])
 
 
 def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
@@ -359,10 +340,12 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
 
     ModalError unless dt is finite and positive, s_max, e0 and h0 are finite,
     and s_max / dt is finite (HistoryState checks dt and s_max)."""
-    state = HistoryState(dt=dt, s_max=s_max, e_past=_GrowBuf(e0), h_past=_GrowBuf(h0))
+    state = HistoryState(dt=dt, s_max=s_max)
     for name, value in (("e0", e0), ("h0", h0)):
         if not math.isfinite(value):
             raise ModalError(f"{name} must be finite, got {value!r}")
+    state._fields[:, 0] = e0, h0
+    state._peak = [abs(float(e0)), abs(float(h0))]
     return state
 
 
@@ -429,16 +412,17 @@ def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
     return max(0, s)
 
 
-def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax: float):
-    """Hold the record (s, ws, first, wmax) of the field key, whose samples
-    have |f| <= fmax, in state._weights: ws is 2^s nu'((m + c) dt) at the
+def _hold_weights(state: HistoryState, kernel: Kernel, row: int, lags: int):
+    """Hold state._weights[row], the record (s, ws, first, wmax) of the
+    field in that row of the history: ws is 2^s nu'((m + c) dt) at the
     lags m = size..0, size >= lags, as one (2, size + 1) array, one row per
     c = 0, 1/2, lag-reversed (lag m in column size - m).  The row of c = 1
     is ws[0, :-1]: nu' at the float (m + 1) dt is the c = 0 weight of lag
     m + 1, so each nu'(j dt) is evaluated and held once.  No sum reads the
     c = 1/2 weight of the top lag, so it is not evaluated: ws[1, 0] is 0.
-    s is ``_far_scale``'s power, first the first column nonzero in either
-    row (size + 1 if none is) and wmax the largest |nu'|.
+    s is ``_far_scale``'s power at the field's peak, first the first column
+    nonzero in either row of ws (size + 1 if none is) and wmax the largest
+    |nu'|.
 
     A short array doubles its lags, up to the lag of the horizon's last
     step, state.budget, in one kernel evaluation at the new half-lags
@@ -449,10 +433,10 @@ def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax
     band; subnormal arithmetic is slow.  2^s lifts them into the normal
     range, and each product and partial sum is 2^s times its unscaled
     value, exactly, wherever that is normal.  A new s, after a growth or a
-    larger fmax, rescales ws by 2^(s - s_was), exactly both ways since
+    larger peak, rescales ws by 2^(s - s_was), exactly both ways since
     s >= 0: ldexp(ws, -s) is nu'.
     """
-    s_was, ws, first, wmax = state._weights.get(key, (0, np.zeros((2, 0)), 0, 0.0))
+    s_was, ws, first, wmax = state._weights.get(row, (0, np.zeros((2, 0)), 0, 0.0))
     size = ws.shape[1] - 1  # the top lag held, -1 if none
     top, v = size, None
     if size < lags:
@@ -461,7 +445,7 @@ def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax
         # top..size + 1, c = 1/2 at the lags top - 1..size (none below 0)
         v = eval_kernel(kernel, np.arange(2 * top, max(2 * size, -1), -1) * 0.5 * state.dt, 1)
         wmax = float(np.maximum(wmax, np.max(np.abs(v))))  # keeps a nan
-    s = _far_scale(wmax, fmax, top + 1, state.dt)
+    s = _far_scale(wmax, state._peak[row], top + 1, state.dt)
     if v is not None:
         new = top - size
         held = np.zeros((2, top + 1))
@@ -473,7 +457,7 @@ def _hold_weights(state: HistoryState, kernel: Kernel, key: str, lags: int, fmax
         ws = held
     elif s != s_was:
         ws = np.ldexp(ws, s - s_was)
-    state._weights[key] = (s, ws, first, wmax)
+    state._weights[row] = (s, ws, first, wmax)
 
 
 def _block_toeplitz(seq: np.ndarray, lag: int, n: int) -> np.ndarray:
@@ -515,12 +499,12 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     dt = state.dt
     B = min(_HISTORY_BLOCK, state.budget)
     near, g = [], []
-    for key in ("E", "H"):
-        if key not in state._weights:  # a zero kernel, which has no memory
+    for row in (0, 1):
+        if row not in state._weights:  # a zero kernel, which has no memory
             near.append(None)
             g.append(0.0)
             continue
-        s, ws = state._weights[key][:2]
+        s, ws = state._weights[row][:2]
         w = np.ldexp(ws[:, -B - 1:], -s)  # lags B..0 of nu', exactly
         m = dt * np.concatenate([w[:, 1:], w[:1, :-1]])  # lags B - 1..0 at c = 0, 1/2, 1
         m[:, -1] = _NEAR_END * m[:, -1]
@@ -534,9 +518,9 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     # zero for m < 0, as _block_toeplitz takes them: T_l in column n - 1 - l
     # of T, Gamma_m in column n - 1 - m of gam
     T = np.zeros((2, n, 2))
-    for col, m in enumerate(near):
+    for row, m in enumerate(near):
         if m is not None:
-            T[:, n - B:n - 1, col] = Q[:, 3 * col:3 * col + 3] @ m[:, 1:]  # T_(B - 1)..T_1
+            T[:, n - B:n - 1, row] = Q[:, 3 * row:3 * row + 3] @ m[:, 1:]  # T_(B - 1)..T_1
     if B > 1:
         T[:, n - 2] += P
     gam = np.zeros((2, 2 * n, 2))
@@ -553,15 +537,17 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
 
 def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     """Compute the next b = min(_HISTORY_BLOCK, steps left in state.budget)
-    steps, at least one, and write their fields ahead in e_past and h_past;
-    state._ahead becomes the number of them, from the first, that are finite.
+    steps, at least one.  Those of them, from the first, that are finite
+    are written ahead into the history's field array, from column state.n
+    on, as one (2, b) copy after at most one growth; state._ahead becomes
+    their number, and each row's peak takes their largest |value|.
 
     The memory sum of a field at stage offset c in step n is the trapezoid
     rule on f_0..f_n, y_c = dt (sum_j w_c[n - j] f_j - (w_c[n] f_0 +
     w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
     to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
     terms over j <= n0 are far.  A field's far sums for the whole block are
-    one np.correlate of each held row with f_0..f_n0 (one per
+    one np.correlate of each held row with its row's f_0..f_n0 (one per
     _CORRELATE_MAX samples), each into its own row of z: that of c = 0
     over the lags n0 + b..0, the sums of the steps n0..n0 + b, and that of
     c = 1/2 over the lags n0 + b - 1..0, the sums of the steps
@@ -580,23 +566,22 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     ones.  Finiteness is checked once, on the fields; only a block with a
     non-finite field looks for the step where it starts.
     """
-    n0, dt = state.e_past.n - 1, state.dt
+    n0, dt, fields = state.n - 1, state.dt, state._fields
     b = min(_HISTORY_BLOCK, state.budget - n0)
-    e, h = state.e_past.last, state.h_past.last
-    live = [(key, kern, past, cols) for key, kern, past, cols in
-            (("E", medium.nu_e, state.e_past, slice(0, 3)),
-             ("H", medium.nu_h, state.h_past, slice(3, 6))) if not kern.is_zero]
+    e, h = fields[:, n0].tolist()
+    kernels = (medium.nu_e, medium.nu_h)
+    live = [row for row in (0, 1) if not kernels[row].is_zero]
     with np.errstate(over="ignore", invalid="ignore"):
-        for key, kern, past, _ in live:
-            _hold_weights(state, kern, key, n0 + b, past.peak)
+        for row in live:
+            _hold_weights(state, kernels[row], row, n0 + b)
         if k != state._k:
             state._map, state._k = _block_map(state, medium, k), k
         P, Q, G = state._map
         r = np.zeros((G.shape[0] // 2, 2))  # row i is step n0 + i; rows from b on stay 0
-        for key, _, past, cols in live:
-            s, ws, first, _ = state._weights[key]
+        for row in live:
+            s, ws, first, _ = state._weights[row]
             lo = ws.shape[1] - 1 - n0 - b  # the column of lag n0 + b
-            f = past.view()
+            f = fields[row, :n0 + 1]
             z = np.zeros((2, b + 1))  # column b - i is step n0 + i; z[1, 0] is not taken
             # sample m meets the weight columns lo + m..lo + m + b only;
             # for each sample before skip, all of them are zero
@@ -606,9 +591,9 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
                 z[0] += np.correlate(ws[0, j:j + seg.size + b], seg)
                 z[1, 1:] += np.correlate(ws[1, j + 1:j + seg.size + b], seg)
             z -= (0.5 * f[0]) * ws[:, lo:lo + b + 1]  # the f_0 ends
-            z[:, -1] += past.last * (_FAR_END * ws[:, -1])
+            z[:, -1] += f[n0] * (_FAR_END * ws[:, -1])
             y = np.concatenate([z[:, 1:], z[:1, :-1]])  # c = 0, 1/2, 1
-            r[:b] += (y * math.ldexp(dt, -s)).T[::-1] @ Q[:, cols].T
+            r[:b] += (y * math.ldexp(dt, -s)).T[::-1] @ Q[:, 3 * row:3 * row + 3].T
         (p00, p01), (p10, p11) = P.tolist()
         r[0] += (p00 * e + p01 * h, p10 * e + p11 * h)
         z = G @ r.ravel()
@@ -624,9 +609,13 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
                 z = G @ r.ravel()
             finite = np.isfinite(z[:2 * b]).reshape(b, 2).all(axis=1)
             b = b if finite.all() else int(finite.argmin())
-    z = z.reshape(-1, 2)
-    state.e_past.write_ahead(z[:b, 0])
-    state.h_past.write_ahead(z[:b, 1])
+    z = z.reshape(-1, 2)[:b]
+    start, end = n0 + 1, n0 + 1 + b
+    if end > fields.shape[1]:
+        state._fields = np.zeros((2, max(end, 2 * fields.shape[1])))
+        state._fields[:, :start] = fields[:, :start]
+    state._fields[:, start:end] = z.T
+    state._peak = np.maximum(state._peak, np.abs(z).max(axis=0, initial=0.0)).tolist()
     state._ahead = b
 
 
@@ -638,8 +627,9 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     in blocks of _HISTORY_BLOCK = 128 steps, fewer where the horizon comes
     first: the first call, a call with another k than the last, and a call
     after the block is used up compute the next block at once (see
-    ``_next_block``), and each call takes one step of it; a new k also
-    rebuilds the block's map, by doubling (see ``_block_map``).  The scheme is
+    ``_next_block``), and each call takes one step of it, one increment of
+    state.n, which e_past, h_past, e, h and t read; a new k also rebuilds
+    the block's map, by doubling (see ``_block_map``).  The scheme is
     linear with lag weights that do not change in time, so a block is the
     same scheme, to rounding, as stepping one step at a time.  Every call
     checks its arguments; k must be finite and nonnegative, as in
@@ -662,8 +652,7 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     new_k = k != state._k
     if new_k:  # the k of the block ahead passed this check
         _wavenumber(k)
-    e_past = state.e_past
-    if e_past.n > state.budget:
+    if state.n > state.budget:
         raise HistoryTruncationError(
             f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
         )
@@ -676,11 +665,10 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     if new_k or not state._ahead:
         _next_block(state, medium, k)
         if not state._ahead:
-            raise ModalError(f"the fields at t = {e_past.n * state.dt:.17g} are not "
+            raise ModalError(f"the fields at t = {state.n * state.dt:.17g} are not "
                              "finite: they or their memory sums outgrow the float range")
     state._ahead -= 1
-    e_past.n += 1
-    state.h_past.n += 1
+    state.n += 1
     return state
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersia import (DampedTerm, ExpPolyKernel, GAUSSIAN, MediumSpec, debye, drude, fit_decay,
-                       lorentz)
+from dispersia import (DampedTerm, ExpPolyKernel, GAUSSIAN, KernelError, MediumSpec,
+                       SampledKernel, debye, drude, fit_decay, lorentz)
 from dispersia import cli
 from dispersia import io as dio
 from dispersia.cli import main
@@ -155,6 +155,21 @@ class TestKernelDocs:
     def test_sampled_round_trip(self):
         back = dio.kernel_from_doc(dio.kernel_to_doc(GAUSSIAN))
         assert back.C == GAUSSIAN.C and back.delta == GAUSSIAN.delta
+        # a kernel built anew on the builtin's evaluator, under its name
+        again = SampledKernel(GAUSSIAN.evaluator, 3.4, 1.0, name="gaussian")
+        assert dio.kernel_from_doc(dio.kernel_to_doc(again)) == again == GAUSSIAN
+
+    @pytest.mark.parametrize("name", ["gaussian", "sampled"])
+    def test_sampled_kernel_that_is_no_builtin_has_no_document(self, name):
+        # the document names a builtin only: a "gaussian" with another
+        # evaluator would read back as the builtin Gaussian, and another name
+        # would write a document that kernel_from_doc rejects
+        def halved(t, order):
+            return 0.5 * GAUSSIAN.evaluator(t, order)
+
+        evaluator = halved if name == "gaussian" else GAUSSIAN.evaluator
+        with pytest.raises(KernelError, match=f"^sampled kernel '{name}' has no document"):
+            dio.kernel_to_doc(SampledKernel(evaluator, 3.4, 1.0, name=name))
 
     def test_unknown_type(self):
         with pytest.raises(dio.ParseError, match="type"):

@@ -322,6 +322,17 @@ class TestFromComplexTermsInputs:
         with pytest.raises(TypeError):
             ExpPolyKernel.from_complex_terms([(None, -1.0)])
 
+    @pytest.mark.parametrize("terms, named", [
+        ([([], -1.0)], r"term 0 \(z = \(-1\+0j\)\)"),
+        ([(0.5, -1.0), ([], 0.0)], r"term 1 \(z = 0j\)"),
+        ([([], complex(-0.5, 2.0)), ([], complex(-0.5, -2.0))], r"term 0 \(z = \(-0\.5\+2j\)\)"),
+    ], ids=["real_exponent", "z0", "conjugate_pair"])
+    def test_empty_coefficients(self, terms, named):
+        # an empty coefficient list is no term, whatever its exponent: a
+        # conjugate pair of them is not the zero term
+        with pytest.raises(KernelError, match=f"^{named} has no polynomial coefficients$"):
+            ExpPolyKernel.from_complex_terms(terms)
+
 
 def _quadrature_laplace(kernel, lam, upper=80.0):
     re = quad(lambda t: float(kernel(t)) * np.exp(-lam.real * t) * np.cos(lam.imag * t),

@@ -368,10 +368,11 @@ def stage_rows(ws):
     return np.concatenate([ws[:, 1:], ws[:1, :-1]])
 
 
-def held_weights(hist, key):
-    """nu'((m + c) dt), c = 0, 1/2, 1, as the history holds it for field key:
-    the stage rows of its array 2^s nu', lag-reversed, times 2^-s."""
-    s, ws = hist._weights[key][:2]
+def held_weights(hist, row):
+    """nu'((m + c) dt), c = 0, 1/2, 1, as the history holds it for the field
+    of row (0 for E, 1 for H): the stage rows of its array 2^s nu',
+    lag-reversed, times 2^-s."""
+    s, ws = hist._weights[row][:2]
     return np.ldexp(stage_rows(ws), -s)
 
 
@@ -404,11 +405,11 @@ def assert_matches_former(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     got = np.array([hist.e_past.view(), hist.h_past.view()])
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    for key in ("E", "H"):
-        if key not in hist._weights:
+    for field_row, key in enumerate(("E", "H")):
+        if field_row not in hist._weights:
             assert all(field != key for field, _ in ref_weights)
             continue
-        w = held_weights(hist, key)
+        w = held_weights(hist, field_row)
         # every lag the steps read is cached; the cache may also hold the lags
         # of the block ahead, and the former doubling could reach the
         # horizon's last lag, which no step reads
@@ -439,7 +440,7 @@ class TestStackedStageSums:
         # nu' of the Gaussian is subnormal from t = 26.7 and exactly 0 from
         # t = 27.3; a history to t = 35 sums over all three kinds of weight
         hist = assert_matches_former(MediumSpec(1.0, 1.0, GAUSSIAN, ZERO), 1.3, 0.05, 700, 35.0)
-        lags = held_weights(hist, "E")[0, ::-1][:701]
+        lags = held_weights(hist, 0)[0, ::-1][:701]
         assert lags[-1] == 0.0 and np.any((lags != 0.0) & (np.abs(lags) < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("medium", [MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
@@ -531,7 +532,7 @@ class TestBlockedSteps:
         seen = []
         for _ in range(sizes[-1] - 1):
             hist = step_history(medium, 1.3, hist, dt)
-            s, ws, first, wmax = hist._weights["E"]
+            s, ws, first, wmax = hist._weights[0]
             if seen[-1:] != [ws.shape[1]]:
                 seen.append(ws.shape[1])
                 assert s > 0
@@ -590,12 +591,14 @@ class TestBlockedSteps:
 
         # a block of b steps correlates the held c = 0 row into b + 1 sums,
         # from the weight column lo + i of sample i on, and the c = 1/2 row
-        # into the b sums it takes, one column on, over the same samples
+        # into the b sums it takes, one column on, over the same samples.
+        # The samples are a row of the history's (2, capacity) field array,
+        # so H's start one row in
         blocks = {}  # (weights, lo, b) -> [(first sample, samples)] per weight row
         for a, v in calls:
             weights = a.base.reshape(2, -1)
             row, col = divmod(offset(a), weights.shape[1])
-            i, sums = offset(v), a.size - v.size + 1
+            i, sums = offset(v) % v.base.shape[1], a.size - v.size + 1
             key = (id(weights.base), col - i - row, sums + row - 1)
             blocks.setdefault(key, (weights, [], []))[1 + row].append((i, v.size))
         skipped = 0
@@ -610,7 +613,7 @@ class TestBlockedSteps:
                 assert not np.any(weights[:, lo:lo + start + b])
         assert skipped
         # the first nonzero column, kept over the growths of all-zero lags
-        _, ws, first, _ = hist._weights["E"]
+        _, ws, first, _ = hist._weights[0]
         assert first == int(ws.any(axis=0).argmax())
 
 
@@ -622,12 +625,12 @@ def former_gammas(state, medium, k):
     dt = state.dt
     B = min(modal._HISTORY_BLOCK, state.budget)
     near, g = [], []
-    for key in ("E", "H"):
-        if key not in state._weights:
+    for row in (0, 1):
+        if row not in state._weights:
             near.append(np.zeros((3, B)))
             g.append(0.0)
             continue
-        s, ws = state._weights[key][:2]
+        s, ws = state._weights[row][:2]
         w = np.ldexp(stage_rows(ws[:, -B - 1:]), -s)  # lags B - 1..0 at c = 0, 1/2, 1
         m = dt * w[:, ::-1]
         m[:, 0] = modal._NEAR_END * m[:, 0]
@@ -745,7 +748,7 @@ class TestHistoryIntegrator:
         medium = MediumSpec(1.0, 1.0, kern, ZERO)
         assert -build_mode(medium, 1.0).A[0, 0] == 0.6
         hist = step_history(medium, 1.0, initial_history(1.0, s_max=1.0), 1.0)
-        g = (0.5 * float(held_weights(hist, "E")[0, -1]), 0.0)
+        g = (0.5 * float(held_weights(hist, 0)[0, -1]), 0.0)
 
         def p_at(nu0):
             return modal._step_matrix(medium, nu0, g, 1.0, 1.0)[:, :2]
@@ -767,11 +770,55 @@ class TestHistoryIntegrator:
         assert hist.budget == steps
         for _ in range(steps):
             hist = step_history(debye_medium(), 1.0, hist, dt)
-        assert hist.e_past.n == steps + 1
+        assert hist.n == steps + 1
         assert all(ws.shape[1] <= steps + 1 for _, ws, _, _ in hist._weights.values())
         with pytest.raises(HistoryTruncationError):
             step_history(debye_medium(), 1.0, hist, dt)
-        assert hist.e_past.n == steps + 1
+        assert hist.n == steps + 1
+
+    def test_past_fields_are_read_only_views_of_the_taken_steps(self):
+        # E and H are the rows of one field array; the first call computes a
+        # block of 128 steps ahead and takes one, and e_past and h_past show
+        # the two steps taken only, read-only
+        medium, dt = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02
+        hist = step_history(medium, 1.3, initial_history(dt, s_max=10.0, e0=1.0, h0=-0.3), dt)
+        assert hist.n == 2 and hist._ahead == modal._HISTORY_BLOCK - 1
+        assert hist.e_past.shape == hist.h_past.shape == (2,)
+        assert (hist.e_past[0], hist.h_past[0]) == (1.0, -0.3)
+        assert (hist.e_past[-1], hist.h_past[-1]) == (hist.e, hist.h)
+        assert hist.t == dt
+        for past in (hist.e_past, hist.h_past, hist.e_past.view(), hist.h_past.view()):
+            with pytest.raises(ValueError):
+                past[0] = 0.0
+        got = np.stack([hist.e_past.view(), hist.h_past.view()])
+        ref, _ = former_history(medium, 1.3, dt, 1, 10.0, 1.0, -0.3)
+        assert got.shape == ref.shape == (2, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # a history is equal only to itself, whatever its fields hold
+        assert hist == hist and initial_history(dt, 10.0) != initial_history(dt, 10.0)
+
+    def test_each_field_scales_by_its_own_rows_peak(self):
+        # H started at 2^40 beside E at 1, on the same kernel: each live
+        # field's power s is _far_scale of its own row's peak as the block
+        # starts, so at the first block E's s is 40 above H's.  A row's peak
+        # is the largest |value| written to it, the steps ahead included
+        medium, dt = MediumSpec(1.0, 1.0, GAUSSIAN, GAUSSIAN), 0.02
+        hist = initial_history(dt, s_max=10.0, e0=1.0, h0=2.0**40)
+        assert hist._peak == [1.0, 2.0**40]
+        blocks = 0
+        for _ in range(400):
+            peak, new_block = list(hist._peak), not hist._ahead
+            hist = step_history(medium, 1.3, hist, dt)
+            if new_block:
+                blocks += 1
+                for row in (0, 1):
+                    s, ws, _, wmax = hist._weights[row]
+                    assert s == modal._far_scale(wmax, peak[row], ws.shape[1], dt)
+            if blocks == 1:
+                assert hist._weights[0][0] - hist._weights[1][0] == 40
+        assert blocks == 4
+        written = hist._fields[:, :hist.n + hist._ahead]
+        assert hist._peak == np.abs(written).max(axis=1).tolist()
 
     def test_budget_is_the_largest_step_count_in_the_horizon(self):
         # with s_max = steps dt the budget is steps, and in general the largest
@@ -841,9 +888,9 @@ class TestHistoryIntegrator:
         calls = self._counting(monkeypatch, modal, "eval_kernel")
         medium = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0))
         hist = self._run(medium, 30.0, 3000, dt=0.01)
-        for key, kernel in (("E", medium.nu_e), ("H", medium.nu_h)):
+        for row, kernel in enumerate((medium.nu_e, medium.nu_h)):
             t = np.concatenate([np.ravel(ts) for kern, ts, _ in calls if kern is kernel])
-            held = hist._weights[key][1].shape[1] - 1
+            held = hist._weights[row][1].shape[1] - 1
             assert held == hist.budget == 3000
             assert np.unique(t).size == t.size == 2 * held + 1
 
@@ -886,7 +933,7 @@ class TestHistoryIntegrator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             small = self._run(medium, 5.0, int(5.0 / dt), dt=dt, e0=2.0**-40)
-        s, ws = small._weights["E"][:2]
+        s, ws = small._weights[0][:2]
         assert s > 0 and np.isfinite(ws).all()
         for got, ref in ((small.e_past, unit.e_past), (small.h_past, unit.h_past)):
             assert got.view().tobytes() == (ref.view() * 2.0**-40).tobytes()
@@ -898,11 +945,11 @@ class TestHistoryIntegrator:
         # y dt 2^-s; with s forced to 0, the unscaled sums, the history is the same
         medium = MediumSpec(1.0, 1.0, kernel, ZERO)
         scaled = self._run(medium, 30.0, 3000, dt=0.01)
-        assert scaled._weights["E"][0] > 900
+        assert scaled._weights[0][0] > 900
         monkeypatch.setattr(modal, "_far_scale", lambda *args: 0)
         plain = self._run(medium, 30.0, 3000, dt=0.01)
-        s, ws = plain._weights["E"][:2]
-        s_scaled, ws_scaled = scaled._weights["E"][:2]
+        s, ws = plain._weights[0][:2]
+        s_scaled, ws_scaled = scaled._weights[0][:2]
         assert s == 0 and ws.tobytes() == np.ldexp(ws_scaled, -s_scaled).tobytes()
         assert scaled.e_past.view().tobytes() == plain.e_past.view().tobytes()
         assert scaled.h_past.view().tobytes() == plain.h_past.view().tobytes()
@@ -916,7 +963,7 @@ class TestHistoryIntegrator:
         scales = []
         for _ in range(steps):
             hist = step_history(medium, 1.3, hist, dt)
-            s, ws = hist._weights["E"][:2]
+            s, ws = hist._weights[0][:2]
             if scales[-1:] != [s]:
                 scales.append(s)
                 assert_held_exactly(ws, s, GAUSSIAN, dt)
