@@ -77,6 +77,10 @@ _TO_LEGENDRE = ((np.arange(_GL_NODES.size) + 0.5)[:, None]
                 * _legendre_table(_GL_NODES) * _GL_WEIGHTS).T
 _FILON_TOL = 1e-15  # accepted |c_14|, |c_15| of a panel, relative to the largest sample
 _MAX_BISECTIONS = 50  # bisections of a first-level panel before it is accepted as is
+# panels sampled by one search, over all levels: the builtin Gaussian samples
+# 29 (49 at delta = 1e-6), and a function that no bisection resolves, such as
+# one carrying noise above _FILON_TOL, would otherwise double them per level
+_MAX_PANELS = 1 << 16
 _MILLER_START = 60  # first index of the backward recurrence, well above 15 + 16
 
 
@@ -135,14 +139,20 @@ def _filon_panels(f, upper: float):
     two Legendre coefficients of its interpolant are below _FILON_TOL times
     the largest sample so far, of any level (at most _MAX_BISECTIONS times):
     a peak that the first level misses raises the scale once it is sampled.
-    Panels on which f vanishes are dropped.  Returns (left ends, half-widths,
-    Legendre coefficients).  Nothing here depends on a frequency.
+    A search that would sample more than _MAX_PANELS panels raises
+    KernelError.  Panels on which f vanishes are dropped.  Returns (left
+    ends, half-widths, Legendre coefficients).  Nothing here depends on a
+    frequency.
     """
     edges = np.concatenate(([0.0], 2.0 ** np.arange(math.ceil(math.log2(upper)))
                             if upper > 1.0 else [], [upper]))
     left, half = edges[:-1], 0.5 * np.diff(edges)
-    kept, scale = [], 0.0
+    kept, scale, sampled = [], 0.0, 0
     for level in range(_MAX_BISECTIONS + 1):
+        sampled += left.size
+        if sampled > _MAX_PANELS:
+            raise KernelError(f"the Filon panel search sampled more than {_MAX_PANELS} panels "
+                              "without resolving nu'' to rounding")
         nodes = left[:, None] + half[:, None] * (_GL_NODES + 1.0)
         samples = np.concatenate([f(nodes[i:i + _BLOCK_PANELS].ravel())
                                   for i in range(0, len(nodes), _BLOCK_PANELS)])
@@ -189,13 +199,22 @@ def _filon_transform(f, upper: float, w: np.ndarray) -> np.ndarray:
     return total.reshape(w.shape)
 
 
+def _nu2_transform(kernel: SampledKernel, f, w: np.ndarray) -> np.ndarray:
+    """``_filon_transform`` of f, a function of kernel's nu'', over
+    [0, LAPLACE_HORIZON / delta]; a KernelError from the panels names the kernel."""
+    try:
+        return _filon_transform(f, LAPLACE_HORIZON / kernel.delta, w)
+    except KernelError as exc:
+        raise KernelError(f"sampled kernel {kernel.name!r}: {exc}") from None
+
+
 def laplace(kernel: SampledKernel, lam: complex) -> complex:
     """L nu(lambda), Re lambda >= 0, as ``kernels.laplace`` documents it."""
     if lam == 0:
         raise UnsupportedPoint("lambda = 0 is not supported on the sampled path")
     sigma = lam.real
-    lap2 = complex(_filon_transform(lambda s: np.exp(-sigma * s) * kernel(s, 2),
-                                    LAPLACE_HORIZON / kernel.delta, np.array([lam.imag]))[0])
+    lap2 = complex(_nu2_transform(kernel, lambda s: np.exp(-sigma * s) * kernel(s, 2),
+                                  np.array([lam.imag]))[0])
     nup0 = float(kernel(0.0, 1))
     return (kernel.value_at_zero() + (nup0 + lap2) / lam) / lam
 
@@ -205,6 +224,6 @@ def iw_real_part(kernel: SampledKernel, w: float | np.ndarray) -> float | np.nda
     w = np.asarray(w, dtype=float)
     if np.any(w == 0.0):
         raise UnsupportedPoint("w = 0 is not supported on the sampled path")
-    sine = -_filon_transform(lambda s: kernel(s, 2), LAPLACE_HORIZON / kernel.delta, w).imag
+    sine = -_nu2_transform(kernel, lambda s: kernel(s, 2), w).imag
     out = kernel.value_at_zero() - sine / w
     return out if out.shape else float(out)

@@ -68,14 +68,22 @@ class OmegaRational:
 
     def real_part(self, w):
         """p(w^2) / d(w^2) at a float or array w: each coefficient divided by
-        lc(d), correctly rounded, then Horner's rule in w^2."""
+        lc(d), correctly rounded, then Horner's rule in w^2.  KernelError if a
+        value is not finite, which coefficients near the float range can give."""
+        import numpy as np
+
         def horner(c):
             acc = c[-1] / self.d[-1] + w * 0
             for v in reversed(c[:-1]):
                 acc = v / self.d[-1] + acc * w * w
             return acc
 
-        return horner(self.p) / horner(self.d)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = horner(self.p) / horner(self.d)
+        if not np.all(np.isfinite(out)):
+            raise KernelError("Re(i w L nu(i w)) is not finite: the kernel's coefficients "
+                              "overflow the float range")
+        return out
 
     @cached_property
     def _roots(self) -> list[tuple[float, int]]:
@@ -244,7 +252,10 @@ def _refine(g: list, lo: int, hi: int, e: int) -> float:
         mid = (lo + hi) // 2
         s = sign_at(g, mid)
         lo, hi = (mid, mid) if s == 0 else (mid, hi) if s == side else (lo, mid)
-    return lo / (1 << e)
+    try:
+        return lo / (1 << e)
+    except OverflowError:
+        raise KernelError("a root in w^2 of Re(i w L nu(i w)) is beyond the float range") from None
 
 
 def _positive_roots(p) -> list[tuple[float, int]]:

@@ -229,7 +229,7 @@ def parse_medium(doc: dict, base_dir: Path) -> MediumSpec:
 
 def _check_coupling(medium: MediumSpec, ks) -> None:
     """Every mode matrix holds k / eps and k / mu; both must be finite."""
-    k = max(ks, default=0.0)
+    k = float(max(ks, default=0.0))  # a k_range holds numpy floats, which warn on overflow
     for name, value in (("eps", medium.eps), ("mu", medium.mu)):
         if not math.isfinite(k / value):
             raise ParseError(f"medium.{name}", f"k / {name} is not finite at k = {k!r}")

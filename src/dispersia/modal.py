@@ -166,7 +166,11 @@ def build_modes(medium: MediumSpec, ks) -> list[ModeSystem]:
     bit-identical to the mode's own call, but complex if any mode's are)."""
     A = _closure_stack(medium, ks)
     systems = [ModeSystem(float(k), a, medium) for k, a in zip(ks, A)]
-    for system, eigs in zip(systems, np.linalg.eigvals(A)):
+    try:
+        eigvals = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:  # LAPACK's scaling overflows on entries near the float range
+        raise ModalError("the eigenvalues of the mode matrices did not converge") from None
+    for system, eigs in zip(systems, eigvals):
         system.__dict__["eigenvalues"] = eigs  # the cached_property's slot
     return systems
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import time
 import warnings
 from pathlib import Path
 
@@ -25,10 +26,27 @@ ZERO_DOC = {"type": "exp_poly", "terms": []}
 ZERO = ExpPolyKernel.zero()
 
 
+def medium_doc(medium):
+    return {"eps": medium.eps, "mu": medium.mu,
+            "nu_e": kernel_doc(medium.nu_e), "nu_h": kernel_doc(medium.nu_h)}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# the longest a command may take on a hard medium or on a config it rejects
+COMMAND_SECONDS = 20.0
+
+
+def timed_main(argv):
+    """main(argv)'s exit code; the command must return within COMMAND_SECONDS."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < COMMAND_SECONDS
+    return code
 
 
 def non_finite_debye_doc(field, value):
@@ -92,19 +110,34 @@ MALFORMED_FIELDS = MALFORMED_NUMBERS + [
 
 
 def overflowing_configs():
-    """(command, config, field named in the error): a k / eps or k / mu beyond the
-    float range, or a cavity whose largest wavenumber is; each exits 1 at parsing."""
+    """(command, config, error line): a k / eps or k / mu beyond the float range,
+    or a cavity whose largest wavenumber is; each exits 1 at parsing.  A k_range's
+    wavenumbers are numpy floats, and its k is reported as a plain float too."""
     def medium(**scale):
         return dict(debye_sim_config()["medium"], **scale)
 
+    def coupling(name, k):
+        return f"config error: medium.{name}: k / {name} is not finite at k = {k}"
+
     cavity = debye_sim_config(cavity={"length": 1e-308, "n_max": 3})
     del cavity["modes"]
+    k_range = {"k_min": 0.1, "k_max": 50.0, "num": 20}
     return {
-        "spectrum_eps": ("spectrum", {"medium": medium(eps=1e-310), "k_values": [1.0]}, "medium.eps"),
-        "spectrum_mu": ("spectrum", {"medium": medium(mu=1e-310), "k_values": [1.0]}, "medium.mu"),
-        "simulate_eps": ("simulate", debye_sim_config(medium=medium(eps=1e-310)), "medium.eps"),
-        "simulate_mu": ("simulate", debye_sim_config(medium=medium(mu=1e-310)), "medium.mu"),
-        "simulate_cavity": ("simulate", cavity, "cavity.length"),
+        "spectrum_eps": ("spectrum", {"medium": medium(eps=1e-310), "k_values": [1.0]},
+                         coupling("eps", 1.0)),
+        "spectrum_mu": ("spectrum", {"medium": medium(mu=1e-310), "k_values": [1.0]},
+                        coupling("mu", 1.0)),
+        "spectrum_k_range_mu": ("spectrum", {"medium": medium(mu=5e-324), "k_range": k_range},
+                                coupling("mu", 50.0)),
+        "simulate_eps": ("simulate", debye_sim_config(medium=medium(eps=1e-310)),
+                         coupling("eps", 1.0)),
+        "simulate_mu": ("simulate", debye_sim_config(medium=medium(mu=1e-310)),
+                        coupling("mu", 1.0)),
+        "simulate_modes_mu": ("simulate", debye_sim_config(medium=medium(mu=5e-324),
+                                                           modes=[[1.0, 1.0], [50.0, 1.0]]),
+                              coupling("mu", 50.0)),
+        "simulate_cavity": ("simulate", cavity, "config error: cavity.length: the largest "
+                                                "wavenumber n_max pi / length is not finite"),
     }
 
 
@@ -261,7 +294,36 @@ class TestTraceFormat:
             dio.read_trace(path)
 
 
+# (nu_e, nu_h, exit code, report fields) of analyze through the CLI: exact verdicts
+# on slow, stiff and many-term media and on both fields, and uncertified ones on
+# media with a sampled field
+VERDICTS = {
+    "lorentz6": (lorentz_sum6(), ZERO, 0, {"strictly_passive": True, "m": 2}),
+    "lorentz_drude": (lorentz(0.5, 2.0, 0.4), drude(0.3, 0.5), 0,
+                      {"strictly_passive": True, "m": 2,
+                       "sigma_E": pytest.approx(0.042545949625595644, rel=1e-9),
+                       "sigma_H": pytest.approx(0.06, rel=1e-9)}),
+    "debye_slow": (debye(1.0, 1e9), ZERO, 0, {"passive": True}),
+    "debye_stiff": (ExpPolyKernel(tuple(t for e in range(-3, 4)
+                                        for t in debye(1.0, 10.0 ** e).terms)),
+                    ZERO, 0, {"passive": True}),
+    "gauss_debye": (GAUSSIAN, debye(0.5, 2.0), 0, {"m": 0, "certified": False}),
+    "ndebye_gauss": (debye(-0.5, 2.0), GAUSSIAN, 3,
+                     {"passive": False, "certified": False,
+                      "witnesses": [1.0, 0.5242428962312068]}),
+}
+
+
 class TestAnalyzeCommand:
+    @pytest.mark.parametrize("nu_e, nu_h, code, fields", VERDICTS.values(), ids=VERDICTS)
+    def test_verdict(self, tmp_path, nu_e, nu_h, code, fields):
+        doc = {"medium": medium_doc(MediumSpec(1.0, 1.0, nu_e, nu_h))}
+        out = tmp_path / "report.json"
+        assert timed_main(["analyze", "--config", write_config(tmp_path, doc),
+                           "--out", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert {key: report[key] for key in fields} == fields
+
     def test_debye_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"nu_e": kernel_doc(debye())})
         assert main(["analyze", "--config", cfg]) == 0
@@ -312,7 +374,7 @@ class TestAnalyzeCommand:
                                                 "poly_im": [0.0] * (degree + 1),
                                                 "z_re": z_re, "z_im": 0.0}]}
         cfg = write_config(tmp_path, {"nu_e": power})
-        assert main(["analyze", "--config", cfg]) == 3
+        assert timed_main(["analyze", "--config", cfg]) == 3
         assert json.loads(capsys.readouterr().out)["passive"] is False
 
     def test_overflowing_certificate_exit2(self, tmp_path, capsys):
@@ -324,6 +386,20 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith("certification failed:") and "overflows" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta, error", [
+        # the Debye term turns Re(i w L nu(i w)) negative at a w^2 near 1e323
+        (-5e-324, "a root in w^2 of Re(i w L nu(i w)) is beyond the float range"),
+        (1e308, "Re(i w L nu(i w)) is not finite: the kernel's coefficients overflow "
+                "the float range"),
+    ], ids=["root", "real_part"])
+    def test_beyond_the_float_range_exit2(self, tmp_path, capsys, beta, error):
+        nu_e = ExpPolyKernel(lorentz().terms + debye(beta).terms)
+        doc = {"medium": medium_doc(MediumSpec(1.0, 1.0, nu_e, drude()))}
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"kernel error: {error}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", NON_FINITE_FIELDS)
@@ -531,8 +607,9 @@ class TestSimulateCommand:
     ])
     def test_length_beyond_the_limit_exit1(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "trace.csv"
-        assert main(["simulate", "--config", write_config(tmp_path, debye_sim_config(**overrides)),
-                     "--out", str(out)]) == 1
+        assert timed_main(["simulate", "--config",
+                           write_config(tmp_path, debye_sim_config(**overrides)),
+                           "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
         assert not out.exists()
@@ -568,7 +645,8 @@ class TestSimulateCommand:
         out = tmp_path / "trace.csv"
         assert main(["simulate", "--config", write_config(tmp_path, doc),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("config error: cavity.n_max: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cavity.n_max: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_modes_diagnostic(self, tmp_path, capsys):
@@ -587,15 +665,22 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
 
     def test_byte_identical_repeats_and_threads(self, tmp_path):
-        doc = debye_sim_config(modes=[[float(k), 1.0 / k] for k in range(1, 9)])
-        cfg = write_config(tmp_path, doc)
-        blobs = []
-        for i, threads in enumerate(("1", "1", "4")):
-            out = tmp_path / f"trace{i}.csv"
-            assert main(["simulate", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        cases = [
+            (debye_sim_config(modes=[[float(k), 1.0 / k] for k in range(1, 9)]), 101),
+            # 200 modes of a three-term medium, advanced in blocks of 8 rows
+            ({"medium": medium_doc(mixed_medium()), "cavity": {"length": 1.0, "n_max": 200},
+              "dt": 0.02, "T": 100.0, "output_stride": 1}, 5001),
+        ]
+        for doc, rows in cases:
+            cfg = write_config(tmp_path, doc)
+            blobs = []
+            for i, threads in enumerate(("1", "1", "4")):
+                out = tmp_path / f"trace{i}.csv"
+                assert main(["simulate", "--config", cfg, "--out", str(out),
+                             "--threads", threads]) == 0
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2]
+            assert blobs[0].count(b"\n") == 1 + rows
 
 
 class TestSpectrumCommand:
@@ -632,6 +717,19 @@ class TestSpectrumCommand:
             abscissa, eigs = spectral_abscissa(build_mode(medium, k))
             lines.append(f"{k:.17g},{abscissa:.17g},{eigs.size}")
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    def test_lorentz6_sweep_repeats_with_14_eigenvalues_per_k(self, tmp_path):
+        doc = {"medium": medium_doc(MediumSpec(1.0, 1.0, lorentz_sum6(), ZERO)),
+               "k_range": {"k_min": 0.1, "k_max": 50.0, "num": 500}}
+        cfg = write_config(tmp_path, doc)
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            tables.append((tmp_path / name).read_text())
+        assert tables[0] == tables[1]
+        lines = tables[0].splitlines()
+        assert lines[0] == "k,abscissa,n_eigs" and len(lines) == 501
+        assert {line.split(",")[2] for line in lines[1:]} == {"14"}
 
     def test_k_range(self, tmp_path, capsys):
         doc = {"medium": debye_sim_config()["medium"],
@@ -712,8 +810,8 @@ class TestSpectrumCommand:
     def test_malformed_grid_exit1(self, tmp_path, capsys, grid, field):
         doc = {"medium": debye_sim_config()["medium"], **grid}
         out = tmp_path / "s.csv"
-        assert main(["spectrum", "--config", write_config(tmp_path, doc),
-                     "--out", str(out)]) == 1
+        assert timed_main(["spectrum", "--config", write_config(tmp_path, doc),
+                           "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
         assert not out.exists()
@@ -731,6 +829,16 @@ class TestSpectrumCommand:
             "medium.eps, overflows the float range\n")
         assert not out.exists()
 
+    def test_eigenvalues_that_do_not_converge_exit1(self, tmp_path, capsys):
+        # mode matrix entries of +-1e308 overflow LAPACK's scaling
+        doc = {"medium": medium_doc(MediumSpec(1.0, 1.0, lorentz(), drude())),
+               "k_range": {"k_min": 0.1, "k_max": 1e308, "num": 20}}
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "simulation error: the eigenvalues of the mode matrices did not converge\n")
+        assert not out.exists()
+
     def test_sampled_kernel_exit4(self, tmp_path, capsys):
         for field in ("nu_e", "nu_h"):
             doc = {"medium": debye_sim_config()["medium"], "k_values": [1.0]}
@@ -742,15 +850,14 @@ class TestSpectrumCommand:
             assert not out.exists()
 
 
-@pytest.mark.parametrize("command, doc, field", overflowing_configs().values(),
+@pytest.mark.parametrize("command, doc, error", overflowing_configs().values(),
                          ids=overflowing_configs())
-def test_overflowing_mode_matrix_exit1(tmp_path, capsys, command, doc, field):
+def test_overflowing_mode_matrix_exit1(tmp_path, capsys, command, doc, error):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
 
 
@@ -828,6 +935,15 @@ class TestFitCommand:
             assert main(["fit", str(path), "--window", "5,45", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: trace: data row 41 is not finite: {lines[40]}\n"
+        assert not out.exists()
+
+    def test_header_only_trace_exit1(self, tmp_path, capsys):
+        path = tmp_path / "header_only.csv"
+        path.write_text(dio.TRACE_HEADER + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(path), "--window", "1,2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("unusable trace: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_bad_window_exit1(self, tmp_path):
@@ -936,7 +1052,7 @@ class TestOutputs:
         if target == "directory":
             out.mkdir()
         capsys.readouterr()
-        assert main(argv + ["--out", str(out)]) == 1
+        assert timed_main(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: --out: cannot write {out}: ")
         assert captured.err.count("\n") == 1 and captured.out == ""

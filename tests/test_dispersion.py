@@ -1,3 +1,4 @@
+import contextlib
 import time
 import warnings
 
@@ -10,6 +11,7 @@ from dispersia import (
     DampedTerm,
     ExpPolyKernel,
     GAUSSIAN,
+    KernelError,
     SampledKernel,
     analyze,
     certify_class_K,
@@ -41,6 +43,29 @@ ZERO = ExpPolyKernel.zero()
 
 def negative_debye():
     return ExpPolyKernel((DampedTerm((-1.0,), (0.0,), -1.0, 0.0),))
+
+
+@contextlib.contextmanager
+def address_space_limit(extra):
+    """This process's address space capped at its current size plus extra bytes,
+    so that an allocation that keeps growing is a MemoryError, not the machine's
+    memory; uncapped where /proc/self/statm or resource limits are missing."""
+    try:
+        import resource
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        size = None
+    if size is None:
+        yield
+        return
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if old[1] == resource.RLIM_INFINITY else min(size + extra, old[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
 
 
 class TestOmegaForm:
@@ -294,6 +319,20 @@ class TestSampledPath:
         assert report.passive and report.strictly_passive and report.m == 0
         assert abs(report.sigma_E - 1.0005564840635506) <= 1e-9
         assert elapsed < 1.0
+
+    def test_unresolvable_kernel_exhausts_the_panel_budget(self):
+        # noise above the panels' tolerance that no bisection resolves: the
+        # search stops at its panel budget instead of doubling them per level
+        def noisy(t, order):
+            g = _gaussian_eval(t, order)
+            return g + 1e-13 * np.sin(1e5 * t) if order == 2 else g
+
+        kern = SampledKernel(noisy, C=GAUSSIAN.C, delta=GAUSSIAN.delta, name="noisy")
+        start = time.perf_counter()
+        with address_space_limit(1 << 30):
+            with pytest.raises(KernelError, match="^sampled kernel 'noisy': .* panels"):
+                analyze(kern, ZERO)
+        assert time.perf_counter() - start < 5.0
 
     @settings(max_examples=15, deadline=None)
     @given(scale=st.floats(1e-3, 1e3))

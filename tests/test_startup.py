@@ -55,8 +55,9 @@ print(json.dumps({"codes": codes,
 """
 
 # imports dispersia.cli, builds the parser and runs cli.main on argv[1:], which
-# may exit; prints the exit code, every dispersia module and which of logging,
-# json and dataclasses were loaded after the interpreter's own start-up
+# may exit; prints the exit code, every dispersia module, whether numpy is loaded
+# and which of logging, json and dataclasses were loaded after the interpreter's
+# own start-up
 PARSER_SNIPPET = """
 import sys
 STDLIB = ("dataclasses", "json", "logging")
@@ -69,6 +70,7 @@ except SystemExit as exc:
     code = exc.code
 report = {"code": code,
           "package": sorted(m for m in sys.modules if m.split(".")[0] == "dispersia"),
+          "numpy": "numpy" in sys.modules,
           "stdlib": sorted(m for m in STDLIB if m in sys.modules and m not in before)}
 import json
 print(json.dumps(report))
@@ -120,7 +122,7 @@ def test_import_and_parser_load_no_scipy():
 def test_parser_help_and_usage_errors_load_nothing_of_the_package(argv, code):
     out, err = python("-c", PARSER_SNIPPET, *argv)
     assert json.loads(out.splitlines()[-1]) == {
-        "code": code, "package": ["dispersia", "dispersia.cli"], "stdlib": []}
+        "code": code, "package": ["dispersia", "dispersia.cli"], "numpy": False, "stdlib": []}
     if code == 0:
         assert out.startswith("usage: dispersia")
     if code == 2:
