@@ -25,7 +25,6 @@ from numpy.lib.stride_tricks import as_strided
 from .energy_trace import EnergyTrace
 from .kernels import (
     ExpPolyKernel,
-    Kernel,
     KernelError,
     _poly_product,
     _poly_sum,
@@ -266,7 +265,7 @@ _HISTORY_BLOCK = 128
 
 @dataclass(eq=False)  # a mutable state: equal only to itself
 class HistoryState:
-    """Field history on the uniform step grid, for the reference integrator.
+    """Field history on the uniform step grid from (e0, h0), for the reference integrator.
 
     The fields are one (2, capacity) float array, row 0 E and row 1 H,
     grown geometrically from 1024 columns; its first n columns are the
@@ -277,32 +276,35 @@ class HistoryState:
     bounds |f_j| for the far sums' scaling (see ``_hold_weights``).
     ``budget`` is the number of steps the horizon allows, the largest n with
     n dt <= s_max + 1e-12; it is set once, here, and every step and block
-    reads it.  The values cached here (each live field's lag weights, keyed
-    by its row, the block map of the last k and the steps computed ahead
-    with it) belong to the medium of the first step, which is recorded; a
-    history is advanced in one medium only.
-    ModalError unless dt is finite and positive, s_max is finite, and
-    the horizon's step count (s_max + 1e-12) / dt is finite.
+    reads it.  A history is one mode: the values cached here (each live
+    field's lag weights, keyed by its row, the block map and the steps
+    computed ahead) belong to the medium and k of the first step, which are
+    recorded (see ``step_history``).  ModalError unless dt is finite and
+    positive, s_max, e0 and h0 are finite, and the horizon's step count
+    (s_max + 1e-12) / dt is finite.
     """
 
     dt: float
     s_max: float
+    e0: float = 0.0
+    h0: float = 0.0
     budget: int = field(init=False)
     n: int = field(default=1, init=False)  # the steps taken, t = 0 included
     _fields: np.ndarray = field(default_factory=lambda: np.zeros((2, 1024)), repr=False)
-    _peak: list = field(default_factory=lambda: [0.0, 0.0], repr=False)  # per row
+    _peak: list = field(init=False, repr=False)  # per row
     _weights: dict = field(default_factory=dict, repr=False)  # per row, see _hold_weights
     _medium: MediumSpec | None = field(default=None, repr=False)
     _k: float | None = field(default=None, repr=False)
-    _map: tuple | None = field(default=None, repr=False)  # (P, Q, G) at _k, see _block_map
+    _map: tuple | None = field(default=None, repr=False)  # (P, Q, G), see _block_map
     _ahead: int = field(default=0, repr=False)  # finite steps computed ahead, not yet taken
 
     def __post_init__(self):
         dt, s_max = self.dt, self.s_max
         if not (math.isfinite(dt) and dt > 0):
             raise ModalError(f"dt must be finite and positive, got {dt!r}")
-        if not math.isfinite(s_max):
-            raise ModalError(f"s_max must be finite, got {s_max!r}")
+        for name, value in (("s_max", s_max), ("e0", self.e0), ("h0", self.h0)):
+            if not math.isfinite(value):
+                raise ModalError(f"{name} must be finite, got {value!r}")
         end = s_max + 1e-12
         steps = end / dt
         if not math.isfinite(steps):
@@ -317,6 +319,8 @@ class HistoryState:
             while n and n * dt > end:
                 n -= 1
         self.budget = n
+        self._fields[:, 0] = self.e0, self.h0
+        self._peak = [abs(float(self.e0)), abs(float(self.h0))]
 
     @property
     def e_past(self) -> np.ndarray:  # a read-only view
@@ -343,14 +347,8 @@ def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -
     """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0).
 
     ModalError unless dt is finite and positive, s_max, e0 and h0 are finite,
-    and s_max / dt is finite (HistoryState checks dt and s_max)."""
-    state = HistoryState(dt=dt, s_max=s_max)
-    for name, value in (("e0", e0), ("h0", h0)):
-        if not math.isfinite(value):
-            raise ModalError(f"{name} must be finite, got {value!r}")
-    state._fields[:, 0] = e0, h0
-    state._peak = [abs(float(e0)), abs(float(h0))]
-    return state
+    and s_max / dt is finite (HistoryState checks them)."""
+    return HistoryState(dt, s_max, e0, h0)
 
 
 # per c, the weight of f_n in the sum y_c of step n, in units of dt nu'(c dt):
@@ -416,7 +414,7 @@ def _far_scale(wmax: float, fmax: float, size: int, dt: float) -> int:
     return max(0, s)
 
 
-def _hold_weights(state: HistoryState, kernel: Kernel, row: int, lags: int):
+def _hold_weights(state: HistoryState, row: int, lags: int):
     """Hold state._weights[row], the record (s, ws, first, wmax) of the
     field in that row of the history: ws is 2^s nu'((m + c) dt) at the
     lags m = size..0, size >= lags, as one (2, size + 1) array, one row per
@@ -447,6 +445,7 @@ def _hold_weights(state: HistoryState, kernel: Kernel, row: int, lags: int):
         top = max(lags, min(2 * size, state.budget))
         # half-lags 2 top..2 size + 1, lag-reversed: c = 0 at the lags
         # top..size + 1, c = 1/2 at the lags top - 1..size (none below 0)
+        kernel = (state._medium.nu_e, state._medium.nu_h)[row]
         v = eval_kernel(kernel, np.arange(2 * top, max(2 * size, -1), -1) * 0.5 * state.dt, 1)
         wmax = float(np.maximum(wmax, np.max(np.abs(v))))  # keeps a nan
     s = _far_scale(wmax, state._peak[row], top + 1, state.dt)
@@ -478,8 +477,13 @@ def _block_toeplitz(seq: np.ndarray, lag: int, n: int) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-def _block_map(state: HistoryState, medium: MediumSpec, k: float):
-    """(P, Q, G) of the blocks at wavenumber k; see ``_step_matrix`` for P, Q.
+def _stage_rows(x: np.ndarray) -> np.ndarray:
+    """Rows c = 0, 1/2, 1 of lag-reversed rows c = 0, 1/2: c = 1 is c = 0 one lag on."""
+    return np.concatenate([x[:, 1:], x[:1, :-1]])
+
+
+def _block_map(state: HistoryState):
+    """(P, Q, G) of the history's blocks, built once; see ``_step_matrix`` for P, Q.
 
     In a block of B steps from step n0, let z_i be the fields after step
     n0 + i and r_i the part of that step known before the block: P times the
@@ -500,7 +504,7 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     min(_HISTORY_BLOCK, state.budget), for every block of the history;
     G has (2 B)^2 entries, 256 x 256 (512 KiB) at B = 128.
     """
-    dt = state.dt
+    dt, medium = state.dt, state._medium
     B = min(_HISTORY_BLOCK, state.budget)
     near, g = [], []
     for row in (0, 1):
@@ -510,12 +514,12 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
             continue
         s, ws = state._weights[row][:2]
         w = np.ldexp(ws[:, -B - 1:], -s)  # lags B..0 of nu', exactly
-        m = dt * np.concatenate([w[:, 1:], w[:1, :-1]])  # lags B - 1..0 at c = 0, 1/2, 1
+        m = dt * _stage_rows(w)  # lags B - 1..0 at c = 0, 1/2, 1
         m[:, -1] = _NEAR_END * m[:, -1]
         near.append(m)
         g.append(0.5 * dt * float(w[0, -1]))
     nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
-    pq = _step_matrix(medium, nu0, g, k, dt)
+    pq = _step_matrix(medium, nu0, g, state._k, dt)
     P, Q = pq[:, :2], pq[:, 2:]
     n = 1 << (B - 1).bit_length()  # the doublings reach n >= B blocks
     # the sequences T_0..T_(n - 1), T_0 = 0, and Gamma_(-n)..Gamma_(n - 1),
@@ -539,7 +543,7 @@ def _block_map(state: HistoryState, medium: MediumSpec, k: float):
     return P, Q, _block_toeplitz(gam, n, B)
 
 
-def _next_block(state: HistoryState, medium: MediumSpec, k: float):
+def _next_block(state: HistoryState):
     """Compute the next b = min(_HISTORY_BLOCK, steps left in state.budget)
     steps, at least one.  Those of them, from the first, that are finite
     are written ahead into the history's field array, from column state.n
@@ -555,16 +559,14 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     _CORRELATE_MAX samples), each into its own row of z: that of c = 0
     over the lags n0 + b..0, the sums of the steps n0..n0 + b, and that of
     c = 1/2 over the lags n0 + b - 1..0, the sums of the steps
-    n0..n0 + b - 1 that the block takes.  Those at c = 1 need no correlate
-    of their own: w_1[m] = w_0[m + 1] (see ``_hold_weights``), so the c = 0
-    far sums of steps n0 + 1..n0 + b are the c = 1 far sums of steps
-    n0..n0 + b - 1.  The far sums start at the first sample that meets a
-    nonzero weight and run on the held weights, 2^s nu'.  The end terms of
-    f_0 and, at the first step, of f_n0 (_FAR_END) are added as
-    corrections on those weights too, before the c = 1 sums are read off,
-    and the sums are scaled once, by dt 2^-s.
+    n0..n0 + b - 1 that the block takes.  Those at c = 1 are the c = 0 far
+    sums one step on (see ``_stage_rows``).  The far sums start at the
+    first sample that meets a nonzero weight and run on the held weights,
+    2^s nu'.  The end terms of f_0 and, at the first step, of f_n0
+    (_FAR_END) are added as corrections on those weights too, before the
+    c = 1 sums are read off, and the sums are scaled once, by dt 2^-s.
     The terms over the block's own samples are near and enter through
-    _block_map's G, rebuilt only for a new k.  Everything runs under one
+    _block_map's G, built in the first block.  Everything runs under one
     np.errstate.  A non-finite known part or field cuts the block before
     its step: G is lower-triangular, so later steps cannot change earlier
     ones.  Finiteness is checked once, on the fields; only a block with a
@@ -573,13 +575,13 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
     n0, dt, fields = state.n - 1, state.dt, state._fields
     b = min(_HISTORY_BLOCK, state.budget - n0)
     e, h = fields[:, n0].tolist()
-    kernels = (medium.nu_e, medium.nu_h)
+    kernels = (state._medium.nu_e, state._medium.nu_h)
     live = [row for row in (0, 1) if not kernels[row].is_zero]
     with np.errstate(over="ignore", invalid="ignore"):
         for row in live:
-            _hold_weights(state, kernels[row], row, n0 + b)
-        if k != state._k:
-            state._map, state._k = _block_map(state, medium, k), k
+            _hold_weights(state, row, n0 + b)
+        if state._map is None:
+            state._map = _block_map(state)
         P, Q, G = state._map
         r = np.zeros((G.shape[0] // 2, 2))  # row i is step n0 + i; rows from b on stay 0
         for row in live:
@@ -596,7 +598,7 @@ def _next_block(state: HistoryState, medium: MediumSpec, k: float):
                 z[1, 1:] += np.correlate(ws[1, j + 1:j + seg.size + b], seg)
             z -= (0.5 * f[0]) * ws[:, lo:lo + b + 1]  # the f_0 ends
             z[:, -1] += f[n0] * (_FAR_END * ws[:, -1])
-            y = np.concatenate([z[:, 1:], z[:1, :-1]])  # c = 0, 1/2, 1
+            y = _stage_rows(z)  # c = 0, 1/2, 1
             r[:b] += (y * math.ldexp(dt, -s)).T[::-1] @ Q[:, 3 * row:3 * row + 3].T
         (p00, p01), (p10, p11) = P.tolist()
         r[0] += (p00 * e + p01 * h, p10 * e + p11 * h)
@@ -629,20 +631,19 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     Four-stage explicit scheme; each stage evaluates the Volterra convolution
     by trapezoidal quadrature over the stored past.  The steps are computed
     in blocks of _HISTORY_BLOCK = 128 steps, fewer where the horizon comes
-    first: the first call, a call with another k than the last, and a call
-    after the block is used up compute the next block at once (see
-    ``_next_block``), and each call takes one step of it, one increment of
-    state.n, which e_past, h_past, e, h and t read; a new k also rebuilds
-    the block's map, by doubling (see ``_block_map``).  The scheme is
-    linear with lag weights that do not change in time, so a block is the
-    same scheme, to rounding, as stepping one step at a time.  Every call
-    checks its arguments; k must be finite and nonnegative, as in
-    ``build_mode``.  The step is state.dt, the grid spacing
-    that the weights are built on; dt must match it to 1e-12 relative.
+    first: the first call and a call after the block is used up compute the
+    next block at once (see ``_next_block``), and each call takes one step
+    of it, one increment of state.n, which e_past, h_past, e, h and t read.
+    The scheme is linear with lag weights that do not change in time, so a
+    block is the same scheme, to rounding, as stepping one step at a time.
+    The step is state.dt, the grid spacing that the weights are built on;
+    dt must match it to 1e-12 relative.
     Serves as the oracle for step_exact and is the only integrator available
-    for sampled kernels.  Every step of one history takes the medium of its
-    first step, that object or an equal one (a sampled kernel is equal only
-    with the same evaluator); another medium raises ModalError.  So does the
+    for sampled kernels.  A history is one mode: every step takes the medium
+    and k of its first step.  k must be finite and nonnegative, as in
+    ``build_mode``, and equal to the first step's k; the medium must be that
+    object or an equal one (a sampled kernel is equal only with the same
+    evaluator).  Another k or medium raises ModalError.  So does the
     call of a step whose fields are not finite, which leaves the history at
     its last finite step; a block stops before such a step, so no numpy
     warning is raised, and the steps before it are taken as usual.
@@ -652,22 +653,20 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
             raise ModalError("dt must be positive")
         if not abs(dt - state.dt) <= 1e-12 * state.dt:
             raise ModalError("step size must match the history grid spacing")
-    k = float(k)
-    new_k = k != state._k
-    if new_k:  # the k of the block ahead passed this check
-        _wavenumber(k)
-    if state.n > state.budget:
-        raise HistoryTruncationError(
-            f"t = {state.t + dt:.6g} exceeds the configured history horizon", state.s_max
-        )
-    if medium is not state._medium:
+    if medium is not state._medium or k is not state._k:
+        k = _wavenumber(k)
         if state._medium is None:
-            state._medium = medium
+            state._medium, state._k = medium, k
         elif medium != state._medium:
             raise ModalError("this history was started in another medium; a history "
                              "is advanced in one medium only")
-    if new_k or not state._ahead:
-        _next_block(state, medium, k)
+        elif k != state._k:
+            raise ModalError(f"this history was started at k = {state._k!r}; got k = {k!r}")
+    if not state._ahead:  # a block ends at the horizon at the latest
+        if state.n > state.budget:
+            raise HistoryTruncationError(f"t = {state.t + dt:.6g} exceeds the configured "
+                                         "history horizon", state.s_max)
+        _next_block(state)
         if not state._ahead:
             raise ModalError(f"the fields at t = {state.n * state.dt:.17g} are not "
                              "finite: they or their memory sums outgrow the float range")

@@ -331,16 +331,14 @@ def former_convolution(state, kernel, key, samples, c, stage_value):
 def former_history(medium, k, dt, steps, s_max, e0=1.0, h0=0.0):
     """Fields (E, H) of the former per-stage history integrator over `steps`
     steps, shape (2, steps + 1): four weight lookups and four dot products per
-    live field and step, on numpy scalars.  k is one wavenumber or one per step."""
-    ks = [k] * steps if np.isscalar(k) else list(k)
-    assert len(ks) == steps
+    live field and step, on numpy scalars."""
     state = SimpleNamespace(dt=dt, s_max=s_max, weights={})
     nue0 = float(modal.eval_kernel(medium.nu_e, 0.0, 0))
     nuh0 = float(modal.eval_kernel(medium.nu_h, 0.0, 0))
     live_e = not (isinstance(medium.nu_e, ExpPolyKernel) and medium.nu_e.is_zero)
     live_h = not (isinstance(medium.nu_h, ExpPolyKernel) and medium.nu_h.is_zero)
     e_hist, h_hist = [e0], [h0]
-    for k in ks:
+    for _ in range(steps):
         e_samples, h_samples = np.array(e_hist), np.array(h_hist)
 
         def rhs(c, e_star, h_star):
@@ -470,27 +468,25 @@ class TestStackedStageSums:
 
 class TestBlockedSteps:
     """step_history, which computes its steps in blocks, against the former
-    per-step integrator, across block boundaries, the horizon and k changes."""
+    per-step integrator, across block boundaries and the horizon."""
 
     MEDIA = {"gaussian_debye": lambda: MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)),
              "mixed": mixed_medium, "drude_lorentz": drude_lorentz_medium}
 
     @settings(max_examples=40, deadline=None)
     @given(medium=st.sampled_from(sorted(MEDIA)), blocks=st.integers(0, 4),
-           extra=st.integers(-1, 1), at_horizon=st.booleans(),
-           switch=st.one_of(st.none(), st.integers(1, 160)), zero=st.booleans(),
-           k=st.floats(0.0, 8.0), k2=st.floats(0.0, 8.0))
-    def test_matches_former(self, medium, blocks, extra, at_horizon, switch, zero, k, k2):
+           extra=st.integers(-1, 1), at_horizon=st.booleans(), zero=st.booleans(),
+           k=st.floats(0.0, 8.0))
+    def test_matches_former(self, medium, blocks, extra, at_horizon, zero, k):
         # steps = blocks * B + extra covers 0, 1 and several block boundaries
         steps = max(1, blocks * modal._HISTORY_BLOCK + extra)
         medium, dt = self.MEDIA[medium](), 0.02
         s_max = steps * dt if at_horizon else steps * dt + 1.0
         e0, h0 = (0.0, 0.0) if zero else (1.0, -0.4)
-        ks = [k if switch is None or i < switch else k2 for i in range(steps)]
         hist = initial_history(dt, s_max=s_max, e0=e0, h0=h0)
-        for kk in ks:
-            hist = step_history(medium, kk, hist, dt)
-        ref, _ = former_history(medium, ks, dt, steps, s_max, e0, h0)
+        for _ in range(steps):
+            hist = step_history(medium, k, hist, dt)
+        ref, _ = former_history(medium, k, dt, steps, s_max, e0, h0)
         got = np.array([hist.e_past.view(), hist.h_past.view()])
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -498,21 +494,23 @@ class TestBlockedSteps:
             assert not np.any(got)
         if at_horizon:
             with pytest.raises(HistoryTruncationError):
-                step_history(medium, ks[-1], hist, dt)
+                step_history(medium, k, hist, dt)
             assert hist.t == pytest.approx(steps * dt)
 
-    def test_k_change_mid_block_recomputes_from_the_last_step(self):
-        # a new k discards the block's remaining steps; going back to the first
-        # k computes them anew from the history as it stands
-        medium, dt = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02
-        ks = [1.3] * 40 + [2.0] + [1.3] * 30
-        hist = initial_history(dt, s_max=10.0)
-        for kk in ks:
-            hist = step_history(medium, kk, hist, dt)
-        ref, _ = former_history(medium, ks, dt, len(ks), 10.0)
-        got = np.array([hist.e_past.view(), hist.h_past.view()])
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    def test_block_map_built_once(self, monkeypatch):
+        # 300 steps take three blocks, 128 + 128 + 44, all on the map of the first
+        calls, block_map = [], modal._block_map
 
+        def spy(state):
+            calls.append(state.n)
+            return block_map(state)
+
+        monkeypatch.setattr(modal, "_block_map", spy)
+        medium, dt, steps = MediumSpec(1.0, 1.0, GAUSSIAN, debye(0.5, 2.0)), 0.02, 300
+        hist = initial_history(dt, s_max=steps * dt)
+        for _ in range(steps):
+            hist = step_history(medium, 1.3, hist, dt)
+        assert hist.n == steps + 1 and calls == [1]
 
     @pytest.mark.parametrize("kernel", [GAUSSIAN, debye(0.5, 2.0), lorentz()],
                              ids=["gaussian", "debye", "lorentz"])
@@ -666,7 +664,7 @@ class TestBlockMap:
         hist = initial_history(dt, s_max=B * dt if B < modal._HISTORY_BLOCK else 10.0)
         hist = step_history(medium, k, hist, dt)
         assert min(modal._HISTORY_BLOCK, hist.budget) == B
-        P, Q, G = modal._block_map(hist, medium, k)
+        P, Q, G = modal._block_map(hist)
         P_ref, Q_ref, gam = former_gammas(hist, medium, k)
         assert np.array_equal(P, P_ref) and np.array_equal(Q, Q_ref)
         assert G.shape == (2 * B, 2 * B) and G.flags.c_contiguous
@@ -679,18 +677,16 @@ class TestBlockMap:
         assert np.max(np.abs(column - gam)) <= 1e-13 * np.max(np.abs(gam))
 
     @pytest.mark.parametrize("medium", sorted(MEDIA))
-    def test_k_change_mid_block_and_a_ragged_horizon(self, medium):
-        # 300 steps to the horizon: two blocks of 128 and one of 44; k
-        # changes inside the second block and back inside the third
+    def test_ragged_horizon(self, medium):
+        # 300 steps to the horizon: two blocks of 128 and one of 44
         medium, dt, steps = self.MEDIA[medium](), 0.02, 300
         assert steps % modal._HISTORY_BLOCK
-        ks = [1.3] * 170 + [2.6] * 60 + [1.3] * 70
         hist = initial_history(dt, s_max=steps * dt, e0=1.0, h0=-0.4)
-        for kk in ks:
-            hist = step_history(medium, kk, hist, dt)
+        for _ in range(steps):
+            hist = step_history(medium, 1.3, hist, dt)
         with pytest.raises(HistoryTruncationError):
             step_history(medium, 1.3, hist, dt)
-        ref, _ = former_history(medium, ks, dt, steps, steps * dt, 1.0, -0.4)
+        ref, _ = former_history(medium, 1.3, dt, steps, steps * dt, 1.0, -0.4)
         got = np.array([hist.e_past.view(), hist.h_past.view()])
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1006,6 +1002,19 @@ class TestHistoryIntegrator:
             step_history(MediumSpec(1.0, 1.0, lorentz(), ZERO), 1.0, hist, 0.1)
         assert hist.t == pytest.approx(0.2)
 
+    def test_second_k_rejected(self):
+        hist = step_history(debye_medium(), 1.0, initial_history(0.1, s_max=2.0), 0.1)
+        fields = (hist.e_past.tobytes(), hist.h_past.tobytes())
+        with pytest.raises(ModalError, match=r"^this history was started at k = 1\.0; "
+                                             r"got k = 2\.0$"):
+            step_history(debye_medium(), 2.0, hist, 0.1)
+        assert hist.t == pytest.approx(0.1)
+        assert (hist.e_past.tobytes(), hist.h_past.tobytes()) == fields
+        # the same k as another number is the same k
+        hist = step_history(debye_medium(), 1, hist, 0.1)
+        hist = step_history(debye_medium(), np.float64(1.0), hist, 0.1)
+        assert hist.t == pytest.approx(0.3)
+
     def test_second_sampled_evaluator_rejected(self):
         # equal C, delta and name but another evaluator is another medium
         def halved(t, order):
@@ -1049,9 +1058,8 @@ class TestHistoryIntegrator:
         args = dict(dt=0.1, s_max=1.0) | kwargs
         with pytest.raises(ModalError, match=f"^{name} must be"):
             initial_history(**args)
-        if name in ("dt", "s_max"):  # a HistoryState built directly checks its grid
-            with pytest.raises(ModalError, match=f"^{name} must be"):
-                modal.HistoryState(dt=args["dt"], s_max=args["s_max"])
+        with pytest.raises(ModalError, match=f"^{name} must be"):  # HistoryState checks them
+            modal.HistoryState(**args)
 
     def test_steps_on_the_grid_spacing(self):
         # a dt within 1e-12 relative of the grid spacing is accepted, and the
