@@ -3,15 +3,23 @@
 
     python scripts/bench.py --change 23 ../parent
 
-Runs ``perfbench/run.py --workload W --seconds 10`` of this checkout and of
-a checkout of its parent, for each workload W, untraced (end-to-end metrics)
-and traced (per-layer metrics), on the pinned seeds 1, 2 and 3.  The two
-trees' runs of one (seed, trace, workload) follow each other, so that drift
-of a shared host falls on both, and the parent runs first where seed + trace
-+ the workload's index is odd: on every other pair in run order, and on
-alternate seeds for each workload and mode.  Each tree runs its own
+Runs ``perfbench/run.py --workload W --seconds 5`` of this checkout and of a
+checkout of its parent, for each workload W: PAIRS untraced pairs (end-to-end
+metrics) with the pinned seeds 1, 2 and 3 cycled, then one traced pair
+(per-layer metrics) per seed.  The two runs of a pair follow each other, so
+that drift of a shared host falls on both, and the parent runs first where
+the pair's index plus the workload's is even: on every other pair in run
+order, and on every other pair of each workload.  Each tree runs its own
 perfbench and src, and both must be clean git checkouts, so that each record
 names the commits it measured.
+
+Per workload and end-to-end metric, the record holds each untraced pair's
+change/parent ratio, their median, the distribution-free interval of that
+median from binomial order statistics (``median_interval``), the number of
+pairs in which the change is ahead, and ``resolved``: whether the interval
+excludes 1, which is when a speed claim counts.  It also holds, per tree,
+the share of attempted operations that failed and the mean share of the job
+list whose outputs failed a check (``failed_ratio``, ``wrong_ratio``).
 
 Every interpreter runs as in a fresh checkout: with PYTHONDONTWRITEBYTECODE=1
 and no PYTHONPYCACHEPREFIX, and a tree that holds a ``__pycache__`` under
@@ -35,6 +43,7 @@ BENCH_*.json to it.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -45,11 +54,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 2  # 2 adds "commands"; records of schema 1 have none
+SCHEMA = 3  # 3 adds "pairs" and "paired", 2 adds "commands"; schema 1 has neither
 WORKLOADS = ("decay_chain", "verdict_sweep", "sampled_history")
 TREES = ("parent", "change")
 SEEDS = (1, 2, 3)
-SECONDS = 10.0
+SECONDS = 5.0
+PAIRS = 10  # untraced pairs per workload
+LEVEL = 0.90  # least coverage of the interval of a median ratio
 
 CONFIGS = ROOT / "scripts" / "bench_configs"
 REPEATS = 21
@@ -137,6 +148,13 @@ def run_one(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(out.rstrip("\n").splitlines()[-1])
 
 
+def wrong_ratio(tree: Path, workload: str, seed: int, trace: int) -> float:
+    """The share of the job list whose outputs failed a check, from the full
+    result that the tree's last ``run.py`` of (workload, seed, trace) wrote."""
+    out = Path(tree) / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(out.read_text())["end_to_end"]["wrong_ratio"]["value"]
+
+
 def quartiles(values: list) -> dict:
     values = sorted(values)
     if len(values) == 1:
@@ -156,6 +174,53 @@ def summarize(runs: list) -> dict:
                       .setdefault(name, []).append(value)
     return {tree: {wl: {name: quartiles(v) for name, v in sorted(ms.items())}
                    for wl, ms in wls.items()} for tree, wls in values.items()}
+
+
+def median_interval(values: list, level: float = LEVEL) -> tuple | None:
+    """(lo, hi, coverage): the narrowest [v_(k), v_(n+1-k)] of the sorted
+    values whose coverage of their median, 1 - 2 P(B < k) with B binomial
+    (n, 1/2), is at least level; None where even [v_(1), v_(n)] covers less."""
+    values, n = sorted(values), len(values)
+    found, below = None, 0.0
+    for k in range(1, n // 2 + 1):
+        below += math.comb(n, k - 1) / 2**n
+        if 1.0 - 2.0 * below < level:
+            break
+        found = (values[k - 1], values[n - k], 1.0 - 2.0 * below)
+    return found
+
+
+def paired(runs: list, benchmark: dict) -> dict:
+    """{workload: statistics of its untraced pairs}: per end-to-end metric the
+    change/parent ratio of each pair where both are numbers and the parent's
+    is not 0, their median, ``median_interval``, the pairs in which the
+    change is ahead (ties count for neither) and whether the interval
+    excludes 1; per tree ``failed_ratio`` and ``wrong_ratio``."""
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    pairs = {}
+    for run in runs:
+        if run["trace"] == 0:
+            pairs.setdefault(run["workload"], {}).setdefault(run["pair"], {})[run["tree"]] = run
+    out = {}
+    for workload, by_pair in pairs.items():
+        both = [by_pair[i] for i in sorted(by_pair)]
+        metrics = {}
+        for name, direction in better.items():
+            ratios = [p["change"]["metrics"][name] / p["parent"]["metrics"][name] for p in both
+                      if p["parent"]["metrics"][name] and p["change"]["metrics"][name] is not None]
+            lo, hi, level = median_interval(ratios) or (None, None, None)
+            metrics[name] = {
+                "ratios": ratios, "median": statistics.median(ratios) if ratios else None,
+                "lo": lo, "hi": hi, "level": level,
+                "ahead": sum(r < 1.0 if direction == "lower" else r > 1.0 for r in ratios),
+                "resolved": lo is not None and (hi < 1.0 or lo > 1.0)}
+        out[workload] = {
+            "metrics": metrics,
+            "failed_ratio": {t: sum(p[t]["failed"] for p in both)
+                             / sum(p[t]["attempted"] for p in both) for t in TREES},
+            "wrong_ratio": {t: statistics.fmean(p[t]["wrong_ratio"] for p in both)
+                            for t in TREES}}
+    return out
 
 
 def time_commands(trees: dict, repeats: int = REPEATS) -> dict:
@@ -207,24 +272,26 @@ def summarize_commands(times: dict) -> dict:
 def record(change: int, trees: dict) -> dict:
     revisions = {label: revision(tree) for label, tree in trees.items()}
     runs = []
-    for seed in SEEDS:
-        for trace in (0, 1):
+    for trace, count in ((0, PAIRS), (1, len(SEEDS))):
+        for pair in range(count):
+            seed = SEEDS[pair % len(SEEDS)]
             for i, workload in enumerate(WORKLOADS):
-                order = TREES if (seed + trace + i) % 2 else TREES[::-1]
-                for label in order:
-                    print(f"bench: {label} {workload} seed {seed} trace {trace}",
+                for label in TREES if (pair + i) % 2 == 0 else TREES[::-1]:
+                    print(f"bench: {label} {workload} seed {seed} trace {trace} pair {pair}",
                           file=sys.stderr, flush=True)
                     line = run_one(trees[label], workload, seed, trace)
                     runs.append({"tree": label, "seed": seed, "trace": trace,
-                                 "workload": workload, "correct": line["correct"],
+                                 "workload": workload, "pair": pair, "correct": line["correct"],
                                  "attempted": line["attempted"], "failed": line["failed"],
+                                 "wrong_ratio": wrong_ratio(trees[label], workload, seed, trace),
                                  "metrics": {k: v["value"] for k, v in line["metrics"].items()}})
     print("bench: commands", file=sys.stderr, flush=True)
     times = time_commands(trees)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {"schema": SCHEMA, "change": change, "revisions": revisions,
-            **environment(), "seeds": list(SEEDS), "seconds": SECONDS,
+            **environment(), "seeds": list(SEEDS), "seconds": SECONDS, "pairs": PAIRS,
             "command": "perfbench/run.py --workload W --seed S --seconds T --trace {0,1}",
-            "runs": runs, "summary": summarize(runs),
+            "runs": runs, "summary": summarize(runs), "paired": paired(runs, benchmark),
             "commands": {"repeats": REPEATS,
                          "argv": {name: args for name, (args, _) in COMMANDS.items()},
                          "exit": {name: code for name, (_, code) in COMMANDS.items()},
@@ -235,8 +302,10 @@ def check_record(doc: dict, benchmark: dict) -> None:
     """Raise ValueError unless doc has the schema of a BENCH_*.json record.
 
     Checks keys and types, that every run carries exactly the metric names
-    that BENCHMARK.json declares for its mode, and from schema 2 on that
-    every command of COMMANDS has its times per tree; not the numbers.
+    that BENCHMARK.json declares for its mode, from schema 2 on that every
+    command of COMMANDS has its times per tree, and from schema 3 on that
+    each workload has ``pairs`` untraced pairs and one traced pair per seed,
+    and that ``paired`` is computed from them; not the numbers.
     """
     def need(cond, what):
         if not cond:
@@ -262,6 +331,12 @@ def check_record(doc: dict, benchmark: dict) -> None:
          "seeds must be a nonempty list of integers")
     need(isinstance(doc.get("seconds"), (int, float)) and doc["seconds"] > 0,
          "seconds must be positive")
+    # before schema 3, one pair per seed in each mode, indexed as the seeds
+    has_pairs = doc["schema"] >= 3
+    if has_pairs:
+        need(type(doc.get("pairs")) is int and doc["pairs"] > 0,
+             "pairs must be a positive integer")
+    count = {0: doc["pairs"] if has_pairs else len(seeds), 1: len(seeds)}
     names = {0: {m["name"] for m in benchmark["end_to_end"]},
              1: {m["name"] for m in benchmark["per_layer"]}}
     runs = doc.get("runs")
@@ -278,11 +353,22 @@ def check_record(doc: dict, benchmark: dict) -> None:
              f"run metrics must be BENCHMARK.json's for trace {run['trace']}")
         need(all(v is None or isinstance(v, (int, float)) for v in metrics.values()),
              "metric values must be numbers or null")
-        seen.add((run["tree"], run["seed"], run["trace"], run["workload"]))
+        if has_pairs:
+            pair = run.get("pair")
+            need(type(pair) is int and 0 <= pair < count[run["trace"]]
+                 and run["seed"] == seeds[pair % len(seeds)],
+                 f"run pair malformed: {pair!r} of seed {run['seed']!r}")
+            need(isinstance(run.get("wrong_ratio"), (int, float))
+                 and 0 <= run["wrong_ratio"] <= 1, "run wrong_ratio must be a share")
+        else:
+            pair = seeds.index(run["seed"])
+        seen.add((run["tree"], run["trace"], run["workload"], pair))
     need(len(seen) == len(runs), "a run is recorded twice")
-    need(len(seen) == len(TREES) * len(seeds) * 2 * len(WORKLOADS),
-         "every tree, seed, mode and workload needs one run")
+    need(len(seen) == len(TREES) * len(WORKLOADS) * sum(count.values()),
+         "every tree, workload and pair of each mode needs one run")
     need(doc.get("summary") == summarize(runs), "summary must be summarize(runs)")
+    if has_pairs:
+        need(doc.get("paired") == paired(runs, benchmark), "paired must be paired(runs)")
     if doc["schema"] < 2:
         return
     commands = doc.get("commands")

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -505,9 +506,11 @@ class TestSampledRealPart:
 class TestFilon:
     def test_spherical_bessel_matches_scipy(self):
         # both recurrences and the switch between them at x = 16, the zeros of
-        # j_0 (where Miller's sign comes from j_1), tiny arguments and x = 0
+        # j_0 (where Miller's scale comes from j_1), the switch to the power
+        # series at x = 1e-5, tiny arguments and x = 0
         x = np.concatenate([[0.0, 1e-300, 1e-12, 1e-5], np.geomspace(1e-3, 1e5, 4000),
-                            np.pi * np.arange(1, 6), [16.0 - 1e-9, 16.0, 16.0 + 1e-9]])
+                            np.pi * np.arange(1, 6), [16.0 - 1e-9, 16.0, 16.0 + 1e-9],
+                            [1e-5, np.nextafter(1e-5, 0.0), 1.0]])
         got = _sampled._spherical_jn(x)
         ref = np.stack([spherical_jn(n, x) for n in range(16)], axis=-1)
         assert got.shape == (x.size, 16)
@@ -550,12 +553,14 @@ class TestFilon:
         out[x == 0.0] = np.eye(1, 16)[0]
         return out
 
-    def test_spherical_bessel_layout_is_bitwise_the_former(self, monkeypatch):
-        # the degree-major recurrences do the same arithmetic in the same order
-        # as the former ones: x = 0, below 1e-200, on both sides of 16, and the
-        # (frequency, panel width) arguments of an analyze's decision grid
+    def test_spherical_bessel_agrees_with_the_former(self, monkeypatch):
+        # the unscaled Miller recurrence and the power series agree with the
+        # former rescaled recurrence to rounding: x = 0, below 1e-200, both
+        # sides of the series switch at 1e-5 and of 16, and the (frequency,
+        # panel width) arguments of an analyze's decision grid
         edges = np.array([0.0, 5e-324, 1e-300, 1e-201, np.nextafter(16.0, 0.0), 16.0,
-                          np.nextafter(16.0, 32.0), 16.0 + 1e-9])
+                          np.nextafter(16.0, 32.0), 16.0 + 1e-9,
+                          1e-5, np.nextafter(1e-5, 0.0), 1.0])
         seen = []
         jn = _sampled._spherical_jn
         monkeypatch.setattr(_sampled, "_spherical_jn", lambda x: seen.append(x) or jn(x))
@@ -565,7 +570,7 @@ class TestFilon:
         for x in (edges, grid):
             got = jn(x)
             assert got.shape == x.shape + (16,)
-            assert got.tobytes() == self.former_spherical_jn(x).tobytes()
+            assert np.max(np.abs(got - self.former_spherical_jn(x))) <= 1e-15
 
     def test_real_argument_gives_real_laplace(self, monkeypatch):
         # j_n(0) = 0 exactly for n >= 1, so w = 0 adds no imaginary part
@@ -579,8 +584,9 @@ class TestFilon:
 
     def test_exact_on_polynomials(self):
         # a cubic is its own interpolant on every panel of [0, 1], [1, 2], [2, 4],
-        # [4, 6], so only rounding separates the transform from the integral
-        w = np.array([-3.0, 0.0, 1e-3, 0.7, 5.0, 40.0])
+        # [4, 6], so only rounding separates the transform from the integral;
+        # with half-widths 0.5 and 1, w h falls on both sides of 1e-5 and of 16
+        w = np.array([-3.0, 0.0, 1e-3, 0.7, 5.0, 40.0, 2e-5, 16.0, 32.0])
         got = _sampled._filon_transform(lambda s: s**3 - 2.0 * s, 6.0, w)
         for wi, gi in zip(w, got):
             def moment(k):  # int_0^6 s^k e^{-i wi s} ds by quad
@@ -620,6 +626,19 @@ class TestFilon:
         expected = np.sqrt(np.pi) / 2 * erfcx(lam / 2)
         assert abs(got - expected) <= 1e-11 * expected
         assert peak < 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=1, max_size=8))
+def test_spherical_bessel_matches_scipy_anywhere(xs):
+    # every band of _spherical_jn, mixed in one call, without a warning;
+    # scipy reads NaN at subnormal arguments, which the edge list above covers
+    x = np.array(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sampled._spherical_jn(x)
+    ref = np.stack([spherical_jn(n, x) for n in range(16)], axis=-1)
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,11 +89,17 @@ def test_committed_bench_records_follow_the_schema():
     lambda d: d["commands"]["times"]["parent"]["bare"].pop(),
     lambda d: d["commands"]["exit"].pop("analyze_nonpassive"),
     lambda d: d["commands"]["summary"]["parent"].clear(),
-    lambda d: d.update(schema=3),
+    lambda d: d.update(schema=4),
+    lambda d: d.pop("pairs"),
+    lambda d: d["runs"][0].pop("pair"),
+    lambda d: d["runs"][-1].update(pair=len(d["seeds"])),
+    lambda d: d["runs"][0].pop("wrong_ratio"),
+    lambda d: d["paired"]["sampled_history"]["metrics"]["wall_s"].update(ahead=-1),
 ], ids=["no_scipy", "metric_missing", "run_missing", "summary_stale", "change_not_int",
         "revision_missing", "parent_missing", "commit_unknown", "commands_missing",
         "command_missing", "command_times_short", "command_exit_missing",
-        "command_summary_stale", "schema_unknown"])
+        "command_summary_stale", "schema_unknown", "pairs_missing", "pair_missing",
+        "pair_out_of_range", "wrong_ratio_missing", "paired_stale"])
 def test_bench_schema_rejects_a_spoiled_record(spoil):
     bench, benchmark = _bench_module(), json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
@@ -122,19 +129,28 @@ def test_bench_runs_each_tree_without_bytecode(monkeypatch, tmp_path):
     assert seen == trees
 
 
-def test_bench_alternates_the_trees_per_workload(monkeypatch, tmp_path):
-    # one run.py per tree, workload, seed and mode; a workload's two runs
-    # follow each other, and the record holds them all
-    bench, calls = _bench_module(), []
+def stub_record(bench, monkeypatch, tmp_path, outcome=lambda *key: (1.0, 0, 0.0)):
+    """bench.record(38, ...) on two trees under tmp_path with run.py stubbed:
+    outcome(tree, workload, trace, pair) gives every end-to-end metric's value,
+    the failed count (of 3 attempted) and the wrong_ratio of that run.
+    Returns the record and the calls, (tree, workload, seed, trace) each."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = {"0": benchmark["end_to_end"], "1": benchmark["per_layer"]}
+    calls = []
 
     def fake_run(argv, cwd, env, **kwargs):
         opts = dict(zip(argv[2::2], argv[3::2]))
         assert argv[1] == "perfbench/run.py" and opts["--seconds"] == str(bench.SECONDS)
-        calls.append((cwd.name, opts["--workload"], int(opts["--seed"]), int(opts["--trace"])))
-        line = {"correct": True, "attempted": 3, "failed": 0,
-                "metrics": {m["name"]: {"value": 1.0} for m in names[opts["--trace"]]}}
+        workload, seed, trace = opts["--workload"], int(opts["--seed"]), int(opts["--trace"])
+        pair = sum(c[0] == cwd.name and c[1] == workload and c[3] == trace for c in calls)
+        calls.append((cwd.name, workload, seed, trace))
+        value, failed, wrong = outcome(cwd.name, workload, trace, pair)
+        out = cwd / "perfbench" / "out"
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{workload}-seed{seed}-trace{trace}.json").write_text(
+            json.dumps({"end_to_end": {"wrong_ratio": {"value": wrong, "unit": "ratio"}}}))
+        line = {"correct": True, "attempted": 3, "failed": failed,
+                "metrics": {m["name"]: {"value": value} for m in names[opts["--trace"]]}}
         return SimpleNamespace(stdout="progress\n" + json.dumps(line) + "\n")
 
     machine = bench.environment()  # before the fake: platform may run uname
@@ -143,26 +159,82 @@ def test_bench_alternates_the_trees_per_workload(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "revision", lambda tree: "0" * 39 + str(len(tree.name)))
     monkeypatch.setattr(bench, "time_commands", lambda trees: {
         label: {name: [1.0] * bench.REPEATS for name in bench.COMMANDS} for label in trees})
-    trees = {label: tmp_path / label for label in bench.TREES}
-    doc = bench.record(30, trees)
+    doc = bench.record(38, {label: tmp_path / label for label in bench.TREES})
     bench.check_record(doc, benchmark)
-    pairs = [(seed, trace, workload) for seed in bench.SEEDS for trace in (0, 1)
-             for workload in bench.WORKLOADS]
+    return doc, calls
+
+
+def test_bench_alternates_the_trees_per_workload(monkeypatch, tmp_path):
+    # PAIRS untraced pairs per workload with the seeds cycled, then one traced
+    # pair per seed; a pair's two runs follow each other, and the record
+    # holds them all
+    bench = _bench_module()
+    doc, calls = stub_record(bench, monkeypatch, tmp_path)
+    n = len(bench.SEEDS)
+    pairs = [(trace, pair, workload) for trace, count in ((0, bench.PAIRS), (1, n))
+             for pair in range(count) for workload in bench.WORKLOADS]
     assert [c[1:] for c in calls[::2]] == [c[1:] for c in calls[1::2]] == \
-        [(w, s, t) for s, t, w in pairs]
+        [(w, bench.SEEDS[p % n], t) for t, p, w in pairs]
     assert all({a[0], b[0]} == set(bench.TREES) for a, b in zip(calls[::2], calls[1::2]))
     firsts = [c[0] for c in calls[::2]]
-    # every other pair in run order within a seed, and alternate seeds for
-    # each workload and mode
-    for start in range(0, len(pairs), 2 * len(bench.WORKLOADS)):
-        run = firsts[start:start + 2 * len(bench.WORKLOADS)]
-        assert all(a != b for a, b in zip(run, run[1:]))
+    # every other pair in run order, and every other pair of each workload and mode
+    assert firsts[0] == "parent" and all(a != b for a, b in zip(firsts, firsts[1:]))
     for w in bench.WORKLOADS:
         for t in (0, 1):
-            got = [first for first, (_, tt, ww) in zip(firsts, pairs) if (ww, tt) == (w, t)]
-            assert got[0] != got[1] != got[2]
-    assert firsts[0] == "parent"
+            got = [first for first, (tt, _, ww) in zip(firsts, pairs) if (ww, tt) == (w, t)]
+            assert all(a != b for a, b in zip(got, got[1:]))
+    assert [(r["tree"], r["workload"], r["seed"], r["trace"]) for r in doc["runs"]] == calls
+    assert [r["pair"] for r in doc["runs"][::2]] == [p for _, p, _ in pairs]
+    assert doc["pairs"] == bench.PAIRS and doc["seconds"] == bench.SECONDS
     assert doc["command"] == "perfbench/run.py --workload W --seed S --seconds T --trace {0,1}"
+
+
+def test_bench_pairs_give_ratios_and_their_interval(monkeypatch, tmp_path):
+    bench = _bench_module()
+    assert bench.PAIRS == 10 and bench.LEVEL == 0.90
+    faster = [0.90, 0.80, 0.85, 1.05, 0.88, 0.83, 0.86, 0.87, 0.84, 0.81]
+
+    def outcome(tree, workload, trace, pair):
+        ratio = {"sampled_history": faster[pair], "decay_chain": 1.0,
+                 "verdict_sweep": 0.5 if pair % 2 else 2.0}[workload]
+        failed = int(tree == "change" and workload == "sampled_history" and pair == 0)
+        wrong = 0.5 if (tree, workload, pair) == ("parent", "verdict_sweep", 3) else 0.0
+        return 2.0 * (ratio if tree == "change" else 1.0), failed, wrong
+
+    doc, _ = stub_record(bench, monkeypatch, tmp_path, outcome)
+    level = 1.0 - 2.0 * 11 / 1024  # [v_(2), v_(9)] of 10: 1 - 2 P(B <= 1)
+    got = doc["paired"]["sampled_history"]
+    assert got["metrics"]["wall_s"] == {
+        "ratios": faster, "median": 0.855, "lo": 0.81, "hi": 0.90, "level": level,
+        "ahead": 9, "resolved": True}
+    assert got["failed_ratio"] == {"parent": 0.0, "change": 1 / 30}
+    assert got["wrong_ratio"] == {"parent": 0.0, "change": 0.0}
+    same = doc["paired"]["decay_chain"]["metrics"]["setup_s"]
+    assert (same["median"], same["lo"], same["hi"], same["ahead"], same["resolved"]) == \
+        (1.0, 1.0, 1.0, 0, False)
+    split = doc["paired"]["verdict_sweep"]
+    assert (split["metrics"]["job_s_p50"]["ahead"], split["metrics"]["job_s_p50"]["lo"],
+            split["metrics"]["job_s_p50"]["resolved"]) == (5, 0.5, False)
+    assert split["wrong_ratio"] == {"parent": 0.05, "change": 0.0}
+    assert set(doc["paired"]) == set(bench.WORKLOADS)
+    assert set(got["metrics"]) == {m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+@pytest.mark.parametrize("n, k", [(4, None), (5, 1), (10, 2), (20, 6)])
+def test_median_interval_from_binomial_order_statistics(n, k):
+    # [v_(k), v_(n+1-k)] covers the median with probability 1 - 2 P(B < k),
+    # B binomial (n, 1/2); k is the largest with coverage >= 90 %
+    bench = _bench_module()
+    values = [float(v) for v in range(n, 0, -1)]
+    if k is None:
+        assert bench.median_interval(values) is None
+        return
+    coverage = lambda k: 1 - 2 * sum(math.comb(n, j) for j in range(k)) / 2**n  # noqa: E731
+    assert coverage(k) >= 0.90 > coverage(k + 1)
+    lo, hi, level = bench.median_interval(values)
+    assert (lo, hi) == (float(k), float(n + 1 - k))
+    assert level == pytest.approx(coverage(k), abs=1e-15)
 
 
 @pytest.mark.parametrize("where", ["src/dispersia", "perfbench"])
