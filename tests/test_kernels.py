@@ -522,8 +522,9 @@ class TestFilon:
 
     @staticmethod
     def former_spherical_jn(x):
-        """The former ``_sampled._spherical_jn``, which built both recurrences
-        in an (N, 16) layout, one strided column per degree; kept as the reference."""
+        """The former ``_sampled._spherical_jn``: Miller's recurrence from n = 60,
+        rescaled every step and normalized by sum_n (2n + 1) j_n^2 = 1, both
+        recurrences in an (N, 16) layout; kept as the reference."""
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape + (16,))
         big = x >= 16
