@@ -28,9 +28,10 @@ from .kernels import (
 
 
 def certify(kernel: SampledKernel) -> ClassKCertificate:
-    """Spot-check the user-supplied (C, delta) on a geometric grid of [0, 50/delta];
-    a non-finite sample fails the certificate."""
-    horizon = 50.0 / kernel.delta
+    """Spot-check the user-supplied (C, delta) on a geometric grid of
+    [0, LAPLACE_HORIZON / delta], the interval that the Filon transform
+    integrates; a non-finite sample fails the certificate."""
+    horizon = LAPLACE_HORIZON / kernel.delta
     tgrid = np.concatenate(([0.0], np.geomspace(1e-6, horizon, 2000)))
     samples = np.abs(kernel(tgrid, 2))
     if not np.all(np.isfinite(samples)):

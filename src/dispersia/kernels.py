@@ -394,11 +394,14 @@ def laplace(kernel: Kernel, lam: complex) -> complex:
     ExpPolyKernel uses the exact partial-fraction sum.  SampledKernel reads
     L nu(lambda) = (nu(0) + (nu'(0) + L nu''(lambda)) / lambda) / lambda, with
     L nu'' from the Filon-Legendre panel transform (``_sampled._filon_transform``) of
-    e^{-Re lambda s} nu''(s) over [0, 60/delta]: nu itself need not be
-    integrable on and near the imaginary axis, and at large Re lambda the
-    transform, however coarse, is divided by lambda^2.  On the axis its real
+    e^{-Re lambda s} nu''(s) over [0, LAPLACE_HORIZON / delta]: nu itself need
+    not be integrable on and near the imaginary axis, and at large Re lambda
+    the transform, however coarse, is divided by lambda^2.  On the axis its real
     part, nu(0) - (1/w) int_0^inf sin(w s) nu''(s) ds, needs only the sine
     transform of nu''; ``sampled_iw_real_part`` evaluates that for many w at once.
+    Each scalar call on a SampledKernel samples nu'' and builds its panels
+    anew (about 0.4 ms on a 2-vCPU Xeon), so a loop over frequencies belongs in
+    ``sampled_iw_real_part``.
     """
     lam = complex(lam)
     if lam.real < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -51,6 +51,7 @@ class ModeSystem:
     k: float
     A: np.ndarray
     medium: MediumSpec
+    _propagators: dict = field(default_factory=dict, repr=False)  # dt -> exp(A dt)
 
     @property
     def dim(self) -> int:
@@ -213,13 +214,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=512)
-def _propagator(system: ModeSystem, dt: float) -> np.ndarray:
-    return expm(system.A * dt)
-
-
 def step_exact(system: ModeSystem, state: np.ndarray, dt: float) -> np.ndarray:
-    """Advance by exp(A dt); exact for the closed linear system."""
+    """Advance by exp(A dt), which the mode holds per dt; exact for the closed linear system."""
     if dt <= 0:
         raise ModalError("dt must be positive")
     state = np.asarray(state, dtype=float)
@@ -227,7 +223,11 @@ def step_exact(system: ModeSystem, state: np.ndarray, dt: float) -> np.ndarray:
         raise ModalError(f"state dimension {state.shape} does not match system {system.dim}")
     if not np.all(np.isfinite(state)):
         raise ModalError("non-finite state")
-    return _propagator(system, float(dt)) @ state
+    dt = float(dt)
+    prop = system._propagators.get(dt)
+    if prop is None:
+        prop = system._propagators[dt] = expm(system.A * dt)
+    return prop @ state
 
 
 def spectral_abscissa(system: ModeSystem) -> tuple[float, np.ndarray]:
@@ -265,7 +265,7 @@ _HISTORY_BLOCK = 128
 
 @dataclass(eq=False)  # a mutable state: equal only to itself
 class HistoryState:
-    """Field history on the uniform step grid from (e0, h0), for the reference integrator.
+    """Field history on the step grid of dt up to s_max from (e0, h0); also ``initial_history``.
 
     The fields are one (2, capacity) float array, row 0 E and row 1 H,
     grown geometrically from 1024 columns; its first n columns are the
@@ -276,27 +276,28 @@ class HistoryState:
     bounds |f_j| for the far sums' scaling (see ``_hold_weights``).
     ``budget`` is the number of steps the horizon allows, the largest n with
     n dt <= s_max + 1e-12; it is set once, here, and every step and block
-    reads it.  A history is one mode: the values cached here (each live
-    field's lag weights, keyed by its row, the block map and the steps
-    computed ahead) belong to the medium and k of the first step, which are
-    recorded (see ``step_history``).  ModalError unless dt is finite and
-    positive, s_max, e0 and h0 are finite, and the horizon's step count
-    (s_max + 1e-12) / dt is finite.
+    reads it.  A history is one mode: its first step records the medium, k
+    and _live, the rows whose kernel is not zero (see ``step_history``), and
+    the values cached here (the lag weights of each row of _live, the block
+    map and the steps computed ahead) belong to them.  ModalError unless dt
+    is finite and positive, s_max, e0 and h0 are finite, and the horizon's
+    step count (s_max + 1e-12) / dt is finite.
     """
 
     dt: float
     s_max: float
-    e0: float = 0.0
+    e0: float = 1.0
     h0: float = 0.0
     budget: int = field(init=False)
     n: int = field(default=1, init=False)  # the steps taken, t = 0 included
-    _fields: np.ndarray = field(default_factory=lambda: np.zeros((2, 1024)), repr=False)
+    _fields: np.ndarray = field(default_factory=lambda: np.zeros((2, 1024)), init=False, repr=False)
     _peak: list = field(init=False, repr=False)  # per row
-    _weights: dict = field(default_factory=dict, repr=False)  # per row, see _hold_weights
-    _medium: MediumSpec | None = field(default=None, repr=False)
-    _k: float | None = field(default=None, repr=False)
-    _map: tuple | None = field(default=None, repr=False)  # (P, Q, G), see _block_map
-    _ahead: int = field(default=0, repr=False)  # finite steps computed ahead, not yet taken
+    _weights: dict = field(default_factory=dict, init=False, repr=False)  # see _hold_weights
+    _medium: MediumSpec | None = field(default=None, init=False, repr=False)
+    _k: float | None = field(default=None, init=False, repr=False)
+    _live: tuple = field(default=(), init=False, repr=False)  # rows with memory
+    _map: tuple | None = field(default=None, init=False, repr=False)  # (P, Q, G), see _block_map
+    _ahead: int = field(default=0, init=False, repr=False)  # finite steps ahead, not yet taken
 
     def __post_init__(self):
         dt, s_max = self.dt, self.s_max
@@ -343,12 +344,7 @@ class HistoryState:
         return float(self._fields[1, self.n - 1])
 
 
-def initial_history(dt: float, s_max: float, e0: float = 1.0, h0: float = 0.0) -> HistoryState:
-    """An empty history on the grid of step dt, up to t = s_max, starting at (e0, h0).
-
-    ModalError unless dt is finite and positive, s_max, e0 and h0 are finite,
-    and s_max / dt is finite (HistoryState checks them)."""
-    return HistoryState(dt, s_max, e0, h0)
+initial_history = HistoryState
 
 
 # per c, the weight of f_n in the sum y_c of step n, in units of dt nu'(c dt):
@@ -490,10 +486,11 @@ def _block_map(state: HistoryState):
     fields of step n0 for i = 0, plus Q times the far memory sums.  The near
     memory sums add Q M_(i - j) z_(j - 1) for 1 <= j <= i, where M_m holds
     each field's weights dt nu'((m + c) dt), c = 0, 1/2, 1, read off its
-    two held rows as in ``_next_block``, M_0 with the weights of _NEAR_END.
-    So z = r + T z with T strictly lower block-Toeplitz, T_1 = P + Q M_0
-    and T_l = Q M_(l - 1), and z = G r for G = (I - T)^-1, block
-    lower-triangular Toeplitz with blocks Gamma_0 = I, Gamma_1, ....
+    two held rows as in ``_next_block``, M_0 with the weights of _NEAR_END,
+    for the fields of state._live (M_m is 0 for the others).  So z = r + T z
+    with T strictly lower block-Toeplitz, T_1 = P + Q M_0 and T_l =
+    Q M_(l - 1), and z = G r for G = (I - T)^-1, block lower-triangular
+    Toeplitz with blocks Gamma_0 = I, Gamma_1, ....
     These are built by doubling: Gamma_0..Gamma_(h - 1) invert the first h
     block rows of I - T, and the next h are the first column of the
     lower-left block of the inverse of the first 2 h, Gamma_(h + i) =
@@ -506,18 +503,14 @@ def _block_map(state: HistoryState):
     """
     dt, medium = state.dt, state._medium
     B = min(_HISTORY_BLOCK, state.budget)
-    near, g = [], []
-    for row in (0, 1):
-        if row not in state._weights:  # a zero kernel, which has no memory
-            near.append(None)
-            g.append(0.0)
-            continue
+    near, g = [], [0.0, 0.0]
+    for row in state._live:
         s, ws = state._weights[row][:2]
         w = np.ldexp(ws[:, -B - 1:], -s)  # lags B..0 of nu', exactly
         m = dt * _stage_rows(w)  # lags B - 1..0 at c = 0, 1/2, 1
         m[:, -1] = _NEAR_END * m[:, -1]
         near.append(m)
-        g.append(0.5 * dt * float(w[0, -1]))
+        g[row] = 0.5 * dt * float(w[0, -1])
     nu0 = (medium.nu_e.value_at_zero(), medium.nu_h.value_at_zero())
     pq = _step_matrix(medium, nu0, g, state._k, dt)
     P, Q = pq[:, :2], pq[:, 2:]
@@ -526,9 +519,8 @@ def _block_map(state: HistoryState):
     # zero for m < 0, as _block_toeplitz takes them: T_l in column n - 1 - l
     # of T, Gamma_m in column n - 1 - m of gam
     T = np.zeros((2, n, 2))
-    for row, m in enumerate(near):
-        if m is not None:
-            T[:, n - B:n - 1, row] = Q[:, 3 * row:3 * row + 3] @ m[:, 1:]  # T_(B - 1)..T_1
+    for row, m in zip(state._live, near):
+        T[:, n - B:n - 1, row] = Q[:, 3 * row:3 * row + 3] @ m[:, 1:]  # T_(B - 1)..T_1
     if B > 1:
         T[:, n - 2] += P
     gam = np.zeros((2, 2 * n, 2))
@@ -554,8 +546,9 @@ def _next_block(state: HistoryState):
     rule on f_0..f_n, y_c = dt (sum_j w_c[n - j] f_j - (w_c[n] f_0 +
     w_c[0] f_n) / 2), with w_c[m] = nu'((m + c) dt), plus the panel from t
     to the stage time, (c dt / 2) w_c[0] f_n.  In a block from step n0, the
-    terms over j <= n0 are far.  A field's far sums for the whole block are
-    one np.correlate of each held row with its row's f_0..f_n0 (one per
+    terms over j <= n0 are far.  Each field of state._live, the fields with
+    memory, has far sums of its own: those for the whole block are one
+    np.correlate of each held row with its row's f_0..f_n0 (one per
     _CORRELATE_MAX samples), each into its own row of z: that of c = 0
     over the lags n0 + b..0, the sums of the steps n0..n0 + b, and that of
     c = 1/2 over the lags n0 + b - 1..0, the sums of the steps
@@ -567,24 +560,23 @@ def _next_block(state: HistoryState):
     c = 1 sums are read off, and the sums are scaled once, by dt 2^-s.
     The terms over the block's own samples are near and enter through
     _block_map's G, built in the first block.  Everything runs under one
-    np.errstate.  A non-finite known part or field cuts the block before
-    its step: G is lower-triangular, so later steps cannot change earlier
-    ones.  Finiteness is checked once, on the fields; only a block with a
-    non-finite field looks for the step where it starts.
+    np.errstate.  The block is cut once on each side of the map: the known
+    part r at its first non-finite row, which is zeroed from there before G
+    is applied, as G's zero entries would carry it to the steps before it,
+    and then the fields at their first non-finite step.  G is applied once,
+    and it is lower-triangular, so later steps cannot change earlier ones.
     """
     n0, dt, fields = state.n - 1, state.dt, state._fields
     b = min(_HISTORY_BLOCK, state.budget - n0)
     e, h = fields[:, n0].tolist()
-    kernels = (state._medium.nu_e, state._medium.nu_h)
-    live = [row for row in (0, 1) if not kernels[row].is_zero]
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in live:
+        for row in state._live:
             _hold_weights(state, row, n0 + b)
         if state._map is None:
             state._map = _block_map(state)
         P, Q, G = state._map
         r = np.zeros((G.shape[0] // 2, 2))  # row i is step n0 + i; rows from b on stay 0
-        for row in live:
+        for row in state._live:
             s, ws, first, _ = state._weights[row]
             lo = ws.shape[1] - 1 - n0 - b  # the column of lag n0 + b
             f = fields[row, :n0 + 1]
@@ -602,19 +594,12 @@ def _next_block(state: HistoryState):
             r[:b] += (y * math.ldexp(dt, -s)).T[::-1] @ Q[:, 3 * row:3 * row + 3].T
         (p00, p01), (p10, p11) = P.tolist()
         r[0] += (p00 * e + p01 * h, p10 * e + p11 * h)
+        if not np.isfinite(r).all():  # in a row before b: the rows from b on are 0
+            b = int(np.isfinite(r).all(axis=1).argmin())
+            r[b:] = 0.0
         z = G @ r.ravel()
         if not np.isfinite(z[:2 * b]).all():
-            # the block stops before its first step whose known part r or
-            # fields are not finite; a non-finite r_i makes z_i so (Gamma_0
-            # = I), and is cleared before G is applied anew, as G's zero
-            # entries would carry it to the steps before i
-            known = np.isfinite(r[:b]).all(axis=1)
-            if not known.all():
-                b = int(known.argmin())
-                r[b:] = 0.0
-                z = G @ r.ravel()
-            finite = np.isfinite(z[:2 * b]).reshape(b, 2).all(axis=1)
-            b = b if finite.all() else int(finite.argmin())
+            b = int(np.isfinite(z[:2 * b]).reshape(b, 2).all(axis=1).argmin())
     z = z.reshape(-1, 2)[:b]
     start, end = n0 + 1, n0 + 1 + b
     if end > fields.shape[1]:
@@ -640,7 +625,8 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
     dt must match it to 1e-12 relative.
     Serves as the oracle for step_exact and is the only integrator available
     for sampled kernels.  A history is one mode: every step takes the medium
-    and k of its first step.  k must be finite and nonnegative, as in
+    and k of its first step, which also records state._live, the fields
+    whose kernel is not zero.  k must be finite and nonnegative, as in
     ``build_mode``, and equal to the first step's k; the medium must be that
     object or an equal one (a sampled kernel is equal only with the same
     evaluator).  Another k or medium raises ModalError.  So does the
@@ -657,6 +643,8 @@ def step_history(medium: MediumSpec, k: float, state: HistoryState, dt: float) -
         k = _wavenumber(k)
         if state._medium is None:
             state._medium, state._k = medium, k
+            state._live = tuple(row for row, kern in enumerate((medium.nu_e, medium.nu_h))
+                                if not kern.is_zero)
         elif medium != state._medium:
             raise ModalError("this history was started in another medium; a history "
                              "is advanced in one medium only")

@@ -165,6 +165,17 @@ class TestCertify:
             certify_class_K(loose)
         assert 1.0 < err.value.t_violation < 2.0
 
+    def test_certificate_checks_the_whole_laplace_horizon(self):
+        # a bump in nu'' on (54, 56), inside [0, LAPLACE_HORIZON / delta] = [0, 60],
+        # where the Filon transform integrates nu'', fails the certificate
+        def bumped(t, order):
+            bump = 1e-6 * (np.abs(t - 55.0) < 1.0) if order == 2 else 0.0
+            return _gaussian_eval(t, order) + bump
+
+        with pytest.raises(CertificationFailure) as err:
+            certify_class_K(SampledKernel(bumped, C=3.4, delta=1.0))
+        assert 54.0 < err.value.t_violation < 56.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
         def broken(t, order):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -82,6 +83,10 @@ class TestBuildMode:
         assert np.all(system.A == 0)
         state = step_exact(system, np.array([0.3, -0.7]), 1.0)
         assert np.allclose(state, [0.3, -0.7])
+        # the mode holds its propagator; no module-wide cache keeps it alive
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
 
     def test_lossless_eigenvalues(self):
         _, eigs = spectral_abscissa(build_mode(vacuum(), 1.0))
@@ -792,6 +797,9 @@ class TestHistoryIntegrator:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # a history is equal only to itself, whatever its fields hold
         assert hist == hist and initial_history(dt, 10.0) != initial_history(dt, 10.0)
+        # one constructor, starting at (1, 0) by default
+        assert initial_history is modal.HistoryState
+        assert (initial_history(dt, 10.0).e, initial_history(dt, 10.0).h) == (1.0, 0.0)
 
     def test_each_field_scales_by_its_own_rows_peak(self):
         # H started at 2^40 beside E at 1, on the same kernel: each live
@@ -1044,6 +1052,23 @@ class TestHistoryIntegrator:
         assert 350.0 < named < 360.0
         # the failed step left the history at its last finite step
         assert named == pytest.approx(hist.t + 0.05)
+        assert np.all(np.isfinite(hist.e_past.view())) and np.all(np.isfinite(hist.h_past.view()))
+
+    @pytest.mark.parametrize("slot, named, last", [(0, "18.32", 18.31),
+                                                   (1, "18.390000000000001", 18.38)])
+    def test_fields_overflowing_before_their_weights_raise(self, slot, named, last):
+        # nu = 40 e^t: the weights stay below 40 e^100, while the fields
+        # overflow near t = 18.3, so the block is cut at the fields, after G
+        kernels = [ZERO, ZERO]
+        kernels[slot] = debye(-40.0, 1.0)
+        medium, dt = MediumSpec(1.0, 1.0, *kernels), 0.01
+        hist = initial_history(dt, s_max=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModalError, match=f"^the fields at t = {named} are not finite"):
+                for _ in range(10_000):
+                    hist = step_history(medium, 3.0, hist, dt)
+        assert hist.t == pytest.approx(last, abs=1e-9)
         assert np.all(np.isfinite(hist.e_past.view())) and np.all(np.isfinite(hist.h_past.view()))
 
     @pytest.mark.parametrize("name, kwargs", [

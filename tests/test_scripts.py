@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,15 @@ def test_abscissa_scaling_is_negative_and_k_squared():
     assert k == 16.0
     # m = 2 media: the abscissa scales like -c/k^2 with c near 1/2
     assert 0.4 <= last[4] <= 0.6 and 0.4 <= last[6] <= 0.6, out
+
+
+def test_history_digest_prints_nine_stable_digests():
+    out = run_script("history_digest.py")
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 9, out
+    assert [int(seed) for seed, _, _ in rows] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, _, digest in rows), out
+    assert run_script("history_digest.py") == out
 
 
 def _bench_module():
