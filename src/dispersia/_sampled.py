@@ -60,7 +60,6 @@ _GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.1691565193950026
                     0.062253523938647456, 0.027152459411754176)
 _GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
 _GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
-_BLOCK_PANELS = 128  # Filon panels per sampled-function call, so memory stays bounded
 
 
 def _legendre_table(x: np.ndarray) -> np.ndarray:
@@ -77,10 +76,10 @@ def _legendre_table(x: np.ndarray) -> np.ndarray:
 _TO_LEGENDRE = ((np.arange(_GL_NODES.size) + 0.5)[:, None]
                 * _legendre_table(_GL_NODES) * _GL_WEIGHTS).T
 _FILON_TOL = 1e-15  # accepted |c_14|, |c_15| of a panel, relative to the largest sample
-_MAX_BISECTIONS = 50  # bisections of a first-level panel before it is accepted as is
 # panels sampled by one search, over all levels: the builtin Gaussian samples
 # 29 (49 at delta = 1e-6), and a function that no bisection resolves, such as
-# one carrying noise above _FILON_TOL, would otherwise double them per level
+# one carrying noise above _FILON_TOL, would otherwise double them per level;
+# so it bounds both the depth of the search and the size of each call of f
 _MAX_PANELS = 1 << 16
 _MILLER_START = 36  # first index of the backward recurrence: its truncation moves j_n
 # by < 1e-20 on (0, 16), and its largest value, 73!!/x^36 at x = 1e-5, is 1.7e233
@@ -129,36 +128,35 @@ def _filon_panels(f, upper: float):
     """Panels of [0, upper] on which f is a degree-15 polynomial to rounding.
 
     The first level is the geometric partition [0, 1], [1, 2], [2, 4], ...,
-    cut at upper.  f is sampled at the 16 Gauss-Legendre nodes of every panel,
-    _BLOCK_PANELS panels per call, and each panel is bisected until the top
-    two Legendre coefficients of its interpolant are below _FILON_TOL times
-    the largest sample so far, of any level (at most _MAX_BISECTIONS times):
-    a peak that the first level misses raises the scale once it is sampled.
-    A search that would sample more than _MAX_PANELS panels raises
-    KernelError.  Panels on which f vanishes are dropped.  Returns (left
-    ends, half-widths, Legendre coefficients).  Nothing here depends on a
-    frequency.
+    cut at upper.  Each level calls f once, at the 16 Gauss-Legendre nodes of
+    all its panels, and a panel is accepted when the top two Legendre
+    coefficients of its interpolant are at most _FILON_TOL times the largest
+    sample so far, of any level; the others are bisected.  A peak that the
+    first level misses raises the scale once it is sampled.  A jump in f is
+    resolved within about two levels of the float spacing at it: a panel
+    narrower than half an ulp samples one point 16 times, whose top
+    coefficients are rounding.  A search that would sample more than
+    _MAX_PANELS panels raises KernelError.  Panels on which f vanishes are
+    dropped.  Returns (left ends, half-widths, Legendre coefficients).
+    Nothing here depends on a frequency.
     """
     edges = np.concatenate(([0.0], 2.0 ** np.arange(math.ceil(math.log2(upper)))
                             if upper > 1.0 else [], [upper]))
     left, half = edges[:-1], 0.5 * np.diff(edges)
     kept, scale, sampled = [], 0.0, 0
-    for level in range(_MAX_BISECTIONS + 1):
+    while True:
         sampled += left.size
         if sampled > _MAX_PANELS:
             raise KernelError(f"the Filon panel search sampled more than {_MAX_PANELS} panels "
                               "without resolving nu'' to rounding")
         nodes = left[:, None] + half[:, None] * (_GL_NODES + 1.0)
-        samples = np.concatenate([f(nodes[i:i + _BLOCK_PANELS].ravel())
-                                  for i in range(0, len(nodes), _BLOCK_PANELS)])
-        samples = samples.reshape(nodes.shape)
+        samples = f(nodes.ravel()).reshape(nodes.shape)
         if not np.all(np.isfinite(samples)):
             bad = nodes[~np.isfinite(samples)][0]
             raise KernelError(f"kernel evaluator returned a non-finite value at t={bad:.6g}")
         scale = max(scale, float(np.max(np.abs(samples))))
         coeffs = samples @ _TO_LEGENDRE
-        done = (np.max(np.abs(coeffs[:, -2:]), axis=1) <= _FILON_TOL * scale) | (
-            level == _MAX_BISECTIONS)
+        done = np.max(np.abs(coeffs[:, -2:]), axis=1) <= _FILON_TOL * scale
         keep = done & np.any(coeffs != 0.0, axis=1)
         kept.append((left[keep], half[keep], coeffs[keep]))
         left, half = left[~done], 0.5 * half[~done]

@@ -418,7 +418,7 @@ def _decay_exponent_sampled(data: tuple, report: PassivityReport) -> PassivityRe
     m = _fitted_exponent(wgrid, total)
     sig_e, sig_h = (float((abs(wgrid) ** m * vals).min()) if field_m == m else 0.0
                     for vals, field_m in zip(tails, own))
-    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=10.0)
+    return replace(report, m=m, sigma_E=sig_e, sigma_H=sig_h, omega0=float(wgrid[0]))
 
 
 def _fitted_exponent(wgrid: np.ndarray, vals: np.ndarray) -> int:

@@ -419,10 +419,13 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith("config error: medium.nu_e.terms: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc", [5, None, "medium"])
-    def test_config_not_an_object_exit1(self, tmp_path, capsys, doc):
-        out = tmp_path / "report.json"
-        assert main(["analyze", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    # README promises this line for every command; analyze's cases keep their bare ids
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param(command, doc, id=str(doc) if command == "analyze" else f"{command}-{doc}")
+        for command in ("analyze", "simulate", "spectrum") for doc in (5, None, "medium")])
+    def test_config_not_an_object_exit1(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "config error: config: expected a JSON object\n"
         assert not out.exists()
@@ -899,6 +902,12 @@ class TestFitCommand:
         direct = fit_decay(dio.read_trace(out), (10.0, 50.0))
         assert doc["kind"] == direct.kind == "exponential"
         assert doc["rate"] == direct.rate
+
+    def test_missing_trace_exit1(self, tmp_path, capsys):
+        path, out = tmp_path / "missing.csv", tmp_path / "fit.json"
+        assert main(["fit", str(path), "--window", "0,1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: trace: file not found: {path}\n"
+        assert not out.exists()
 
     def test_inconclusive_exit5(self, tmp_path):
         path = tmp_path / "flat.csv"

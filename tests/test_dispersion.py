@@ -334,6 +334,20 @@ class TestSampledPath:
                 analyze(kern, ZERO)
         assert time.perf_counter() - start < 5.0
 
+    def test_non_positive_tail_leaves_the_exponent_open(self, monkeypatch):
+        # positive on the decision grid, so strictly passive, but not at the tail's end
+        def real_part(kernel, w):
+            vals = np.ones(np.shape(w))
+            vals[-1] = -0.5
+            return vals
+
+        monkeypatch.setattr(dispersion, "sampled_iw_real_part", real_part)
+        report = analyze(GAUSSIAN, ZERO)
+        assert report.passive and report.strictly_passive
+        assert report.m is None and report.certified is False
+        with pytest.raises(PassivityError, match="not positive at large frequency"):
+            decay_exponent(GAUSSIAN, ZERO)
+
     @settings(max_examples=15, deadline=None)
     @given(scale=st.floats(1e-3, 1e3))
     def test_verdict_unchanged_under_positive_scaling(self, scale):

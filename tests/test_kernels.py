@@ -639,6 +639,37 @@ class TestFilon:
         assert abs(got - expected) <= 1e-11 * expected
         assert peak < 2**20
 
+    @pytest.mark.parametrize("a, expected", [
+        (5.3, [0.20024949538413583, 0.8994782601006461, 0.9996010898511505]),
+        (1 / 3, [0.955473639104901, 0.9588123621847812, 0.9994308538114216]),
+        (0.1, [0.9953221214683592, 0.9953556782433585, 0.9996958475602533]),
+    ], ids=["5.3", "1/3", "0.1"])
+    def test_jump_is_resolved_to_the_float_spacing(self, a, expected):
+        # nu'' = e^{-t} [t < a]: the panels at the jump halve until their nodes
+        # round to one point, and every kept panel meets the acceptance rule
+        def jump(t, order=2):
+            return np.exp(-t) * (t < a)
+
+        kern = SampledKernel(jump, C=1.0, delta=0.5, name="jump")
+        assert sampled_iw_real_part(kern, np.array([0.5, 3.0, 50.0])).tolist() == expected
+        _, _, coeffs = _sampled._filon_panels(jump, kernels.LAPLACE_HORIZON / kern.delta)
+        assert np.all(np.abs(coeffs[:, -2:]) <= _sampled._FILON_TOL)  # every sample <= 1
+
+    def test_one_evaluator_call_per_level(self):
+        # nu'' = e^{-t} (floor(4t - 0.4) mod 2) jumps every quarter: one level
+        # bisects 256 panels, and the search samples all of them in one call
+        sizes = []
+
+        def stripes(t, order):
+            sizes.append(t.size)
+            return np.exp(-t) * (np.floor(4.0 * t - 0.4) % 2)
+
+        kern = SampledKernel(stripes, C=1.0, delta=0.5, name="stripes")
+        got = sampled_iw_real_part(kern, np.array([0.5, 3.0, 50.0]))
+        assert got.tolist() == [0.6038746296438499, 0.9541079977111651, 0.9996596627157273]
+        assert max(sizes) == 256 * 16
+        assert len(sizes) == 58 + 1  # 58 levels, then nu(0)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=1, max_size=8))

@@ -830,8 +830,12 @@ class TestHistoryIntegrator:
         rng = np.random.default_rng(30)
         dts = 10.0 ** rng.uniform(-4.0, 1.0, 10_000)
         counts = rng.integers(1, 10**6, 10_000, endpoint=True)
-        for dt, steps in zip(dts.tolist(), counts.tolist()):
-            s_max = steps * dt
+        cases = [(dt, steps * dt, steps) for dt, steps in zip(dts.tolist(), counts.tolist())]
+        # two whose quotient rounds to one step more than fits, which no random case meets
+        cases += [(0.006287196282597302, 3386.868627061187, 538692),
+                  (3.464993969748735, 974228.0995164635, 281162)]
+        assert [int((s_max + 1e-12) / dt) - steps for dt, s_max, steps in cases[-2:]] == [1, 1]
+        for dt, s_max, steps in cases:
             budget = modal.HistoryState(dt=dt, s_max=s_max).budget
             assert budget == steps
             assert budget * dt <= s_max + 1e-12 < (budget + 1) * dt
